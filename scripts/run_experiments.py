@@ -13,20 +13,14 @@ Noiseless by default (the quantitative references are noiseless); pass
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
 from ionflow.emulator import NOISELESS, NoiseModel
-from ionflow.experiments import (
-    CSV_HEADER,
-    MsdConfig,
-    RusConfig,
-    report_to_json_dict,
-    run_msd,
-    run_rus,
-)
+from ionflow.experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
 from ionflow.qccd import ALWAYS, CONDITIONAL
 
 
@@ -47,7 +41,7 @@ def main(argv=None) -> int:
 
     def record(report, tag: str) -> None:
         rows.append(report.csv_row())
-        rec = report_to_json_dict(report)
+        rec = dataclasses.asdict(report)
         rec["tag"] = tag
         records.append(rec)
         print(
@@ -59,7 +53,7 @@ def main(argv=None) -> int:
     for basis in ("X", "Y", "Z"):
         for limit in range(0, args.limits + 1):
             cfg = MsdConfig(limit=limit, basis=basis)
-            _res, _shots, report = run_msd(cfg, args.shots, args.seed, noise=noise, jobs=args.jobs)
+            _res, _shots, report = run_experiment(cfg, args.shots, args.seed, noise=noise, jobs=args.jobs)
             record(report, f"msd basis={basis} N={limit}")
 
     for style in ("loop", "recursion"):
@@ -67,7 +61,7 @@ def main(argv=None) -> int:
             for limit in range(1, args.limits + 1):
                 for mode in (CONDITIONAL, ALWAYS):
                     cfg = RusConfig(limit=limit, basis=basis, style=style)
-                    _res, _shots, report = run_rus(
+                    _res, _shots, report = run_experiment(
                         cfg, args.shots, args.seed, noise=noise, mode=mode, jobs=args.jobs
                     )
                     record(report, f"rus {style} basis={basis} N={limit} {mode}")

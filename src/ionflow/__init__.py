@@ -2,7 +2,7 @@
 targeting a simulated linear trapped-ion machine."""
 
 from .emulator import NOISELESS, NoiseModel, ShotResult, enumerate_outcomes, run_shot, run_shots
-from .experiments import ExperimentReport, MsdConfig, RusConfig, build_msd, build_rus, run_msd, run_rus, summarize
+from .experiments import ExperimentReport, MsdConfig, RusConfig, build_msd, build_rus, run_experiment, summarize
 from .qccd import ALWAYS, CONDITIONAL, ExecProgram, TrapLayout
 from .textir import ParseError, emit, parse
 from .toolchain import CompileError, CompileResult, compile_module, compile_text
@@ -30,8 +30,7 @@ __all__ = [
     "emit",
     "enumerate_outcomes",
     "parse",
-    "run_msd",
-    "run_rus",
+    "run_experiment",
     "run_shot",
     "run_shots",
     "summarize",

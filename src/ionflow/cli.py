@@ -10,20 +10,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import textir
 from .emulator import NOISELESS, NoiseModel, run_shots
-from .experiments import (
-    CSV_HEADER,
-    MsdConfig,
-    RusConfig,
-    report_to_json_dict,
-    run_msd,
-    run_rus,
-)
+from .experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
 from .passes import BudgetExceeded, FlattenConfig
 from .predication import format_guarded
 from .qccd import ALWAYS, CONDITIONAL, TrapLayout
@@ -45,8 +39,9 @@ def _add_run_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--noise", type=Path, default=None, help="noise model JSON")
-    p.add_argument("--noiseless", action="store_true")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise", type=Path, default=None, help="noise model JSON")
+    noise.add_argument("--noiseless", action="store_true", help="no noise (the default)")
 
 
 def _load_trap(args) -> TrapLayout | None:
@@ -118,17 +113,16 @@ def cmd_experiment(args) -> int:
     )
     if args.kind == "msd":
         cfg = MsdConfig(limit=args.limit, basis=args.basis, prep_overrotation=args.overrotation)
-        res, _shots, report = run_msd(cfg, **common)
     else:
         cfg = RusConfig(limit=args.limit, basis=args.basis, style=args.style)
-        res, _shots, report = run_rus(cfg, **common)
+    res, _shots, report = run_experiment(cfg, **common)
     if args.emit == "exec":
         _write(res.program.to_json() + "\n", args.output)
         return 0
     csv_text = CSV_HEADER + "\n" + report.csv_row() + "\n"
     _write(csv_text, args.csv)
     if args.json is not None:
-        args.json.write_text(json.dumps(report_to_json_dict(report), indent=2) + "\n")
+        args.json.write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     return 0
 
 

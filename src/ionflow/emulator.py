@@ -11,9 +11,12 @@ mode a false predicate skips the steps entirely (no counter increase, no
 transport dephasing); in always mode every transport item executes and only
 gates, measurements and classical operations remain predicated.
 
-``enumerate_outcomes`` is the exact noiseless counterpart: it branches on
-every measurement (and on resets of entangled qubits) and returns the full
-output distribution, within a configurable branching budget.
+There is one interpreter of the compiled program, ``_walk``, and it serves
+both sampling and exact enumeration; they differ only at a measurement or
+reset. A shot draws the outcome from its RNG. ``enumerate_outcomes`` passes
+no RNG: the walk stops where both outcomes stay live, and the enumerator
+forks the path and resumes each arm from the next operation. It returns the
+exact noiseless output distribution, within a branching budget.
 
 Determinism: shot ``i`` draws from ``SeedSequence(master_seed, spawn_key=(i,))``,
 so results are independent of parallelism and always merged in shot order.
@@ -23,11 +26,13 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from . import gates as G
-from .ir import BinOp, Cmp, ReadResult
+from .ir import OUTPUT_TOKEN, BinOp, Cmp, ReadResult
+from .oracle import PRUNE_EPS, TooManyBranches
 from .passes import _eval_binop, _eval_cmp
 from .predication import OrVal, Select
 from .qccd import (
@@ -45,10 +50,6 @@ from .regalloc import PReg
 
 class ZoneViolation(Exception):
     """An operation ran while its ions were not in the planned zone slots."""
-
-
-class TooManyBranches(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,13 @@ class NoiseModel:
     def from_json(text: str) -> "NoiseModel":
         import json
 
-        return NoiseModel(**json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("noise model JSON must be an object")
+        unknown = sorted(set(data) - set(NoiseModel.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown noise model key(s): {', '.join(unknown)}")
+        return NoiseModel(**data)
 
 
 NOISELESS = NoiseModel()
@@ -119,46 +126,6 @@ def apply_1q(state: np.ndarray, u: np.ndarray, q: int, n: int) -> None:
     state[i1] = u[1, 0] * a0 + u[1, 1] * a1
 
 
-def apply_cx(state: np.ndarray, control: int, target: int, n: int) -> None:
-    idx = np.arange(state.size)
-    sel = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
-    i0 = idx[sel]
-    i1 = i0 | (1 << target)
-    state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-
-
-def measure_prob_one(state: np.ndarray, q: int, n: int) -> float:
-    _i0, i1 = _bit_indices(n)[q]
-    return float(np.sum(np.abs(state[i1]) ** 2))
-
-
-def collapse(state: np.ndarray, q: int, outcome: int, prob: float, n: int) -> None:
-    i0, i1 = _bit_indices(n)[q]
-    kill = i1 if outcome == 0 else i0
-    state[kill] = 0.0
-    state /= np.sqrt(prob)
-
-
-def apply_gate(state: np.ndarray, op: PlacedOp, placement: tuple[int, ...], n: int, overrot: float = 0.0) -> None:
-    """Unitary application with the dynamic gate-zone check."""
-    _check_zone(op, placement)
-    if op.name == "cx":
-        apply_cx(state, op.qubits[0], op.qubits[1], n)
-        return
-    angle = op.angle
-    if angle is not None:
-        angle = float(angle) + overrot
-    apply_1q(state, G.gate_unitary(op.name, angle), op.qubits[0], n)
-
-
-def _check_zone(op: PlacedOp, placement: tuple[int, ...]) -> None:
-    zone = set(op.zone)
-    slots = {placement[q] for q in op.qubits}
-    ok = slots == zone if len(op.qubits) == 2 else slots <= zone
-    if not ok:
-        raise ZoneViolation(f"{op.kind} {op.name or ''} on qubits {op.qubits} at slots {sorted(slots)}, zone {op.zone}")
-
-
 def apply_depolarizing(state: np.ndarray, qubits: tuple[int, ...], p: float, n: int, rng: np.random.Generator) -> None:
     """With probability p, a uniformly random non-identity Pauli on the operands."""
     if p <= 0.0 or rng.random() >= p:
@@ -181,16 +148,6 @@ def apply_dephasing(state: np.ndarray, q: int, p: float, n: int, rng: np.random.
         apply_1q(state, G.Z, q, n)
 
 
-def eval_exec_guard(g, regs: list) -> bool:
-    if isinstance(g, bool):
-        return g
-    if isinstance(g, PReg):
-        return bool(regs[g.index])
-    if isinstance(g, OrVal):
-        return any(eval_exec_guard(p, regs) for p in g.parts)
-    raise TypeError(f"bad exec guard {g!r}")
-
-
 def _fetch(v, regs: list):
     if isinstance(v, PReg):
         return regs[v.index]
@@ -211,16 +168,13 @@ def _exec_classical(instrs: tuple, regs: list, slots: list[int]) -> None:
             raise TypeError(f"cannot execute {ins!r}")
 
 
-OUTPUT_TOKEN = {"array_start": "[", "array_end": "]", "tuple_start": "(", "tuple_end": ")"}
-
-
 def shot_seed(master_seed: int, shot_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(shot_index,))
 
 
 # ---------------------------------------------------------------------------
-# Compiled runtime: the per-shot loop is the hot path, so items are lowered
-# once into tag/tuple form with index arrays and unitary entries precomputed.
+# Compiled runtime: the item loop is the hot path, so items are lowered once
+# into tag/tuple form with index arrays and unitary entries precomputed.
 # ---------------------------------------------------------------------------
 
 _MARK, _CLASSICAL, _TRANSPORT, _LAYER, _OUTPUT = range(5)
@@ -247,7 +201,8 @@ def _geval(g, regs) -> bool:
     return any(_geval(p, regs) for p in g)
 
 
-def _compile_op(op: PlacedOp, n: int, overrot: float):
+def _compile_op(op: PlacedOp, n: int, overrot: float, j: int):
+    """One op in tag/tuple form; a measurement or reset keeps its index ``j`` in the layer."""
     i0, i1 = _bit_indices(n)[op.qubits[0]]
     if op.kind == "gate":
         if op.name == "cx":
@@ -263,8 +218,8 @@ def _compile_op(op: PlacedOp, n: int, overrot: float):
         u = G.gate_unitary(op.name, angle)
         return (_OP_1Q, i0, i1, complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]), op)
     if op.kind == "measure":
-        return (_OP_MEASURE, i0, i1, op.qubits[0], op.slot, op)
-    return (_OP_RESET, i0, i1, op.qubits[0], op)
+        return (_OP_MEASURE, i0, i1, op.qubits[0], op.slot, j)
+    return (_OP_RESET, i0, i1, op.qubits[0], None, j)
 
 
 @dataclass
@@ -293,8 +248,8 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
                 perm = apply_step(perm, st)
             items.append((_TRANSPORT, _cguard(item.guard), perm, len(item.steps), item.steps))
         elif isinstance(item, LayerItem):
-            ops = tuple(_compile_op(op, n, noise.prep_overrotation) for op in item.ops)
-            items.append((_LAYER, _cguard(item.guard), item.expected_slots, ops, item.idle_qubits))
+            ops = tuple(_compile_op(op, n, noise.prep_overrotation, j) for j, op in enumerate(item.ops))
+            items.append((_LAYER, _cguard(item.guard), item.expected_slots, ops, item.idle_qubits, len(items)))
         elif isinstance(item, OutputItem):
             token = None if item.kind == "result" else OUTPUT_TOKEN[item.kind]
             items.append((_OUTPUT, _cguard(item.guard), token, item.slot))
@@ -303,112 +258,176 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     return _Runtime(n, prog.n_results, prog.n_regs, prog.canonical, prog.conditional_transport, noise, items)
 
 
-def _run_compiled(rt: _Runtime, master_seed: int, shot_index: int) -> ShotResult:
-    rng = np.random.Generator(np.random.PCG64(shot_seed(master_seed, shot_index)))
-    rng_random = rng.random
+@dataclass
+class _Path:
+    """What a walk carries: the state, the classical record and the counters."""
+
+    state: np.ndarray
+    slots: list[int]
+    regs: list
+    outputs: list
+    measures: list[int]
+    placement: tuple[int, ...]
+    transport: int = 0
+    gates: int = 0
+    skipped: int = 0
+    prob: float = 1.0
+    branch_events: int = 0
+
+    @staticmethod
+    def start(rt: _Runtime) -> "_Path":
+        return _Path(
+            _initial_state(rt.n_qubits), [0] * rt.n_results, [0] * rt.n_regs, [], [0] * rt.n_qubits, rt.canonical
+        )
+
+    def fork(self, state: np.ndarray, weight: float) -> "_Path":
+        """This path continued on one arm of a branch event, in ``state`` with probability ``weight``."""
+        return _Path(
+            state, self.slots[:], self.regs[:], self.outputs[:], self.measures[:], self.placement,
+            self.transport, self.gates, self.skipped, self.prob * weight, self.branch_events + 1,
+        )
+
+
+def _walk(
+    rt: _Runtime, path: _Path, rng: np.random.Generator | None, pos: int = 0, op_start: int = 0
+) -> tuple | None:
+    """Run ``path`` from op ``op_start`` of item ``pos`` to the end of the program.
+
+    With an RNG every measurement and reset outcome is drawn and the walk
+    returns None at the end. Without one (noiseless enumeration) an outcome
+    is taken only when a single arm is live; at the first measurement or
+    reset with two live arms the walk stops and returns ``(pos, op)``.
+    """
+    rng_random = rng.random if rng is not None else None
     n = rt.n_qubits
     noise = rt.noise
     noiseless = noise.is_noiseless
-    state = _initial_state(n)
-    slots = [0] * rt.n_results
-    regs = [0] * rt.n_regs
-    placement = rt.canonical
-    outputs: list = []
-    transport_steps = 0
-    gates = 0
-    skipped = 0
-    measures = [0] * n
+    conditional = rt.conditional
+    state = path.state
+    slots = path.slots
+    regs = path.regs
+    outputs = path.outputs
+    measures = path.measures
+    placement = path.placement
+    transport_steps = path.transport
+    gates = path.gates
+    skipped = path.skipped
+    items = rt.items
+    if op_start:  # resume inside a layer whose guard and zones already passed
+        layer = items[pos]
+        items = chain([(_LAYER, None, (), layer[3][op_start:], layer[4], pos)], islice(items, pos + 1, None))
 
-    for item in rt.items:
-        tag = item[0]
-        if tag == _LAYER:
-            if not _geval(item[1], regs):
-                continue
-            for q, slot in item[2]:
-                if placement[q] != slot:
-                    raise ZoneViolation(f"qubit {q} at slot {placement[q]}, plan expected {slot}")
-            for op in item[3]:
-                otag = op[0]
-                if otag == _OP_1Q:
-                    i0, i1 = op[1], op[2]
-                    a0 = state[i0]
-                    a1 = state[i1]
-                    state[i0] = op[3] * a0 + op[4] * a1
-                    state[i1] = op[5] * a0 + op[6] * a1
-                    gates += 1
-                    if not noiseless:
-                        apply_depolarizing(state, op[7].qubits, noise.p1, n, rng)
-                elif otag == _OP_CX:
-                    i0, i1 = op[1], op[2]
-                    tmp = state[i0].copy()
-                    state[i0] = state[i1]
-                    state[i1] = tmp
-                    gates += 1
-                    if not noiseless:
-                        apply_depolarizing(state, op[3].qubits, noise.p2, n, rng)
-                elif otag == _OP_MEASURE:
-                    i1 = op[2]
-                    probs = np.abs(state) ** 2
-                    p1 = float(probs[i1].sum())
-                    norm = float(probs.sum())
-                    if abs(norm - 1.0) > 1e-9:
-                        raise FloatingPointError(f"state norm drifted to {norm}")
-                    outcome = 1 if rng_random() < p1 else 0
-                    if outcome:
-                        state[op[1]] = 0.0
-                        state /= np.sqrt(p1)
-                    else:
-                        state[i1] = 0.0
-                        state /= np.sqrt(1.0 - p1)
-                    recorded = outcome
-                    if not noiseless and noise.p_meas > 0.0 and rng_random() < noise.p_meas:
-                        recorded ^= 1
-                    slots[op[4]] = recorded
-                    measures[op[3]] += 1
-                else:  # reset
-                    i0, i1 = op[1], op[2]
-                    p1 = float(np.sum(np.abs(state[i1]) ** 2))
-                    outcome = 1 if rng_random() < p1 else 0
-                    if outcome:
+    try:  # counters stay in locals for speed; both exits, the end and a fork, write them back
+        for item in items:
+            tag = item[0]
+            if tag == _LAYER:
+                if not _geval(item[1], regs):
+                    continue
+                for q, slot in item[2]:
+                    if placement[q] != slot:
+                        raise ZoneViolation(f"qubit {q} at slot {placement[q]}, plan expected {slot}")
+                for op in item[3]:
+                    otag = op[0]
+                    if otag == _OP_1Q:
+                        i0, i1 = op[1], op[2]
+                        a0 = state[i0]
+                        a1 = state[i1]
+                        state[i0] = op[3] * a0 + op[4] * a1
+                        state[i1] = op[5] * a0 + op[6] * a1
+                        gates += 1
+                        if not noiseless:
+                            apply_depolarizing(state, op[7].qubits, noise.p1, n, rng)
+                    elif otag == _OP_CX:
+                        i0, i1 = op[1], op[2]
+                        tmp = state[i0].copy()
                         state[i0] = state[i1]
-                        state[i1] = 0.0
-                        state /= np.sqrt(p1)
-                    else:
-                        state[i1] = 0.0
-                        state /= np.sqrt(1.0 - p1)
-                    if not noiseless and noise.p_reset > 0.0 and rng_random() < noise.p_reset:
-                        a0 = state[i0].copy()
-                        state[i0] = state[i1]
-                        state[i1] = a0
-            if not noiseless and noise.p_idle > 0.0:
-                for q in item[4]:
-                    apply_dephasing(state, q, noise.p_idle, n, rng)
-        elif tag == _CLASSICAL:
-            if _geval(item[1], regs):
-                _exec_classical(item[2], regs, slots)
-        elif tag == _TRANSPORT:
-            if not rt.conditional or _geval(item[1], regs):
-                perm = item[2]
-                placement = tuple(perm[s] for s in placement)
-                transport_steps += item[3]
-                if not noiseless and noise.p_transport > 0.0:
-                    for _step in item[4]:
-                        for q in range(n):
-                            apply_dephasing(state, q, noise.p_transport, n, rng)
-        elif tag == _MARK:
-            if not _geval(item[1], regs):
-                skipped += 1
-        else:  # output
-            if _geval(item[1], regs):
-                outputs.append(slots[item[3]] if item[2] is None else item[2])
+                        state[i1] = tmp
+                        gates += 1
+                        if not noiseless:
+                            apply_depolarizing(state, op[3].qubits, noise.p2, n, rng)
+                    elif otag == _OP_MEASURE:
+                        i1 = op[2]
+                        probs = np.abs(state) ** 2
+                        p1 = float(probs[i1].sum())
+                        norm = float(probs.sum())
+                        if abs(norm - 1.0) > 1e-9:
+                            raise FloatingPointError(f"state norm drifted to {norm}")
+                        if rng is None:
+                            if p1 > PRUNE_EPS and float(probs[op[1]].sum()) > PRUNE_EPS:
+                                return item[5], op
+                            outcome = 1 if p1 > PRUNE_EPS else 0
+                        else:
+                            outcome = 1 if rng_random() < p1 else 0
+                        if outcome:
+                            state[op[1]] = 0.0
+                            state /= np.sqrt(p1)
+                        else:
+                            state[i1] = 0.0
+                            state /= np.sqrt(1.0 - p1)
+                        recorded = outcome
+                        if not noiseless and noise.p_meas > 0.0 and rng_random() < noise.p_meas:
+                            recorded ^= 1
+                        slots[op[4]] = recorded
+                        measures[op[3]] += 1
+                    else:  # reset
+                        i0, i1 = op[1], op[2]
+                        p1 = float(np.sum(np.abs(state[i1]) ** 2))
+                        if rng is None:
+                            if p1 > PRUNE_EPS and float(np.sum(np.abs(state[i0]) ** 2)) > PRUNE_EPS:
+                                return item[5], op
+                            outcome = 1 if p1 > PRUNE_EPS else 0
+                        else:
+                            outcome = 1 if rng_random() < p1 else 0
+                        if outcome:
+                            state[i0] = state[i1]
+                            state[i1] = 0.0
+                            state /= np.sqrt(p1)
+                        else:
+                            state[i1] = 0.0
+                            state /= np.sqrt(1.0 - p1)
+                        if not noiseless and noise.p_reset > 0.0 and rng_random() < noise.p_reset:
+                            a0 = state[i0].copy()
+                            state[i0] = state[i1]
+                            state[i1] = a0
+                if not noiseless and noise.p_idle > 0.0:
+                    for q in item[4]:
+                        apply_dephasing(state, q, noise.p_idle, n, rng)
+            elif tag == _CLASSICAL:
+                if _geval(item[1], regs):
+                    _exec_classical(item[2], regs, slots)
+            elif tag == _TRANSPORT:
+                if not conditional or _geval(item[1], regs):
+                    perm = item[2]
+                    placement = tuple(perm[s] for s in placement)
+                    transport_steps += item[3]
+                    if not noiseless and noise.p_transport > 0.0:
+                        for _step in item[4]:
+                            for q in range(n):
+                                apply_dephasing(state, q, noise.p_transport, n, rng)
+            elif tag == _MARK:
+                if not _geval(item[1], regs):
+                    skipped += 1
+            else:  # output
+                if _geval(item[1], regs):
+                    outputs.append(slots[item[3]] if item[2] is None else item[2])
+    finally:
+        path.placement = placement
+        path.transport = transport_steps
+        path.gates = gates
+        path.skipped = skipped
+    return None
 
+
+def _run_compiled(rt: _Runtime, master_seed: int, shot_index: int) -> ShotResult:
+    path = _Path.start(rt)
+    _walk(rt, path, np.random.Generator(np.random.PCG64(shot_seed(master_seed, shot_index))))
     return ShotResult(
-        outputs=tuple(outputs),
-        slots=tuple(slots),
-        executed_transport_steps=transport_steps,
-        executed_gates=gates,
-        skipped_blocks=skipped,
-        measures_per_qubit=tuple(measures),
+        outputs=tuple(path.outputs),
+        slots=tuple(path.slots),
+        executed_transport_steps=path.transport,
+        executed_gates=path.gates,
+        skipped_blocks=path.skipped,
+        measures_per_qubit=tuple(path.measures),
         seed=shot_index,
     )
 
@@ -421,12 +440,6 @@ def _initial_state(n: int) -> np.ndarray:
     state = np.zeros(1 << max(n, 1), dtype=complex)
     state[0] = 1.0
     return state
-
-
-def _assert_norm(state: np.ndarray) -> None:
-    norm = float(np.sum(np.abs(state) ** 2))
-    if abs(norm - 1.0) > 1e-9:
-        raise FloatingPointError(f"state norm drifted to {norm}")
 
 
 def _run_range(args) -> list[ShotResult]:
@@ -460,7 +473,7 @@ def run_shots(
 
 
 # ---------------------------------------------------------------------------
-# Exact noiseless enumeration of an ExecProgram
+# Exact noiseless enumeration: the same walk, forked at every live branch
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -473,134 +486,44 @@ class ExecLeaf:
     executed_transport_steps: int
 
 
-@dataclass
-class _EState:
-    state: np.ndarray
-    slots: list[int]
-    regs: list
-    outputs: list
-    placement: tuple[int, ...]
-    prob: float
-    item_idx: int
-    op_idx: int
-    transport: int
-    branch_events: int
-
-    def copy(self) -> "_EState":
-        return _EState(
-            self.state.copy(), self.slots[:], self.regs[:], self.outputs[:],
-            self.placement, self.prob, self.item_idx, self.op_idx, self.transport, self.branch_events,
-        )
-
-
-PRUNE_EPS = 1e-15
-
-
 def enumerate_exec_leaves(prog: ExecProgram, max_branch_events: int = 20) -> list[ExecLeaf]:
-    start = _EState(
-        _initial_state(prog.n_qubits),
-        [0] * prog.n_results,
-        [0] * prog.n_regs,
-        [],
-        prog.canonical,
-        1.0,
-        0,
-        0,
-        0,
-        0,
-    )
+    """All terminal paths of a lowered program with exact probabilities, depth first, outcome 0 first."""
+    rt = _compile_runtime(prog, NOISELESS)
     leaves: list[ExecLeaf] = []
-    _enumerate_from(prog, start, leaves, max_branch_events)
+    todo = [(_Path.start(rt), 0, 0)]
+    while todo:
+        path, pos, op_start = todo.pop()
+        stop = _walk(rt, path, None, pos, op_start)
+        if stop is None:
+            leaves.append(
+                ExecLeaf(path.prob, tuple(path.outputs), path.state, tuple(path.slots), tuple(path.regs), path.transport)
+            )
+            continue
+        pos, (otag, i0, i1, q, slot, j) = stop
+        # both arms are live: collapse onto each, and flip a reset's |1> arm back to |0>
+        arms = []
+        for o, keep, kill in ((0, i0, i1), (1, i1, i0)):
+            p = float(np.sum(np.abs(path.state[keep]) ** 2))
+            s = path.state.copy()
+            s[kill] = 0.0
+            s /= np.sqrt(p)
+            if otag == _OP_RESET and o:
+                s[i0] = s[i1]
+                s[i1] = 0.0
+            arms.append((o, p, s))
+        if otag == _OP_RESET and G.equal_up_to_phase(arms[0][2], arms[1][2]):
+            path.state = arms[0][2]
+            todo.append((path, pos, j + 1))
+            continue
+        if path.branch_events + 1 > max_branch_events:
+            raise TooManyBranches(f"more than {max_branch_events} branch events on a path")
+        for o, p, s in reversed(arms):
+            child = path.fork(s, p)
+            if otag == _OP_MEASURE:
+                child.slots[slot] = o
+                child.measures[q] += 1
+            todo.append((child, pos, j + 1))
     return leaves
-
-
-def _enumerate_from(prog: ExecProgram, es: _EState, leaves: list[ExecLeaf], cap: int) -> None:
-    n = prog.n_qubits
-    while es.item_idx < len(prog.items):
-        item = prog.items[es.item_idx]
-        if isinstance(item, MarkItem):
-            pass
-        elif isinstance(item, ClassicalItem):
-            if eval_exec_guard(item.guard, es.regs):
-                _exec_classical(item.instrs, es.regs, es.slots)
-        elif isinstance(item, TransportItem):
-            if not prog.conditional_transport or eval_exec_guard(item.guard, es.regs):
-                for st in item.steps:
-                    es.placement = apply_step(es.placement, st)
-                es.transport += len(item.steps)
-        elif isinstance(item, OutputItem):
-            if eval_exec_guard(item.guard, es.regs):
-                if item.kind == "result":
-                    es.outputs.append(es.slots[item.slot])
-                else:
-                    es.outputs.append(OUTPUT_TOKEN[item.kind])
-        elif isinstance(item, LayerItem):
-            if eval_exec_guard(item.guard, es.regs):
-                for q, slot in item.expected_slots:
-                    if es.placement[q] != slot:
-                        raise ZoneViolation(f"qubit {q} at slot {es.placement[q]}, plan expected {slot}")
-                while es.op_idx < len(item.ops):
-                    op = item.ops[es.op_idx]
-                    es.op_idx += 1
-                    if op.kind == "gate":
-                        apply_gate(es.state, op, es.placement, n)
-                        continue
-                    q = op.qubits[0]
-                    p1 = measure_prob_one(es.state, q, n)
-                    arms = [(o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p > PRUNE_EPS]
-                    if op.kind == "measure":
-                        if len(arms) == 1:
-                            o, p = arms[0]
-                            collapse(es.state, q, o, p, n)
-                            es.slots[op.slot] = o
-                            continue
-                        if es.branch_events + 1 > cap:
-                            raise TooManyBranches(f"more than {cap} branch events on a path")
-                        for o, p in arms:
-                            child = es.copy()
-                            collapse(child.state, q, o, p, n)
-                            child.slots[op.slot] = o
-                            child.prob *= p
-                            child.branch_events += 1
-                            _enumerate_from(prog, child, leaves, cap)
-                        return
-                    # reset: collapse, force |0>, merge when the branches agree
-                    post = []
-                    for o, p in arms:
-                        s = es.state.copy()
-                        collapse(s, q, o, p, n)
-                        if o == 1:
-                            apply_1q(s, G.X, q, n)
-                        post.append((p, s))
-                    if len(post) == 1 or _same_state(post[0][1], post[1][1]):
-                        es.state = post[0][1]
-                        continue
-                    if es.branch_events + 1 > cap:
-                        raise TooManyBranches(f"more than {cap} branch events on a path")
-                    for p, s in post:
-                        child = es.copy()
-                        child.state = s
-                        child.prob *= p
-                        child.branch_events += 1
-                        _enumerate_from(prog, child, leaves, cap)
-                    return
-        else:  # pragma: no cover
-            raise TypeError(f"cannot enumerate {item!r}")
-        es.item_idx += 1
-        es.op_idx = 0
-    leaves.append(
-        ExecLeaf(es.prob, tuple(es.outputs), es.state, tuple(es.slots), tuple(es.regs), es.transport)
-    )
-
-
-def _same_state(a: np.ndarray, b: np.ndarray) -> bool:
-    i = int(np.argmax(np.abs(a)))
-    if abs(a[i]) < 1e-12:
-        return bool(np.allclose(a, b, atol=1e-10))
-    phase = b[i] / a[i]
-    if abs(abs(phase) - 1.0) > 1e-10:
-        return False
-    return bool(np.allclose(a * phase, b, atol=1e-10))
 
 
 def enumerate_outcomes(prog: ExecProgram, max_branch_events: int = 20) -> dict[tuple, float]:

@@ -463,8 +463,8 @@ def attempt_counts(shots: list[ShotResult]) -> list[int]:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
-def run_msd(
-    cfg: MsdConfig,
+def run_experiment(
+    cfg: MsdConfig | RusConfig,
     shots: int,
     seed: int,
     noise: NoiseModel = NOISELESS,
@@ -473,53 +473,16 @@ def run_msd(
     jobs: int = 1,
     registers: int = 64,
 ) -> tuple[CompileResult, list[ShotResult], ExperimentReport]:
-    if cfg.prep_overrotation:
-        noise = replace(noise, prep_overrotation=noise.prep_overrotation + cfg.prep_overrotation)
-    module = build_msd(cfg)
+    """Build, compile and sample one program of either family, and summarize it into a report row."""
+    if isinstance(cfg, MsdConfig):
+        experiment, style, module = "msd", "", build_msd(cfg)
+        if cfg.prep_overrotation:
+            noise = replace(noise, prep_overrotation=noise.prep_overrotation + cfg.prep_overrotation)
+    else:
+        experiment, style, module = "rus", cfg.style, build_rus(cfg)
     res = compile_module(module, trap=trap, mode=mode, registers=registers)
     results = run_shots(res.program, noise, shots, seed, jobs)
     report = summarize(
-        results, "msd", cfg.basis, cfg.limit, style="", blocks=res.block_count, colors=res.colors_used
+        results, experiment, cfg.basis, cfg.limit, style=style, blocks=res.block_count, colors=res.colors_used
     )
     return res, results, report
-
-
-def run_rus(
-    cfg: RusConfig,
-    shots: int,
-    seed: int,
-    noise: NoiseModel = NOISELESS,
-    trap: TrapLayout | None = None,
-    mode: str = CONDITIONAL,
-    jobs: int = 1,
-    registers: int = 64,
-) -> tuple[CompileResult, list[ShotResult], ExperimentReport]:
-    module = build_rus(cfg)
-    res = compile_module(module, trap=trap, mode=mode, registers=registers)
-    results = run_shots(res.program, noise, shots, seed, jobs)
-    report = summarize(
-        results, "rus", cfg.basis, cfg.limit, style=cfg.style, blocks=res.block_count, colors=res.colors_used
-    )
-    return res, results, report
-
-
-def report_to_json_dict(report: ExperimentReport) -> dict:
-    return {
-        "experiment": report.experiment,
-        "style": report.style,
-        "basis": report.basis,
-        "limit": report.limit,
-        "shots": report.shots,
-        "success_count": report.success_count,
-        "success_fraction": report.success_fraction,
-        "exp_x": report.exp_x,
-        "exp_y": report.exp_y,
-        "exp_z": report.exp_z,
-        "exp_x_uncond": report.exp_x_uncond,
-        "exp_y_uncond": report.exp_y_uncond,
-        "exp_z_uncond": report.exp_z_uncond,
-        "survival": report.survival,
-        "avg_transport": report.avg_transport,
-        "blocks": report.blocks,
-        "colors": report.colors,
-    }

@@ -16,7 +16,7 @@ IR objects are immutable; transforms build new modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 GATE_SET = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "cx")
 ROTATION_GATES = ("rx", "ry", "rz")
@@ -25,6 +25,7 @@ TWO_QUBIT_GATES = ("cx",)
 BINOPS = ("add", "sub", "mul", "and", "or", "xor")
 CMPOPS = ("eq", "ne", "lt", "le", "gt", "ge")
 OUTPUT_KINDS = ("array_start", "array_end", "tuple_start", "tuple_end", "result")
+OUTPUT_TOKEN = {"array_start": "[", "array_end": "]", "tuple_start": "(", "tuple_end": ")"}  # "result" records its slot
 
 INT_MIN = -(2**63)
 INT_MASK = 2**64 - 1
@@ -521,8 +522,3 @@ def _validate_instr(
                     Diagnostic(ERROR, "CALL_ARITY", f"@{instr.callee} takes {len(callee.params)} args", loc)
                 )
 
-
-def iter_instructions(fn: Function) -> Iterator[tuple[str, int, Instruction]]:
-    for b in fn.blocks:
-        for i, instr in enumerate(b.body):
-            yield b.label, i, instr

@@ -8,12 +8,15 @@ Two interpreters, both noiseless and exact:
 * ``enumerate_guarded`` does the same for the if-converted linear form.
 
 These are deliberately written against the plain matrix embedding from
-``gates`` rather than the emulator's in-place kernels, so the two routes to
-an output distribution share no simulation code.
+``gates`` rather than the emulator's in-place kernels, so the oracle and the
+emulator's single compiled-form interpreter share no simulation code.
 
-A reset collapses like a measurement; when both collapse branches land on
-the same post-reset state (the common unentangled case) they are merged so
-path counts stay small.
+Both walkers hand every measurement and reset to one helper, ``_branch``. An
+outcome is live when the weight of its own amplitudes exceeds ``PRUNE_EPS``;
+two live outcomes fork the path, within a per-path branching budget. A reset
+collapses like a measurement; when both collapse branches land on the same
+post-reset state (the common unentangled case) they are merged so path
+counts stay small.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import gates as G
 from .ir import (
+    OUTPUT_TOKEN,
     BinOp,
     Branch,
     Call,
@@ -43,11 +47,12 @@ from .passes import _eval_binop, _eval_cmp
 from .predication import GuardedFunction, GuardVal, OrVal, Select
 from .regalloc import PReg
 
-PRUNE_EPS = 1e-15
+# An outcome whose amplitude weight is below this is rounding noise, not an arm.
+PRUNE_EPS = 1e-12
 
 
 class TooManyBranches(Exception):
-    pass
+    """A path needs more branching measurement or reset events than the budget allows."""
 
 
 @dataclass
@@ -62,26 +67,39 @@ def _apply_gate(state: np.ndarray, name: str, qubits: tuple[int, ...], angle, n:
     return G.embed(name, qubits, angle, n) @ state
 
 
-def _measure_probs(state: np.ndarray, q: int) -> tuple[float, float]:
-    amps = np.abs(state) ** 2
-    idx = np.arange(state.size)
-    p1 = float(amps[(idx >> q) & 1 == 1].sum())
-    return 1.0 - p1, p1
+def _branch(st, q: int, slot: int | None, n: int, cap: int, resume) -> bool:
+    """Measure (``slot`` set) or reset (``slot`` None) qubit ``q`` of path ``st``.
 
-
-def _collapse(state: np.ndarray, q: int, outcome: int, p: float) -> np.ndarray:
-    idx = np.arange(state.size)
-    keep = ((idx >> q) & 1) == outcome
-    out = np.where(keep, state, 0.0)
-    return out / np.sqrt(p)
-
-
-def _states_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
-    i = int(np.argmax(np.abs(a)))
-    if abs(a[i]) < 1e-12 or abs(b[i]) < 1e-12:
-        return bool(np.allclose(a, b, atol=1e-10))
-    phase = b[i] / a[i]
-    return bool(np.allclose(a * phase, b, atol=1e-10))
+    With one live outcome, or a reset whose two outcomes leave the same state,
+    ``st`` continues in place and this returns False. Otherwise every live
+    outcome goes to ``resume`` as a copy of ``st`` and this returns True.
+    """
+    bit = (np.arange(st.state.size) >> q) & 1
+    arms = []
+    for o in (0, 1):
+        kept = np.where(bit == o, st.state, 0.0)
+        p = float(np.sum(np.abs(kept) ** 2))
+        if p > PRUNE_EPS:
+            s = kept / np.sqrt(p)
+            arms.append((o, p, s if slot is not None or o == 0 else _apply_gate(s, "x", (q,), None, n)))
+    if len(arms) == 2 and slot is None and G.equal_up_to_phase(arms[0][2], arms[1][2]):
+        arms.pop()
+    if len(arms) == 1:
+        o, _p, st.state = arms[0]
+        if slot is not None:
+            st.slots[slot] = o
+        return False
+    if st.branch_events + 1 > cap:
+        raise TooManyBranches(f"more than {cap} branching measurement events on one path")
+    for o, p, s in arms:
+        child = st.copy()
+        child.state = s
+        if slot is not None:
+            child.slots[slot] = o
+        child.prob *= p
+        child.branch_events += 1
+        resume(child)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +183,6 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> No
                 for phi, v in zip(block.phis, vals):
                     fr.env[phi.dst] = v
             fr.phis_done = True
-        advanced = False
         while fr.idx < len(block.body):
             instr = block.body[fr.idx]
             fr.idx += 1
@@ -173,15 +190,11 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> No
                 qubits = tuple(_qubit_index(q, fr.env) for q in instr.qubits)
                 angle = _resolve(instr.angle, fr.env) if instr.angle is not None else None
                 ms.state = _apply_gate(ms.state, instr.name, qubits, angle, n)
-            elif isinstance(instr, Measure):
+            elif isinstance(instr, (Measure, Reset)):
                 q = _qubit_index(instr.qubit, fr.env)
-                if _branch_collapse(module, ms, leaves, q, instr.slot, cap):
-                    return  # both arms handled recursively
-                advanced = True
-            elif isinstance(instr, Reset):
-                q = _qubit_index(instr.qubit, fr.env)
-                if _branch_reset(module, ms, leaves, q, cap):
-                    return
+                slot = instr.slot if isinstance(instr, Measure) else None
+                if _branch(ms, q, slot, n, cap, lambda child: _run_module(module, child, leaves, cap)):
+                    return  # every arm handled recursively
             elif isinstance(instr, ReadResult):
                 fr.env[instr.dst] = bool(ms.slots[instr.slot])
             elif isinstance(instr, BinOp):
@@ -194,7 +207,6 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> No
                 callee = module.function(instr.callee)
                 env = {pv: _resolve(a, fr.env) for (pv, _t), a in zip(callee.params, instr.args)}
                 ms.frames.append(_Frame(callee, env, callee.blocks[0].label, None, 0, False))
-                advanced = True
                 break
             else:  # pragma: no cover
                 raise TypeError(f"cannot interpret {instr!r}")
@@ -208,62 +220,11 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> No
                 fr.prev_label, fr.label, fr.idx, fr.phis_done = fr.label, target, 0, False
             else:
                 ms.frames.pop()
-        if advanced:
-            continue
     leaves.append(Leaf(ms.prob, tuple(ms.outputs), ms.state, tuple(ms.slots)))
 
 
-def _branch_collapse(module: Module, ms: _MState, leaves: list[Leaf], q: int, slot: int, cap: int) -> bool:
-    p0, p1 = _measure_probs(ms.state, q)
-    arms = [(o, p) for o, p in ((0, p0), (1, p1)) if p > PRUNE_EPS]
-    if len(arms) == 1:
-        o, p = arms[0]
-        ms.state = _collapse(ms.state, q, o, p)
-        ms.slots[slot] = o
-        return False
-    if ms.branch_events + 1 > cap:
-        raise TooManyBranches(f"more than {cap} branching measurement events on one path")
-    for o, p in arms:
-        child = ms.copy()
-        child.state = _collapse(child.state, q, o, p)
-        child.slots[slot] = o
-        child.prob *= p
-        child.branch_events += 1
-        _run_module(module, child, leaves, cap)
-    return True
-
-
-def _branch_reset(module: Module, ms: _MState, leaves: list[Leaf], q: int, cap: int) -> bool:
-    p0, p1 = _measure_probs(ms.state, q)
-    arms = [(o, p) for o, p in ((0, p0), (1, p1)) if p > PRUNE_EPS]
-    post = []
-    for o, p in arms:
-        s = _collapse(ms.state, q, o, p)
-        if o == 1:
-            s = _apply_gate(s, "x", (q,), None, module.required_qubits)
-        post.append((p, s))
-    if len(post) == 1:
-        ms.state = post[0][1]
-        return False
-    if _states_equal_up_to_phase(post[0][1], post[1][1]):
-        ms.state = post[0][1]
-        return False
-    if ms.branch_events + 1 > cap:
-        raise TooManyBranches(f"more than {cap} branching measurement events on one path")
-    for p, s in post:
-        child = ms.copy()
-        child.state = s
-        child.prob *= p
-        child.branch_events += 1
-        _run_module(module, child, leaves, cap)
-    return True
-
-
 def _record_output(outputs: list, instr: Output, slots: list[int]) -> None:
-    if instr.kind == "result":
-        outputs.append(slots[instr.slot])
-    else:
-        outputs.append({"array_start": "[", "array_end": "]", "tuple_start": "(", "tuple_end": ")"}[instr.kind])
+    outputs.append(slots[instr.slot] if instr.kind == "result" else OUTPUT_TOKEN[instr.kind])
 
 
 def enumerate_module(module: Module, max_branch_events: int = 20) -> dict[tuple, float]:
@@ -355,46 +316,10 @@ def _run_guarded(gf: GuardedFunction, n: int, gs: _GState, leaves: list[Leaf], c
                 qubits = tuple(q for q in instr.qubits)
                 angle = _resolve(instr.angle, gs.regs) if instr.angle is not None else None
                 gs.state = _apply_gate(gs.state, instr.name, qubits, angle, n)
-            elif isinstance(instr, Measure):
-                p0, p1 = _measure_probs(gs.state, instr.qubit)
-                arms = [(o, p) for o, p in ((0, p0), (1, p1)) if p > PRUNE_EPS]
-                if len(arms) == 1:
-                    o, p = arms[0]
-                    gs.state = _collapse(gs.state, instr.qubit, o, p)
-                    gs.slots[instr.slot] = o
-                    continue
-                if gs.branch_events + 1 > cap:
-                    raise TooManyBranches(f"more than {cap} branching measurement events on one path")
-                for o, p in arms:
-                    child = gs.copy()
-                    child.state = _collapse(child.state, instr.qubit, o, p)
-                    child.slots[instr.slot] = o
-                    child.prob *= p
-                    child.branch_events += 1
-                    _run_guarded(gf, n, child, leaves, cap)
-                return
-            elif isinstance(instr, Reset):
-                q = instr.qubit
-                p0, p1 = _measure_probs(gs.state, q)
-                arms = [(o, p) for o, p in ((0, p0), (1, p1)) if p > PRUNE_EPS]
-                post = []
-                for o, p in arms:
-                    s = _collapse(gs.state, q, o, p)
-                    if o == 1:
-                        s = _apply_gate(s, "x", (q,), None, n)
-                    post.append((p, s))
-                if len(post) == 1 or _states_equal_up_to_phase(post[0][1], post[1][1]):
-                    gs.state = post[0][1]
-                    continue
-                if gs.branch_events + 1 > cap:
-                    raise TooManyBranches(f"more than {cap} branching measurement events on one path")
-                for p, s in post:
-                    child = gs.copy()
-                    child.state = s
-                    child.prob *= p
-                    child.branch_events += 1
-                    _run_guarded(gf, n, child, leaves, cap)
-                return
+            elif isinstance(instr, (Measure, Reset)):
+                slot = instr.slot if isinstance(instr, Measure) else None
+                if _branch(gs, instr.qubit, slot, n, cap, lambda child: _run_guarded(gf, n, child, leaves, cap)):
+                    return
             elif isinstance(instr, ReadResult):
                 gs.regs[instr.dst] = bool(gs.slots[instr.slot])
             elif isinstance(instr, BinOp):

@@ -62,6 +62,10 @@ class TrapLayout:
     @staticmethod
     def from_json(text: str) -> "TrapLayout":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("trap layout JSON must be an object")
+        if set(data) != {"slots", "gate_zones"}:
+            raise ValueError(f"trap layout JSON needs exactly the keys slots and gate_zones, got {sorted(data)}")
         return TrapLayout(int(data["slots"]), tuple((int(a), int(b)) for a, b in data["gate_zones"]))
 
     def to_json(self) -> str:

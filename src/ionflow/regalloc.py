@@ -128,17 +128,6 @@ class InterferenceGraph:
     nodes: tuple[Vreg, ...]  # in definition order
     edges: frozenset[frozenset]
 
-    def degree(self, v: Vreg) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: Vreg) -> list[Vreg]:
-        out = []
-        for e in self.edges:
-            if v in e:
-                (other,) = [x for x in e if x != v] or [v]
-                out.append(other)
-        return out
-
 
 def build_interference(ranges: dict[Vreg, tuple[int, int]]) -> InterferenceGraph:
     """Edges between vregs whose live intervals overlap (half-open)."""

@@ -29,8 +29,7 @@ from ionflow.experiments import (
     decode_msd_shot,
     decode_rus_shot,
     ideal_reference,
-    run_msd,
-    run_rus,
+    run_experiment,
 )
 from ionflow.ir import Vreg
 from ionflow.passes import flatten, fold_constants, peephole
@@ -73,7 +72,7 @@ def test_criterion_01_msd_attempt_probability():
 
 @pytest.mark.parametrize("limit,table_pct", [(1, 16), (2, 30), (4, 47), (6, 65), (8, 75)])
 def test_criterion_02_msd_cumulative_success(limit, table_pct):
-    _res, shots, rep = run_msd(MsdConfig(limit=limit, basis="Z"), SHOTS, seed=200 + limit)
+    _res, shots, rep = run_experiment(MsdConfig(limit=limit, basis="Z"), SHOTS, seed=200 + limit)
     expect = ideal_reference("msd_cumulative", limit)
     ok = abs(rep.success_fraction - expect) <= 0.02
     report(
@@ -88,7 +87,7 @@ def test_criterion_02_msd_cumulative_success(limit, table_pct):
 
 @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
 def test_criterion_03_msd_expectations(basis):
-    _res, shots, rep = run_msd(MsdConfig(limit=2, basis=basis), SHOTS, seed=300 + ord(basis))
+    _res, shots, rep = run_experiment(MsdConfig(limit=2, basis=basis), SHOTS, seed=300 + ord(basis))
     got = {"X": rep.exp_x, "Y": rep.exp_y, "Z": rep.exp_z}[basis]
     ok = got is not None and abs(got - 0.5774) <= 0.02
     report(
@@ -102,7 +101,7 @@ def test_criterion_03_msd_expectations(basis):
 
 def test_criterion_04_rus_correctness():
     cfg = RusConfig(limit=8, basis="X", style="loop")
-    res, shots, rep = run_rus(cfg, SHOTS, seed=404)
+    res, shots, rep = run_experiment(cfg, SHOTS, seed=404)
     # exact per-attempt probability and survival from the enumeration oracle
     one = compile_module(build_rus(RusConfig(limit=1, basis="X")))
     dist = enumerate_outcomes(one.program)
@@ -243,7 +242,7 @@ def test_criterion_07_basis_sensitivity():
     noise = NoiseModel(p_transport=0.01)
     surv, err = {}, {}
     for basis in ("X", "Y", "Z"):
-        _res, shots, rep = run_rus(RusConfig(limit=4, basis=basis, style="loop"), SHOTS, seed=700, noise=noise)
+        _res, shots, rep = run_experiment(RusConfig(limit=4, basis=basis, style="loop"), SHOTS, seed=700, noise=noise)
         decoded = [decode_rus_shot(s) for s in shots]
         succ = [d for d in decoded if d[0]]
         zeros = sum(1 for d in succ if d[1] == 0)

@@ -160,3 +160,44 @@ def test_trap_config_accepted(tmp_path):
     src = tmp_path / "p.qir.txt"
     src.write_text(GOOD)
     assert main(["compile", str(src), "--trap", str(trap)]) == 0
+
+
+def _cli_error(argv, capsys) -> str:
+    """Run the CLI on bad input; it must fail with an error line, not a traceback."""
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse usage errors exit with status 2
+        rc = e.code
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert "Traceback" not in err
+    assert "error:" in err.strip().splitlines()[-1]
+    return err
+
+
+def _run_with_noise(tmp_path, capsys, noise_json: str, *extra: str) -> str:
+    src = tmp_path / "p.qir.txt"
+    src.write_text(GOOD)
+    noise = tmp_path / "noise.json"
+    noise.write_text(noise_json)
+    return _cli_error(["run", str(src), "--shots", "5", "--seed", "0", "--noise", str(noise), *extra], capsys)
+
+
+def test_noise_unknown_key_is_an_error(tmp_path, capsys):
+    assert "p_bogus" in _run_with_noise(tmp_path, capsys, '{"p1": 0.01, "p_bogus": 0.1}')
+
+
+def test_noise_not_an_object_is_an_error(tmp_path, capsys):
+    _run_with_noise(tmp_path, capsys, "[0.01, 0.02]")
+
+
+def test_noise_and_noiseless_are_exclusive(tmp_path, capsys):
+    assert "not allowed with" in _run_with_noise(tmp_path, capsys, '{"p1": 0.01}', "--noiseless")
+
+
+def test_trap_missing_gate_zones_is_an_error(tmp_path, capsys):
+    trap = tmp_path / "trap.json"
+    trap.write_text('{"slots": 20}')
+    src = tmp_path / "p.qir.txt"
+    src.write_text(GOOD)
+    assert "gate_zones" in _cli_error(["compile", str(src), "--trap", str(trap)], capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -6,22 +7,21 @@ import pytest
 
 from conftest import max_distribution_error, random_program
 from ionflow import gates as G
-from ionflow import textir
+from ionflow import oracle, textir
 from ionflow.emulator import (
     NOISELESS,
     NoiseModel,
     ZoneViolation,
     apply_1q,
-    apply_cx,
     apply_depolarizing,
     apply_dephasing,
-    apply_gate,
     enumerate_exec_leaves,
     enumerate_outcomes,
     run_shot,
     run_shots,
 )
-from ionflow.qccd import PlacedOp
+from ionflow.experiments import BASES, MsdConfig, build_msd
+from ionflow.qccd import ALWAYS, CONDITIONAL, LayerItem
 from ionflow.toolchain import compile_module
 
 
@@ -39,13 +39,12 @@ def test_h_on_zero_gives_plus():
 
 
 def test_cx_flips_target_when_control_set():
-    # |10> in little-endian (qubit0=0, qubit1=1) is index 2
-    state = np.zeros(4, dtype=complex)
-    state[2] = 1
-    apply_cx(state, control=1, target=0, n=2)
+    # |10> in little-endian (qubit0=0, qubit1=1) is index 2; cx q1, q0 maps it to index 3
+    res = compile_src("block e:\n  x q1\n  cx q1, q0\n  ret")
+    (leaf,) = enumerate_exec_leaves(res.program)
     expect = np.zeros(4)
     expect[3] = 1
-    assert np.allclose(state, expect)
+    assert np.allclose(leaf.state, expect)
 
 
 def test_rz_phase_convention():
@@ -59,23 +58,24 @@ def test_rz_phase_convention():
 
 
 def test_gate_norm_preserved():
-    rng = np.random.default_rng(0)
-    state = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state /= np.linalg.norm(state)
-    for name, qubits, angle in (("h", (0,), None), ("ry", (2,), 0.7), ("cx", (1, 2), None)):
-        op = PlacedOp("gate", name, qubits, angle, None, (0, 1))
-        if name == "cx":
-            apply_cx(state, *qubits, 3)
-        else:
-            apply_1q(state, G.gate_unitary(name, angle), qubits[0], 3)
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-9
+    gates = [("ry", (0,), 0.3), ("rx", (1,), 1.1), ("h", (2,), None), ("ry", (2,), 0.7), ("cx", (1, 2), None)]
+    body = "  ry(0.3) q0\n  rx(1.1) q1\n  h q2\n  ry(0.7) q2\n  cx q1, q2"
+    res = compile_src(f"block e:\n{body}\n  ret", qubits=3)
+    (leaf,) = enumerate_exec_leaves(res.program)
+    assert abs(np.linalg.norm(leaf.state) - 1.0) < 1e-9
+    assert G.equal_up_to_phase(leaf.state, G.sequence_unitary(gates, 3)[:, 0])
 
 
 def test_zone_check_raises_on_bad_placement():
-    op = PlacedOp("gate", "h", (0,), None, None, (2, 3))
-    state = np.array([1, 0], dtype=complex)
+    prog = compile_src("block e:\n  h q0\n  cx q0, q1\n  mz q0 -> r0\n  output result r0\n  ret").program
+    k, layer = next((k, it) for k, it in enumerate(prog.items) if isinstance(it, LayerItem) and it.expected_slots)
+    (q, slot), *rest = layer.expected_slots
+    bad = dataclasses.replace(layer, expected_slots=((q, slot + 1), *rest))
+    prog = dataclasses.replace(prog, items=prog.items[:k] + (bad,) + prog.items[k + 1:])
     with pytest.raises(ZoneViolation):
-        apply_gate(state, op, (0,), 1)
+        run_shot(prog, NOISELESS, 0, 0)
+    with pytest.raises(ZoneViolation):
+        enumerate_outcomes(prog)
 
 
 # -- noise channels -------------------------------------------------------------
@@ -178,10 +178,34 @@ def test_enumerate_h_measure():
 
 
 def test_enumeration_probabilities_sum_to_one():
-    for seed in range(20):
-        m = random_program(seed)
-        dist = enumerate_outcomes(compile_module(m).program)
-        assert abs(sum(dist.values()) - 1.0) < 1e-12
+    # the acceptance corpus in both transport modes: the emulator's enumerator
+    # matches the module oracle, and forks exactly where the guarded oracle does
+    for seed in range(200):
+        m = random_program(seed, max_branches=3)
+        want = oracle.enumerate_module(m)
+        for mode in (CONDITIONAL, ALWAYS):
+            res = compile_module(m, mode=mode)
+            dist = enumerate_outcomes(res.program)
+            assert abs(sum(dist.values()) - 1.0) < 1e-12
+            assert max_distribution_error(dist, want) < 1e-12, (seed, mode)
+            guarded = oracle.enumerate_guarded_leaves(res.guarded, m.required_qubits, m.required_results)
+            assert len(enumerate_exec_leaves(res.program)) == len(guarded), (seed, mode)
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_msd2_enumerators_agree_without_ghost_leaves(basis):
+    # an arm is live only when its own amplitude weight exceeds PRUNE_EPS, so
+    # no enumerator keeps a rounding-noise arm with an all-zero state
+    m = build_msd(MsdConfig(limit=2, basis=basis))
+    res = compile_module(m)
+    leaves = {
+        "emulator": enumerate_exec_leaves(res.program),
+        "module": oracle.enumerate_module_leaves(m),
+        "guarded": oracle.enumerate_guarded_leaves(res.guarded, m.required_qubits, m.required_results),
+    }
+    assert len({len(v) for v in leaves.values()}) == 1, {k: len(v) for k, v in leaves.items()}
+    for name, ls in leaves.items():
+        assert min(leaf.prob for leaf in ls) >= 1e-12, name
 
 
 def test_shot_frequencies_converge_to_enumeration():

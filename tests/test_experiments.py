@@ -24,8 +24,7 @@ from ionflow.experiments import (
     decode_msd_shot,
     decode_rus_shot,
     ideal_reference,
-    run_msd,
-    run_rus,
+    run_experiment,
     summarize,
 )
 from ionflow.ir import validate_profile, diagnostics_ok
@@ -206,7 +205,7 @@ def test_rus_success_branch_state_is_v3_exactly():
 # -- statistics -----------------------------------------------------------------
 
 def test_expectation_of_balanced_bits_is_zero():
-    _res, shots, report = run_rus(RusConfig(limit=1, basis="Z"), 40, seed=0)
+    _res, shots, report = run_experiment(RusConfig(limit=1, basis="Z"), 40, seed=0)
     fake = summarize(shots[:4], "rus", "Z", 1)
     # direct formula check on a constructed outcome list
     from ionflow.experiments import _expectation
@@ -218,7 +217,7 @@ def test_expectation_of_balanced_bits_is_zero():
 def test_all_success_shots_make_post_equal_uncond():
     # Z-basis RUS is noiseless-stable: survival exact, and when every shot
     # succeeds the post-selected and unconditional expectations coincide
-    _res, shots, report = run_rus(RusConfig(limit=8, basis="Z"), 300, seed=2)
+    _res, shots, report = run_experiment(RusConfig(limit=8, basis="Z"), 300, seed=2)
     succ = [decode_rus_shot(s)[0] for s in shots]
     if all(succ):
         assert report.exp_z == report.exp_z_uncond
@@ -237,11 +236,11 @@ def test_ideal_reference_values():
 
 
 def test_csv_row_matches_header_arity():
-    _res, _shots, report = run_rus(RusConfig(limit=1, basis="X"), 50, seed=1)
+    _res, _shots, report = run_experiment(RusConfig(limit=1, basis="X"), 50, seed=1)
     assert len(report.csv_row().split(",")) == len(CSV_HEADER.split(","))
 
 
 def test_msd_decode_success_flag():
-    _res, shots, report = run_msd(MsdConfig(limit=2, basis="Z"), 400, seed=3)
+    _res, shots, report = run_experiment(MsdConfig(limit=2, basis="Z"), 400, seed=3)
     by_hand = sum(1 for s in shots if all(b == 0 for b in s.outputs[1:5])) / len(shots)
     assert report.success_fraction == by_hand
