@@ -24,6 +24,7 @@ so results are independent of parallelism and always merged in shot order.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -82,6 +83,9 @@ class NoiseModel:
         unknown = sorted(set(data) - set(NoiseModel.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown noise model key(s): {', '.join(unknown)}")
+        for key, v in data.items():
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise ValueError(f"noise model key {key} must be a finite number, got {v!r}")
         return NoiseModel(**data)
 
 

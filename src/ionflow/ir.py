@@ -15,7 +15,8 @@ IR objects are immutable; transforms build new modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from typing import Union
 
 GATE_SET = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "cx")
@@ -199,6 +200,18 @@ def instr_uses(instr: Instruction) -> tuple[Vreg, ...]:
     return tuple(uses)
 
 
+def retarget(block: BasicBlock, old: str, new: str) -> BasicBlock:
+    """The block with every terminator target ``old`` replaced by ``new``."""
+    t = block.terminator
+    if isinstance(t, Jump) and t.target == old:
+        t = Jump(new)
+    elif isinstance(t, Branch):
+        then_t = new if t.then_target == old else t.then_target
+        else_t = new if t.else_target == old else t.else_target
+        t = Branch(t.cond, then_t, else_t)
+    return BasicBlock(block.label, block.phis, block.body, t)
+
+
 # ---------------------------------------------------------------------------
 # Control-flow graph
 # ---------------------------------------------------------------------------
@@ -219,6 +232,18 @@ class CfgEdge:
 class Cfg:
     nodes: tuple[str, ...]  # in source order
     edges: tuple[CfgEdge, ...]
+    # per-node out- and in-edge lists in edge order, built once at construction
+    _out: dict[str, list[CfgEdge]] = field(init=False, repr=False, compare=False)
+    _in: dict[str, list[CfgEdge]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        out: dict[str, list[CfgEdge]] = {n: [] for n in self.nodes}
+        inn: dict[str, list[CfgEdge]] = {n: [] for n in self.nodes}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+            inn.setdefault(e.dst, []).append(e)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", inn)
 
     @staticmethod
     def from_function(fn: Function) -> "Cfg":
@@ -234,20 +259,13 @@ class Cfg:
         return Cfg(nodes, tuple(edges))
 
     def successors(self, label: str) -> list[str]:
-        return [e.dst for e in self.edges if e.src == label]
+        return [e.dst for e in self._out.get(label, ())]
 
     def predecessors(self, label: str) -> list[str]:
-        return [e.src for e in self.edges if e.dst == label]
+        return [e.src for e in self._in.get(label, ())]
 
     def in_edges(self, label: str) -> list[CfgEdge]:
-        return [e for e in self.edges if e.dst == label]
-
-    def is_acyclic(self) -> bool:
-        try:
-            topo_sort(self)
-            return True
-        except CycleDetected:
-            return False
+        return list(self._in.get(label, ()))
 
 
 def topo_sort(cfg: Cfg) -> list[str]:
@@ -256,23 +274,16 @@ def topo_sort(cfg: Cfg) -> list[str]:
     Raises CycleDetected when the graph has a back edge.
     """
     order_index = {n: i for i, n in enumerate(cfg.nodes)}
-    indeg = {n: 0 for n in cfg.nodes}
-    for e in cfg.edges:
-        indeg[e.dst] += 1
-    ready = sorted((n for n in cfg.nodes if indeg[n] == 0), key=order_index.__getitem__)
+    indeg = {n: len(cfg.in_edges(n)) for n in cfg.nodes}
+    ready = [i for i, n in enumerate(cfg.nodes) if indeg[n] == 0]  # ascending, so already a heap
     out: list[str] = []
     while ready:
-        n = ready.pop(0)
+        n = cfg.nodes[heapq.heappop(ready)]
         out.append(n)
-        changed = False
-        for e in cfg.edges:
-            if e.src == n:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-                    changed = True
-        if changed:
-            ready.sort(key=order_index.__getitem__)
+        for m in cfg.successors(n):
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, order_index[m])
     if len(out) != len(cfg.nodes):
         raise CycleDetected(f"back edge among blocks {sorted(set(cfg.nodes) - set(out))}")
     return out
@@ -302,26 +313,23 @@ def diagnostics_ok(diags: list[Diagnostic]) -> bool:
     return not any(d.severity == ERROR for d in diags)
 
 
-def _dominators(cfg: Cfg, entry: str) -> dict[str, set[str]]:
-    """Classic iterative dominator sets; unreachable blocks dominate nothing."""
-    nodes = list(cfg.nodes)
-    preds = {n: cfg.predecessors(n) for n in nodes}
-    dom: dict[str, set[str]] = {n: set(nodes) for n in nodes}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n == entry:
-                continue
-            ps = [p for p in preds[n]]
-            if ps:
-                new = set.intersection(*(dom[p] for p in ps)) | {n}
-            else:
-                new = {n}  # unreachable; treat as self-dominated
-            if new != dom[n]:
-                dom[n] = new
-                changed = True
+def _dominators(cfg: Cfg, order: list[str]) -> dict[str, set[str]]:
+    """Dominator sets in one pass over a topological order; the entry is the
+    first node in source order, and unreachable blocks dominate nothing.
+
+    On an acyclic graph every predecessor's set is final before the block
+    is reached, and the dominator equations have exactly one solution.
+    """
+    entry = cfg.nodes[0]
+    dom: dict[str, set[str]] = {}
+    for n in order:
+        ps = cfg.predecessors(n)
+        if n == entry:
+            dom[n] = {n}
+        elif ps:
+            dom[n] = set.intersection(*(dom[p] for p in ps)) | {n}
+        else:
+            dom[n] = {n}  # unreachable; treat as self-dominated
     return dom
 
 
@@ -353,23 +361,16 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
 
         cfg = Cfg.from_function(fn)
         label_set = set(labels)
-        for b in fn.blocks:
-            t = b.terminator
-            targets = []
-            if isinstance(t, Jump):
-                targets = [t.target]
-            elif isinstance(t, Branch):
-                targets = [t.then_target, t.else_target]
-            for tgt in targets:
-                if tgt not in label_set:
-                    diags.append(
-                        Diagnostic(ERROR, "BAD_TARGET", f"branch target '{tgt}' does not exist", f"{loc_fn}:{b.label}")
-                    )
-        if any(d.code == "BAD_TARGET" for d in diags):
+        bad_edges = [e for e in cfg.edges if e.dst not in label_set]
+        for e in bad_edges:
+            diags.append(Diagnostic(ERROR, "BAD_TARGET", f"branch target '{e.dst}' does not exist", f"{loc_fn}:{e.src}"))
+        if bad_edges:
             continue
 
-        back = not cfg.is_acyclic()
-        if back:
+        try:
+            order: list[str] | None = topo_sort(cfg)
+        except CycleDetected:
+            order = None
             sev = ERROR if strict else WARNING
             diags.append(Diagnostic(sev, "BACK_EDGE", "control-flow graph has a back edge", loc_fn))
 
@@ -404,7 +405,7 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
                         Diagnostic(ERROR, "USE_BEFORE_DEF", f"{v} not dominated by its definition", f"{loc_fn}:{pos}")
                     )
 
-        dom = _dominators(cfg, fn.blocks[0].label) if not back else None
+        dom = _dominators(cfg, order) if order is not None else None
         for b in fn.blocks:
             seen_local: set[Vreg] = {p.dst for p in b.phis}
             # phi incoming labels must be exactly the CFG predecessors

@@ -44,6 +44,7 @@ from .ir import (
     Vreg,
     instr_defs,
     instr_uses,
+    retarget,
     wrap_i64,
 )
 
@@ -404,7 +405,7 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
     # next copy, the last one to the loop exit
     for k in range(trips):
         nxt = entry_of_copy[k + 1] if k + 1 < trips else loop.exit_target
-        copies[k] = [_retarget(b, loop.header, nxt) for b in copies[k]]
+        copies[k] = [retarget(b, loop.header, nxt) for b in copies[k]]
 
     first_target = entry_of_copy[0] if trips else loop.exit_target
     out: list[BasicBlock] = []
@@ -415,7 +416,7 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
         elif b.label in loop.body_labels:
             continue
         else:
-            out.append(_retarget(b, loop.header, first_target))
+            out.append(retarget(b, loop.header, first_target))
 
     # phis outside the loop that referenced body labels move to the last copy
     final_relabel = {l: f"{l}.u{trips-1}" for l in loop.body_labels} if trips else {}
@@ -433,17 +434,6 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
             phis.append(Phi(phi.dst, inc))
         fixed_blocks.append(BasicBlock(b.label, tuple(phis), b.body, b.terminator))
     return Function(fn.name, fn.params, tuple(fixed_blocks))
-
-
-def _retarget(block: BasicBlock, old: str, new: str) -> BasicBlock:
-    t = block.terminator
-    if isinstance(t, Jump) and t.target == old:
-        t = Jump(new)
-    elif isinstance(t, Branch):
-        then_t = new if t.then_target == old else t.then_target
-        else_t = new if t.else_target == old else t.else_target
-        t = Branch(t.cond, then_t, else_t)
-    return BasicBlock(block.label, block.phis, block.body, t)
 
 
 def _unroll_counted_loops(module: Module, max_unroll: int) -> Module:

@@ -66,7 +66,11 @@ class TrapLayout:
             raise ValueError("trap layout JSON must be an object")
         if set(data) != {"slots", "gate_zones"}:
             raise ValueError(f"trap layout JSON needs exactly the keys slots and gate_zones, got {sorted(data)}")
-        return TrapLayout(int(data["slots"]), tuple((int(a), int(b)) for a, b in data["gate_zones"]))
+        slots, zones = data["slots"], data["gate_zones"]
+        pairs = isinstance(zones, list) and all(isinstance(z, list) and len(z) == 2 for z in zones)
+        if type(slots) is not int or not pairs or any(type(x) is not int for z in zones for x in z):
+            raise ValueError(f"trap layout JSON needs an integer slots and [int, int] gate_zones pairs, got {data}")
+        return TrapLayout(slots, tuple(map(tuple, zones)))
 
     def to_json(self) -> str:
         return json.dumps({"slots": self.slots, "gate_zones": [list(z) for z in self.gate_zones]})
@@ -340,20 +344,20 @@ def _route_to_targets(current: Placement, target: Placement, trap: TrapLayout) -
 # Transport chains
 # ---------------------------------------------------------------------------
 
-def block_quantum_ops(body: tuple[Instruction, ...]) -> list[list[Instruction]]:
-    """Split a body into runs of quantum ops separated by classical barriers."""
-    runs: list[list[Instruction]] = []
-    cur: list[Instruction] = []
+def _body_segments(body: tuple[Instruction, ...]):
+    """Yield the body in program order: each maximal run of quantum ops as a
+    list, and each classical instruction (a barrier between runs) by itself."""
+    run: list[Instruction] = []
     for ins in body:
         if isinstance(ins, (QGate, Measure, Reset)):
-            cur.append(ins)
+            run.append(ins)
         else:
-            if cur:
-                runs.append(cur)
-                cur = []
-    if cur:
-        runs.append(cur)
-    return runs
+            if run:
+                yield run
+                run = []
+            yield ins
+    if run:
+        yield run
 
 
 def is_gate_bearing(body: tuple[Instruction, ...]) -> bool:
@@ -530,16 +534,14 @@ def lower(
     all_qubits = set(range(n))
 
     for i, b in enumerate(gf.blocks):
-        items.append(MarkItem(b.guard, b.label))
         if b.prelude:
             items.append(ClassicalItem(True, tuple(b.prelude)))
+        items.append(MarkItem(b.guard, b.label))  # after the prelude, which may compute its guard
         ch = chain_of_block.get(i)
         chain_guard = gf.blocks[ch.entry_guard_block].guard if ch else b.guard
-        run_iter = iter(block_quantum_ops(b.body))
         for ins in _body_segments(b.body):
-            if ins == "quantum":
-                run = next(run_iter)
-                for layer in schedule_layers(run, trap):
+            if isinstance(ins, list):
+                for layer in schedule_layers(ins, trap):
                     steps, placement = plan_transport(placement, layer, trap)
                     if steps:
                         items.append(TransportItem(chain_guard, tuple(steps)))
@@ -566,17 +568,3 @@ def lower(
         conditional_transport=(mode == CONDITIONAL),
         items=tuple(items),
     )
-
-
-def _body_segments(body: tuple[Instruction, ...]):
-    """Yield 'quantum' markers for runs of quantum ops and the classical
-    instructions themselves, preserving program order."""
-    in_run = False
-    for ins in body:
-        if isinstance(ins, (QGate, Measure, Reset)):
-            if not in_run:
-                yield "quantum"
-                in_run = True
-        else:
-            in_run = False
-            yield ins

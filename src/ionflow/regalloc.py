@@ -1,11 +1,14 @@
-"""Chaitin-style register allocation for the guarded linear form.
+"""Register allocation for the guarded linear form: first-fit in interval-start order (optimal).
 
 Virtual registers cannot be reused (single assignment), but the real-time
 target has only K classical memory cells. Liveness over the linearized
 guarded instruction sequence gives one half-open interval per vreg;
 overlapping intervals interfere; graph coloring maps vregs onto cells.
-There is no spilling: if the simplify loop gets stuck, compilation fails
-with a register-pressure error.
+The interference graph is an interval graph, so first-fit coloring in
+interval-start order uses exactly the maximum overlap of live intervals
+(Golumbic 1980; Poletto & Sarkar, "Linear Scan Register Allocation", 1999).
+There is no spilling: if that overlap exceeds K, compilation fails with a
+register-pressure error.
 
 Result slots are a separate pre-sized file addressed directly by
 measurements and are not subject to coloring.
@@ -125,7 +128,7 @@ def compute_liveness(
 
 @dataclass(frozen=True)
 class InterferenceGraph:
-    nodes: tuple[Vreg, ...]  # in definition order
+    nodes: tuple[Vreg, ...]  # by interval start (then end, then name); color relies on this order
     edges: frozenset[frozenset]
 
 
@@ -150,60 +153,27 @@ class RegFile:
     assignment: dict[Vreg, int]
 
 
-def max_overlap_depth(ranges: dict[Vreg, tuple[int, int]]) -> int:
-    events: list[tuple[int, int]] = []
-    for s, e in ranges.values():
-        if e > s:
-            events.append((s, 1))
-            events.append((e, -1))
-    depth = best = 0
-    for _pos, d in sorted(events):
-        depth += d
-        best = max(best, depth)
-    return best
-
-
 def color(graph: InterferenceGraph, k: int) -> RegFile:
-    """Chaitin simplify/select; raises RegisterPressureExceeded, no spilling."""
+    """First-fit in interval-start order; raises RegisterPressureExceeded, no spilling.
+
+    A vreg's already-colored neighbours all started no later than it and are
+    still live at its start, so with the vreg they form a clique: needing
+    register c proves a clique of c + 1, and the coloring is optimal.
+    """
     if k < 1:
         raise ValueError("need at least one register")
-    order = {v: i for i, v in enumerate(graph.nodes)}
     adj: dict[Vreg, set[Vreg]] = {v: set() for v in graph.nodes}
-    for e in graph.edges:
-        pair = tuple(e)
-        if len(pair) == 2:
-            a, b = pair
-            adj[a].add(b)
-            adj[b].add(a)
-    remaining = set(graph.nodes)
-    degree = {v: len(adj[v]) for v in graph.nodes}
-    stack: list[Vreg] = []
-    while remaining:
-        candidates = [v for v in remaining if degree[v] < k]
-        if not candidates:
-            hint = _greedy_clique(adj, remaining)
-            raise RegisterPressureExceeded(hint, k)
-        v = min(candidates, key=order.__getitem__)
-        stack.append(v)
-        remaining.remove(v)
-        for u in adj[v]:
-            if u in remaining:
-                degree[u] -= 1
+    for a, b in map(tuple, graph.edges):
+        adj[a].add(b)
+        adj[b].add(a)
     assignment: dict[Vreg, int] = {}
-    for v in reversed(stack):
+    for v in graph.nodes:
         used = {assignment[u] for u in adj[v] if u in assignment}
-        c = next(i for i in range(k) if i not in used)
+        c = next(i for i in range(len(used) + 1) if i not in used)
+        if c >= k:
+            raise RegisterPressureExceeded(c + 1, k)
         assignment[v] = c
     return RegFile(k, assignment)
-
-
-def _greedy_clique(adj: dict[Vreg, set[Vreg]], remaining: set[Vreg]) -> int:
-    seed = max(remaining, key=lambda v: len(adj[v] & remaining))
-    clique = {seed}
-    for v in sorted(remaining, key=lambda v: v.name):
-        if v not in clique and all(v in adj[c] for c in clique):
-            clique.add(v)
-    return len(clique)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from .ir import (
     CMPOPS,
     GATE_SET,
     ROTATION_GATES,
+    retarget,
 )
 
 FILE_EXTENSION = ".qir.txt"
@@ -260,7 +261,7 @@ class _Parser:
         cond = Vreg(f"{head_label}.more{uid}")
 
         body_entry = body[0].label
-        rewritten = [self._retarget(b, NEXT_LABEL, latch_label) for b in body]
+        rewritten = [retarget(b, NEXT_LABEL, latch_label) for b in body]
         head = BasicBlock(
             label=head_label,
             phis=(Phi(ctr, ((0, "<outside>"), (ctr_next, latch_label))),),
@@ -274,17 +275,6 @@ class _Parser:
             terminator=Jump(head_label),
         )
         return [head, *rewritten, latch]
-
-    @staticmethod
-    def _retarget(block: BasicBlock, old: str, new: str) -> BasicBlock:
-        t = block.terminator
-        if isinstance(t, Jump) and t.target == old:
-            t = Jump(new)
-        elif isinstance(t, Branch):
-            then_t = new if t.then_target == old else t.then_target
-            else_t = new if t.else_target == old else t.else_target
-            t = Branch(t.cond, then_t, else_t)
-        return BasicBlock(block.label, block.phis, block.body, t)
 
     def parse_block(self, param_types: dict[Vreg, str]) -> BasicBlock:
         self.expect_ident("block")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ionflow.cli import main
 from ionflow.experiments import CSV_HEADER
 
@@ -201,3 +203,25 @@ def test_trap_missing_gate_zones_is_an_error(tmp_path, capsys):
     src = tmp_path / "p.qir.txt"
     src.write_text(GOOD)
     assert "gate_zones" in _cli_error(["compile", str(src), "--trap", str(trap)], capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--noise", '{"p1": "x"}'),
+        ("--noise", '{"p1": null}'),
+        ("--noise", '{"prep_overrotation": "a"}'),
+        ("--trap", '{"slots": 8, "gate_zones": 5}'),
+        ("--trap", '{"slots": 8, "gate_zones": [[0, "1"]]}'),
+        ("--trap", '{"slots": 8, "gate_zones": [[0, 1, 2]]}'),
+        ("--trap", '{"slots": "8", "gate_zones": [[0, 1]]}'),
+    ],
+)
+def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, flag, text):
+    src = tmp_path / "p.qir.txt"
+    src.write_text(GOOD)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    cmd = ["run", str(src), "--shots", "5", "--seed", "0"] if flag == "--noise" else ["compile", str(src)]
+    assert main([*cmd, flag, str(cfg)]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error:")

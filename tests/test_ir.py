@@ -57,6 +57,23 @@ def test_validation_is_idempotent():
     assert validate_profile(m) == validate_profile(m) == []
 
 
+def test_bad_target_does_not_stop_checks_of_later_functions():
+    src = """module t
+attrs required_qubits=1 required_results=1
+func @f() {
+block a:
+  jmp nowhere
+}
+func @main() {
+block e:
+  %x = add %y, 1
+  ret
+}
+"""
+    codes = [(d.code, d.location) for d in validate_profile(textir.parse(src), strict=False)]
+    assert codes == [("BAD_TARGET", "@f:a"), ("USE_BEFORE_DEF", "@main:e#0")]
+
+
 def test_qubit_range_checked():
     m = parse("block a:\n  h q5\n  ret")
     assert any(d.code == "QUBIT_RANGE" for d in validate_profile(m))

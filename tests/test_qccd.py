@@ -264,3 +264,27 @@ def test_loop_form_planned_transport_linear_in_limit():
         planned.append(res.planned_transport_steps)
     d1 = [b - a for a, b in zip(planned, planned[1:])]
     assert len(set(d1)) == 1, planned  # constant first difference
+
+
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+def test_shots_do_not_depend_on_register_assignment(mode):
+    """Shared registers give the same shots as one register per vreg: a
+    block's mark reads its guard only after the prelude has written it."""
+    from ionflow import predication, qccd, regalloc
+    from ionflow.emulator import NOISELESS, run_shots
+    from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+    from ionflow.toolchain import compile_module
+
+    corpus = (
+        build_rus(RusConfig(limit=2, basis="X", style="loop")),
+        build_rus(RusConfig(limit=3, basis="Z", style="recursion")),
+        build_msd(MsdConfig(limit=2, basis="X")),
+    )
+    for module in corpus:
+        shared = compile_module(module, mode=mode)
+        gf = predication.if_convert(shared.module.entry_function)
+        extra = qccd.chain_liveness_uses(gf, qccd.compute_chains(gf), regalloc.linearize(gf))
+        live = regalloc.build_interference(regalloc.compute_liveness(gf, extra)).nodes
+        own = regalloc.RegFile(len(live), {v: i for i, v in enumerate(live)})
+        prog = qccd.lower(regalloc.rewrite(gf, own), shared.module, shared.program.trap, mode, n_regs=len(live))
+        assert run_shots(prog, NOISELESS, 200, 5) == run_shots(shared.program, NOISELESS, 200, 5), module.name

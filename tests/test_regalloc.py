@@ -121,22 +121,32 @@ def test_five_clique_with_four_registers_fails():
         color(build_interference(ranges), 4)
 
 
+def max_overlap(ranges) -> int:
+    """Brute force: the most live intervals covering one point."""
+    ends = [e for _s, e in ranges.values()]
+    return max(sum(1 for s, e in ranges.values() if s <= x < e) for x in range(max(ends, default=0) + 1))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(
         st.tuples(st.integers(0, 60), st.integers(1, 12)),
         min_size=1,
         max_size=40,
-    )
+    ),
+    st.integers(1, 12),
 )
-def test_coloring_random_intervals_is_valid(intervals):
+def test_coloring_random_intervals_is_valid(intervals, k):
     ranges = {vr(i): (s, s + d) for i, (s, d) in enumerate(intervals)}
     g = build_interference(ranges)
+    depth = max_overlap(ranges)
     try:
-        rf = color(g, 8)
+        rf = color(g, k)
     except RegisterPressureExceeded as e:
-        assert e.needed_hint >= 2  # simplify got stuck on a dense subgraph
+        assert depth > k and e.needed_hint > k
         return
+    assert depth <= k
+    assert len(set(rf.assignment.values())) == depth  # optimal on interval graphs
     for e in g.edges:
         a, b = tuple(e)
         assert rf.assignment[a] != rf.assignment[b]
@@ -170,3 +180,17 @@ def test_rus_recursion_limit3_fits_32_registers():
 
     res = compile_module(build_rus(RusConfig(limit=3, style="recursion")), registers=32)
     assert res.colors_used <= 32
+
+
+def test_corpus_colors_equal_max_live_overlap():
+    from ionflow import qccd
+    from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+    from ionflow.toolchain import compile_module
+
+    corpus = [build_msd(MsdConfig(limit=n)) for n in range(9)]
+    corpus += [build_rus(RusConfig(limit=n, style=style)) for style in ("loop", "recursion") for n in range(1, 8)]
+    for module in corpus:
+        res = compile_module(module)
+        gf = if_convert(res.module.entry_function)
+        extra = qccd.chain_liveness_uses(gf, qccd.compute_chains(gf), linearize(gf))
+        assert res.colors_used == max_overlap(compute_liveness(gf, extra)), module.name
