@@ -3,17 +3,21 @@
 Three passes, all module-to-module and deterministic:
 
 * ``fold_constants`` — literal arithmetic/comparison folding with copy
-  propagation, constant-branch folding, unreachable-block removal, phi
-  pruning and dead pure-definition cleanup, iterated to a fixpoint. Only
-  all-literal operations fold; no identity simplifications are attempted.
-* ``flatten`` — makes the entry function call-free and acyclic: counted
-  loops produced by the ``repeat`` sugar are unrolled (one serialized body
-  copy per trip), calls are inlined one level per round with literal
-  arguments substituted, and folding runs between rounds so recursions
-  guarded by a literal depth bottom out. Each return site of an inlined
-  callee gets its own copy of the call continuation when that is safe
-  (no externally used definitions in the continuation), which is what makes
-  the recursive program shape expand into a branching tree of rounds.
+  propagation, constant-branch folding (a branch on any literal jumps to
+  the arm its truthiness picks), unreachable-block removal, phi pruning and
+  dead pure-definition cleanup. Functions fold independently, each to its
+  own fixpoint. Only all-literal operations fold; no identity
+  simplifications are attempted.
+* ``flatten`` — makes the entry function call-free and acyclic. Every
+  function is first settled once: folded, its counted loops from the
+  ``repeat`` sugar unrolled (one serialized body copy per trip), and folded
+  again if a loop was unrolled. Each round then inlines one level of calls
+  into the entry, copying callee bodies from the settled originals with
+  literal arguments substituted, and re-settles only the entry, so
+  recursions guarded by a literal depth bottom out. Each return site of an
+  inlined callee gets its own copy of the call continuation when that is
+  safe (no externally used definitions in the continuation), which is what
+  makes the recursive program shape expand into a branching tree of rounds.
 * ``peephole`` — within-block rewriting of short gate sequences against a
   rule set that is verified unitarily equivalent when the rules are built.
 """
@@ -85,6 +89,13 @@ def _eval_cmp(op: str, a: Value, b: Value) -> bool:
         "gt": a > b,
         "ge": a >= b,
     }[op]
+
+
+def _branch_on(cond: Value, then_target: str, else_target: str) -> Branch | Jump:
+    """A branch on a literal is a jump to the arm its truthiness picks."""
+    if isinstance(cond, Vreg):
+        return Branch(cond, then_target, else_target)
+    return Jump(then_target if cond else else_target)
 
 
 def _subst_value(v: Value, env: dict[Vreg, Value]) -> Value:
@@ -159,13 +170,8 @@ def _fold_function(fn: Function) -> tuple[Function, bool]:
             body.append(ni)
         term = b.terminator
         if isinstance(term, Branch):
-            cond = _subst_value(term.cond, env)
-            if isinstance(cond, bool):
-                term = Jump(term.then_target if cond else term.else_target)
-                changed = True
-            elif isinstance(cond, Vreg) and cond != term.cond:
-                term = Branch(cond, term.then_target, term.else_target)
-                changed = True
+            term = _branch_on(_subst_value(term.cond, env), term.then_target, term.else_target)
+            changed = changed or term != b.terminator
         new_blocks.append(BasicBlock(b.label, tuple(phis), tuple(body), term))
 
     fn2 = Function(fn.name, fn.params, tuple(new_blocks))
@@ -227,18 +233,20 @@ def _drop_dead_defs(fn: Function) -> tuple[Function, bool]:
     return Function(fn.name, fn.params, tuple(out)), changed
 
 
-def fold_constants(module: Module) -> Module:
-    """Fold literal arithmetic to a fixpoint (64-bit wrap, no re-association)."""
-    fns = list(module.functions)
+def _fold_to_fixpoint(fn: Function) -> Function:
     changed = True
     while changed:
-        changed = False
-        for i, fn in enumerate(fns):
-            fn2, ch = _fold_function(fn)
-            if ch:
-                fns[i] = fn2
-                changed = True
-    return Module(module.name, tuple(fns), module.entry, module.required_qubits, module.required_results)
+        fn, changed = _fold_function(fn)
+    return fn
+
+
+def fold_constants(module: Module) -> Module:
+    """Fold literal arithmetic to a fixpoint (64-bit wrap, no re-association).
+
+    Functions fold independently, so each one is folded to its own fixpoint.
+    """
+    fns = tuple(_fold_to_fixpoint(fn) for fn in module.functions)
+    return Module(module.name, fns, module.entry, module.required_qubits, module.required_results)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def _rename_value(v: Value, ren: dict[Vreg, Value]) -> Value:
     return v
 
 
-def _rename_instr(instr: Instruction, ren: dict[Vreg, Value], relabel: dict[str, str]) -> Instruction:
+def _rename_instr(instr: Instruction, ren: dict[Vreg, Value]) -> Instruction:
     instr = _subst_instr(instr, ren)  # handles uses
     defs = instr_defs(instr)
     if defs:
@@ -267,33 +275,23 @@ def _rename_instr(instr: Instruction, ren: dict[Vreg, Value], relabel: dict[str,
     return instr
 
 
-def _clone_block(
-    b: BasicBlock,
-    ren: dict[Vreg, Value],
-    relabel: dict[str, str],
-    ret_target: str | None = None,
-) -> BasicBlock:
+def _clone_block(b: BasicBlock, ren: dict[Vreg, Value], relabel: dict[str, str]) -> BasicBlock:
     phis = []
     for phi in b.phis:
         nd = ren.get(phi.dst, phi.dst)
         assert isinstance(nd, Vreg)
         inc = tuple((_rename_value(v, ren), relabel.get(l, l)) for v, l in phi.incomings)
         phis.append(Phi(nd, inc))
-    body = tuple(_rename_instr(i, ren, relabel) for i in b.body)
+    body = tuple(_rename_instr(i, ren) for i in b.body)
     t = b.terminator
     if isinstance(t, Jump):
         t = Jump(relabel.get(t.target, t.target))
     elif isinstance(t, Branch):
-        c = _rename_value(t.cond, ren)
-        then_t = relabel.get(t.then_target, t.then_target)
-        else_t = relabel.get(t.else_target, t.else_target)
-        if isinstance(c, bool):
-            t = Jump(then_t if c else else_t)
-        else:
-            assert isinstance(c, Vreg)
-            t = Branch(c, then_t, else_t)
-    elif isinstance(t, Return) and ret_target is not None:
-        t = Jump(ret_target)
+        t = _branch_on(
+            _rename_value(t.cond, ren),
+            relabel.get(t.then_target, t.then_target),
+            relabel.get(t.else_target, t.else_target),
+        )
     return BasicBlock(relabel.get(b.label, b.label), tuple(phis), body, t)
 
 
@@ -436,40 +434,32 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
     return Function(fn.name, fn.params, tuple(fixed_blocks))
 
 
-def _unroll_counted_loops(module: Module, max_unroll: int) -> Module:
-    fns = []
-    for fn in module.functions:
-        while True:
-            loop = _match_counted_loop(fn)
-            if loop is None:
-                break
-            fn = _unroll_loop(fn, loop, max_unroll)
-        fns.append(fn)
-    return Module(module.name, tuple(fns), module.entry, module.required_qubits, module.required_results)
+def _settle(fn: Function, max_unroll: int) -> Function:
+    """Fold, unroll the counted loops, and fold again if a loop was unrolled."""
+    fn = _fold_to_fixpoint(fn)
+    unrolled = False
+    while (loop := _match_counted_loop(fn)) is not None:
+        fn = _unroll_loop(fn, loop, max_unroll)
+        unrolled = True
+    return _fold_to_fixpoint(fn) if unrolled else fn
 
 
 class _Inliner:
-    def __init__(self, module: Module, counter_start: int = 0):
-        self.module = module
-        self.counter = counter_start
+    def __init__(self, callees: dict[str, Function]):
+        self.callees = callees
+        self.counter = 0
         # a block that ends in a call hands its terminator to continuation
         # copies; successor phis must then take their incoming from those
         # copies instead of the original label
         self.redirects: dict[str, list[str]] = {}
 
-    def inline_level(self) -> Module:
-        """Inline every call currently present in the entry function, one level."""
+    def inline_level(self, entry: Function) -> Function:
+        """Inline every call currently present in ``entry``, one level."""
         self.redirects = {}
-        entry = self.module.entry_function
         out: list[BasicBlock] = []
         for block in entry.blocks:
             out.extend(self._expand_block(block, entry))
-        out = self._apply_phi_redirects(out)
-        fn = Function(entry.name, entry.params, tuple(out))
-        fns = tuple(fn if f.name == entry.name else f for f in self.module.functions)
-        return Module(
-            self.module.name, fns, self.module.entry, self.module.required_qubits, self.module.required_results
-        )
+        return Function(entry.name, entry.params, tuple(self._apply_phi_redirects(out)))
 
     def _expand_block(self, block: BasicBlock, entry: Function) -> list[BasicBlock]:
         call_idx = next((i for i, ins in enumerate(block.body) if isinstance(ins, Call)), None)
@@ -477,7 +467,7 @@ class _Inliner:
             return [block]
         call = block.body[call_idx]
         assert isinstance(call, Call)
-        callee = self.module.function(call.callee)
+        callee = self.callees[call.callee]
         sfx = f".c{self.counter}"
         self.counter += 1
 
@@ -563,32 +553,23 @@ class _Inliner:
         return out
 
 
-def _entry_has_calls(module: Module) -> bool:
-    return any(isinstance(i, Call) for b in module.entry_function.blocks for i in b.body)
-
-
 def flatten(module: Module, config: FlattenConfig = FlattenConfig()) -> Module:
     """Remove calls and loops from the entry function; result is single-function.
 
-    Raises BudgetExceeded when a loop needs more trips than ``max_unroll`` or
-    calls remain after ``max_inline_depth`` inline/fold rounds.
+    Every function is settled once; each round then inlines one level of
+    calls into the entry, from the settled originals, and re-settles only the
+    entry. Raises BudgetExceeded when a loop needs more trips than
+    ``max_unroll`` or calls remain after ``max_inline_depth`` rounds.
     """
-    module = fold_constants(module)
-    module = _unroll_counted_loops(module, config.max_unroll)
-    module = fold_constants(module)
+    settled = {fn.name: _settle(fn, config.max_unroll) for fn in module.functions}
+    inliner = _Inliner(settled)
+    entry = settled[module.entry]
     rounds = 0
-    counter = 0
-    while _entry_has_calls(module):
+    while any(isinstance(i, Call) for b in entry.blocks for i in b.body):
         if rounds >= config.max_inline_depth:
             raise BudgetExceeded(f"calls remain after {config.max_inline_depth} inline rounds")
-        inliner = _Inliner(module, counter)
-        module = inliner.inline_level()
-        counter = inliner.counter
-        module = fold_constants(module)
-        module = _unroll_counted_loops(module, config.max_unroll)
-        module = fold_constants(module)
+        entry = _settle(inliner.inline_level(entry), config.max_unroll)
         rounds += 1
-    entry = module.entry_function
     return Module(module.name, (entry,), module.entry, module.required_qubits, module.required_results)
 
 

@@ -29,15 +29,9 @@ from .ir import (
     Branch,
     Call,
     Cfg,
-    Cmp,
     FALSE_ARM,
     Function,
     Instruction,
-    Measure,
-    Output,
-    QGate,
-    ReadResult,
-    Reset,
     TRUE_ARM,
     UNCOND,
     Value,
@@ -45,6 +39,7 @@ from .ir import (
     instr_defs,
     topo_sort,
 )
+from .textir import _fmt_instr, _fmt_value
 
 
 class NonSSA(Exception):
@@ -351,46 +346,18 @@ def if_convert(fn: Function) -> GuardedFunction:
 # Textual dump of the guarded form (inspection and golden tests)
 # ---------------------------------------------------------------------------
 
-def _fmt_operand(v) -> str:
-    if isinstance(v, Vreg):
-        return f"%{v.name}"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if hasattr(v, "index"):  # physical register
-        return f"R{v.index}"
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def format_guard(gv) -> str:
     if isinstance(gv, bool):
         return "true" if gv else "false"
     if isinstance(gv, OrVal):
         return "(" + " | ".join(format_guard(p) for p in gv.parts) + ")"
-    return _fmt_operand(gv)
+    return _fmt_value(gv)
 
 
 def _fmt_guarded_instr(ins) -> str:
     if isinstance(ins, Select):
-        return (
-            f"{_fmt_operand(ins.dst)} = select {_fmt_operand(ins.cond)}, "
-            f"{_fmt_operand(ins.a)}, {_fmt_operand(ins.b)}"
-        )
-    if isinstance(ins, BinOp):
-        return f"{_fmt_operand(ins.dst)} = {ins.op} {_fmt_operand(ins.a)}, {_fmt_operand(ins.b)}"
-    if isinstance(ins, Cmp):
-        return f"{_fmt_operand(ins.dst)} = cmp {ins.op} {_fmt_operand(ins.a)}, {_fmt_operand(ins.b)}"
-    if isinstance(ins, ReadResult):
-        return f"{_fmt_operand(ins.dst)} = read_result r{ins.slot}"
-    if isinstance(ins, QGate):
-        angle = f"({_fmt_operand(ins.angle)})" if ins.angle is not None else ""
-        return f"{ins.name}{angle} " + ", ".join(f"q{q}" for q in ins.qubits)
-    if isinstance(ins, Measure):
-        return f"mz q{ins.qubit} -> r{ins.slot}"
-    if isinstance(ins, Reset):
-        return f"reset q{ins.qubit}"
-    if isinstance(ins, Output):
-        return f"output {ins.kind}" + (f" r{ins.slot}" if ins.kind == "result" else "")
-    return repr(ins)
+        return f"{_fmt_value(ins.dst)} = select {_fmt_value(ins.cond)}, {_fmt_value(ins.a)}, {_fmt_value(ins.b)}"
+    return _fmt_instr(ins)
 
 
 def format_guarded(gf: GuardedFunction) -> str:

@@ -124,8 +124,8 @@ def interaction_weights(module: Module) -> dict[tuple[int, int], int]:
     return w
 
 
-def place_initial(module: Module, trap: TrapLayout, sweeps: int = 4) -> Placement:
-    """One-dimensional qubit order from damped barycenter sweeps.
+def place_initial(module: Module, trap: TrapLayout) -> Placement:
+    """One-dimensional qubit order from four damped barycenter sweeps.
 
     Each sweep moves every qubit toward the average position of its
     two-qubit-gate partners (weighted by gate count, current position
@@ -137,7 +137,7 @@ def place_initial(module: Module, trap: TrapLayout, sweeps: int = 4) -> Placemen
         raise ValueError(f"{n} qubits do not fit in {trap.slots} slots")
     weights = interaction_weights(module)
     order = list(range(n))
-    for _ in range(max(sweeps, 4)):
+    for _ in range(4):
         pos = {q: i for i, q in enumerate(order)}
         keys = {}
         for q in order:

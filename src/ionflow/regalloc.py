@@ -3,11 +3,13 @@
 Virtual registers cannot be reused (single assignment), but the real-time
 target has only K classical memory cells. Liveness over the linearized
 guarded instruction sequence gives one half-open interval per vreg;
-overlapping intervals interfere; graph coloring maps vregs onto cells.
+overlapping intervals interfere; coloring maps vregs onto cells.
 The interference graph is an interval graph, so first-fit coloring in
 interval-start order uses exactly the maximum overlap of live intervals
-(Golumbic 1980; Poletto & Sarkar, "Linear Scan Register Allocation", 1999).
-There is no spilling: if that overlap exceeds K, compilation fails with a
+(Golumbic 1980). It is a linear scan over the intervals (Poletto & Sarkar,
+"Linear Scan Register Allocation", 1999): a heap of free registers and a
+heap of active intervals by end, never the edge set. There is no
+spilling: if that overlap exceeds K, compilation fails with a
 register-pressure error.
 
 Result slots are a separate pre-sized file addressed directly by
@@ -16,7 +18,9 @@ measurements and are not subject to coloring.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ir import BinOp, Cmp, QGate, ReadResult, Value, Vreg, instr_defs, instr_uses
 from .predication import GuardedBlock, GuardedFunction, GuardVal, OrVal, Select, guard_vregs
@@ -128,23 +132,31 @@ def compute_liveness(
 
 @dataclass(frozen=True)
 class InterferenceGraph:
-    nodes: tuple[Vreg, ...]  # by interval start (then end, then name); color relies on this order
-    edges: frozenset[frozenset]
+    """Live vregs by interval start (then end, then name), with their intervals.
+
+    Two vregs interfere when their half-open intervals overlap. ``color``
+    needs only the intervals; ``edges`` lists the interfering pairs.
+    """
+
+    nodes: tuple[Vreg, ...]
+    intervals: tuple[tuple[int, int], ...]  # nodes[i]'s live interval
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset]:
+        edges: set[frozenset] = set()
+        active: list[tuple[int, Vreg]] = []  # (end, vreg)
+        for v, (s, e) in zip(self.nodes, self.intervals):
+            active = [(ae, av) for ae, av in active if ae > s]
+            edges.update(frozenset((av, v)) for _ae, av in active)
+            active.append((e, v))
+        return frozenset(edges)
 
 
 def build_interference(ranges: dict[Vreg, tuple[int, int]]) -> InterferenceGraph:
-    """Edges between vregs whose live intervals overlap (half-open)."""
+    """The interval graph of the vregs whose live intervals are non-empty."""
     live = [(v, s, e) for v, (s, e) in ranges.items() if e > s]
     live.sort(key=lambda t: (t[1], t[2], t[0].name))
-    nodes = tuple(v for v, _s, _e in live)
-    edges: set[frozenset] = set()
-    active: list[tuple[int, Vreg]] = []  # (end, vreg)
-    for v, s, e in live:
-        active = [(ae, av) for ae, av in active if ae > s]
-        for _ae, av in active:
-            edges.add(frozenset((av, v)))
-        active.append((e, v))
-    return InterferenceGraph(nodes, frozenset(edges))
+    return InterferenceGraph(tuple(v for v, _s, _e in live), tuple((s, e) for _v, s, e in live))
 
 
 @dataclass(frozen=True)
@@ -156,23 +168,25 @@ class RegFile:
 def color(graph: InterferenceGraph, k: int) -> RegFile:
     """First-fit in interval-start order; raises RegisterPressureExceeded, no spilling.
 
-    A vreg's already-colored neighbours all started no later than it and are
-    still live at its start, so with the vreg they form a clique: needing
-    register c proves a clique of c + 1, and the coloring is optimal.
+    A vreg's interfering, already-colored neighbours are exactly the active
+    intervals: they started no later than it and are still live at its
+    start, so with the vreg they form a clique. Needing register c proves a
+    clique of c + 1, and the coloring is optimal. A register returns to the
+    free heap once its interval ends at or before the next start.
     """
     if k < 1:
         raise ValueError("need at least one register")
-    adj: dict[Vreg, set[Vreg]] = {v: set() for v in graph.nodes}
-    for a, b in map(tuple, graph.edges):
-        adj[a].add(b)
-        adj[b].add(a)
     assignment: dict[Vreg, int] = {}
-    for v in graph.nodes:
-        used = {assignment[u] for u in adj[v] if u in assignment}
-        c = next(i for i in range(len(used) + 1) if i not in used)
-        if c >= k:
-            raise RegisterPressureExceeded(c + 1, k)
+    free = list(range(min(k, len(graph.nodes))))  # a sorted list is a heap
+    active: list[tuple[int, int]] = []  # (end, register)
+    for v, (s, e) in zip(graph.nodes, graph.intervals):
+        while active and active[0][0] <= s:
+            heapq.heappush(free, heapq.heappop(active)[1])
+        if not free:
+            raise RegisterPressureExceeded(k + 1, k)
+        c = heapq.heappop(free)
         assignment[v] = c
+        heapq.heappush(active, (e, c))
     return RegFile(k, assignment)
 
 

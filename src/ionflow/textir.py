@@ -164,18 +164,12 @@ class _Parser:
             raise self.error(f"got {tok.text!r}", tok, expected=(want,))
         return self.next()
 
-    def expect_ident(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(f"got {tok.text!r}", tok, expected=(word,))
-        return self.next()
-
     # -- module level -------------------------------------------------------
 
     def parse_module(self) -> Module:
-        self.expect_ident("module")
+        self.expect("ident", "module")
         name = self.expect("ident").text
-        self.expect_ident("attrs")
+        self.expect("ident", "attrs")
         attrs: dict[str, int] = {}
         for _ in range(2):
             key = self.expect("ident").text
@@ -203,7 +197,7 @@ class _Parser:
         )
 
     def parse_function(self) -> Function:
-        self.expect_ident("func")
+        self.expect("ident", "func")
         name = self.expect("func").text[1:]
         self.expect("punct", "(")
         params: list[tuple[Vreg, str]] = []
@@ -218,32 +212,32 @@ class _Parser:
                 self.next()
         self.expect("punct", ")")
         self.expect("punct", "{")
-        blocks = self.parse_block_list(dict(params))
+        blocks = self.parse_block_list()
         self.expect("punct", "}")
         if not blocks:
             raise self.error("function has no blocks")
         return Function(name=name, params=tuple(params), blocks=tuple(blocks))
 
-    def parse_block_list(self, param_types: dict[Vreg, str]) -> list[BasicBlock]:
+    def parse_block_list(self) -> list[BasicBlock]:
         blocks: list[BasicBlock] = []
         while True:
             tok = self.peek()
             if tok.kind == "ident" and tok.text == "block":
-                blocks.append(self.parse_block(param_types))
+                blocks.append(self.parse_block())
             elif tok.kind == "ident" and tok.text == "repeat":
-                blocks.extend(self.parse_repeat(param_types))
+                blocks.extend(self.parse_repeat())
             else:
                 return blocks
 
-    def parse_repeat(self, param_types: dict[Vreg, str]) -> list[BasicBlock]:
+    def parse_repeat(self) -> list[BasicBlock]:
         """Desugar `repeat n label { blocks }` into a counted back-edge loop."""
-        kw = self.expect_ident("repeat")
+        kw = self.expect("ident", "repeat")
         trips = int(self.expect("int").text)
         if trips < 0:
             raise ParseError("repeat count must be >= 0", kw.line, kw.col)
         head_label = self.expect("ident").text
         self.expect("punct", "{")
-        body = self.parse_block_list(param_types)
+        body = self.parse_block_list()
         self.expect("punct", "}")
         if not body:
             raise self.error("repeat body has no blocks")
@@ -276,8 +270,8 @@ class _Parser:
         )
         return [head, *rewritten, latch]
 
-    def parse_block(self, param_types: dict[Vreg, str]) -> BasicBlock:
-        self.expect_ident("block")
+    def parse_block(self) -> BasicBlock:
+        self.expect("ident", "block")
         label = self.expect("ident").text
         self.expect("punct", ":")
         phis: list[Phi] = []
@@ -288,7 +282,7 @@ class _Parser:
             if tok.kind == "eof":
                 raise self.error(f"block '{label}' has no terminator", tok, expected=("jmp", "br", "ret"))
             if tok.kind == "vreg":
-                dst, rhs = self.parse_assignment(param_types)
+                dst, rhs = self.parse_assignment()
                 if isinstance(rhs, Phi):
                     if body:
                         raise self.error("phi must appear before other instructions", tok)
@@ -296,7 +290,7 @@ class _Parser:
                 else:
                     body.append(rhs)
             elif tok.kind == "ident":
-                item = self.parse_statement(param_types)
+                item = self.parse_statement()
                 if isinstance(item, (Jump, Branch, Return)):
                     terminator = item
                 else:
@@ -307,7 +301,7 @@ class _Parser:
 
     # -- instructions --------------------------------------------------------
 
-    def parse_assignment(self, param_types: dict[Vreg, str]):
+    def parse_assignment(self):
         dst = Vreg(self.expect("vreg").text[1:])
         self.expect("punct", "=")
         op = self.expect("ident").text
@@ -315,7 +309,7 @@ class _Parser:
             incomings: list[tuple[Value, str]] = []
             while True:
                 self.expect("punct", "[")
-                v = self.parse_value(param_types)
+                v = self.parse_value()
                 self.expect("punct", ",")
                 frm = self.expect("ident").text
                 self.expect("punct", "]")
@@ -329,21 +323,21 @@ class _Parser:
             slot = self.parse_result_ref()
             return dst, ReadResult(dst, slot)
         if op in BINOPS:
-            a = self.parse_value(param_types)
+            a = self.parse_value()
             self.expect("punct", ",")
-            b = self.parse_value(param_types)
+            b = self.parse_value()
             return dst, BinOp(op, dst, a, b)
         if op == "cmp":
             cmp_op = self.expect("ident").text
             if cmp_op not in CMPOPS:
                 raise self.error(f"unknown comparison '{cmp_op}'", expected=CMPOPS)
-            a = self.parse_value(param_types)
+            a = self.parse_value()
             self.expect("punct", ",")
-            b = self.parse_value(param_types)
+            b = self.parse_value()
             return dst, Cmp(cmp_op, dst, a, b)
         raise self.error(f"unknown assignment op '{op}'", expected=("phi", "read_result", "cmp") + BINOPS)
 
-    def parse_statement(self, param_types: dict[Vreg, str]):
+    def parse_statement(self):
         tok = self.next()
         word = tok.text
         if word == "jmp":
@@ -360,12 +354,12 @@ class _Parser:
         if word == "ret":
             return Return()
         if word == "mz":
-            q = self.parse_qubit_ref(param_types)
+            q = self.parse_qubit_ref()
             self.expect("punct", "->")
             slot = self.parse_result_ref()
             return Measure(q, slot)
         if word == "reset":
-            return Reset(self.parse_qubit_ref(param_types))
+            return Reset(self.parse_qubit_ref())
         if word == "output":
             kind = self.expect("ident").text
             if kind == "result":
@@ -376,7 +370,7 @@ class _Parser:
             self.expect("punct", "(")
             args: list[Value] = []
             while self.peek().text != ")":
-                args.append(self.parse_call_arg(param_types))
+                args.append(self.parse_call_arg())
                 if self.peek().text == ",":
                     self.next()
             self.expect("punct", ")")
@@ -385,12 +379,12 @@ class _Parser:
             angle: Value | None = None
             if self.peek().text == "(":
                 self.next()
-                angle = self.parse_value(param_types)
+                angle = self.parse_value()
                 self.expect("punct", ")")
-            qubits = [self.parse_qubit_ref(param_types)]
+            qubits = [self.parse_qubit_ref()]
             while self.peek().text == ",":
                 self.next()
-                qubits.append(self.parse_qubit_ref(param_types))
+                qubits.append(self.parse_qubit_ref())
             if word in ROTATION_GATES and angle is None:
                 raise ParseError(f"{word} requires an angle", tok.line, tok.col)
             return QGate(word, tuple(qubits), angle)
@@ -398,7 +392,7 @@ class _Parser:
 
     # -- operands -------------------------------------------------------------
 
-    def parse_qubit_ref(self, param_types: dict[Vreg, str]) -> QubitRef:
+    def parse_qubit_ref(self) -> QubitRef:
         tok = self.peek()
         if tok.kind == "ident":
             m = _QUBIT_RE.match(tok.text)
@@ -417,7 +411,7 @@ class _Parser:
             raise ParseError(f"expected result ref r<N>, got {tok.text!r}", tok.line, tok.col)
         return int(m.group(1))
 
-    def parse_value(self, param_types: dict[Vreg, str]) -> Value:
+    def parse_value(self) -> Value:
         tok = self.peek()
         if tok.kind == "vreg":
             return Vreg(self.next().text[1:])
@@ -429,14 +423,14 @@ class _Parser:
             return self.next().text == "true"
         raise self.error(f"got {tok.text!r}", tok, expected=("literal", "%vreg"))
 
-    def parse_call_arg(self, param_types: dict[Vreg, str]) -> Value:
+    def parse_call_arg(self) -> Value:
         tok = self.peek()
         if tok.kind == "ident":
             m = _QUBIT_RE.match(tok.text)
             if m:
                 self.next()
                 return int(m.group(1))
-        return self.parse_value(param_types)
+        return self.parse_value()
 
 
 def _fix_outside_phi_labels(module: Module) -> Module:
@@ -471,10 +465,7 @@ def _fix_outside_phi_labels(module: Module) -> Module:
 def parse(src: str) -> Module:
     """Parse source text into a Module; raises ParseError on malformed input."""
     try:
-        parser = _Parser(src)
-        module = parser.parse_module()
-    except ParseError:
-        raise
+        module = _Parser(src).parse_module()
     except RecursionError:
         raise ParseError("input nests too deeply", 0, 0)
     return _fix_outside_phi_labels(module)
@@ -507,11 +498,11 @@ def _fmt_instr(instr: Instruction, module: Module | None = None) -> str:
     if isinstance(instr, Reset):
         return f"reset {_fmt_qubit(instr.qubit)}"
     if isinstance(instr, ReadResult):
-        return f"%{instr.dst.name} = read_result r{instr.slot}"
+        return f"{_fmt_value(instr.dst)} = read_result r{instr.slot}"
     if isinstance(instr, BinOp):
-        return f"%{instr.dst.name} = {instr.op} {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
+        return f"{_fmt_value(instr.dst)} = {instr.op} {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
     if isinstance(instr, Cmp):
-        return f"%{instr.dst.name} = cmp {instr.op} {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
+        return f"{_fmt_value(instr.dst)} = cmp {instr.op} {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
     if isinstance(instr, Output):
         if instr.kind == "result":
             return f"output result r{instr.slot}"

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from conftest import max_distribution_error, random_program
-from ionflow import oracle, textir
+from ionflow import emulator, oracle, textir, toolchain
 from ionflow.ir import BinOp, Call, QGate, validate_profile, diagnostics_ok
 from ionflow.passes import (
     BudgetExceeded,
@@ -156,6 +158,59 @@ def test_flatten_preserves_distributions():
         m = random_program(seed)
         flat = flatten(m)
         assert max_distribution_error(oracle.enumerate_module(m), oracle.enumerate_module(flat)) < 1e-12
+
+
+def test_self_calling_entry_hits_depth_budget_quickly():
+    # each round inlines one copy of the settled original, so the entry grows
+    # linearly and all 64 rounds run before the budget error
+    m = parse(wrap("block a:\n  call @main()\n  ret", qubits=1, results=0))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="after 64 inline rounds"):
+        flatten(m)
+    assert time.perf_counter() - t0 < 1.0
+
+
+BRANCH_ON_ARG = """module t
+attrs required_qubits=1 required_results=1
+func @main() {{
+block e:
+  call @f({arg})
+  jmp fin
+block fin:
+  mz q0 -> r0
+  output result r0
+  ret
+}}
+func @f(%k: int) {{
+block a:
+  br %k, c, d
+block c:
+  x q0
+  jmp d
+block d:
+  ret
+}}
+"""
+
+BRANCH_ON_FOLDED = "block a:\n  %x = {op}\n  br %x, b, c\nblock b:\n  x q0\n  jmp c\nblock c:\n  mz q0 -> r0\n  output result r0\n  ret"
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        BRANCH_ON_ARG.format(arg=3),
+        BRANCH_ON_ARG.format(arg=0),
+        wrap(BRANCH_ON_FOLDED.format(op="add 1, 2"), qubits=1, results=1),
+        wrap(BRANCH_ON_FOLDED.format(op="sub 2, 2"), qubits=1, results=1),
+    ],
+    ids=["arg-3", "arg-0", "folded-3", "folded-0"],
+)
+def test_branch_on_int_literal_takes_the_arm_the_oracle_takes(src):
+    m = parse(src)
+    program = toolchain.compile_module(m).program
+    expected = oracle.enumerate_module(m)
+    assert len(expected) == 1
+    assert max_distribution_error(expected, emulator.enumerate_outcomes(program)) < 1e-12
 
 
 # -- peephole -------------------------------------------------------------------
