@@ -193,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CompileError, BudgetExceeded, RegisterPressureExceeded, ValueError, OSError) as e:
+    except CompileError as e:  # each diagnostic starts with its own severity
+        print("\n".join(map(str, e.diagnostics)), file=sys.stderr)
+        return 1
+    except (ParseError, BudgetExceeded, RegisterPressureExceeded, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,40 +1,46 @@
-"""Shot-based execution of lowered programs with stochastic Pauli noise.
+"""Batched execution of lowered programs with stochastic Pauli noise.
 
-A shot walks the flat item list with a state vector, a result-slot file, K
-integer registers (all zero-initialized), and the current ion placement.
-Noise is trajectory-based: depolarizing after gates, dephasing per executed
-transport step and per idle layer, classical flips on measurement records
-and resets, and a systematic over-rotation added to every rotation angle.
+One interpreter, ``_walk``, runs the flat item list once for a batch of
+rows. A batch holds a (B, 2**n) state, (B, K) registers (all zero at the
+start), (B, R) result slots, each row's ion placement and its counters.
+Each item's guard becomes a row mask: an all-false mask skips the item
+together with the run of following items that share its guard, and a
+partial mask runs the item on the gathered rows.
+
+Noise is trajectory-based, drawn once per draw site for the rows that
+reach it: depolarizing after gates, dephasing per executed transport step
+and per idle layer, classical flips on measurement records and resets, and
+a systematic over-rotation added to every rotation angle.
 
 Transport items carry the entry predicate of their chain. In conditional
 mode a false predicate skips the steps entirely (no counter increase, no
 transport dephasing); in always mode every transport item executes and only
 gates, measurements and classical operations remain predicated.
 
-There is one interpreter of the compiled program, ``_walk``, and it serves
-both sampling and exact enumeration; they differ only at a measurement or
-reset. A shot draws the outcome from its RNG. ``enumerate_outcomes`` passes
-no RNG: the walk stops where both outcomes stay live, and the enumerator
-forks the path and resumes each arm from the next operation. It returns the
+The rows are shots when sampling and paths when enumerating; they differ
+only at a measurement or reset. A shot draws the outcome from its batch's
+RNG. ``enumerate_outcomes`` passes no RNG: a path with two live outcomes
+forks into two rows, each weighted by its arm's probability. It returns the
 exact noiseless output distribution, within a branching budget.
 
-Determinism: shot ``i`` draws from ``SeedSequence(master_seed, spawn_key=(i,))``,
-so results are independent of parallelism and always merged in shot order.
+Determinism: shots run in batches of the fixed size ``SHOT_BATCH``, and
+batch ``b`` draws from ``SeedSequence(master_seed, spawn_key=(b,))``, so
+results do not depend on the number of worker processes and are always
+merged in shot order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
-from dataclasses import dataclass
-from itertools import chain, islice
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import gates as G
-from .ir import OUTPUT_TOKEN, BinOp, Cmp, ReadResult
+from .ir import OUTPUT_TOKEN, BinOp, ReadResult
 from .oracle import PRUNE_EPS, TooManyBranches
-from .passes import _eval_binop, _eval_cmp
 from .predication import OrVal, Select
 from .qccd import (
     ClassicalItem,
@@ -42,7 +48,6 @@ from .qccd import (
     LayerItem,
     MarkItem,
     OutputItem,
-    PlacedOp,
     TransportItem,
     apply_step,
 )
@@ -106,124 +111,175 @@ class ShotResult:
     seed: int
 
 
-_BIT_INDEX_CACHE: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
+ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
+FUSE_QUBITS = 4  # a layer's gates are applied as unitaries on at most this many qubits each
 
 
-def _bit_indices(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    cached = _BIT_INDEX_CACHE.get(n)
-    if cached is not None:
-        return cached
-    out = []
-    idx = np.arange(1 << n)
-    for q in range(n):
-        zeros = idx[(idx >> q) & 1 == 0]
-        out.append((zeros, zeros | (1 << q)))
-    _BIT_INDEX_CACHE[n] = out
-    return out
+@functools.cache
+def _axes(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order that puts ``qubits`` last in a (rows, 2, ..., 2) state, and its inverse."""
+    last = [n - q for q in qubits]  # axis 1 holds the top qubit n - 1
+    order = (0, *(a for a in range(1, n + 1) if a not in last), *last)
+    return order, tuple(np.argsort(order).tolist())
 
 
-def apply_1q(state: np.ndarray, u: np.ndarray, q: int, n: int) -> None:
-    i0, i1 = _bit_indices(n)[q]
-    a0 = state[i0]
-    a1 = state[i1]
-    state[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    state[i1] = u[1, 0] * a0 + u[1, 1] * a1
+# Batched kernels: ``states`` is (rows, 2**n), one state vector per row, and
+# the noise kernels take one uniform draw per row (and per qubit for dephasing).
+
+def apply_unitary(states: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
+    """Apply ``u`` to ``qubits`` of every row; ``qubits[0]`` is the top bit of u's index."""
+    order, inverse = _axes(n, qubits)
+    v = states.reshape((len(states),) + (2,) * n).transpose(order)
+    out = v.reshape(-1, len(u)) @ u.T
+    states[:] = out.reshape(v.shape).transpose(inverse).reshape(states.shape)
 
 
-def apply_depolarizing(state: np.ndarray, qubits: tuple[int, ...], p: float, n: int, rng: np.random.Generator) -> None:
-    """With probability p, a uniformly random non-identity Pauli on the operands."""
-    if p <= 0.0 or rng.random() >= p:
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _apply_paulis(states: np.ndarray, rows: np.ndarray, xmask: np.ndarray, zmask: np.ndarray, n_y: np.ndarray) -> None:
+    """Row ``rows[j]`` gets i**n_y[j] X^xmask[j] Z^zmask[j] (masks over qubit bits)."""
+    idx = np.arange(states.shape[1])
+    sub = states[rows] * np.where(np.bitwise_count(idx & zmask[:, None]) & 1, -1.0, 1.0)
+    states[rows] = np.take_along_axis(sub, idx ^ xmask[:, None], axis=1) * _I_POWERS[n_y % 4][:, None]
+
+
+def apply_depolarizing(states: np.ndarray, qubits: tuple[int, ...], p: float, u: np.ndarray) -> None:
+    """A uniformly random non-identity Pauli on the operands of each row whose draw ``u`` is below p."""
+    rows = (u < p).nonzero()[0]
+    if not len(rows):
         return
+    # below p, u / p is uniform on [0, 1) again, and picks the Pauli
     n_paulis = 4 ** len(qubits) - 1
-    choice = int(rng.integers(1, n_paulis + 1))
+    choice = 1 + np.minimum((u[rows] / p * n_paulis).astype(np.int64), n_paulis - 1)
+    xmask = np.zeros(len(rows), np.int64)
+    zmask = np.zeros(len(rows), np.int64)
     for q in qubits:
-        pauli = choice & 3
+        pauli = choice & 3  # 1 = X, 2 = Y = iXZ, 3 = Z
         choice >>= 2
-        if pauli == 1:
-            apply_1q(state, G.X, q, n)
-        elif pauli == 2:
-            apply_1q(state, G.Y, q, n)
-        elif pauli == 3:
-            apply_1q(state, G.Z, q, n)
+        xmask |= ((pauli == 1) | (pauli == 2)).astype(np.int64) << q
+        zmask |= (pauli >= 2).astype(np.int64) << q
+    _apply_paulis(states, rows, xmask, zmask, np.bitwise_count(xmask & zmask))
 
 
-def apply_dephasing(state: np.ndarray, q: int, p: float, n: int, rng: np.random.Generator) -> None:
-    if p > 0.0 and rng.random() < p:
-        apply_1q(state, G.Z, q, n)
+def apply_dephasing(states: np.ndarray, qubits: tuple[int, ...], p: float, u: np.ndarray) -> None:
+    """A Z on qubit ``qubits[j]`` of each row whose draw ``u[:, j]`` is below p (a qubit may repeat)."""
+    hits = u < p
+    rows = hits.any(1).nonzero()[0]
+    if len(rows):
+        zmask = np.bitwise_xor.reduce(np.where(hits[rows], 1 << np.array(qubits), 0), axis=1)
+        zero = np.zeros_like(zmask)
+        _apply_paulis(states, rows, zero, zmask, zero)
 
 
-def _fetch(v, regs: list):
-    if isinstance(v, PReg):
-        return regs[v.index]
-    return v
+_NP_OPS = {
+    "and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor, "add": np.add, "sub": np.subtract,
+    "mul": np.multiply, "eq": np.equal, "ne": np.not_equal, "lt": np.less, "le": np.less_equal,
+    "gt": np.greater, "ge": np.greater_equal,
+}
 
 
-def _exec_classical(instrs: tuple, regs: list, slots: list[int]) -> None:
+def _exec_classical(instrs: tuple, regs: np.ndarray, slots: np.ndarray) -> None:
+    """Run classical instructions on every row of ``regs`` (rows, K) and ``slots`` (rows, R).
+
+    Integer registers wrap at 64 bits like ``wrap_i64``; in a float register
+    file, ``and``/``or``/``xor`` truncate their operands to integers first.
+    """
+
+    def fetch(v):
+        return regs[:, v.index] if type(v) is PReg else v
+
     for ins in instrs:
-        if isinstance(ins, BinOp):
-            regs[ins.dst.index] = _eval_binop(ins.op, _fetch(ins.a, regs), _fetch(ins.b, regs))
-        elif isinstance(ins, Cmp):
-            regs[ins.dst.index] = _eval_cmp(ins.op, _fetch(ins.a, regs), _fetch(ins.b, regs))
-        elif isinstance(ins, Select):
-            regs[ins.dst.index] = _fetch(ins.a, regs) if bool(_fetch(ins.cond, regs)) else _fetch(ins.b, regs)
-        elif isinstance(ins, ReadResult):
-            regs[ins.dst.index] = bool(slots[ins.slot])
-        else:  # pragma: no cover
-            raise TypeError(f"cannot execute {ins!r}")
+        if type(ins) is ReadResult:
+            value = slots[:, ins.slot]
+        elif type(ins) is Select:
+            value = np.where(fetch(ins.cond) != 0, fetch(ins.a), fetch(ins.b))
+        else:
+            a, b = fetch(ins.a), fetch(ins.b)
+            if type(ins) is BinOp and ins.op in ("and", "or", "xor") and regs.dtype.kind == "f":
+                a, b = np.asarray(a).astype(np.int64), np.asarray(b).astype(np.int64)
+            value = _NP_OPS[ins.op](a, b)
+        regs[:, ins.dst.index] = value
 
 
-def shot_seed(master_seed: int, shot_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master_seed, spawn_key=(shot_index,))
+def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(master_seed, spawn_key=(batch_index,))
 
 
 # ---------------------------------------------------------------------------
-# Compiled runtime: the item loop is the hot path, so items are lowered once
-# into tag/tuple form with index arrays and unitary entries precomputed.
+# Compiled runtime: items are lowered once into tag/tuple form, with guards
+# as register indices and index arrays and unitaries precomputed. A layer
+# draws its uniforms as one (rows, width) array; each draw site owns a column.
 # ---------------------------------------------------------------------------
 
 _MARK, _CLASSICAL, _TRANSPORT, _LAYER, _OUTPUT = range(5)
-_OP_1Q, _OP_CX, _OP_MEASURE, _OP_RESET = range(4)
+_OP_MEASURE, _OP_RESET = range(2)
+_ALL = slice(None)  # every row of a batch
+_CODE = {kind: 2 + i for i, kind in enumerate(OUTPUT_TOKEN)}  # output codes; 0 and 1 are result bits
+_DECODE = (0, 1, *OUTPUT_TOKEN.values())
 
 
 def _cguard(g):
+    """None runs every row; a register index or a tuple of them (an OR) gives a row mask."""
     if isinstance(g, bool):
-        return None if g else False  # False guard never runs
+        return None if g else ()
     if isinstance(g, PReg):
         return g.index
     if isinstance(g, OrVal):
-        return tuple(_cguard(p) for p in g.parts)
+        parts = [_cguard(p) for p in g.parts]
+        if any(p is None for p in parts):
+            return None
+        return tuple(r for p in parts for r in (p if isinstance(p, tuple) else (p,)))
     raise TypeError(f"bad exec guard {g!r}")
 
 
-def _geval(g, regs) -> bool:
-    if g is None:
-        return True
-    if g is False:
-        return False
-    if type(g) is int:
-        return bool(regs[g])
-    return any(_geval(p, regs) for p in g)
+@functools.cache
+def _collapse_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    idx = np.arange(1 << n)
+    bit = (idx >> q) & 1 == 1
+    sel = np.stack([~bit, bit], axis=1).astype(float)  # state weights @ sel = (p0, p1) per row
+    return sel, bit, idx ^ (1 << q)
 
 
-def _compile_op(op: PlacedOp, n: int, overrot: float, j: int):
-    """One op in tag/tuple form; a measurement or reset keeps its index ``j`` in the layer."""
-    i0, i1 = _bit_indices(n)[op.qubits[0]]
-    if op.kind == "gate":
-        if op.name == "cx":
-            c, t = op.qubits
-            idx = np.arange(1 << n)
-            sel = ((idx >> c) & 1 == 1) & ((idx >> t) & 1 == 0)
-            j0 = idx[sel]
-            j1 = j0 | (1 << t)
-            return (_OP_CX, j0, j1, op)
-        angle = op.angle
-        if angle is not None:
-            angle = float(angle) + overrot
-        u = G.gate_unitary(op.name, angle)
-        return (_OP_1Q, i0, i1, complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]), op)
-    if op.kind == "measure":
-        return (_OP_MEASURE, i0, i1, op.qubits[0], op.slot, j)
-    return (_OP_RESET, i0, i1, op.qubits[0], None, j)
+def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
+    """Everything of a layer item but its guard.
+
+    Ops in a layer act on disjoint qubits and commute, so the gates run
+    first, fused into unitaries on up to FUSE_QUBITS qubits; each gate's
+    depolarizing follows, then the measurements and resets.
+    """
+    fused: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    depolarize, collapses = [], []
+    col = 0  # next column of the layer's uniforms
+    for op in item.ops:
+        if op.kind == "gate":
+            angle = None if op.angle is None else float(op.angle) + noise.prep_overrotation
+            u, qubits = G.gate_unitary(op.name, angle), op.qubits
+            if fused and len(fused[-1][1]) + len(qubits) <= FUSE_QUBITS:
+                a, top = fused.pop()  # kron(a, u): a's qubits are the top bits
+                u, qubits = (a[:, None, :, None] * u[None, :, None, :]).reshape(len(a) * len(u), -1), top + qubits
+            fused.append((u, qubits))
+            p = noise.p2 if op.name == "cx" else noise.p1
+            if p > 0.0:
+                depolarize.append((op.qubits, p, col))
+                col += 1
+        else:
+            p = noise.p_meas if op.kind == "measure" else noise.p_reset
+            tag = _OP_MEASURE if op.kind == "measure" else _OP_RESET
+            collapses.append((tag, op.qubits[0], op.slot, *_collapse_tables(n, op.qubits[0]), p, col))
+            col += 1 + (p > 0.0)
+    idle = item.idle_qubits if noise.p_idle > 0.0 else ()
+    qs, slots = np.array(item.expected_slots, dtype=np.int64).reshape(-1, 2).T
+    n_gates = sum(op.kind == "gate" for op in item.ops)
+    return qs, slots, tuple(fused), tuple(depolarize), tuple(collapses), idle, col, col + len(idle), n_gates
+
+
+def _compile_transport(steps: tuple, slots: int) -> tuple:
+    perm = tuple(range(slots))  # composed slot permutation: where something starting at slot s ends up
+    for st in steps:
+        perm = apply_step(perm, st)
+    return np.array(perm), len(steps)
 
 
 @dataclass
@@ -231,225 +287,246 @@ class _Runtime:
     n_qubits: int
     n_results: int
     n_regs: int
+    n_outputs: int
+    reg_dtype: type
     canonical: tuple[int, ...]
-    conditional: bool
     noise: NoiseModel
     items: list
+    run_end: list[int]  # first item after k whose guard differs from item k's
+    run_marks: list[int]  # marks from item k to run_end[k]
 
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     n = prog.n_qubits
     items: list = []
+    n_outputs = 0
+    floats = False
+    bodies: dict = {}  # layers and transport steps repeat; each distinct one compiles once
     for item in prog.items:
-        if isinstance(item, MarkItem):
-            items.append((_MARK, _cguard(item.guard)))
-        elif isinstance(item, ClassicalItem):
-            items.append((_CLASSICAL, _cguard(item.guard), item.instrs))
-        elif isinstance(item, TransportItem):
-            # composed slot permutation: where something starting at slot s ends up
-            perm = tuple(range(prog.trap.slots))
-            for st in item.steps:
-                perm = apply_step(perm, st)
-            items.append((_TRANSPORT, _cguard(item.guard), perm, len(item.steps), item.steps))
-        elif isinstance(item, LayerItem):
-            ops = tuple(_compile_op(op, n, noise.prep_overrotation, j) for j, op in enumerate(item.ops))
-            items.append((_LAYER, _cguard(item.guard), item.expected_slots, ops, item.idle_qubits, len(items)))
-        elif isinstance(item, OutputItem):
-            token = None if item.kind == "result" else OUTPUT_TOKEN[item.kind]
-            items.append((_OUTPUT, _cguard(item.guard), token, item.slot))
+        kind = type(item)
+        g = _cguard(item.guard)
+        if kind is LayerItem:
+            key = (item.ops, item.expected_slots, item.idle_qubits)
+            if key not in bodies:
+                bodies[key] = _compile_layer(item, n, noise)
+            items.append((_LAYER, g, *bodies[key]))
+        elif kind is MarkItem:
+            items.append((_MARK, g))
+        elif kind is ClassicalItem:
+            items.append((_CLASSICAL, g, item.instrs))
+            floats |= any(type(i) in (BinOp, Select) and float in (type(i.a), type(i.b)) for i in item.instrs)
+        elif kind is TransportItem:
+            if item.steps not in bodies:
+                bodies[item.steps] = _compile_transport(item.steps, prog.trap.slots)
+            items.append((_TRANSPORT, g if prog.conditional_transport else None, *bodies[item.steps]))
+        elif kind is OutputItem:
+            items.append((_OUTPUT, g, _CODE.get(item.kind), item.slot, n_outputs))
+            n_outputs += 1
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {item!r}")
-    return _Runtime(n, prog.n_results, prog.n_regs, prog.canonical, prog.conditional_transport, noise, items)
+    run_end = [0] * (len(items) + 1)
+    run_marks = [0] * (len(items) + 1)
+    for k in reversed(range(len(items))):
+        same = k + 1 < len(items) and items[k + 1][1] == items[k][1]
+        run_end[k] = run_end[k + 1] if same else k + 1
+        run_marks[k] = (items[k][0] == _MARK) + (run_marks[k + 1] if same else 0)
+    dtype = np.float64 if floats else np.int64
+    return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, items, run_end, run_marks)
 
 
 @dataclass
-class _Path:
-    """What a walk carries: the state, the classical record and the counters."""
+class _Batch:
+    """Per-row arrays of a batch: a row is a shot when sampling and a path when enumerating."""
 
-    state: np.ndarray
-    slots: list[int]
-    regs: list
-    outputs: list
-    measures: list[int]
-    placement: tuple[int, ...]
-    transport: int = 0
-    gates: int = 0
-    skipped: int = 0
-    prob: float = 1.0
-    branch_events: int = 0
+    state: np.ndarray  # (B, 2**n) amplitudes
+    regs: np.ndarray  # (B, K) registers, float64 when the program has a float literal
+    slots: np.ndarray  # (B, R) result slots
+    place: np.ndarray  # (B, n) trap slot of each qubit
+    measures: np.ndarray  # (B, n) measurements per qubit
+    out: np.ndarray  # (B, outputs) output code per output item, -1 where its guard was false
+    transport: np.ndarray  # (B,) executed transport steps
+    gates: np.ndarray  # (B,) executed gates
+    skipped: np.ndarray  # (B,) block marks whose guard was false
+    weight: np.ndarray  # (B,) path probability
+    events: np.ndarray  # (B,) branch events on the path
 
     @staticmethod
-    def start(rt: _Runtime) -> "_Path":
-        return _Path(
-            _initial_state(rt.n_qubits), [0] * rt.n_results, [0] * rt.n_regs, [], [0] * rt.n_qubits, rt.canonical
+    def start(rt: _Runtime, rows: int) -> "_Batch":
+        state = np.zeros((rows, 1 << max(rt.n_qubits, 1)), dtype=complex)
+        state[:, 0] = 1.0
+        counter = lambda: np.zeros(rows, np.int64)  # noqa: E731
+        return _Batch(
+            state, np.zeros((rows, rt.n_regs), rt.reg_dtype), np.zeros((rows, rt.n_results), np.int8),
+            np.tile(np.array(rt.canonical, dtype=np.int64), (rows, 1)), np.zeros((rows, rt.n_qubits), np.int64),
+            np.full((rows, rt.n_outputs), -1, np.int8), counter(), counter(), counter(), np.ones(rows), counter(),
         )
 
-    def fork(self, state: np.ndarray, weight: float) -> "_Path":
-        """This path continued on one arm of a branch event, in ``state`` with probability ``weight``."""
-        return _Path(
-            state, self.slots[:], self.regs[:], self.outputs[:], self.measures[:], self.placement,
-            self.transport, self.gates, self.skipped, self.prob * weight, self.branch_events + 1,
-        )
+    def take(self, rows) -> "_Batch":
+        return _Batch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def fork(self, parents: np.ndarray) -> np.ndarray:
+        """Append a copy of each parent row; returns the new rows' indices."""
+        first = len(self.weight)
+        for f in fields(self):
+            a = getattr(self, f.name)
+            setattr(self, f.name, np.concatenate([a, a[parents]]))
+        return np.arange(first, len(self.weight))
+
+    def outputs(self) -> list[tuple]:
+        return [tuple(_DECODE[v] for v in row if v >= 0) for row in self.out.tolist()]
 
 
-def _walk(
-    rt: _Runtime, path: _Path, rng: np.random.Generator | None, pos: int = 0, op_start: int = 0
-) -> tuple | None:
-    """Run ``path`` from op ``op_start`` of item ``pos`` to the end of the program.
+def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int = 0,
+          max_events: int = 0, max_rows: int = 0) -> int | None:
+    """Run every row of ``b`` from item ``start`` to the end of the program.
 
-    With an RNG every measurement and reset outcome is drawn and the walk
-    returns None at the end. Without one (noiseless enumeration) an outcome
-    is taken only when a single arm is live; at the first measurement or
-    reset with two live arms the walk stops and returns ``(pos, op)``.
+    With an RNG every measurement and reset outcome is drawn per row.
+    Without one (noiseless enumeration) a row with two live outcomes forks.
+    Returns None at the end, or the item to resume from once the batch has
+    grown past ``max_rows`` rows.
     """
-    rng_random = rng.random if rng is not None else None
-    n = rt.n_qubits
-    noise = rt.noise
-    noiseless = noise.is_noiseless
-    conditional = rt.conditional
-    state = path.state
-    slots = path.slots
-    regs = path.regs
-    outputs = path.outputs
-    measures = path.measures
-    placement = path.placement
-    transport_steps = path.transport
-    gates = path.gates
-    skipped = path.skipped
     items = rt.items
-    if op_start:  # resume inside a layer whose guard and zones already passed
-        layer = items[pos]
-        items = chain([(_LAYER, None, (), layer[3][op_start:], layer[4], pos)], islice(items, pos + 1, None))
-
-    try:  # counters stay in locals for speed; both exits, the end and a fork, write them back
-        for item in items:
-            tag = item[0]
-            if tag == _LAYER:
-                if not _geval(item[1], regs):
-                    continue
-                for q, slot in item[2]:
-                    if placement[q] != slot:
-                        raise ZoneViolation(f"qubit {q} at slot {placement[q]}, plan expected {slot}")
-                for op in item[3]:
-                    otag = op[0]
-                    if otag == _OP_1Q:
-                        i0, i1 = op[1], op[2]
-                        a0 = state[i0]
-                        a1 = state[i1]
-                        state[i0] = op[3] * a0 + op[4] * a1
-                        state[i1] = op[5] * a0 + op[6] * a1
-                        gates += 1
-                        if not noiseless:
-                            apply_depolarizing(state, op[7].qubits, noise.p1, n, rng)
-                    elif otag == _OP_CX:
-                        i0, i1 = op[1], op[2]
-                        tmp = state[i0].copy()
-                        state[i0] = state[i1]
-                        state[i1] = tmp
-                        gates += 1
-                        if not noiseless:
-                            apply_depolarizing(state, op[3].qubits, noise.p2, n, rng)
-                    elif otag == _OP_MEASURE:
-                        i1 = op[2]
-                        probs = np.abs(state) ** 2
-                        p1 = float(probs[i1].sum())
-                        norm = float(probs.sum())
-                        if abs(norm - 1.0) > 1e-9:
-                            raise FloatingPointError(f"state norm drifted to {norm}")
-                        if rng is None:
-                            if p1 > PRUNE_EPS and float(probs[op[1]].sum()) > PRUNE_EPS:
-                                return item[5], op
-                            outcome = 1 if p1 > PRUNE_EPS else 0
-                        else:
-                            outcome = 1 if rng_random() < p1 else 0
-                        if outcome:
-                            state[op[1]] = 0.0
-                            state /= np.sqrt(p1)
-                        else:
-                            state[i1] = 0.0
-                            state /= np.sqrt(1.0 - p1)
-                        recorded = outcome
-                        if not noiseless and noise.p_meas > 0.0 and rng_random() < noise.p_meas:
-                            recorded ^= 1
-                        slots[op[4]] = recorded
-                        measures[op[3]] += 1
-                    else:  # reset
-                        i0, i1 = op[1], op[2]
-                        p1 = float(np.sum(np.abs(state[i1]) ** 2))
-                        if rng is None:
-                            if p1 > PRUNE_EPS and float(np.sum(np.abs(state[i0]) ** 2)) > PRUNE_EPS:
-                                return item[5], op
-                            outcome = 1 if p1 > PRUNE_EPS else 0
-                        else:
-                            outcome = 1 if rng_random() < p1 else 0
-                        if outcome:
-                            state[i0] = state[i1]
-                            state[i1] = 0.0
-                            state /= np.sqrt(p1)
-                        else:
-                            state[i1] = 0.0
-                            state /= np.sqrt(1.0 - p1)
-                        if not noiseless and noise.p_reset > 0.0 and rng_random() < noise.p_reset:
-                            a0 = state[i0].copy()
-                            state[i0] = state[i1]
-                            state[i1] = a0
-                if not noiseless and noise.p_idle > 0.0:
-                    for q in item[4]:
-                        apply_dephasing(state, q, noise.p_idle, n, rng)
-            elif tag == _CLASSICAL:
-                if _geval(item[1], regs):
-                    _exec_classical(item[2], regs, slots)
-            elif tag == _TRANSPORT:
-                if not conditional or _geval(item[1], regs):
-                    perm = item[2]
-                    placement = tuple(perm[s] for s in placement)
-                    transport_steps += item[3]
-                    if not noiseless and noise.p_transport > 0.0:
-                        for _step in item[4]:
-                            for q in range(n):
-                                apply_dephasing(state, q, noise.p_transport, n, rng)
-            elif tag == _MARK:
-                if not _geval(item[1], regs):
-                    skipped += 1
-            else:  # output
-                if _geval(item[1], regs):
-                    outputs.append(slots[item[3]] if item[2] is None else item[2])
-    finally:
-        path.placement = placement
-        path.transport = transport_steps
-        path.gates = gates
-        path.skipped = skipped
+    p_transport = rt.noise.p_transport
+    qubits = tuple(range(rt.n_qubits))
+    k = start
+    while k < len(items):
+        item = items[k]
+        g = item[1]
+        rows = len(b.weight)
+        if max_rows and rows > max_rows:
+            return k
+        m = None
+        R = _ALL
+        if g is not None:
+            m = b.regs[:, g] != 0
+            if type(g) is tuple:
+                m = m.any(1)
+            c = np.count_nonzero(m)
+            if c == 0:  # nothing in the run executes, so the guard stays false through it
+                b.skipped += rt.run_marks[k]
+                k = rt.run_end[k]
+                continue
+            if c < rows:
+                R = m.nonzero()[0]
+        tag = item[0]
+        if tag == _LAYER:
+            _run_layer(rt, b, R, item, rng, max_events)
+        elif tag == _CLASSICAL:
+            regs = b.regs[R]
+            _exec_classical(item[2], regs, b.slots[R])
+            if R is not _ALL:
+                b.regs[R] = regs
+        elif tag == _TRANSPORT:
+            b.place[R] = item[2][b.place[R]]
+            b.transport[R] += item[3]
+            if p_transport > 0.0:
+                st = b.state[R]
+                apply_dephasing(st, qubits * item[3], p_transport, rng.random((len(st), len(qubits) * item[3])))
+                b.state[R] = st
+        elif tag == _MARK:
+            if m is not None:
+                b.skipped += ~m
+        else:  # output
+            b.out[R, item[4]] = b.slots[R, item[3]] if item[2] is None else item[2]
+        k += 1
     return None
 
 
-def _run_compiled(rt: _Runtime, master_seed: int, shot_index: int) -> ShotResult:
-    path = _Path.start(rt)
-    _walk(rt, path, np.random.Generator(np.random.PCG64(shot_seed(master_seed, shot_index))))
-    return ShotResult(
-        outputs=tuple(path.outputs),
-        slots=tuple(path.slots),
-        executed_transport_steps=path.transport,
-        executed_gates=path.gates,
-        skipped_blocks=path.skipped,
-        measures_per_qubit=tuple(path.measures),
-        seed=shot_index,
-    )
+def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng, max_events: int) -> None:
+    _, _, qs, expected, fused, depolarize, collapses, idle, idle_col, width, n_gates = item
+    n = rt.n_qubits
+    if len(qs):
+        bad = b.place[R][:, qs] != expected
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise ZoneViolation(f"qubit {qs[j]} at slot {b.place[R][row, qs[j]]}, plan expected {expected[j]}")
+    b.gates[R] += n_gates
+    st = b.state if R is _ALL else b.state[R]  # kernels work in place on st
+    u = rng.random((len(st), width)) if rng is not None and width else None
+    for unitary, qubits in fused:
+        apply_unitary(st, unitary, qubits, n)
+    for qubits, p, col in depolarize:
+        apply_depolarizing(st, qubits, p, u[:, col])
+    for op in collapses:
+        st, R = _collapse(b, R, st, op, u, max_events)
+    if idle:
+        apply_dephasing(st, idle, rt.noise.p_idle, u[:, idle_col:])
+    if R is not _ALL:
+        b.state[R] = st
+
+
+def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None, max_events: int):
+    """Measure or reset one qubit in every row of ``st``; returns ``st`` and ``R`` after any forks."""
+    otag, q, slot, sel, bit, flip, p_noise, col = op
+    p = np.abs(st) ** 2 @ sel  # (rows, 2): weight of the |0> and |1> arms
+    norm = p.sum(1)
+    drift = np.abs(norm - 1.0)
+    if drift.max() > 1e-9:
+        raise FloatingPointError(f"state norm drifted to {norm[drift.argmax()]}")
+    if u is not None:
+        one = u[:, col] * norm < p[:, 1]
+    else:
+        live = p > PRUNE_EPS
+        one = ~live[:, 0]  # only the |1> arm is live
+        both = live.all(1)
+        for j in both.nonzero()[0] if otag == _OP_RESET else ():
+            # a reset whose two arms leave the same state up to phase does not branch
+            arm0 = st[j] * ~bit / math.sqrt(p[j, 0])
+            arm1 = (st[j] * bit / math.sqrt(p[j, 1]))[flip]
+            both[j] = not G.equal_up_to_phase(arm0, arm1)
+        if both.any():
+            parents = both.nonzero()[0] if R is _ALL else R[both]
+            new = b.fork(parents)
+            b.weight[parents] *= p[both, 0]
+            b.weight[new] *= p[both, 1]
+            b.events[parents] += 1
+            b.events[new] += 1
+            if b.events[new].max() > max_events:
+                raise TooManyBranches(f"more than {max_events} branch events on a path")
+            if R is _ALL:
+                st = b.state
+            else:
+                st = np.concatenate([st, st[both]])
+                R = np.concatenate([R, new])
+            p = np.concatenate([p, p[both]])
+            one = np.concatenate([one, np.ones(len(new), bool)])
+    st *= (bit == one[:, None]) / np.sqrt(np.where(one, p[:, 1], p[:, 0]))[:, None]
+    if p_noise > 0.0:  # a flipped record, or a reset that leaves |1>
+        one = one ^ (u[:, col + 1] < p_noise)
+    if otag == _OP_MEASURE:
+        b.slots[R, slot] = one
+        b.measures[R, q] += 1
+    elif one.any():  # a reset flips |1> to |0>
+        st[one] = st[one][:, flip]
+    return st, R
+
+
+def _run_batch(rt: _Runtime, master_seed: int, batch_index: int, rows: int) -> list[ShotResult]:
+    b = _Batch.start(rt, rows)
+    _walk(rt, b, np.random.Generator(np.random.PCG64(batch_seed(master_seed, batch_index))))
+    first = batch_index * SHOT_BATCH
+    return [
+        ShotResult(out, tuple(slots), transport, gates, skipped, tuple(measures), first + j)
+        for j, (out, slots, transport, gates, skipped, measures) in enumerate(zip(
+            b.outputs(), b.slots.tolist(), b.transport.tolist(), b.gates.tolist(), b.skipped.tolist(),
+            b.measures.tolist(),
+        ))
+    ]
 
 
 def run_shot(prog: ExecProgram, noise: NoiseModel, master_seed: int, shot_index: int) -> ShotResult:
-    return _run_compiled(_compile_runtime(prog, noise), master_seed, shot_index)
+    """One shot: ``run_shots(prog, noise, n, master_seed)[shot_index]`` for any n that fills its batch."""
+    batch, row = divmod(shot_index, SHOT_BATCH)
+    return _run_batch(_compile_runtime(prog, noise), master_seed, batch, SHOT_BATCH)[row]
 
 
-def _initial_state(n: int) -> np.ndarray:
-    state = np.zeros(1 << max(n, 1), dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def _run_range(args) -> list[ShotResult]:
-    prog, noise, master_seed, lo, hi = args
+def _run_batches(args) -> list[ShotResult]:
+    prog, noise, master_seed, n_shots, batches = args
     rt = _compile_runtime(prog, noise)
-    return [_run_compiled(rt, master_seed, i) for i in range(lo, hi)]
+    out: list[ShotResult] = []
+    for i in batches:
+        out.extend(_run_batch(rt, master_seed, int(i), min(SHOT_BATCH, n_shots - int(i) * SHOT_BATCH)))
+    return out
 
 
 def run_shots(
@@ -462,22 +539,18 @@ def run_shots(
     """n_shots independent shots; identical results for any jobs value."""
     if n_shots < 1:
         raise ValueError("need at least one shot")
-    if jobs <= 1 or n_shots < 4 * jobs:
-        rt = _compile_runtime(prog, noise)
-        return [_run_compiled(rt, master_seed, i) for i in range(n_shots)]
-    bounds = np.linspace(0, n_shots, jobs + 1, dtype=int)
-    chunks = [(prog, noise, master_seed, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    n_batches = -(-n_shots // SHOT_BATCH)
+    parts = np.array_split(np.arange(n_batches), max(1, min(jobs, n_batches)))
+    if len(parts) == 1:
+        return _run_batches((prog, noise, master_seed, n_shots, parts[0]))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        parts = pool.map(_run_range, chunks)
-    out: list[ShotResult] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    with ctx.Pool(processes=len(parts)) as pool:
+        done = pool.map(_run_batches, [(prog, noise, master_seed, n_shots, part) for part in parts])
+    return [shot for part in done for shot in part]
 
 
 # ---------------------------------------------------------------------------
-# Exact noiseless enumeration: the same walk, forked at every live branch
+# Exact noiseless enumeration: the same walk, with paths as rows
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -491,42 +564,24 @@ class ExecLeaf:
 
 
 def enumerate_exec_leaves(prog: ExecProgram, max_branch_events: int = 20) -> list[ExecLeaf]:
-    """All terminal paths of a lowered program with exact probabilities, depth first, outcome 0 first."""
+    """All terminal paths of a lowered program with exact probabilities."""
     rt = _compile_runtime(prog, NOISELESS)
+    max_rows = max(1, ENUM_AMPLITUDES >> rt.n_qubits)
     leaves: list[ExecLeaf] = []
-    todo = [(_Path.start(rt), 0, 0)]
-    while todo:
-        path, pos, op_start = todo.pop()
-        stop = _walk(rt, path, None, pos, op_start)
-        if stop is None:
-            leaves.append(
-                ExecLeaf(path.prob, tuple(path.outputs), path.state, tuple(path.slots), tuple(path.regs), path.transport)
+    todo = [(_Batch.start(rt, 1), 0)]
+    while todo:  # a batch that grows too large goes on in halves, first half first
+        b, k = todo.pop()
+        k = _walk(rt, b, None, k, max_branch_events, max_rows)
+        if k is not None:
+            half = len(b.weight) // 2
+            todo += [(b.take(slice(half, None)), k), (b.take(slice(0, half)), k)]
+            continue
+        leaves.extend(
+            ExecLeaf(w, out, state, tuple(slots), tuple(regs), transport)
+            for w, out, state, slots, regs, transport in zip(
+                b.weight.tolist(), b.outputs(), b.state, b.slots.tolist(), b.regs.tolist(), b.transport.tolist()
             )
-            continue
-        pos, (otag, i0, i1, q, slot, j) = stop
-        # both arms are live: collapse onto each, and flip a reset's |1> arm back to |0>
-        arms = []
-        for o, keep, kill in ((0, i0, i1), (1, i1, i0)):
-            p = float(np.sum(np.abs(path.state[keep]) ** 2))
-            s = path.state.copy()
-            s[kill] = 0.0
-            s /= np.sqrt(p)
-            if otag == _OP_RESET and o:
-                s[i0] = s[i1]
-                s[i1] = 0.0
-            arms.append((o, p, s))
-        if otag == _OP_RESET and G.equal_up_to_phase(arms[0][2], arms[1][2]):
-            path.state = arms[0][2]
-            todo.append((path, pos, j + 1))
-            continue
-        if path.branch_events + 1 > max_branch_events:
-            raise TooManyBranches(f"more than {max_branch_events} branch events on a path")
-        for o, p, s in reversed(arms):
-            child = path.fork(s, p)
-            if otag == _OP_MEASURE:
-                child.slots[slot] = o
-                child.measures[q] += 1
-            todo.append((child, pos, j + 1))
+        )
     return leaves
 
 

@@ -54,7 +54,13 @@ from .ir import (
 
 
 class BudgetExceeded(Exception):
-    """Loop trip count or recursion depth exceeded the flatten budgets."""
+    """Loop trip count, recursion depth or entry size exceeded the flatten budgets."""
+
+
+# Blocks the entry may reach by inlining. Recursion that calls itself twice
+# doubles the entry every round: RUS recursion 10 ends at 7,162 blocks, and
+# its last round is the largest at 8,186 before folding.
+MAX_ENTRY_BLOCKS = 8192
 
 
 @dataclass(frozen=True)
@@ -559,15 +565,20 @@ def flatten(module: Module, config: FlattenConfig = FlattenConfig()) -> Module:
     Every function is settled once; each round then inlines one level of
     calls into the entry, from the settled originals, and re-settles only the
     entry. Raises BudgetExceeded when a loop needs more trips than
-    ``max_unroll`` or calls remain after ``max_inline_depth`` rounds.
+    ``max_unroll``, calls remain after ``max_inline_depth`` rounds, or a
+    round would grow the entry past ``MAX_ENTRY_BLOCKS``.
     """
     settled = {fn.name: _settle(fn, config.max_unroll) for fn in module.functions}
     inliner = _Inliner(settled)
     entry = settled[module.entry]
     rounds = 0
-    while any(isinstance(i, Call) for b in entry.blocks for i in b.body):
+    while calls := [i for b in entry.blocks for i in b.body if isinstance(i, Call)]:
         if rounds >= config.max_inline_depth:
             raise BudgetExceeded(f"calls remain after {config.max_inline_depth} inline rounds")
+        # each call adds its callee's blocks and one continuation block
+        grown = len(entry.blocks) + sum(len(settled[c.callee].blocks) + 1 for c in calls)
+        if grown > MAX_ENTRY_BLOCKS:
+            raise BudgetExceeded(f"inlining would grow the entry to {grown} blocks, budget is {MAX_ENTRY_BLOCKS}")
         entry = _settle(inliner.inline_level(entry), config.max_unroll)
         rounds += 1
     return Module(module.name, (entry,), module.entry, module.required_qubits, module.required_results)

@@ -59,6 +59,15 @@ def test_compile_back_edge_fails_with_diagnostic(tmp_path, capsys):
     assert "BACK_EDGE" in capsys.readouterr().err
 
 
+def test_compile_error_prints_each_diagnostic_once(tmp_path, capsys):
+    src = tmp_path / "loop.qir.txt"
+    src.write_text(BACK_EDGE)
+    assert main(["compile", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "error: error:" not in err
+    assert err.startswith("error: BACK_EDGE:")
+
+
 def test_compile_self_calling_entry_fails_with_budget_error(tmp_path, capsys):
     src = tmp_path / "self.qir.txt"
     src.write_text("module t\nattrs required_qubits=1 required_results=0\nfunc @main() {\nblock a:\n  call @main()\n  ret\n}\n")

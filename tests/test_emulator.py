@@ -4,15 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import max_distribution_error, random_program
 from ionflow import gates as G
-from ionflow import oracle, textir
+from ionflow import emulator, oracle, textir
 from ionflow.emulator import (
+    H1E_LIKE,
     NOISELESS,
+    SHOT_BATCH,
     NoiseModel,
     ZoneViolation,
-    apply_1q,
+    apply_unitary,
     apply_depolarizing,
     apply_dephasing,
     enumerate_exec_leaves,
@@ -20,7 +23,7 @@ from ionflow.emulator import (
     run_shot,
     run_shots,
 )
-from ionflow.experiments import BASES, MsdConfig, build_msd
+from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.qccd import ALWAYS, CONDITIONAL, LayerItem
 from ionflow.toolchain import compile_module
 
@@ -30,12 +33,12 @@ def compile_src(body: str, qubits=2, results=2, **kw):
     return compile_module(textir.parse(src), **kw)
 
 
-# -- gate application -----------------------------------------------------------
+# -- gate application (batched: one state per row) --------------------------------
 
 def test_h_on_zero_gives_plus():
-    state = np.array([1, 0], dtype=complex)
-    apply_1q(state, G.H, 0, 1)
-    assert np.allclose(state, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    states = np.array([[1, 0], [0, 1]], dtype=complex)
+    apply_unitary(states, G.H, (0,), 1)
+    assert np.allclose(states, [[1 / math.sqrt(2), 1 / math.sqrt(2)], [1 / math.sqrt(2), -1 / math.sqrt(2)]])
 
 
 def test_cx_flips_target_when_control_set():
@@ -49,12 +52,10 @@ def test_cx_flips_target_when_control_set():
 
 def test_rz_phase_convention():
     theta = 0.83
-    state = np.array([1, 0], dtype=complex)
-    apply_1q(state, G.rz(theta), 0, 1)
-    assert np.allclose(state[0], np.exp(-1j * theta / 2))
-    state = np.array([0, 1], dtype=complex)
-    apply_1q(state, G.rz(theta), 0, 1)
-    assert np.allclose(state[1], np.exp(+1j * theta / 2))
+    states = np.array([[1, 0], [0, 1]], dtype=complex)
+    apply_unitary(states, G.rz(theta), (0,), 1)
+    assert np.allclose(states[0, 0], np.exp(-1j * theta / 2))
+    assert np.allclose(states[1, 1], np.exp(+1j * theta / 2))
 
 
 def test_gate_norm_preserved():
@@ -78,26 +79,24 @@ def test_zone_check_raises_on_bad_placement():
         enumerate_outcomes(prog)
 
 
-# -- noise channels -------------------------------------------------------------
+# -- noise channels (batched: one state per row) ----------------------------------
 
 def test_zero_probability_is_identity():
     rng = np.random.default_rng(1)
-    state = np.array([0.6, 0.8j], dtype=complex)
-    before = state.copy()
-    apply_depolarizing(state, (0,), 0.0, 1, rng)
-    apply_dephasing(state, 0, 0.0, 1, rng)
-    assert np.array_equal(state, before)
+    states = np.array([[0.6, 0.8j], [0.8, 0.6j]], dtype=complex)
+    before = states.copy()
+    apply_depolarizing(states, (0,), 0.0, rng.random(2))
+    apply_dephasing(states, (0,), 0.0, rng.random((2, 1)))
+    assert np.array_equal(states, before)
 
 
 def test_dephasing_scales_x_expectation():
     p = 0.2
     rng = np.random.default_rng(42)
-    total = 0.0
     samples = 20000
-    for _ in range(samples):
-        state = np.array([1, 1], dtype=complex) / math.sqrt(2)
-        apply_dephasing(state, 0, p, 1, rng)
-        total += (state.conj() @ (G.X @ state)).real
+    states = np.full((samples, 2), 1 / math.sqrt(2), dtype=complex)
+    apply_dephasing(states, (0,), p, rng.random((samples, 1)))
+    total = np.einsum("bi,ij,bj->", states.conj(), G.X, states).real
     assert abs(total / samples - (1 - 2 * p)) < 0.01
 
 
@@ -107,12 +106,9 @@ def test_depolarizing_shrinks_bloch_vector():
     p = 0.3
     rng = np.random.default_rng(7)
     samples = 100000
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    total = 0.0
-    for _ in range(samples):
-        state = plus.copy()
-        apply_depolarizing(state, (0,), p, 1, rng)
-        total += (state.conj() @ (G.X @ state)).real
+    states = np.full((samples, 2), 1 / math.sqrt(2), dtype=complex)
+    apply_depolarizing(states, (0,), p, rng.random(samples))
+    total = np.einsum("bi,ij,bj->", states.conj(), G.X, states).real
     assert abs(total / samples - (1 - 4 * p / 3)) < 0.01
 
 
@@ -161,6 +157,87 @@ def test_parallel_jobs_identical():
     assert a == b
 
 
+def test_jobs_invariance_across_batch_boundaries():
+    res = compile_module(build_msd(MsdConfig(limit=1, basis="X")))
+    n = 2 * SHOT_BATCH + 17
+    one = run_shots(res.program, H1E_LIKE, n, 21, jobs=1)
+    assert len(one) == n and [s.seed for s in one] == list(range(n))
+    for jobs in (2, 3):
+        assert run_shots(res.program, H1E_LIKE, n, 21, jobs=jobs) == one, jobs
+
+
+def test_run_shot_equals_shot_of_a_run():
+    res = compile_module(build_rus(RusConfig(limit=2, style="recursion")))
+    shots = run_shots(res.program, H1E_LIKE, 2 * SHOT_BATCH + 17, 8)
+    for i in (0, SHOT_BATCH - 1, SHOT_BATCH, SHOT_BATCH + 1):
+        assert run_shot(res.program, H1E_LIKE, 8, i) == shots[i], i
+
+
+def test_noisy_shots_are_deterministic():
+    res = compile_module(build_msd(MsdConfig(limit=2, basis="Y")))
+    a = run_shots(res.program, H1E_LIKE, 300, 17)
+    assert a == run_shots(res.program, H1E_LIKE, 300, 17)
+    assert a != run_shots(res.program, H1E_LIKE, 300, 18)
+
+
+def _sampled_matches_exact(program, shots: int, seed: int) -> None:
+    """Every sampled record is possible, and no record's count lies in a 1e-9 binomial tail."""
+    dist = enumerate_outcomes(program)
+    counts = Counter(s.outputs for s in run_shots(program, NOISELESS, shots, seed))
+    assert all(dist.get(k, 0.0) > 0.0 for k in counts), set(counts) - set(dist)
+    for outcome, p in dist.items():
+        k = counts.get(outcome, 0)
+        low = scipy.stats.binom.cdf(k, shots, p)
+        high = scipy.stats.binom.sf(k - 1, shots, p)
+        assert min(low, high) > 1e-9, (outcome, k, shots, p)
+
+
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+def test_sampled_records_agree_with_enumeration_on_random_programs(mode):
+    for seed in range(50):
+        _sampled_matches_exact(compile_module(random_program(seed), mode=mode).program, 1000, seed)
+
+
+@pytest.mark.parametrize("name", ["msd-2", "rus-loop-4", "rus-recursion-4"])
+def test_sampled_records_agree_with_enumeration_on_corpus(name):
+    module = {
+        "msd-2": lambda: build_msd(MsdConfig(limit=2, basis="X")),
+        "rus-loop-4": lambda: build_rus(RusConfig(limit=4, basis="X", style="loop")),
+        "rus-recursion-4": lambda: build_rus(RusConfig(limit=4, basis="X", style="recursion")),
+    }[name]()
+    _sampled_matches_exact(compile_module(module).program, 4000, 3)
+
+
+def test_float_classical_values_are_not_truncated():
+    # with m = 1, f = 2.5 fails the cmp; an integer register file would hold
+    # 2 and pass it, so the then-arm's x q1 would run in both outcomes
+    body = """
+block e:
+  h q0
+  mz q0 -> r0
+  %m = read_result r0
+  %f = add %m, 1.5
+  %c = cmp lt %f, 2.2
+  br %c, a, b
+block a:
+  x q1
+  jmp b
+block b:
+  mz q1 -> r1
+  output result r0
+  output result r1
+  ret
+"""
+    src = f"module t\nattrs required_qubits=2 required_results=2\nfunc @main() {{\n{body}\n}}\n"
+    module = textir.parse(src)
+    want = oracle.enumerate_module(module)
+    assert max_distribution_error(want, {(0, 1): 0.5, (1, 0): 0.5}) < 1e-12
+    for mode in (CONDITIONAL, ALWAYS):
+        program = compile_module(module, mode=mode).program
+        assert max_distribution_error(enumerate_outcomes(program), want) < 1e-12, mode
+        assert {s.outputs for s in run_shots(program, NOISELESS, 50, 1)} == set(want), mode
+
+
 def test_shot_outputs_match_output_op_count():
     m = random_program(4)
     res = compile_module(m)
@@ -206,6 +283,16 @@ def test_msd2_enumerators_agree_without_ghost_leaves(basis):
     assert len({len(v) for v in leaves.values()}) == 1, {k: len(v) for k, v in leaves.items()}
     for name, ls in leaves.items():
         assert min(leaf.prob for leaf in ls) >= 1e-12, name
+
+
+def test_enumeration_split_into_small_batches_is_unchanged(monkeypatch):
+    # a batch past ENUM_AMPLITUDES goes on in halves; MSD-2 has 482 paths of
+    # 32 amplitudes, so a cap of 64 amplitudes splits it down to two rows
+    res = compile_module(build_msd(MsdConfig(limit=2, basis="X")))
+    whole = enumerate_outcomes(res.program)
+    monkeypatch.setattr(emulator, "ENUM_AMPLITUDES", 64)
+    assert len(enumerate_exec_leaves(res.program)) == 482
+    assert max_distribution_error(enumerate_outcomes(res.program), whole) < 1e-12
 
 
 def test_shot_frequencies_converge_to_enumeration():

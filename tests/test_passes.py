@@ -4,6 +4,7 @@ import pytest
 
 from conftest import max_distribution_error, random_program
 from ionflow import emulator, oracle, textir, toolchain
+from ionflow.experiments import RusConfig, build_rus
 from ionflow.ir import BinOp, Call, QGate, validate_profile, diagnostics_ok
 from ionflow.passes import (
     BudgetExceeded,
@@ -168,6 +169,22 @@ def test_self_calling_entry_hits_depth_budget_quickly():
     with pytest.raises(BudgetExceeded, match="after 64 inline rounds"):
         flatten(m)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_doubling_recursion_hits_entry_size_budget_quickly():
+    # two recursive call sites double the entry every inline round, so the
+    # size budget, not the depth budget, stops a deep recursion
+    m = build_rus(RusConfig(30, style="recursion"))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="blocks, budget is"):
+        flatten(m)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_recursion_within_entry_size_budget_compiles():
+    assert toolchain.compile_module(build_rus(RusConfig(8, style="recursion"))).block_count == 1786
+    # recursion 10 is the deepest that fits: its last round grows the entry to 8,186 blocks
+    assert len(flatten(build_rus(RusConfig(10, style="recursion"))).functions[0].blocks) == 7162
 
 
 BRANCH_ON_ARG = """module t
