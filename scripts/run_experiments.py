@@ -33,6 +33,9 @@ def main(argv=None) -> int:
     ap.add_argument("--noise", type=Path, default=None)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
 
     noise = NoiseModel.from_json(args.noise.read_text()) if args.noise else NOISELESS
     args.out.mkdir(parents=True, exist_ok=True)

@@ -191,6 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except CompileError as e:  # each diagnostic starts with its own severity

@@ -454,11 +454,6 @@ def ideal_reference(kind: str, limit: int = 1) -> float:
     raise ValueError(f"unknown reference '{kind}'")
 
 
-def attempt_counts(shots: list[ShotResult]) -> list[int]:
-    """Attempts per RUS shot (stage-1 measurements all land on qubit 0)."""
-    return [s.measures_per_qubit[0] for s in shots]
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Conventions are fixed once so golden values stay stable:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -102,7 +103,9 @@ def sequence_unitary(gates: list[tuple[str, tuple[int, ...], float | None]], n_q
     return U
 
 
+@functools.lru_cache(maxsize=256)
 def embed(name: str, qubits: tuple[int, ...], angle: float | None, n_qubits: int) -> np.ndarray:
+    """Dense 2ⁿ×2ⁿ matrix of one gate; cached and shared, so read-only."""
     dim = 1 << n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     if name == "cx":
@@ -110,14 +113,15 @@ def embed(name: str, qubits: tuple[int, ...], angle: float | None, n_qubits: int
         for i in range(dim):
             j = i ^ (1 << t) if (i >> c) & 1 else i
             out[j, i] = 1
-        return out
-    g = gate_unitary(name, angle)
-    (q,) = qubits
-    for i in range(dim):
-        b = (i >> q) & 1
-        for b2 in (0, 1):
-            j = (i & ~(1 << q)) | (b2 << q)
-            out[j, i] = g[b2, b]
+    else:
+        g = gate_unitary(name, angle)
+        (q,) = qubits
+        for i in range(dim):
+            b = (i >> q) & 1
+            for b2 in (0, 1):
+                j = (i & ~(1 << q)) | (b2 << q)
+                out[j, i] = g[b2, b]
+    out.flags.writeable = False
     return out
 
 

@@ -24,6 +24,7 @@ Three passes, all module-to-module and deterministic:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import gates as G
@@ -640,6 +641,7 @@ class RewriteRule:
         return (t.name, t.qubit_vars, angle)
 
 
+@functools.cache  # rules are immutable; each is matrix-checked once per process
 def default_rules() -> tuple[RewriteRule, ...]:
     r = RewriteRule
     g = GateTemplate

@@ -19,10 +19,15 @@ transport step regardless and only the gates stay conditional. Chains are
 exactly what makes control-flow shape visible in executed-transport counts:
 a bigger, branchier guarded program funnels more blocks into chains whose
 entry guard is weak, so more transport runs per shot.
+
+Plans are memoized per lowering: each distinct (placement, layer operands
+and zones) query, and each distinct restore, is planned once per ``lower``
+call and reused wherever the program repeats it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Union
@@ -107,6 +112,19 @@ def all_steps(slots: int) -> list[TransportStep]:
     return out
 
 
+@functools.cache
+def _slot_maps(slots: int) -> tuple[tuple[TransportStep, tuple[int, ...]], ...]:
+    """``all_steps(slots)`` in order, each paired with its slot map ``m``:
+    the ion in slot ``s`` moves to slot ``m[s]``."""
+    table = []
+    for st in all_steps(slots):
+        m = list(range(slots))
+        for a, b in st:
+            m[a], m[b] = b, a
+        table.append((st, tuple(m)))
+    return tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # Initial placement (layered barycenter sweeps)
 # ---------------------------------------------------------------------------
@@ -156,10 +174,6 @@ def place_initial(module: Module, trap: TrapLayout) -> Placement:
     for slot, q in enumerate(order):
         placement[q] = slot
     return tuple(placement)
-
-
-def arrangement_cost(placement: Placement, weights: dict[tuple[int, int], int]) -> int:
-    return sum(w * abs(placement[a] - placement[b]) for (a, b), w in weights.items())
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +268,14 @@ def plan_restore(current: Placement, canonical: Placement, trap: TrapLayout) -> 
 
 
 def _bfs_plan(current: Placement, goal, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
-    steps = all_steps(trap.slots)
+    table = _slot_maps(trap.slots)
     seen = {current}
     frontier: list[tuple[Placement, tuple[TransportStep, ...]]] = [(current, ())]
     while frontier:
         nxt: list[tuple[Placement, tuple[TransportStep, ...]]] = []
         for pl, path in frontier:
-            for st in steps:
-                p2 = apply_step(pl, st)
+            for st, m in table:
+                p2 = tuple([m[s] for s in pl])
                 if p2 in seen:
                     continue
                 path2 = path + (st,)
@@ -532,6 +546,9 @@ def lower(
     placement = canonical
     n = module.required_qubits
     all_qubits = set(range(n))
+    # Unrolled rounds repeat their layers, so each distinct query is planned once.
+    transport_plans: dict = {}
+    restore_plans: dict = {}
 
     for i, b in enumerate(gf.blocks):
         if b.prelude:
@@ -542,7 +559,10 @@ def lower(
         for ins in _body_segments(b.body):
             if isinstance(ins, list):
                 for layer in schedule_layers(ins, trap):
-                    steps, placement = plan_transport(placement, layer, trap)
+                    key = (placement, tuple((op.qubits, op.zone) for op in layer.ops))
+                    if key not in transport_plans:
+                        transport_plans[key] = plan_transport(placement, layer, trap)
+                    steps, placement = transport_plans[key]
                     if steps:
                         items.append(TransportItem(chain_guard, tuple(steps)))
                     expected = tuple((q, placement[q]) for op in layer.ops for q in op.qubits)
@@ -553,7 +573,9 @@ def lower(
             else:
                 items.append(ClassicalItem(b.guard, (ins,)))
         if ch and i == ch.members[-1]:
-            steps, placement = plan_restore(placement, canonical, trap)
+            if placement not in restore_plans:
+                restore_plans[placement] = plan_restore(placement, canonical, trap)
+            steps, placement = restore_plans[placement]
             if steps:
                 items.append(TransportItem(chain_guard, tuple(steps)))
             assert placement == canonical

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,29 @@ def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, flag, text):
     cmd = ["run", str(src), "--shots", "5", "--seed", "0"] if flag == "--noise" else ["compile", str(src)]
     assert main([*cmd, flag, str(cfg)]) == 1
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_an_error(tmp_path, capsys, jobs):
+    src = tmp_path / "p.qir.txt"
+    src.write_text(GOOD)
+    run = ["run", str(src), "--shots", "10", "--seed", "1", "--jobs", jobs]
+    experiment = ["experiment", "msd", "--limit", "1", "--shots", "10", "--seed", "1", "--jobs", jobs]
+    for argv in (run, experiment):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: --jobs must be at least 1, got {jobs}"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_experiments_script_rejects_jobs_below_one(tmp_path, jobs):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_experiments.py"), "--out", str(tmp_path / "out"), "--jobs", jobs],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: --jobs")
+    assert not (tmp_path / "out").exists()

@@ -67,6 +67,15 @@ def test_gate_norm_preserved():
     assert G.equal_up_to_phase(leaf.state, G.sequence_unitary(gates, 3)[:, 0])
 
 
+def test_embed_returns_a_shared_read_only_matrix():
+    u = G.embed("rx", (1,), 0.3, 2)
+    assert np.allclose(u, np.kron(G.rx(0.3), G.I2))
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0
+    assert G.embed("rx", (1,), 0.3, 2) is u
+
+
 def test_zone_check_raises_on_bad_placement():
     prog = compile_src("block e:\n  h q0\n  cx q0, q1\n  mz q0 -> r0\n  output result r0\n  ret").program
     k, layer = next((k, it) for k, it in enumerate(prog.items) if isinstance(it, LayerItem) and it.expected_slots)

@@ -1,20 +1,20 @@
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from ionflow import textir
+from ionflow import qccd, textir
 from ionflow.ir import Measure, QGate, Reset
 from ionflow.qccd import (
     ALWAYS,
+    BFS_EXACT_LIMIT,
     CONDITIONAL,
     GateLayer,
     PlacedOp,
     TrapLayout,
     all_steps,
     apply_step,
-    arrangement_cost,
     interaction_weights,
     place_initial,
     plan_restore,
@@ -53,6 +53,10 @@ def test_trap_json_roundtrip():
 
 
 # -- initial placement -------------------------------------------------------------
+
+def arrangement_cost(placement, weights):
+    return sum(w * abs(placement[a] - placement[b]) for (a, b), w in weights.items())
+
 
 def brute_force_best_cost(weights, n):
     best = None
@@ -210,6 +214,113 @@ def test_greedy_routing_used_beyond_bfs_limit():
     for st in steps:
         check = apply_step(check, st)
     assert check == goal
+
+
+def reference_bfs_plan(current, goal, slots):
+    """The planner's breadth-first search over ``apply_step``: same step order,
+    frontier order and first-hit rule as ``qccd._bfs_plan``."""
+    steps = all_steps(slots)
+    seen = {current}
+    frontier = [(current, ())]
+    while frontier:
+        nxt = []
+        for pl, path in frontier:
+            for st in steps:
+                p2 = apply_step(pl, st)
+                if p2 in seen:
+                    continue
+                if goal(p2):
+                    return list(path + (st,)), p2
+                seen.add(p2)
+                nxt.append((p2, path + (st,)))
+        frontier = nxt
+    raise AssertionError("reference search found no path")
+
+
+def random_layer(rng, n, trap):
+    zones = rng.sample(trap.gate_zones, rng.randint(1, len(trap.gate_zones)))
+    free = list(range(n))
+    rng.shuffle(free)
+    ops = []
+    for zone in zones:
+        k = rng.choice((1, 2)) if len(free) >= 2 else 1
+        if len(free) < k:
+            break
+        qubits = tuple(free.pop() for _ in range(k))
+        kind = "gate" if k == 2 else rng.choice(("gate", "measure", "reset"))
+        ops.append(PlacedOp(kind, "cx" if k == 2 else "h", qubits, None, None, zone))
+    return GateLayer(tuple(ops))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_slot_map_bfs_matches_reference_bfs(seed):
+    rng = random.Random(seed)
+    slots = rng.randint(4, 7)
+    n = rng.randint(2, min(slots, BFS_EXACT_LIMIT))
+    trap = TrapLayout.default(slots)
+    start = tuple(rng.sample(range(slots), n))
+    layer = random_layer(rng, n, trap)
+    target = tuple(rng.sample(range(slots), n))
+    for goal in (lambda p: qccd._layer_goal(p, layer), lambda p: p == target):
+        if goal(start):
+            continue
+        assert qccd._bfs_plan(start, goal, trap) == reference_bfs_plan(start, goal, slots)
+
+
+def test_lower_plans_each_distinct_query_once(monkeypatch):
+    from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+    from ionflow.qccd import LayerItem
+    from ionflow.toolchain import compile_module
+
+    transport_keys, restore_keys = [], []
+    plan_t, plan_r = qccd.plan_transport, qccd.plan_restore
+
+    def counted_transport(current, layer, trap):
+        transport_keys.append((current, tuple((op.qubits, op.zone) for op in layer.ops)))
+        return plan_t(current, layer, trap)
+
+    def counted_restore(current, canonical, trap):
+        restore_keys.append(current)
+        return plan_r(current, canonical, trap)
+
+    monkeypatch.setattr(qccd, "plan_transport", counted_transport)
+    monkeypatch.setattr(qccd, "plan_restore", counted_restore)
+    for module in (build_msd(MsdConfig(limit=8)), build_rus(RusConfig(limit=5, style="recursion"))):
+        transport_keys.clear()
+        restore_keys.clear()
+        res = compile_module(module)
+        layers = sum(isinstance(it, LayerItem) for it in res.program.items)
+        assert max(Counter(transport_keys).values()) == 1, module.name
+        assert max(Counter(restore_keys).values()) == 1, module.name
+        assert len(transport_keys) < layers, module.name  # unrolled rounds repeat their queries
+
+
+def test_routing_fallback_lowers_to_the_same_program_twice():
+    from ionflow.qccd import LayerItem, TransportItem, lower
+    from ionflow.toolchain import compile_module
+
+    rounds = "\n".join(
+        f"block r{i}:\n  cx q0, q8\n  cx q1, q7\n  cx q2, q6\n  mz q{i} -> r{i}\n  %m{i} = read_result r{i}\n"
+        f"  br %m{i}, x{i}, r{i + 1}\nblock x{i}:\n  x q{i}\n  jmp r{i + 1}"
+        for i in range(3)
+    )
+    src = (
+        "module t\nattrs required_qubits=9 required_results=3\nfunc @main() {\n"
+        f"{rounds}\nblock r3:\n  output result r0\n  ret\n}}\n"
+    )
+    trap = TrapLayout(9, ((0, 1), (2, 3), (4, 5), (6, 7)))
+    res = compile_module(textir.parse(src), trap=trap)
+    assert len(res.program.canonical) > BFS_EXACT_LIMIT and res.program.planned_transport_steps > 0
+    again = lower(res.guarded, res.module, trap, n_regs=res.program.n_regs)
+    assert again.to_json() == res.program.to_json()
+    placement = res.program.canonical
+    for item in res.program.items:
+        if isinstance(item, TransportItem):
+            for st in item.steps:
+                placement = apply_step(placement, st)
+        elif isinstance(item, LayerItem):
+            assert all(placement[q] == s for q, s in item.expected_slots)
+    assert placement == res.program.canonical
 
 
 # -- lowering ---------------------------------------------------------------------
