@@ -24,8 +24,6 @@ SDG = S.conj().T
 T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 TDG = T.conj().T
 
-PAULIS = {"x": X, "y": Y, "z": Z}
-
 
 def rx(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -79,19 +77,6 @@ def gate_unitary(name: str, angle: float | None = None) -> np.ndarray:
     if name == "cx":
         return CX_MATRIX
     raise KeyError(name)
-
-
-ADJOINT_NAME = {
-    "x": "x",
-    "y": "y",
-    "z": "z",
-    "h": "h",
-    "s": "sdg",
-    "sdg": "s",
-    "t": "tdg",
-    "tdg": "t",
-    "cx": "cx",
-}
 
 
 def sequence_unitary(gates: list[tuple[str, tuple[int, ...], float | None]], n_qubits: int) -> np.ndarray:

@@ -5,8 +5,9 @@ Three passes, all module-to-module and deterministic:
 * ``fold_constants`` — literal arithmetic/comparison folding with copy
   propagation, constant-branch folding (a branch on any literal jumps to
   the arm its truthiness picks), unreachable-block removal, phi pruning and
-  dead pure-definition cleanup. Functions fold independently, each to its
-  own fixpoint. Only all-literal operations fold; no identity
+  dead pure-definition cleanup. Functions fold independently, each in one
+  pass to its own fixpoint (the pessimistic one: a phi with two live
+  incomings stays a phi). Only all-literal operations fold; no identity
   simplifications are attempted.
 * ``flatten`` — makes the entry function call-free and acyclic. Every
   function is first settled once: folded, its counted loops from the
@@ -25,6 +26,8 @@ Three passes, all module-to-module and deterministic:
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gates as G
@@ -45,6 +48,7 @@ from .ir import (
     ReadResult,
     Reset,
     Return,
+    Terminator,
     Value,
     Vreg,
     instr_defs,
@@ -105,154 +109,132 @@ def _branch_on(cond: Value, then_target: str, else_target: str) -> Branch | Jump
     return Jump(then_target if cond else else_target)
 
 
-def _subst_value(v: Value, env: dict[Vreg, Value]) -> Value:
-    while isinstance(v, Vreg) and v in env:
-        v = env[v]
-    return v
+def _targets(t: Terminator) -> tuple[str, ...]:
+    if isinstance(t, Jump):
+        return (t.target,)
+    if isinstance(t, Branch):
+        return (t.then_target, t.else_target)
+    return ()
 
 
-def _subst_instr(instr: Instruction, env: dict[Vreg, Value]) -> Instruction:
+def _map_instr(instr: Instruction, f: Callable[[Value], Value]) -> Instruction:
+    """``instr`` with ``f`` applied to every vreg it uses or defines; ``f``
+    also sees the literal operands and must return them unchanged."""
     if isinstance(instr, QGate):
-        qubits = tuple(_subst_value(q, env) if isinstance(q, Vreg) else q for q in instr.qubits)
-        angle = _subst_value(instr.angle, env) if instr.angle is not None else None
-        return QGate(instr.name, qubits, angle)
+        return QGate(instr.name, tuple(map(f, instr.qubits)), f(instr.angle))
     if isinstance(instr, Measure):
-        q = _subst_value(instr.qubit, env) if isinstance(instr.qubit, Vreg) else instr.qubit
-        return Measure(q, instr.slot)
+        return Measure(f(instr.qubit), instr.slot)
     if isinstance(instr, Reset):
-        q = _subst_value(instr.qubit, env) if isinstance(instr.qubit, Vreg) else instr.qubit
-        return Reset(q)
-    if isinstance(instr, BinOp):
-        return BinOp(instr.op, instr.dst, _subst_value(instr.a, env), _subst_value(instr.b, env))
-    if isinstance(instr, Cmp):
-        return Cmp(instr.op, instr.dst, _subst_value(instr.a, env), _subst_value(instr.b, env))
+        return Reset(f(instr.qubit))
+    if isinstance(instr, ReadResult):
+        return ReadResult(f(instr.dst), instr.slot)
+    if isinstance(instr, (BinOp, Cmp)):
+        return type(instr)(instr.op, f(instr.dst), f(instr.a), f(instr.b))
     if isinstance(instr, Call):
-        return Call(instr.callee, tuple(_subst_value(a, env) for a in instr.args))
+        return Call(instr.callee, tuple(map(f, instr.args)))
     return instr
 
 
-def _fold_function(fn: Function) -> tuple[Function, bool]:
-    changed = False
+def _fold_function(fn: Function) -> Function:
+    """Fold ``fn`` to its fixpoint in one call.
+
+    The substitution env and the live edges grow together until the env
+    stops growing. An edge is live when it leaves a reachable block and is
+    not the arm that a branch on a literal skips; a BinOp or Cmp on two
+    literals folds, and a phi with exactly one live incoming, other than
+    itself, is a copy. The reachable blocks are then rebuilt once, and pure
+    definitions (phi, BinOp, Cmp, ReadResult) are dropped by use count; a
+    drop releases its operands, so dead cycles stay.
+    """
+    by_label = {b.label: b for b in fn.blocks}
     env: dict[Vreg, Value] = {}
 
-    # collect foldable defs and copyable phis until stable
+    def resolve(v: Value) -> Value:
+        while isinstance(v, Vreg) and v in env:
+            v = env[v]
+        return v
+
+    def terminator(b: BasicBlock) -> Terminator:
+        t = b.terminator
+        return _branch_on(resolve(t.cond), t.then_target, t.else_target) if isinstance(t, Branch) else t
+
     while True:
-        grew = False
+        preds: dict[str, set[str]] = {fn.blocks[0].label: set()}  # live predecessors of reachable blocks
+        work = [fn.blocks[0].label]
+        while work:
+            src = work.pop()
+            for s in _targets(terminator(by_label[src])) if src in by_label else ():
+                if s not in preds:
+                    preds[s] = set()
+                    work.append(s)
+                preds[s].add(src)
+        size = len(env)
         for b in fn.blocks:
+            live = preds.get(b.label)
+            if live is None:
+                continue
             for phi in b.phis:
-                if phi.dst in env:
-                    continue
-                if len(phi.incomings) == 1:
-                    env[phi.dst] = _subst_value(phi.incomings[0][0], env)
-                    grew = True
-            for instr in b.body:
-                if isinstance(instr, (BinOp, Cmp)) and instr.dst not in env:
-                    a = _subst_value(instr.a, env)
-                    bb = _subst_value(instr.b, env)
-                    if not isinstance(a, Vreg) and not isinstance(bb, Vreg):
-                        env[instr.dst] = _eval_binop(instr.op, a, bb) if isinstance(instr, BinOp) else _eval_cmp(instr.op, a, bb)
-                        grew = True
-        if not grew:
+                incs = [v for v, l in phi.incomings if l in live]
+                if phi.dst not in env and len(incs) == 1 and (v := resolve(incs[0])) != phi.dst:
+                    env[phi.dst] = v
+            for i in b.body:
+                if isinstance(i, (BinOp, Cmp)) and i.dst not in env:
+                    x, y = resolve(i.a), resolve(i.b)
+                    if not isinstance(x, Vreg) and not isinstance(y, Vreg):
+                        env[i.dst] = (_eval_binop if isinstance(i, BinOp) else _eval_cmp)(i.op, x, y)
+        if len(env) == size:
             break
 
-    new_blocks: list[BasicBlock] = []
+    # rebuild, counting each vreg's uses and noting each pure definition's operands
+    blocks = []
+    uses: Counter[Vreg] = Counter()
+    operands: dict[Vreg, tuple[Vreg, ...]] = {}
     for b in fn.blocks:
-        phis = []
-        for phi in b.phis:
-            if phi.dst in env:
-                changed = True
-                continue
-            new_inc = tuple((_subst_value(v, env), l) for v, l in phi.incomings)
-            if new_inc != phi.incomings:
-                changed = True
-            phis.append(Phi(phi.dst, new_inc))
-        body = []
-        for instr in b.body:
-            if isinstance(instr, (BinOp, Cmp)) and instr.dst in env:
-                changed = True
-                continue
-            ni = _subst_instr(instr, env)
-            if ni != instr:
-                changed = True
-            body.append(ni)
-        term = b.terminator
-        if isinstance(term, Branch):
-            term = _branch_on(_subst_value(term.cond, env), term.then_target, term.else_target)
-            changed = changed or term != b.terminator
-        new_blocks.append(BasicBlock(b.label, tuple(phis), tuple(body), term))
-
-    fn2 = Function(fn.name, fn.params, tuple(new_blocks))
-    fn3, ch2 = _prune_unreachable(fn2)
-    fn4, ch3 = _drop_dead_defs(fn3)
-    return fn4, changed or ch2 or ch3
-
-
-def _prune_unreachable(fn: Function) -> tuple[Function, bool]:
-    cfg = Cfg.from_function(fn)
-    reachable: set[str] = set()
-    work = [fn.blocks[0].label]
-    while work:
-        n = work.pop()
-        if n in reachable:
+        live = preds.get(b.label)
+        if live is None:
             continue
-        reachable.add(n)
-        work.extend(cfg.successors(n))
-    if reachable == set(cfg.nodes):
-        kept = fn.blocks
-        changed = False
-    else:
-        kept = tuple(b for b in fn.blocks if b.label in reachable)
-        changed = True
-    # prune phi incomings from removed or no-longer-predecessor blocks
-    sub_cfg = Cfg.from_function(Function(fn.name, fn.params, kept))
-    out = []
-    for b in kept:
-        preds = set(sub_cfg.predecessors(b.label))
-        phis = []
-        for phi in b.phis:
-            inc = tuple((v, l) for v, l in phi.incomings if l in preds)
-            if inc != phi.incomings:
-                changed = True
-            phis.append(Phi(phi.dst, inc))
-        out.append(BasicBlock(b.label, tuple(phis), b.body, b.terminator))
-    return Function(fn.name, fn.params, tuple(out)), changed
+        phis = [
+            Phi(p.dst, tuple((resolve(v), l) for v, l in p.incomings if l in live)) for p in b.phis if p.dst not in env
+        ]
+        for p in phis:
+            operands[p.dst] = tuple(v for v, _l in p.incomings if isinstance(v, Vreg))
+            uses.update(operands[p.dst])
+        body = [_map_instr(i, resolve) for i in b.body if not (isinstance(i, (BinOp, Cmp)) and i.dst in env)]
+        for i in body:
+            used = instr_uses(i)
+            if isinstance(i, (BinOp, Cmp, ReadResult)):
+                operands[i.dst] = used
+            uses.update(used)
+        t = terminator(b)
+        if isinstance(t, Branch):
+            uses[t.cond] += 1
+        blocks.append(BasicBlock(b.label, tuple(phis), tuple(body), t))
 
-
-def _drop_dead_defs(fn: Function) -> tuple[Function, bool]:
-    used: set[Vreg] = set()
-    for b in fn.blocks:
-        for phi in b.phis:
-            used.update(v for v, _l in phi.incomings if isinstance(v, Vreg))
-        for instr in b.body:
-            used.update(instr_uses(instr))
-        if isinstance(b.terminator, Branch):
-            used.add(b.terminator.cond)
-    changed = False
-    out = []
-    for b in fn.blocks:
-        phis = tuple(p for p in b.phis if p.dst in used)
-        body = tuple(
-            i for i in b.body if not (isinstance(i, (BinOp, Cmp, ReadResult)) and i.dst not in used)
+    dead = [d for d in operands if not uses[d]]
+    while dead:
+        for u in operands[dead.pop()]:
+            uses[u] -= 1
+            if not uses[u] and u in operands:
+                dead.append(u)
+    # a pure definition left with no use is dropped
+    kept = (
+        BasicBlock(
+            b.label,
+            tuple(p for p in b.phis if uses[p.dst]),
+            tuple(i for i in b.body if not isinstance(i, (BinOp, Cmp, ReadResult)) or uses[i.dst]),
+            b.terminator,
         )
-        if len(phis) != len(b.phis) or len(body) != len(b.body):
-            changed = True
-        out.append(BasicBlock(b.label, phis, body, b.terminator))
-    return Function(fn.name, fn.params, tuple(out)), changed
-
-
-def _fold_to_fixpoint(fn: Function) -> Function:
-    changed = True
-    while changed:
-        fn, changed = _fold_function(fn)
-    return fn
+        for b in blocks
+    )
+    return Function(fn.name, fn.params, tuple(kept))
 
 
 def fold_constants(module: Module) -> Module:
     """Fold literal arithmetic to a fixpoint (64-bit wrap, no re-association).
 
-    Functions fold independently, so each one is folded to its own fixpoint.
+    Functions fold independently, each to its own fixpoint in one pass.
     """
-    fns = tuple(_fold_to_fixpoint(fn) for fn in module.functions)
+    fns = tuple(_fold_function(fn) for fn in module.functions)
     return Module(module.name, fns, module.entry, module.required_qubits, module.required_results)
 
 
@@ -260,46 +242,26 @@ def fold_constants(module: Module) -> Module:
 # Flattening: loop unrolling + call inlining
 # ---------------------------------------------------------------------------
 
-def _rename_value(v: Value, ren: dict[Vreg, Value]) -> Value:
-    if isinstance(v, Vreg) and v in ren:
-        return ren[v]
-    return v
-
-
-def _rename_instr(instr: Instruction, ren: dict[Vreg, Value]) -> Instruction:
-    instr = _subst_instr(instr, ren)  # handles uses
-    defs = instr_defs(instr)
-    if defs:
-        d = defs[0]
-        nd = ren.get(d)
-        if isinstance(nd, Vreg):
-            if isinstance(instr, BinOp):
-                instr = BinOp(instr.op, nd, instr.a, instr.b)
-            elif isinstance(instr, Cmp):
-                instr = Cmp(instr.op, nd, instr.a, instr.b)
-            elif isinstance(instr, ReadResult):
-                instr = ReadResult(nd, instr.slot)
-    return instr
-
-
 def _clone_block(b: BasicBlock, ren: dict[Vreg, Value], relabel: dict[str, str]) -> BasicBlock:
-    phis = []
-    for phi in b.phis:
-        nd = ren.get(phi.dst, phi.dst)
-        assert isinstance(nd, Vreg)
-        inc = tuple((_rename_value(v, ren), relabel.get(l, l)) for v, l in phi.incomings)
-        phis.append(Phi(nd, inc))
-    body = tuple(_rename_instr(i, ren) for i in b.body)
+    """A copy of ``b`` with its vregs renamed once through ``ren`` (callee or
+    loop-body names to caller values; never followed as a chain) and its
+    labels through ``relabel``."""
+
+    def rename(v: Value) -> Value:
+        return ren.get(v, v)
+
+    phis = tuple(Phi(rename(p.dst), tuple((rename(v), relabel.get(l, l)) for v, l in p.incomings)) for p in b.phis)
+    body = tuple(_map_instr(i, rename) for i in b.body)
     t = b.terminator
     if isinstance(t, Jump):
         t = Jump(relabel.get(t.target, t.target))
     elif isinstance(t, Branch):
         t = _branch_on(
-            _rename_value(t.cond, ren),
+            rename(t.cond),
             relabel.get(t.then_target, t.then_target),
             relabel.get(t.else_target, t.else_target),
         )
-    return BasicBlock(relabel.get(b.label, b.label), tuple(phis), body, t)
+    return BasicBlock(relabel.get(b.label, b.label), phis, body, t)
 
 
 def _collect_defs(blocks: list[BasicBlock] | tuple[BasicBlock, ...]) -> set[Vreg]:
@@ -433,7 +395,7 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
         phis = []
         for phi in b.phis:
             inc = tuple(
-                (_rename_value(v, final_ren) if l in final_relabel else v, final_relabel.get(l, l))
+                (final_ren.get(v, v) if l in final_relabel else v, final_relabel.get(l, l))
                 for v, l in phi.incomings
             )
             phis.append(Phi(phi.dst, inc))
@@ -443,12 +405,12 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
 
 def _settle(fn: Function, max_unroll: int) -> Function:
     """Fold, unroll the counted loops, and fold again if a loop was unrolled."""
-    fn = _fold_to_fixpoint(fn)
+    fn = _fold_function(fn)
     unrolled = False
     while (loop := _match_counted_loop(fn)) is not None:
         fn = _unroll_loop(fn, loop, max_unroll)
         unrolled = True
-    return _fold_to_fixpoint(fn) if unrolled else fn
+    return _fold_function(fn) if unrolled else fn
 
 
 class _Inliner:
@@ -704,37 +666,31 @@ def _build_replacement(rule: RewriteRule, binding: dict) -> list[QGate]:
     return out
 
 
+def _rewrite_once(body: list[Instruction], rules: tuple[RewriteRule, ...]) -> list[Instruction] | None:
+    """``body`` with the first matching window rewritten, or None if no rule matches."""
+    for i, g1 in enumerate(body):
+        if not isinstance(g1, QGate):
+            continue
+        q1 = set(g1.qubits)
+        for j in range(i + 1, len(body)):
+            if _instr_qubits(body[j]) & q1:
+                break
+        else:
+            continue
+        g2 = body[j]
+        if not isinstance(g2, QGate) or set(g2.qubits) - q1:
+            continue  # the next instruction on these qubits is no gate, or overlaps them partially
+        for rule in rules:
+            binding = _match_pair(rule, g1, g2)
+            if binding is not None:
+                return body[:i] + _build_replacement(rule, binding) + body[i + 1 : j] + body[j + 1 :]
+    return None
+
+
 def _peephole_block(block: BasicBlock, rules: tuple[RewriteRule, ...]) -> BasicBlock:
     body = list(block.body)
-    changed = True
-    while changed:
-        changed = False
-        for i, g1 in enumerate(body):
-            if not isinstance(g1, QGate):
-                continue
-            q1 = set(g1.qubits)
-            j = None
-            for k in range(i + 1, len(body)):
-                cand = body[k]
-                touched = _instr_qubits(cand)
-                if touched & q1:
-                    j = k
-                    break
-            if j is None or not isinstance(body[j], QGate):
-                continue
-            g2 = body[j]
-            if set(g2.qubits) - q1:
-                continue  # partially overlapping operands; not a window
-            for rule in rules:
-                binding = _match_pair(rule, g1, g2)
-                if binding is None:
-                    continue
-                repl = _build_replacement(rule, binding)
-                body = body[:i] + repl + body[i + 1 : j] + body[j + 1 :]
-                changed = True
-                break
-            if changed:
-                break
+    while (rewritten := _rewrite_once(body, rules)) is not None:
+        body = rewritten
     return BasicBlock(block.label, block.phis, tuple(body), block.terminator)
 
 

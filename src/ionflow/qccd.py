@@ -233,6 +233,8 @@ def schedule_layers(ops: list[Instruction], trap: TrapLayout) -> list[GateLayer]
 # Transport planning
 # ---------------------------------------------------------------------------
 
+# widest trap, in slots, planned by exact BFS; a default trap of n qubits has
+# max(n, 4) slots, so it is planned exactly up to 7 qubits
 BFS_EXACT_LIMIT = 7
 
 
@@ -249,20 +251,24 @@ def _layer_goal(placement: Placement, layer: GateLayer) -> bool:
 
 
 def plan_transport(current: Placement, layer: GateLayer, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
-    """Minimum parallel-swap-layer plan bringing the layer's operands into
-    their zones; exact BFS for small ion counts, greedy routing beyond."""
+    """Parallel-swap-layer plan bringing the layer's operands into their
+    zones: a minimum one by exact BFS on traps of at most ``BFS_EXACT_LIMIT``
+    slots (the step table grows as Fibonacci(slots + 1)), greedy odd-even
+    routing on wider traps, however few ions they hold."""
     if _layer_goal(current, layer):
         return [], current
-    if len(current) <= BFS_EXACT_LIMIT:
+    if trap.slots <= BFS_EXACT_LIMIT:
         return _bfs_plan(current, lambda p: _layer_goal(p, layer), trap)
     target = _greedy_targets(current, layer, trap)
     return _route_to_targets(current, target, trap)
 
 
 def plan_restore(current: Placement, canonical: Placement, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
+    """Plan back to the canonical placement: exact BFS on traps of at most
+    ``BFS_EXACT_LIMIT`` slots, odd-even routing on wider ones."""
     if current == canonical:
         return [], current
-    if len(current) <= BFS_EXACT_LIMIT:
+    if trap.slots <= BFS_EXACT_LIMIT:
         return _bfs_plan(current, lambda p: p == canonical, trap)
     return _route_to_targets(current, canonical, trap)
 

@@ -66,7 +66,6 @@ from .ir import (
     retarget,
 )
 
-FILE_EXTENSION = ".qir.txt"
 NEXT_LABEL = "next"  # reserved jump target inside repeat bodies
 
 

@@ -198,6 +198,29 @@ def _cli_error(argv, capsys) -> str:
     return err
 
 
+SELF_PHI_LOOP = """module t
+attrs required_qubits=1 required_results=1
+func @main() {
+block e:
+  %p = phi [%p, e]
+  %d = xor %p, true
+  mz q0 -> r0
+  %c = read_result r0
+  br %c, e, out
+block out:
+  ret
+}
+"""
+
+
+def test_self_referencing_phi_fails_with_back_edge_error(tmp_path, capsys):
+    # lenient validation only warns about the back edge; folding must not
+    # take the phi for a copy of itself
+    src = tmp_path / "selfphi.qir.txt"
+    src.write_text(SELF_PHI_LOOP)
+    assert _cli_error(["compile", str(src)], capsys).startswith("error: BACK_EDGE:")
+
+
 def _run_with_noise(tmp_path, capsys, noise_json: str, *extra: str) -> str:
     src = tmp_path / "p.qir.txt"
     src.write_text(GOOD)

@@ -4,8 +4,20 @@ import pytest
 
 from conftest import max_distribution_error, random_program
 from ionflow import emulator, oracle, textir, toolchain
-from ionflow.experiments import RusConfig, build_rus
-from ionflow.ir import BinOp, Call, QGate, validate_profile, diagnostics_ok
+from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+from ionflow.ir import (
+    BinOp,
+    Branch,
+    Call,
+    Cfg,
+    Cmp,
+    QGate,
+    ReadResult,
+    Vreg,
+    diagnostics_ok,
+    instr_uses,
+    validate_profile,
+)
 from ionflow.passes import (
     BudgetExceeded,
     FlattenConfig,
@@ -63,12 +75,120 @@ def test_fold_wraps_to_signed_64_bit():
     assert [b.label for b in out.entry_function.blocks] == ["e", "a"]
 
 
+# the literal branch skips r; %q, %p, %b and %a are a dead chain through a
+# phi, and %d keeps two live incomings even though both carry %m
+DEAD_PHI_CHAIN = wrap("""block e:
+  mz q0 -> r0
+  %m = read_result r0
+  %a = add %m, 1
+  %k = cmp lt 1, 2
+  br %k, s, r
+block s:
+  br %m, l, j
+block l:
+  %b = mul %a, 2
+  jmp j
+block r:
+  jmp j
+block j:
+  %p = phi [%b, l], [%a, s], [0, r]
+  %d = phi [%m, l], [%m, s], [true, r]
+  %q = xor %p, 1
+  br %d, x, y
+block x:
+  x q1
+  jmp y
+block y:
+  output result r0
+  ret""")
+
+REPEAT_COUNTER = """module t
+attrs required_qubits=1 required_results=1
+func @main() {{
+block entry:
+  jmp lp
+repeat {trips} lp {{
+block body:
+  %k = add %lp.i0, 1
+  %c = cmp lt %k, 2
+  br %c, h, next
+block h:
+  h q0
+  jmp next
+}}
+block fin:
+  mz q0 -> r0
+  output result r0
+  ret
+}}
+"""
+
+CALL_BOTH_WAYS = """module t
+attrs required_qubits=1 required_results=1
+func @main() {
+block e:
+  call @f(1)
+  call @f(0)
+  mz q0 -> r0
+  output result r0
+  ret
+}
+func @f(%k: int) {
+block a:
+  %c = cmp ne %k, 0
+  br %c, b, d
+block b:
+  x q0
+  jmp d
+block d:
+  h q0
+  ret
+}
+"""
+
+
+def assert_folded(fn):
+    """``fn`` is at fold's fixpoint: nothing left to fold, prune or drop."""
+    cfg = Cfg.from_function(fn)
+    reachable, work = set(), [fn.blocks[0].label]
+    while work:
+        if (n := work.pop()) not in reachable:
+            reachable.add(n)
+            work.extend(cfg.successors(n))
+    assert reachable == set(cfg.nodes), fn.name
+    used = [v for b in fn.blocks for p in b.phis for v, _l in p.incomings]
+    used += [v for b in fn.blocks for i in b.body for v in instr_uses(i)]
+    used += [b.terminator.cond for b in fn.blocks if isinstance(b.terminator, Branch)]
+    for b in fn.blocks:
+        assert not isinstance(b.terminator, Branch) or isinstance(b.terminator.cond, Vreg), b.label
+        for p in b.phis:
+            assert sorted(l for _v, l in p.incomings) == sorted(cfg.predecessors(b.label)), p
+            assert len(p.incomings) != 1 or p.incomings[0][0] == p.dst, p
+            assert p.dst in used, p
+        for i in b.body:
+            if isinstance(i, (BinOp, Cmp)):
+                assert isinstance(i.a, Vreg) or isinstance(i.b, Vreg), i
+            if isinstance(i, (BinOp, Cmp, ReadResult)):
+                assert i.dst in used, i
+
+
 def test_fold_is_idempotent_and_oracle_preserving():
-    for seed in range(25):
-        m = random_program(seed)
+    edge_cases = [DEAD_PHI_CHAIN, REPEAT_COUNTER.format(trips=3), REPEAT_COUNTER.format(trips=0), CALL_BOTH_WAYS]
+    for m in [random_program(seed) for seed in range(25)] + [parse(src) for src in edge_cases]:
         once = fold_constants(m)
         assert fold_constants(once) == once
         assert max_distribution_error(oracle.enumerate_module(m), oracle.enumerate_module(once)) < 1e-12
+        for fn in once.functions:
+            assert_folded(fn)
+    # pessimistic: a phi with two live incomings stays, even on one value
+    assert [p.dst for b in fold_constants(parse(DEAD_PHI_CHAIN)).entry_function.blocks for p in b.phis] == [Vreg("d")]
+    corpus = [build_msd(MsdConfig(limit)) for limit in range(9)]
+    corpus += [build_rus(RusConfig(limit, style=style)) for style in ("loop", "recursion") for limit in range(1, 8)]
+    for m in corpus:
+        once = fold_constants(m)
+        assert fold_constants(once) == once, m.name
+        for fn in once.functions:
+            assert_folded(fn)
 
 
 # -- flattening ----------------------------------------------------------------
@@ -228,6 +348,110 @@ def test_branch_on_int_literal_takes_the_arm_the_oracle_takes(src):
     expected = oracle.enumerate_module(m)
     assert len(expected) == 1
     assert max_distribution_error(expected, emulator.enumerate_outcomes(program)) < 1e-12
+
+
+MISCOMPILED_CALL = """module t
+attrs required_qubits=2 required_results=3
+func @main() {
+block e:
+  x q0
+  mz q0 -> r0
+  %x = read_result r0
+  call @f(%x)
+  output array_start
+  output result r0
+  output result r1
+  output result r2
+  output array_end
+  ret
+}
+func @f(%p: bool) {
+block a:
+  mz q1 -> r1
+  %x = read_result r1
+  %q = and %p, true
+  br %x, b, c
+block b:
+  jmp c
+block c:
+  br %q, d, g
+block d:
+  x q1
+  jmp g
+block g:
+  mz q1 -> r2
+  ret
+}
+"""
+
+ARG_NAMED_AS_PARAM = """module t
+attrs required_qubits=2 required_results=2
+func @main() {
+block e:
+  x q0
+  mz q0 -> r0
+  %k = read_result r0
+  call @f(%k)
+  output result r1
+  ret
+}
+func @f(%k: bool) {
+block a:
+  %q = and %k, true
+  br %q, b, c
+block b:
+  x q1
+  jmp c
+block c:
+  mz q1 -> r1
+  ret
+}
+"""
+
+SWAPPED_ARG_NAMES = """module t
+attrs required_qubits=3 required_results=3
+func @main() {
+block e:
+  x q0
+  mz q0 -> r0
+  %a = read_result r0
+  mz q1 -> r1
+  %b = read_result r1
+  call @f(%b, %a)
+  output result r2
+  ret
+}
+func @f(%a: bool, %b: bool) {
+block s:
+  %c = and %a, true
+  br %c, t, u
+block t:
+  x q2
+  jmp u
+block u:
+  %e = xor %b, false
+  br %e, v, w
+block v:
+  h q2
+  jmp w
+block w:
+  mz q2 -> r2
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "src",
+    [MISCOMPILED_CALL, ARG_NAMED_AS_PARAM, SWAPPED_ARG_NAMES],
+    ids=["arg-named-as-callee-def", "arg-named-as-param", "swapped-arg-names"],
+)
+def test_inlining_renames_callee_names_once(src):
+    # a caller value whose name the callee also uses must not be renamed a
+    # second time through the callee's renaming
+    m = parse(src)
+    program = toolchain.compile_module(m).program
+    assert max_distribution_error(oracle.enumerate_module(m), emulator.enumerate_outcomes(program)) < 1e-12
 
 
 # -- peephole -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter, deque
 
 import pytest
@@ -296,7 +297,7 @@ def test_lower_plans_each_distinct_query_once(monkeypatch):
 
 
 def test_routing_fallback_lowers_to_the_same_program_twice():
-    from ionflow.qccd import LayerItem, TransportItem, lower
+    from ionflow.qccd import lower
     from ionflow.toolchain import compile_module
 
     rounds = "\n".join(
@@ -313,14 +314,36 @@ def test_routing_fallback_lowers_to_the_same_program_twice():
     assert len(res.program.canonical) > BFS_EXACT_LIMIT and res.program.planned_transport_steps > 0
     again = lower(res.guarded, res.module, trap, n_regs=res.program.n_regs)
     assert again.to_json() == res.program.to_json()
-    placement = res.program.canonical
-    for item in res.program.items:
+    assert_transport_replays(res.program)
+
+
+def assert_transport_replays(program):
+    """Replaying every transport step puts each layer's ions on its expected
+    slots and ends at the canonical placement."""
+    from ionflow.qccd import LayerItem, TransportItem
+
+    placement = program.canonical
+    for item in program.items:
         if isinstance(item, TransportItem):
             for st in item.steps:
                 placement = apply_step(placement, st)
         elif isinstance(item, LayerItem):
             assert all(placement[q] == s for q, s in item.expected_slots)
-    assert placement == res.program.canonical
+    assert placement == program.canonical
+
+
+def test_wide_trap_with_few_ions_takes_the_routing_fallback():
+    # the BFS step table grows as Fibonacci(slots + 1), so traps wider than
+    # BFS_EXACT_LIMIT slots route however few ions they hold
+    from ionflow.experiments import RusConfig, build_rus
+    from ionflow.toolchain import compile_module
+
+    trap = TrapLayout(40, ((0, 1),))
+    t0 = time.perf_counter()
+    res = compile_module(build_rus(RusConfig(limit=2, style="loop")), trap=trap)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(res.program.canonical) == 3 and res.program.planned_transport_steps > 0
+    assert_transport_replays(res.program)
 
 
 # -- lowering ---------------------------------------------------------------------
