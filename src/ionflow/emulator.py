@@ -39,9 +39,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gates as G
-from .ir import OUTPUT_TOKEN, BinOp, ReadResult
-from .oracle import PRUNE_EPS, TooManyBranches
-from .predication import OrVal, Select
+from .ir import OUTPUT_TOKEN, BinOp, ReadResult, Select
+from .oracle import MAX_BRANCH_EVENTS, PRUNE_EPS, TooManyBranches
+from .predication import OrVal
 from .qccd import (
     ClassicalItem,
     ExecProgram,
@@ -73,6 +73,8 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+        if not math.isfinite(self.prep_overrotation):
+            raise ValueError(f"prep_overrotation={self.prep_overrotation} is not finite")
 
     @property
     def is_noiseless(self) -> bool:
@@ -376,8 +378,7 @@ class _Batch:
         return [tuple(_DECODE[v] for v in row if v >= 0) for row in self.out.tolist()]
 
 
-def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int = 0,
-          max_events: int = 0, max_rows: int = 0) -> int | None:
+def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int = 0, max_rows: int = 0) -> int | None:
     """Run every row of ``b`` from item ``start`` to the end of the program.
 
     With an RNG every measurement and reset outcome is drawn per row.
@@ -410,7 +411,7 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int =
                 R = m.nonzero()[0]
         tag = item[0]
         if tag == _LAYER:
-            _run_layer(rt, b, R, item, rng, max_events)
+            _run_layer(rt, b, R, item, rng)
         elif tag == _CLASSICAL:
             regs = b.regs[R]
             _exec_classical(item[2], regs, b.slots[R])
@@ -432,7 +433,7 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int =
     return None
 
 
-def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng, max_events: int) -> None:
+def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng) -> None:
     _, _, qs, expected, fused, depolarize, collapses, idle, idle_col, width, n_gates = item
     n = rt.n_qubits
     if len(qs):
@@ -448,20 +449,20 @@ def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng, max_events: int) ->
     for qubits, p, col in depolarize:
         apply_depolarizing(st, qubits, p, u[:, col])
     for op in collapses:
-        st, R = _collapse(b, R, st, op, u, max_events)
+        st, R = _collapse(b, R, st, op, u)
     if idle:
         apply_dephasing(st, idle, rt.noise.p_idle, u[:, idle_col:])
     if R is not _ALL:
         b.state[R] = st
 
 
-def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None, max_events: int):
+def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None):
     """Measure or reset one qubit in every row of ``st``; returns ``st`` and ``R`` after any forks."""
     otag, q, slot, sel, bit, flip, p_noise, col = op
     p = np.abs(st) ** 2 @ sel  # (rows, 2): weight of the |0> and |1> arms
     norm = p.sum(1)
     drift = np.abs(norm - 1.0)
-    if drift.max() > 1e-9:
+    if not drift.max() <= 1e-9:  # NaN fails this too
         raise FloatingPointError(f"state norm drifted to {norm[drift.argmax()]}")
     if u is not None:
         one = u[:, col] * norm < p[:, 1]
@@ -481,8 +482,8 @@ def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None, max
             b.weight[new] *= p[both, 1]
             b.events[parents] += 1
             b.events[new] += 1
-            if b.events[new].max() > max_events:
-                raise TooManyBranches(f"more than {max_events} branch events on a path")
+            if b.events[new].max() > MAX_BRANCH_EVENTS:
+                raise TooManyBranches(f"more than {MAX_BRANCH_EVENTS} branch events on a path")
             if R is _ALL:
                 st = b.state
             else:
@@ -563,7 +564,7 @@ class ExecLeaf:
     executed_transport_steps: int
 
 
-def enumerate_exec_leaves(prog: ExecProgram, max_branch_events: int = 20) -> list[ExecLeaf]:
+def enumerate_exec_leaves(prog: ExecProgram) -> list[ExecLeaf]:
     """All terminal paths of a lowered program with exact probabilities."""
     rt = _compile_runtime(prog, NOISELESS)
     max_rows = max(1, ENUM_AMPLITUDES >> rt.n_qubits)
@@ -571,7 +572,7 @@ def enumerate_exec_leaves(prog: ExecProgram, max_branch_events: int = 20) -> lis
     todo = [(_Batch.start(rt, 1), 0)]
     while todo:  # a batch that grows too large goes on in halves, first half first
         b, k = todo.pop()
-        k = _walk(rt, b, None, k, max_branch_events, max_rows)
+        k = _walk(rt, b, None, k, max_rows)
         if k is not None:
             half = len(b.weight) // 2
             todo += [(b.take(slice(half, None)), k), (b.take(slice(0, half)), k)]
@@ -585,9 +586,9 @@ def enumerate_exec_leaves(prog: ExecProgram, max_branch_events: int = 20) -> lis
     return leaves
 
 
-def enumerate_outcomes(prog: ExecProgram, max_branch_events: int = 20) -> dict[tuple, float]:
+def enumerate_outcomes(prog: ExecProgram) -> dict[tuple, float]:
     """Exact output distribution of a lowered program (noiseless)."""
     dist: dict[tuple, float] = {}
-    for leaf in enumerate_exec_leaves(prog, max_branch_events):
+    for leaf in enumerate_exec_leaves(prog):
         dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
     return dist

@@ -93,6 +93,8 @@ class MsdConfig:
             raise ValueError("limit must be >= 0")
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
+        if not math.isfinite(self.prep_overrotation):
+            raise ValueError(f"prep_overrotation={self.prep_overrotation} is not finite")
 
 
 @dataclass(frozen=True)
@@ -346,24 +348,7 @@ class ExperimentReport:
                 return repr(v)
             return str(v)
 
-        return ",".join(
-            f(v)
-            for v in (
-                self.experiment,
-                self.style,
-                self.basis,
-                self.limit,
-                self.shots,
-                self.success_fraction,
-                self.exp_x,
-                self.exp_y,
-                self.exp_z,
-                self.survival,
-                self.avg_transport,
-                self.blocks,
-                self.colors,
-            )
-        )
+        return ",".join(f(getattr(self, name)) for name in CSV_HEADER.split(","))
 
 
 CSV_HEADER = "experiment,style,basis,limit,shots,success_fraction,exp_x,exp_y,exp_z,survival,avg_transport,blocks,colors"

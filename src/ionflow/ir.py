@@ -5,18 +5,27 @@ of straight-line instructions (gates, measurements, classical ops, output
 recording, calls) and exactly one terminator (jump / conditional branch /
 return). Profile validation enforces the machine-executable subset: acyclic
 control flow, SSA discipline, in-range qubit/result indices, known gates,
-and (in strict mode) no remaining calls and constant rotation angles.
+finite literal angles, and (in strict mode) no remaining calls and constant
+rotation angles.
 
 Values are either Python literals (bool / int / float) or `Vreg` references.
 Qubit operands are literal indices into the global qubit register, or
 qubit-typed parameter vregs inside functions that take qubits as arguments.
 IR objects are immutable; transforms build new modules.
+
+This module alone knows where each instruction keeps its operands:
+``instr_uses``, ``instr_defs`` and ``map_instr`` serve every pass, the
+register allocator and the oracle. ``Select`` appears only in the guarded
+form that if-conversion builds.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 GATE_SET = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "cx")
@@ -60,10 +69,18 @@ class Measure:
     qubit: QubitRef
     slot: int
 
+    @property
+    def qubits(self) -> tuple[QubitRef, ...]:
+        return (self.qubit,)
+
 
 @dataclass(frozen=True)
 class Reset:
     qubit: QubitRef
+
+    @property
+    def qubits(self) -> tuple[QubitRef, ...]:
+        return (self.qubit,)
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,16 @@ class Cmp:
 
 
 @dataclass(frozen=True)
+class Select:
+    """dst = cond ? a : b; if-conversion turns each phi into selects."""
+
+    dst: Vreg
+    cond: Value
+    a: Value
+    b: Value
+
+
+@dataclass(frozen=True)
 class Output:
     kind: str
     slot: int | None = None
@@ -100,7 +127,8 @@ class Call:
     args: tuple[Value, ...] = ()
 
 
-Instruction = Union[QGate, Measure, Reset, ReadResult, BinOp, Cmp, Output, Call]
+Instruction = Union[QGate, Measure, Reset, ReadResult, BinOp, Cmp, Select, Output, Call]
+QUANTUM_OPS = (QGate, Measure, Reset)  # the instructions that act on qubits, each with ``qubits``
 
 
 @dataclass(frozen=True)
@@ -147,11 +175,12 @@ class Function:
     def entry(self) -> BasicBlock:
         return self.blocks[0]
 
+    @cached_property
+    def by_label(self) -> dict[str, BasicBlock]:
+        return {b.label: b for b in self.blocks}
+
     def block(self, label: str) -> BasicBlock:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
+        return self.by_label[label]
 
 
 @dataclass(frozen=True)
@@ -162,11 +191,12 @@ class Module:
     required_qubits: int
     required_results: int
 
+    @cached_property
+    def _by_name(self) -> dict[str, Function]:
+        return {f.name: f for f in self.functions}
+
     def function(self, name: str) -> Function:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        return self._by_name[name]
 
     @property
     def entry_function(self) -> Function:
@@ -179,7 +209,7 @@ def wrap_i64(v: int) -> int:
 
 
 def instr_defs(instr: Instruction) -> tuple[Vreg, ...]:
-    if isinstance(instr, (BinOp, Cmp, ReadResult)):
+    if isinstance(instr, (BinOp, Cmp, ReadResult, Select)):
         return (instr.dst,)
     return ()
 
@@ -195,9 +225,32 @@ def instr_uses(instr: Instruction) -> tuple[Vreg, ...]:
             uses.append(instr.qubit)
     elif isinstance(instr, (BinOp, Cmp)):
         uses.extend(v for v in (instr.a, instr.b) if isinstance(v, Vreg))
+    elif isinstance(instr, Select):
+        uses.extend(v for v in (instr.cond, instr.a, instr.b) if isinstance(v, Vreg))
     elif isinstance(instr, Call):
         uses.extend(a for a in instr.args if isinstance(a, Vreg))
     return tuple(uses)
+
+
+def map_instr(instr: Instruction, f: Callable[[Value], Value]) -> Instruction:
+    """``instr`` with ``f`` applied to every vreg it uses or defines; ``f``
+    also sees the literal operands (and a missing angle, None) and must
+    return them unchanged."""
+    if isinstance(instr, QGate):
+        return QGate(instr.name, tuple(map(f, instr.qubits)), f(instr.angle))
+    if isinstance(instr, Measure):
+        return Measure(f(instr.qubit), instr.slot)
+    if isinstance(instr, Reset):
+        return Reset(f(instr.qubit))
+    if isinstance(instr, ReadResult):
+        return ReadResult(f(instr.dst), instr.slot)
+    if isinstance(instr, (BinOp, Cmp)):
+        return type(instr)(instr.op, f(instr.dst), f(instr.a), f(instr.b))
+    if isinstance(instr, Select):
+        return Select(f(instr.dst), f(instr.cond), f(instr.a), f(instr.b))
+    if isinstance(instr, Call):
+        return Call(instr.callee, tuple(map(f, instr.args)))
+    return instr
 
 
 def retarget(block: BasicBlock, old: str, new: str) -> BasicBlock:
@@ -486,6 +539,9 @@ def _validate_instr(
                 diags.append(Diagnostic(ERROR, "ANGLE_MISSING", f"{instr.name} requires an angle operand", loc))
             elif strict and isinstance(instr.angle, Vreg):
                 diags.append(Diagnostic(ERROR, "ANGLE_NONCONST", f"{instr.name} angle must be a literal after folding", loc))
+            elif not isinstance(instr.angle, Vreg) and not abs(instr.angle) <= sys.float_info.max:
+                # NaN, the infinities and ints too large for a float all fail this
+                diags.append(Diagnostic(ERROR, "ANGLE_NONFINITE", f"{instr.name} angle {instr.angle!r} is not finite", loc))
         elif instr.angle is not None:
             diags.append(Diagnostic(ERROR, "ANGLE_UNEXPECTED", f"{instr.name} takes no angle", loc))
         for q in instr.qubits:

@@ -11,12 +11,13 @@ These are deliberately written against the plain matrix embedding from
 ``gates`` rather than the emulator's in-place kernels, so the oracle and the
 emulator's single compiled-form interpreter share no simulation code.
 
-Both walkers hand every measurement and reset to one helper, ``_branch``. An
-outcome is live when the weight of its own amplitudes exceeds ``PRUNE_EPS``;
-two live outcomes fork the path, within a per-path branching budget. A reset
-collapses like a measurement; when both collapse branches land on the same
-post-reset state (the common unentangled case) they are merged so path
-counts stay small.
+Both walkers run every instruction other than control flow and calls
+through one helper, ``_step``, which hands measurements and resets to
+``_branch``. An outcome is live when the weight of its own amplitudes
+exceeds ``PRUNE_EPS``; two live outcomes fork the path, within
+``MAX_BRANCH_EVENTS`` per path. A reset collapses like a measurement; when
+both collapse branches land on the same post-reset state (the common
+unentangled case) they are merged so path counts stay small.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .ir import (
     Call,
     Cmp,
     Function,
+    Instruction,
     Jump,
     Measure,
     Module,
@@ -40,15 +42,18 @@ from .ir import (
     QGate,
     ReadResult,
     Reset,
+    Select,
     Value,
     Vreg,
 )
 from .passes import _eval_binop, _eval_cmp
-from .predication import GuardedFunction, GuardVal, OrVal, Select
+from .predication import GuardedFunction, GuardVal, OrVal
 from .regalloc import PReg
 
 # An outcome whose amplitude weight is below this is rounding noise, not an arm.
 PRUNE_EPS = 1e-12
+# Branching measurement or reset events one path may take in exact enumeration.
+MAX_BRANCH_EVENTS = 20
 
 
 class TooManyBranches(Exception):
@@ -63,11 +68,7 @@ class Leaf:
     slots: tuple[int, ...]
 
 
-def _apply_gate(state: np.ndarray, name: str, qubits: tuple[int, ...], angle, n: int) -> np.ndarray:
-    return G.embed(name, qubits, angle, n) @ state
-
-
-def _branch(st, q: int, slot: int | None, n: int, cap: int, resume) -> bool:
+def _branch(st, q: int, slot: int | None, n: int, resume) -> bool:
     """Measure (``slot`` set) or reset (``slot`` None) qubit ``q`` of path ``st``.
 
     With one live outcome, or a reset whose two outcomes leave the same state,
@@ -81,7 +82,7 @@ def _branch(st, q: int, slot: int | None, n: int, cap: int, resume) -> bool:
         p = float(np.sum(np.abs(kept) ** 2))
         if p > PRUNE_EPS:
             s = kept / np.sqrt(p)
-            arms.append((o, p, s if slot is not None or o == 0 else _apply_gate(s, "x", (q,), None, n)))
+            arms.append((o, p, s if slot is not None or o == 0 else G.embed("x", (q,), None, n) @ s))
     if len(arms) == 2 and slot is None and G.equal_up_to_phase(arms[0][2], arms[1][2]):
         arms.pop()
     if len(arms) == 1:
@@ -89,8 +90,8 @@ def _branch(st, q: int, slot: int | None, n: int, cap: int, resume) -> bool:
         if slot is not None:
             st.slots[slot] = o
         return False
-    if st.branch_events + 1 > cap:
-        raise TooManyBranches(f"more than {cap} branching measurement events on one path")
+    if st.branch_events + 1 > MAX_BRANCH_EVENTS:
+        raise TooManyBranches(f"more than {MAX_BRANCH_EVENTS} branching measurement events on one path")
     for o, p, s in arms:
         child = st.copy()
         child.state = s
@@ -100,6 +101,47 @@ def _branch(st, q: int, slot: int | None, n: int, cap: int, resume) -> bool:
         child.branch_events += 1
         resume(child)
     return True
+
+
+def _resolve(v: Value, env: dict) -> Value:
+    if isinstance(v, (Vreg, PReg)):
+        return env.get(v, False)
+    return v
+
+
+def _qubit_index(q, env: dict[Vreg, Value]) -> int:
+    if isinstance(q, Vreg):
+        q = env.get(q)
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValueError(f"unresolved qubit operand {q!r}")
+    return q
+
+
+def _step(st, ins: Instruction, env: dict, n: int, resume) -> bool:
+    """Run one non-control instruction on path ``st`` with registers ``env``.
+
+    Returns True when a measurement or reset forked the path, every arm of
+    which ``_branch`` has handed to ``resume``.
+    """
+    if isinstance(ins, QGate):
+        qubits = tuple(_qubit_index(q, env) for q in ins.qubits)
+        st.state = G.embed(ins.name, qubits, _resolve(ins.angle, env), n) @ st.state
+    elif isinstance(ins, (Measure, Reset)):
+        slot = ins.slot if isinstance(ins, Measure) else None
+        return _branch(st, _qubit_index(ins.qubit, env), slot, n, resume)
+    elif isinstance(ins, ReadResult):
+        env[ins.dst] = bool(st.slots[ins.slot])
+    elif isinstance(ins, BinOp):
+        env[ins.dst] = _eval_binop(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
+    elif isinstance(ins, Cmp):
+        env[ins.dst] = _eval_cmp(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
+    elif isinstance(ins, Select):
+        env[ins.dst] = _resolve(ins.a if _resolve(ins.cond, env) else ins.b, env)
+    elif isinstance(ins, Output):
+        st.outputs.append(st.slots[ins.slot] if ins.kind == "result" else OUTPUT_TOKEN[ins.kind])
+    else:  # pragma: no cover
+        raise TypeError(f"cannot interpret {ins!r}")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +178,7 @@ class _MState:
         )
 
 
-def _resolve(v: Value, env: dict) -> Value:
-    if isinstance(v, (Vreg, PReg)):
-        return env.get(v, False)
-    return v
-
-
-def _qubit_index(q, env: dict[Vreg, Value]) -> int:
-    if isinstance(q, Vreg):
-        q = env.get(q)
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise ValueError(f"unresolved qubit operand {q!r}")
-    return q
-
-
-def enumerate_module_leaves(module: Module, max_branch_events: int = 20) -> list[Leaf]:
+def enumerate_module_leaves(module: Module) -> list[Leaf]:
     """All terminal trajectories of a module with exact probabilities."""
     n = module.required_qubits
     init = np.zeros(1 << max(n, 1), dtype=complex)
@@ -165,12 +193,16 @@ def enumerate_module_leaves(module: Module, max_branch_events: int = 20) -> list
         branch_events=0,
     )
     leaves: list[Leaf] = []
-    _run_module(module, start, leaves, max_branch_events)
+    _run_module(module, start, leaves)
     return leaves
 
 
-def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> None:
+def _run_module(module: Module, ms: _MState, leaves: list[Leaf]) -> None:
     n = module.required_qubits
+
+    def resume(child: _MState) -> None:
+        _run_module(module, child, leaves)
+
     while ms.frames:
         fr = ms.frames[-1]
         block = fr.fn.block(fr.label)
@@ -186,30 +218,13 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> No
         while fr.idx < len(block.body):
             instr = block.body[fr.idx]
             fr.idx += 1
-            if isinstance(instr, QGate):
-                qubits = tuple(_qubit_index(q, fr.env) for q in instr.qubits)
-                angle = _resolve(instr.angle, fr.env) if instr.angle is not None else None
-                ms.state = _apply_gate(ms.state, instr.name, qubits, angle, n)
-            elif isinstance(instr, (Measure, Reset)):
-                q = _qubit_index(instr.qubit, fr.env)
-                slot = instr.slot if isinstance(instr, Measure) else None
-                if _branch(ms, q, slot, n, cap, lambda child: _run_module(module, child, leaves, cap)):
-                    return  # every arm handled recursively
-            elif isinstance(instr, ReadResult):
-                fr.env[instr.dst] = bool(ms.slots[instr.slot])
-            elif isinstance(instr, BinOp):
-                fr.env[instr.dst] = _eval_binop(instr.op, _resolve(instr.a, fr.env), _resolve(instr.b, fr.env))
-            elif isinstance(instr, Cmp):
-                fr.env[instr.dst] = _eval_cmp(instr.op, _resolve(instr.a, fr.env), _resolve(instr.b, fr.env))
-            elif isinstance(instr, Output):
-                _record_output(ms.outputs, instr, ms.slots)
-            elif isinstance(instr, Call):
+            if isinstance(instr, Call):
                 callee = module.function(instr.callee)
                 env = {pv: _resolve(a, fr.env) for (pv, _t), a in zip(callee.params, instr.args)}
                 ms.frames.append(_Frame(callee, env, callee.blocks[0].label, None, 0, False))
                 break
-            else:  # pragma: no cover
-                raise TypeError(f"cannot interpret {instr!r}")
+            if _step(ms, instr, fr.env, n, resume):
+                return  # every arm handled recursively
         else:
             term = block.terminator
             if isinstance(term, Jump):
@@ -223,14 +238,10 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf], cap: int) -> No
     leaves.append(Leaf(ms.prob, tuple(ms.outputs), ms.state, tuple(ms.slots)))
 
 
-def _record_output(outputs: list, instr: Output, slots: list[int]) -> None:
-    outputs.append(slots[instr.slot] if instr.kind == "result" else OUTPUT_TOKEN[instr.kind])
-
-
-def enumerate_module(module: Module, max_branch_events: int = 20) -> dict[tuple, float]:
+def enumerate_module(module: Module) -> dict[tuple, float]:
     """Exact output distribution of a module; probabilities sum to 1."""
     dist: dict[tuple, float] = {}
-    for leaf in enumerate_module_leaves(module, max_branch_events):
+    for leaf in enumerate_module_leaves(module):
         dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
     return dist
 
@@ -268,41 +279,31 @@ def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
     raise TypeError(f"bad guard value {gv!r}")
 
 
-def enumerate_guarded(gf: GuardedFunction, n_qubits: int, n_results: int, max_branch_events: int = 20) -> dict[tuple, float]:
+def enumerate_guarded(gf: GuardedFunction, n_qubits: int, n_results: int) -> dict[tuple, float]:
     dist: dict[tuple, float] = {}
-    for leaf in enumerate_guarded_leaves(gf, n_qubits, n_results, max_branch_events):
+    for leaf in enumerate_guarded_leaves(gf, n_qubits, n_results):
         dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
     return dist
 
 
-def enumerate_guarded_leaves(
-    gf: GuardedFunction, n_qubits: int, n_results: int, max_branch_events: int = 20
-) -> list[Leaf]:
+def enumerate_guarded_leaves(gf: GuardedFunction, n_qubits: int, n_results: int) -> list[Leaf]:
     init = np.zeros(1 << max(n_qubits, 1), dtype=complex)
     init[0] = 1.0
     start = _GState(init, [0] * n_results, [], 1.0, {}, 0, False, 0, 0)
     leaves: list[Leaf] = []
-    _run_guarded(gf, n_qubits, start, leaves, max_branch_events)
+    _run_guarded(gf, n_qubits, start, leaves)
     return leaves
 
 
-def _run_guarded(gf: GuardedFunction, n: int, gs: _GState, leaves: list[Leaf], cap: int) -> None:
+def _run_guarded(gf: GuardedFunction, n: int, gs: _GState, leaves: list[Leaf]) -> None:
+    def resume(child: _GState) -> None:
+        _run_guarded(gf, n, child, leaves)
+
     while gs.block_idx < len(gf.blocks):
         block = gf.blocks[gs.block_idx]
         if not gs.in_body:
-            for k in range(gs.instr_idx, len(block.prelude)):
-                ins = block.prelude[k]
-                if isinstance(ins, Select):
-                    cond = _resolve(ins.cond, gs.regs)
-                    gs.regs[ins.dst] = _resolve(ins.a if cond else ins.b, gs.regs)
-                elif isinstance(ins, BinOp):
-                    gs.regs[ins.dst] = _eval_binop(ins.op, _resolve(ins.a, gs.regs), _resolve(ins.b, gs.regs))
-                elif isinstance(ins, Cmp):
-                    gs.regs[ins.dst] = _eval_cmp(ins.op, _resolve(ins.a, gs.regs), _resolve(ins.b, gs.regs))
-                elif isinstance(ins, ReadResult):
-                    gs.regs[ins.dst] = bool(gs.slots[ins.slot])
-                else:  # pragma: no cover
-                    raise TypeError(f"prelude cannot hold {ins!r}")
+            for ins in block.prelude:  # classical only, so it never forks
+                _step(gs, ins, gs.regs, n, resume)
             gs.in_body = True
             gs.instr_idx = 0
             if not eval_guard_val(block.guard, gs.regs):
@@ -312,24 +313,8 @@ def _run_guarded(gf: GuardedFunction, n: int, gs: _GState, leaves: list[Leaf], c
         while gs.instr_idx < len(block.body):
             instr = block.body[gs.instr_idx]
             gs.instr_idx += 1
-            if isinstance(instr, QGate):
-                qubits = tuple(q for q in instr.qubits)
-                angle = _resolve(instr.angle, gs.regs) if instr.angle is not None else None
-                gs.state = _apply_gate(gs.state, instr.name, qubits, angle, n)
-            elif isinstance(instr, (Measure, Reset)):
-                slot = instr.slot if isinstance(instr, Measure) else None
-                if _branch(gs, instr.qubit, slot, n, cap, lambda child: _run_guarded(gf, n, child, leaves, cap)):
-                    return
-            elif isinstance(instr, ReadResult):
-                gs.regs[instr.dst] = bool(gs.slots[instr.slot])
-            elif isinstance(instr, BinOp):
-                gs.regs[instr.dst] = _eval_binop(instr.op, _resolve(instr.a, gs.regs), _resolve(instr.b, gs.regs))
-            elif isinstance(instr, Cmp):
-                gs.regs[instr.dst] = _eval_cmp(instr.op, _resolve(instr.a, gs.regs), _resolve(instr.b, gs.regs))
-            elif isinstance(instr, Output):
-                _record_output(gs.outputs, instr, gs.slots)
-            else:  # pragma: no cover
-                raise TypeError(f"guarded body cannot hold {instr!r}")
+            if _step(gs, instr, gs.regs, n, resume):
+                return
         gs.block_idx += 1
         gs.in_body = False
         gs.instr_idx = 0

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gates as G
@@ -41,18 +40,18 @@ from .ir import (
     Function,
     Instruction,
     Jump,
-    Measure,
     Module,
     Phi,
     QGate,
+    QUANTUM_OPS,
     ReadResult,
-    Reset,
     Return,
     Terminator,
     Value,
     Vreg,
     instr_defs,
     instr_uses,
+    map_instr,
     retarget,
     wrap_i64,
 )
@@ -117,24 +116,6 @@ def _targets(t: Terminator) -> tuple[str, ...]:
     return ()
 
 
-def _map_instr(instr: Instruction, f: Callable[[Value], Value]) -> Instruction:
-    """``instr`` with ``f`` applied to every vreg it uses or defines; ``f``
-    also sees the literal operands and must return them unchanged."""
-    if isinstance(instr, QGate):
-        return QGate(instr.name, tuple(map(f, instr.qubits)), f(instr.angle))
-    if isinstance(instr, Measure):
-        return Measure(f(instr.qubit), instr.slot)
-    if isinstance(instr, Reset):
-        return Reset(f(instr.qubit))
-    if isinstance(instr, ReadResult):
-        return ReadResult(f(instr.dst), instr.slot)
-    if isinstance(instr, (BinOp, Cmp)):
-        return type(instr)(instr.op, f(instr.dst), f(instr.a), f(instr.b))
-    if isinstance(instr, Call):
-        return Call(instr.callee, tuple(map(f, instr.args)))
-    return instr
-
-
 def _fold_function(fn: Function) -> Function:
     """Fold ``fn`` to its fixpoint in one call.
 
@@ -146,7 +127,6 @@ def _fold_function(fn: Function) -> Function:
     definitions (phi, BinOp, Cmp, ReadResult) are dropped by use count; a
     drop releases its operands, so dead cycles stay.
     """
-    by_label = {b.label: b for b in fn.blocks}
     env: dict[Vreg, Value] = {}
 
     def resolve(v: Value) -> Value:
@@ -163,7 +143,7 @@ def _fold_function(fn: Function) -> Function:
         work = [fn.blocks[0].label]
         while work:
             src = work.pop()
-            for s in _targets(terminator(by_label[src])) if src in by_label else ():
+            for s in _targets(terminator(fn.by_label[src])) if src in fn.by_label else ():
                 if s not in preds:
                     preds[s] = set()
                     work.append(s)
@@ -199,7 +179,7 @@ def _fold_function(fn: Function) -> Function:
         for p in phis:
             operands[p.dst] = tuple(v for v, _l in p.incomings if isinstance(v, Vreg))
             uses.update(operands[p.dst])
-        body = [_map_instr(i, resolve) for i in b.body if not (isinstance(i, (BinOp, Cmp)) and i.dst in env)]
+        body = [map_instr(i, resolve) for i in b.body if not (isinstance(i, (BinOp, Cmp)) and i.dst in env)]
         for i in body:
             used = instr_uses(i)
             if isinstance(i, (BinOp, Cmp, ReadResult)):
@@ -251,7 +231,7 @@ def _clone_block(b: BasicBlock, ren: dict[Vreg, Value], relabel: dict[str, str])
         return ren.get(v, v)
 
     phis = tuple(Phi(rename(p.dst), tuple((rename(v), relabel.get(l, l)) for v, l in p.incomings)) for p in b.phis)
-    body = tuple(_map_instr(i, rename) for i in b.body)
+    body = tuple(map_instr(i, rename) for i in b.body)
     t = b.terminator
     if isinstance(t, Jump):
         t = Jump(relabel.get(t.target, t.target))
@@ -277,8 +257,10 @@ def _collect_defs(blocks: list[BasicBlock] | tuple[BasicBlock, ...]) -> set[Vreg
 class _CountedLoop:
     header: str
     latch: str
+    entries: list[str]  # the header's predecessors outside the loop
     counter: Vreg
     counter_next: Vreg
+    cond: Vreg  # the header's counter < limit
     init: int
     limit: int
     body_entry: str
@@ -288,7 +270,6 @@ class _CountedLoop:
 
 def _match_counted_loop(fn: Function) -> _CountedLoop | None:
     cfg = Cfg.from_function(fn)
-    by_label = {b.label: b for b in fn.blocks}
     for h in fn.blocks:
         if len(h.phis) != 1 or len(h.body) != 1:
             continue
@@ -310,7 +291,7 @@ def _match_counted_loop(fn: Function) -> _CountedLoop | None:
         init = next(iter(init_vals))
         if not isinstance(init, int) or isinstance(init, bool):
             continue
-        latch = by_label.get(latch_label)
+        latch = fn.by_label.get(latch_label)
         if latch is None or latch.phis or len(latch.body) != 1:
             continue
         add = latch.body[0]
@@ -332,7 +313,7 @@ def _match_counted_loop(fn: Function) -> _CountedLoop | None:
         # reject loops whose body phis mention the header/latch machinery
         clean = True
         for lbl in body:
-            for p in by_label[lbl].phis:
+            for p in fn.block(lbl).phis:
                 if any(l in (h.label,) for _v, l in p.incomings):
                     clean = False
         if not clean:
@@ -341,8 +322,10 @@ def _match_counted_loop(fn: Function) -> _CountedLoop | None:
         return _CountedLoop(
             header=h.label,
             latch=latch_label,
+            entries=[l for _v, l in lit_incs],
             counter=phi.dst,
             counter_next=counter_next,
+            cond=cmp.dst,
             init=init,
             limit=int(cmp.b),
             body_entry=t.then_target,
@@ -356,16 +339,19 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
     trips = max(0, loop.limit - loop.init)
     if trips > max_unroll:
         raise BudgetExceeded(f"loop at '{loop.header}' needs {trips} trips, budget is {max_unroll}")
-    by_label = {b.label: b for b in fn.blocks}
-    body_blocks = [by_label[l] for l in loop.body_labels]
+    body = set(loop.body_labels)
+    body_blocks = [fn.block(l) for l in loop.body_labels]
     body_defs = _collect_defs(body_blocks)
 
     copies: list[list[BasicBlock]] = []
     entry_of_copy: list[str] = []
+    rens: list[dict[Vreg, Value]] = []
     for k in range(trips):
         relabel = {l: f"{l}.u{k}" for l in loop.body_labels}
         ren: dict[Vreg, Value] = {v: Vreg(f"{v.name}.u{k}") for v in body_defs}
         ren[loop.counter] = loop.init + k
+        ren[loop.cond] = True
+        rens.append(ren)
         copies.append([_clone_block(b, ren, relabel) for b in body_blocks])
         entry_of_copy.append(relabel[loop.body_entry])
     # each copy's back edge (only the latch jumps to the header) goes to the
@@ -374,33 +360,31 @@ def _unroll_loop(fn: Function, loop: _CountedLoop, max_unroll: int) -> Function:
         nxt = entry_of_copy[k + 1] if k + 1 < trips else loop.exit_target
         copies[k] = [retarget(b, loop.header, nxt) for b in copies[k]]
 
+    # A phi outside the loop that names the header now names what reaches the
+    # exit in its place: the last latch copy, or with no trips the header's
+    # outside predecessors; there the counter is init + trips and the loop
+    # condition false. One that names a body block names it in every copy,
+    # with that copy's renaming.
+    exits = [f"{loop.latch}.u{trips - 1}"] if trips else loop.entries
+    exit_ren: dict[Vreg, Value] = {loop.counter: loop.init + trips, loop.cond: False}
+
+    def incomings(v: Value, l: str) -> list[tuple[Value, str]]:
+        if l == loop.header:
+            return [(exit_ren.get(v, v), e) for e in exits]
+        if l in body:
+            return [(ren.get(v, v), f"{l}.u{k}") for k, ren in enumerate(rens)]
+        return [(v, l)]
+
     first_target = entry_of_copy[0] if trips else loop.exit_target
     out: list[BasicBlock] = []
     for b in fn.blocks:
         if b.label == loop.header:
             for copy in copies:
                 out.extend(copy)
-        elif b.label in loop.body_labels:
-            continue
-        else:
-            out.append(retarget(b, loop.header, first_target))
-
-    # phis outside the loop that referenced body labels move to the last copy
-    final_relabel = {l: f"{l}.u{trips-1}" for l in loop.body_labels} if trips else {}
-    final_ren: dict[Vreg, Value] = {v: Vreg(f"{v.name}.u{trips-1}") for v in body_defs} if trips else {}
-    if trips:
-        final_ren[loop.counter] = loop.init + trips - 1
-    fixed_blocks = []
-    for b in out:
-        phis = []
-        for phi in b.phis:
-            inc = tuple(
-                (final_ren.get(v, v) if l in final_relabel else v, final_relabel.get(l, l))
-                for v, l in phi.incomings
-            )
-            phis.append(Phi(phi.dst, inc))
-        fixed_blocks.append(BasicBlock(b.label, tuple(phis), b.body, b.terminator))
-    return Function(fn.name, fn.params, tuple(fixed_blocks))
+        elif b.label not in body:
+            phis = tuple(Phi(p.dst, tuple(x for v, l in p.incomings for x in incomings(v, l))) for p in b.phis)
+            out.append(retarget(BasicBlock(b.label, phis, b.body, b.terminator), loop.header, first_target))
+    return Function(fn.name, fn.params, tuple(out))
 
 
 def _settle(fn: Function, max_unroll: int) -> Function:
@@ -620,14 +604,6 @@ def default_rules() -> tuple[RewriteRule, ...]:
     )
 
 
-def _instr_qubits(instr: Instruction) -> set:
-    if isinstance(instr, QGate):
-        return set(instr.qubits)
-    if isinstance(instr, (Measure, Reset)):
-        return {instr.qubit}
-    return set()
-
-
 def _match_pair(rule: RewriteRule, g1: QGate, g2: QGate) -> dict | None:
     t1, t2 = rule.pattern
     if g1.name != t1.name or g2.name != t2.name:
@@ -673,7 +649,7 @@ def _rewrite_once(body: list[Instruction], rules: tuple[RewriteRule, ...]) -> li
             continue
         q1 = set(g1.qubits)
         for j in range(i + 1, len(body)):
-            if _instr_qubits(body[j]) & q1:
+            if isinstance(body[j], QUANTUM_OPS) and not q1.isdisjoint(body[j].qubits):
                 break
         else:
             continue
@@ -694,10 +670,9 @@ def _peephole_block(block: BasicBlock, rules: tuple[RewriteRule, ...]) -> BasicB
     return BasicBlock(block.label, block.phis, tuple(body), block.terminator)
 
 
-def peephole(module: Module, rules: tuple[RewriteRule, ...] | None = None) -> Module:
-    """Apply rewrite rules within each block until no rule matches."""
-    if rules is None:
-        rules = default_rules()
+def peephole(module: Module) -> Module:
+    """Apply the default rewrite rules within each block until no rule matches."""
+    rules = default_rules()
     fns = []
     for fn in module.functions:
         blocks = tuple(_peephole_block(b, rules) for b in fn.blocks)

@@ -11,8 +11,9 @@ edges reuse the predecessor's guard and OR-joins stay symbolic until some
 later edge needs them as an operand. All guard arithmetic is emitted as
 plain instructions executed unconditionally *before* the block it feeds —
 a false guard masks whatever stale values skipped code left behind. Phi
-nodes become select instructions over the incoming edge guards, keeping
-every register single-assignment.
+nodes become ``ir.Select`` instructions over the incoming edge guards,
+keeping every register single-assignment; ``textir`` formats them like any
+other instruction.
 
 The result also keeps a symbolic guard per block. The backend compares
 those symbolically (conjunction containment) to decide where ion placement
@@ -32,6 +33,7 @@ from .ir import (
     FALSE_ARM,
     Function,
     Instruction,
+    Select,
     TRUE_ARM,
     UNCOND,
     Value,
@@ -112,22 +114,9 @@ def guard_vregs(gv: GuardVal) -> tuple[Vreg, ...]:
 
 
 @dataclass(frozen=True)
-class Select:
-    """dst = cond ? a : b on the global register file (guarded-form only)."""
-
-    dst: Vreg
-    cond: Value
-    a: Value
-    b: Value
-
-
-GuardedInstr = Union[Instruction, Select]
-
-
-@dataclass(frozen=True)
 class GuardedBlock:
     label: str
-    prelude: tuple[GuardedInstr, ...]  # unconditional guard/phi bookkeeping
+    prelude: tuple[Instruction, ...]  # unconditional guard/phi bookkeeping
     guard: GuardVal
     symbolic: SymGuard
     body: tuple[Instruction, ...]
@@ -148,7 +137,6 @@ def compute_guards(cfg: Cfg, fn: Function) -> dict[str, SymGuard]:
     Raises CycleDetected on back edges.
     """
     order = topo_sort(cfg)
-    by_label = {b.label: b for b in fn.blocks}
     guards: dict[str, SymGuard] = {}
     for label in order:
         in_edges = cfg.in_edges(label)
@@ -159,7 +147,7 @@ def compute_guards(cfg: Cfg, fn: Function) -> dict[str, SymGuard]:
         for e in in_edges:
             base = guards[e.src]
             if e.condition == TRUE_ARM or e.condition == FALSE_ARM:
-                term = by_label[e.src].terminator
+                term = fn.block(e.src).terminator
                 assert isinstance(term, Branch)
                 cond: SymGuard = SRef(term.cond)
                 if e.condition == FALSE_ARM:
@@ -207,7 +195,6 @@ def if_convert(fn: Function) -> GuardedFunction:
 
     cfg = Cfg.from_function(fn)
     order = topo_sort(cfg)  # raises CycleDetected
-    by_label = {b.label: b for b in fn.blocks}
     sym = compute_guards(cfg, fn)
 
     mat = _Materializer({v.name for v in seen_defs} | {v.name for v, _t in fn.params})
@@ -221,7 +208,7 @@ def if_convert(fn: Function) -> GuardedFunction:
 
     out_blocks: list[GuardedBlock] = []
 
-    def materialize(gv: GuardVal, prelude: list[GuardedInstr]) -> bool | Vreg:
+    def materialize(gv: GuardVal, prelude: list[Instruction]) -> bool | Vreg:
         if isinstance(gv, (bool, Vreg)):
             return gv
         parts = [materialize(p, prelude) for p in gv.parts]
@@ -236,8 +223,8 @@ def if_convert(fn: Function) -> GuardedFunction:
         return acc  # type: ignore[return-value]
 
     for label in order:
-        block = by_label[label]
-        prelude: list[GuardedInstr] = []
+        block = fn.block(label)
+        prelude: list[Instruction] = []
         in_edges = cfg.in_edges(label)
 
         def edge_value(e) -> GuardVal:
@@ -248,7 +235,7 @@ def if_convert(fn: Function) -> GuardedFunction:
                 v = guard_val[e.src]
                 edge_val[key] = v
                 return v
-            term = by_label[e.src].terminator
+            term = fn.block(e.src).terminator
             assert isinstance(term, Branch)
             cond = term.cond
             base = materialize(guard_val[e.src], prelude)
@@ -354,18 +341,12 @@ def format_guard(gv) -> str:
     return _fmt_value(gv)
 
 
-def _fmt_guarded_instr(ins) -> str:
-    if isinstance(ins, Select):
-        return f"{_fmt_value(ins.dst)} = select {_fmt_value(ins.cond)}, {_fmt_value(ins.a)}, {_fmt_value(ins.b)}"
-    return _fmt_instr(ins)
-
-
 def format_guarded(gf: GuardedFunction) -> str:
     lines = [f"guarded @{gf.name}"]
     for b in gf.blocks:
         lines.append(f"block {b.label}: guard {format_guard(b.guard)}")
         for ins in b.prelude:
-            lines.append(f"  pre  {_fmt_guarded_instr(ins)}")
+            lines.append(f"  pre  {_fmt_instr(ins)}")
         for ins in b.body:
-            lines.append(f"  body {_fmt_guarded_instr(ins)}")
+            lines.append(f"  body {_fmt_instr(ins)}")
     return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .ir import Instruction, Measure, Module, Output, QGate, Reset
+from .ir import QUANTUM_OPS, Instruction, Measure, Module, Output, QGate, Reset
 from .predication import GuardedFunction, OrVal, guard_vregs, sym_implies
 from .regalloc import BlockSpan, PReg
 
@@ -205,9 +205,9 @@ def schedule_layers(ops: list[Instruction], trap: TrapLayout) -> list[GateLayer]
         if isinstance(ins, QGate):
             placed = PlacedOp("gate", ins.name, tuple(ins.qubits), ins.angle, None, (0, 0))
         elif isinstance(ins, Measure):
-            placed = PlacedOp("measure", None, (ins.qubit,), None, ins.slot, (0, 0))
+            placed = PlacedOp("measure", None, ins.qubits, None, ins.slot, (0, 0))
         elif isinstance(ins, Reset):
-            placed = PlacedOp("reset", None, (ins.qubit,), None, None, (0, 0))
+            placed = PlacedOp("reset", None, ins.qubits, None, None, (0, 0))
         else:  # pragma: no cover
             raise TypeError(f"not a quantum op: {ins!r}")
         earliest = max((qubit_free.get(q, 0) for q in placed.qubits), default=0)
@@ -369,7 +369,7 @@ def _body_segments(body: tuple[Instruction, ...]):
     list, and each classical instruction (a barrier between runs) by itself."""
     run: list[Instruction] = []
     for ins in body:
-        if isinstance(ins, (QGate, Measure, Reset)):
+        if isinstance(ins, QUANTUM_OPS):
             run.append(ins)
         else:
             if run:
@@ -381,7 +381,7 @@ def _body_segments(body: tuple[Instruction, ...]):
 
 
 def is_gate_bearing(body: tuple[Instruction, ...]) -> bool:
-    return any(isinstance(i, (QGate, Measure, Reset)) for i in body)
+    return any(isinstance(i, QUANTUM_OPS) for i in body)
 
 
 @dataclass(frozen=True)
@@ -535,13 +535,11 @@ def lower(
     trap: TrapLayout,
     mode: str = CONDITIONAL,
     n_regs: int = 64,
-    canonical: Placement | None = None,
 ) -> ExecProgram:
     """Emit the flat executable program with per-chain transport plans."""
     if mode not in (CONDITIONAL, ALWAYS):
         raise ValueError(f"unknown transport mode '{mode}'")
-    if canonical is None:
-        canonical = place_initial(module, trap)
+    canonical = place_initial(module, trap)
     chains = compute_chains(gf)
     chain_of_block: dict[int, Chain] = {}
     for ch in chains:

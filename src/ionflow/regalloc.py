@@ -14,6 +14,9 @@ register-pressure error.
 
 Result slots are a separate pre-sized file addressed directly by
 measurements and are not subject to coloring.
+
+Liveness reads each instruction's operands through ``ir.instr_uses`` and
+``ir.instr_defs``, and ``rewrite`` renames them through ``ir.map_instr``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import BinOp, Cmp, QGate, ReadResult, Value, Vreg, instr_defs, instr_uses
-from .predication import GuardedBlock, GuardedFunction, GuardVal, OrVal, Select, guard_vregs
+from .ir import QUANTUM_OPS, Value, Vreg, instr_defs, instr_uses, map_instr
+from .predication import GuardedBlock, GuardedFunction, GuardVal, OrVal, guard_vregs
 
 PRESSURE_MESSAGE = "register pressure exceeds real-time register file"
 
@@ -70,19 +73,6 @@ def linearize(gf: GuardedFunction) -> list[BlockSpan]:
     return spans
 
 
-def _instr_use_list(ins) -> tuple[Vreg, ...]:
-    if isinstance(ins, Select):
-        return tuple(v for v in (ins.cond, ins.a, ins.b) if isinstance(v, Vreg))
-    return instr_uses(ins)
-
-
-def _instr_def(ins) -> Vreg | None:
-    if isinstance(ins, Select):
-        return ins.dst
-    d = instr_defs(ins)
-    return d[0] if d else None
-
-
 def compute_liveness(
     gf: GuardedFunction, extra_uses: tuple[tuple[Vreg, int], ...] = ()
 ) -> dict[Vreg, tuple[int, int]]:
@@ -99,27 +89,21 @@ def compute_liveness(
     def use(v: Vreg, at: int) -> None:
         end[v] = max(end.get(v, at + 1), at + 1)
 
-    for b, span in zip(gf.blocks, spans):
-        idx = span.prelude_start
-        for ins in b.prelude:
-            for v in _instr_use_list(ins):
+    def scan(instrs, idx: int) -> None:
+        for ins in instrs:
+            for v in instr_uses(ins):
                 use(v, idx)
-            d = _instr_def(ins)
-            if d is not None:
+            for d in instr_defs(ins):
                 start.setdefault(d, idx)
             idx += 1
+
+    for b, span in zip(gf.blocks, spans):
+        scan(b.prelude, span.prelude_start)
         for v in guard_vregs(b.guard):
             use(v, span.guard_index)
             if span.body_end > span.body_start:
                 use(v, span.body_end - 1)
-        idx = span.body_start
-        for ins in b.body:
-            for v in _instr_use_list(ins):
-                use(v, idx)
-            d = _instr_def(ins)
-            if d is not None:
-                start.setdefault(d, idx)
-            idx += 1
+        scan(b.body, span.body_start)
     for v, at in extra_uses:
         use(v, at)
 
@@ -194,44 +178,25 @@ def color(graph: InterferenceGraph, k: int) -> RegFile:
 # Rewriting vregs onto physical registers
 # ---------------------------------------------------------------------------
 
-def _map_value(v: Value, assignment: dict[Vreg, int]):
-    if isinstance(v, Vreg):
-        return PReg(assignment[v])
-    return v
-
-
-def _map_guard(gv: GuardVal, assignment: dict[Vreg, int]):
-    if isinstance(gv, Vreg):
-        return PReg(assignment[gv])
-    if isinstance(gv, OrVal):
-        return OrVal(tuple(_map_guard(p, assignment) for p in gv.parts))
-    return gv
-
-
 def rewrite(gf: GuardedFunction, regfile: RegFile) -> GuardedFunction:
-    """Replace vregs by physical registers; drop definitions never read."""
+    """Replace vregs by physical registers; drop definitions never read.
+
+    Quantum ops stay as they are: after strict validation they hold no vreg.
+    """
     asg = regfile.assignment
 
-    def is_dead(ins) -> bool:
-        d = _instr_def(ins)
-        return d is not None and d not in asg
+    def reg(v: Value):
+        return PReg(asg[v]) if isinstance(v, Vreg) else v
 
-    def mapi(ins):
-        if isinstance(ins, Select):
-            return Select(_map_value(ins.dst, asg), _map_value(ins.cond, asg), _map_value(ins.a, asg), _map_value(ins.b, asg))
-        if isinstance(ins, BinOp):
-            return BinOp(ins.op, _map_value(ins.dst, asg), _map_value(ins.a, asg), _map_value(ins.b, asg))
-        if isinstance(ins, Cmp):
-            return Cmp(ins.op, _map_value(ins.dst, asg), _map_value(ins.a, asg), _map_value(ins.b, asg))
-        if isinstance(ins, ReadResult):
-            return ReadResult(_map_value(ins.dst, asg), ins.slot)
-        if isinstance(ins, QGate):
-            return QGate(ins.name, ins.qubits, ins.angle)
-        return ins
+    def guard(gv: GuardVal):
+        return OrVal(tuple(map(guard, gv.parts))) if isinstance(gv, OrVal) else reg(gv)
 
-    blocks = []
-    for b in gf.blocks:
-        prelude = tuple(mapi(i) for i in b.prelude if not is_dead(i))
-        body = tuple(mapi(i) for i in b.body if not is_dead(i))
-        blocks.append(GuardedBlock(b.label, prelude, _map_guard(b.guard, asg), b.symbolic, body))
+    def mapped(instrs) -> tuple:
+        return tuple(
+            i if isinstance(i, QUANTUM_OPS) else map_instr(i, reg)
+            for i in instrs
+            if all(d in asg for d in instr_defs(i))
+        )
+
+    blocks = [GuardedBlock(b.label, mapped(b.prelude), guard(b.guard), b.symbolic, mapped(b.body)) for b in gf.blocks]
     return GuardedFunction(gf.name, tuple(blocks), gf.new_vregs, gf.branch_count, gf.phi_count)

@@ -56,6 +56,7 @@ from .ir import (
     ReadResult,
     Reset,
     Return,
+    Select,
     Terminator,
     Value,
     Vreg,
@@ -502,6 +503,8 @@ def _fmt_instr(instr: Instruction, module: Module | None = None) -> str:
         return f"{_fmt_value(instr.dst)} = {instr.op} {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
     if isinstance(instr, Cmp):
         return f"{_fmt_value(instr.dst)} = cmp {instr.op} {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
+    if isinstance(instr, Select):
+        return f"{_fmt_value(instr.dst)} = select {_fmt_value(instr.cond)}, {_fmt_value(instr.a)}, {_fmt_value(instr.b)}"
     if isinstance(instr, Output):
         if instr.kind == "result":
             return f"output result r{instr.slot}"

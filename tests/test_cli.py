@@ -295,3 +295,34 @@ def test_run_experiments_script_rejects_jobs_below_one(tmp_path, jobs):
     assert proc.returncode == 1
     assert proc.stderr.strip().splitlines()[-1].startswith("error: --jobs")
     assert not (tmp_path / "out").exists()
+
+
+def _source(tmp_path, body: str) -> str:
+    src = tmp_path / "angle.qir.txt"
+    src.write_text(
+        "module t\nattrs required_qubits=1 required_results=1\nfunc @main() {\nblock e:\n"
+        f"{body}  mz q0 -> r0\n  output result r0\n  ret\n}}\n"
+    )
+    return str(src)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["overrotation-nan", "overrotation-inf", "literal-inf", "folded-nan", "literal-int-past-float"],
+)
+def test_non_finite_angle_is_an_error(tmp_path, capsys, case):
+    # a NaN or infinite angle must not run: it used to sample from a NaN state,
+    # and an int angle too large for a float raised OverflowError
+    experiment = ["experiment", "msd", "--limit", "1", "--shots", "50", "--seed", "1", "--overrotation"]
+    argv = {
+        "overrotation-nan": [*experiment, "nan"],
+        "overrotation-inf": [*experiment, "inf"],
+        "literal-inf": ["run", _source(tmp_path, "  rz(1e400) q0\n"), "--shots", "5", "--seed", "1"],
+        "literal-int-past-float": ["run", _source(tmp_path, f"  rz({10**400}) q0\n"), "--shots", "5", "--seed", "1"],
+        "folded-nan": [
+            "run",
+            _source(tmp_path, "  %a = mul 1e300, 1e300\n  %b = sub %a, %a\n  rz(%b) q0\n"),
+            "--shots", "5", "--seed", "1",
+        ],
+    }[case]
+    assert "not finite" in _cli_error(argv, capsys)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -302,6 +303,23 @@ def test_enumeration_split_into_small_batches_is_unchanged(monkeypatch):
     monkeypatch.setattr(emulator, "ENUM_AMPLITUDES", 64)
     assert len(enumerate_exec_leaves(res.program)) == 482
     assert max_distribution_error(enumerate_outcomes(res.program), whole) < 1e-12
+
+
+@pytest.mark.parametrize("limit", [5, 8])
+def test_branch_budget_stops_every_enumerator_quickly(limit):
+    # MSD 5 and up need more than MAX_BRANCH_EVENTS forks on some path
+    m = build_msd(MsdConfig(limit=limit, basis="X"))
+    res = compile_module(m)
+    calls = {
+        "emulator": lambda: enumerate_outcomes(res.program),
+        "module": lambda: oracle.enumerate_module(m),
+        "guarded": lambda: oracle.enumerate_guarded(res.guarded, m.required_qubits, m.required_results),
+    }
+    for name, call in calls.items():
+        t0 = time.perf_counter()
+        with pytest.raises(oracle.TooManyBranches):
+            call()
+        assert time.perf_counter() - t0 < 1.0, name
 
 
 def test_shot_frequencies_converge_to_enumeration():

@@ -1,12 +1,21 @@
+import dataclasses
+import typing
+
 import pytest
 
-from ionflow import textir
+from ionflow import ir, textir
 from ionflow.ir import (
+    QUANTUM_OPS,
     Branch,
     Cfg,
     CycleDetected,
+    Instruction,
     Jump,
+    Vreg,
     diagnostics_ok,
+    instr_defs,
+    instr_uses,
+    map_instr,
     topo_sort,
     validate_profile,
 )
@@ -182,3 +191,39 @@ def test_cfg_mirrors_terminators_exactly():
             assert outs == [(t.then_target, "true"), (t.else_target, "false")]
         else:
             assert outs == []
+
+
+def _operand(hint, fresh):
+    """A value for one field of an instruction: a fresh vreg wherever the
+    field may hold one, otherwise a placeholder literal."""
+    args = typing.get_args(hint)
+    if hint is Vreg or Vreg in args:
+        return fresh()
+    if typing.get_origin(hint) is tuple:
+        return (_operand(args[0], fresh), _operand(args[0], fresh))
+    return {str: "x", int: 0}[args[0] if args else hint]
+
+
+def _vregs(ins) -> list[Vreg]:
+    out = []
+    for f in dataclasses.fields(ins):
+        v = getattr(ins, f.name)
+        out.extend(x for x in (v if isinstance(v, tuple) else (v,)) if isinstance(x, Vreg))
+    return out
+
+
+@pytest.mark.parametrize("cls", typing.get_args(Instruction), ids=lambda c: c.__name__)
+def test_map_instr_renames_exactly_the_uses_and_defs(cls):
+    # every vreg an instruction holds is a use or a def, and map_instr renames
+    # each of them: a new instruction type cannot bypass ir's operand functions
+    counter = iter(range(100))
+    hints = typing.get_type_hints(cls, vars(ir))
+    ins = cls(**{f.name: _operand(hints[f.name], lambda: Vreg(f"v{next(counter)}")) for f in dataclasses.fields(cls)})
+    held = _vregs(ins)
+    assert len(set(held)) == len(held)
+    assert sorted(instr_uses(ins) + instr_defs(ins), key=repr) == sorted(held, key=repr)
+    renamed = map_instr(ins, lambda v: Vreg(v.name + "'") if isinstance(v, Vreg) else v)
+    assert type(renamed) is cls
+    assert _vregs(renamed) == [Vreg(v.name + "'") for v in held]
+    if cls in QUANTUM_OPS:
+        assert set(ins.qubits) <= set(held)

@@ -5,6 +5,7 @@ import pytest
 from conftest import max_distribution_error, random_program
 from ionflow import emulator, oracle, textir, toolchain
 from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+from ionflow.qccd import ALWAYS, CONDITIONAL
 from ionflow.ir import (
     BinOp,
     Branch,
@@ -452,6 +453,134 @@ def test_inlining_renames_callee_names_once(src):
     m = parse(src)
     program = toolchain.compile_module(m).program
     assert max_distribution_error(oracle.enumerate_module(m), emulator.enumerate_outcomes(program)) < 1e-12
+
+
+LOOP_EXIT_PHI = """module t
+attrs required_qubits=1 required_results=2
+func @main() {{
+block entry:
+  jmp lp
+repeat {trips} lp {{
+block body:
+  h q0
+  mz q0 -> r1
+  %m = read_result r1
+  br %m, fin, next
+}}
+block fin:
+{phi}
+  br %w, a, b
+block a:
+  x q0
+  jmp b
+block b:
+  mz q0 -> r0
+  output result r1
+  output result r0
+  ret
+}}
+"""
+
+EXIT_PHIS = {
+    "literal": "  %w = phi [false, lp], [true, body]",
+    "body-def": "  %w = phi [false, lp], [%m, body]",
+    # %lp.i0 and %lp.more0 are the counter and condition the repeat sugar
+    # defines in the header
+    "counter": "  %c = phi [%lp.i0, lp], [%lp.i0, body]\n  %w = cmp lt %c, 2",
+    "condition": "  %w = phi [true, lp], [%lp.more0, body]",
+}
+
+
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+@pytest.mark.parametrize("phi", list(EXIT_PHIS))
+@pytest.mark.parametrize("trips", [0, 1, 3])
+def test_phi_after_unrolled_loop_matches_oracle(trips, phi, mode):
+    # an incoming from the header comes from the last latch copy (or, with no
+    # trips, from the header's predecessors) with the counter at its final
+    # value; an incoming from a body block comes from each of its copies
+    m = parse(LOOP_EXIT_PHI.format(trips=trips, phi=EXIT_PHIS[phi]))
+    program = toolchain.compile_module(m, mode=mode).program
+    assert max_distribution_error(oracle.enumerate_module(m), emulator.enumerate_outcomes(program)) < 1e-12
+
+
+TWO_RETURNS = """func @f() {
+block a:
+  h q0
+  mz q0 -> r0
+  %m = read_result r0
+  br %m, b, c
+block b:
+  ret
+block c:
+  ret
+}
+"""
+
+CALL_BLOCK_FEEDS_PHI = """module t
+attrs required_qubits=2 required_results=3
+func @main() {
+block e:
+  h q1
+  mz q1 -> r1
+  %c = read_result r1
+  br %c, x, j
+block x:
+  call @f()
+  jmp j
+block j:
+  %w = phi [true, x], [false, e]
+  br %w, y, z
+block y:
+  x q1
+  jmp z
+block z:
+  mz q1 -> r2
+  output result r0
+  output result r1
+  output result r2
+  ret
+}
+""" + TWO_RETURNS
+
+CONTINUATION_DEF_USED_LATER = """module t
+attrs required_qubits=2 required_results=2
+func @main() {
+block e:
+  call @f()
+  %y = read_result r0
+  jmp k
+block k:
+  br %y, y1, z
+block y1:
+  x q1
+  jmp z
+block z:
+  mz q1 -> r1
+  output result r0
+  output result r1
+  ret
+}
+""" + TWO_RETURNS
+
+
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+@pytest.mark.parametrize(
+    "src, continuations",
+    [(CALL_BLOCK_FEEDS_PHI, 2), (CONTINUATION_DEF_USED_LATER, 1)],
+    ids=["call-block-feeds-phi", "continuation-def-used-later"],
+)
+def test_two_return_callee_matches_both_oracles(src, continuations, mode):
+    # each return of @f gets its own continuation copy, and a later phi takes
+    # its incoming from every copy; a continuation that defines a value used
+    # further on is shared by both returns instead
+    m = parse(src)
+    flat = flatten(m)
+    assert sum(".cont" in b.label for b in flat.entry_function.blocks) == continuations
+    res = toolchain.compile_module(m, mode=mode)
+    expected = oracle.enumerate_module(m)
+    guarded = oracle.enumerate_guarded(res.guarded, m.required_qubits, m.required_results)
+    assert max_distribution_error(expected, guarded) < 1e-12
+    assert max_distribution_error(expected, emulator.enumerate_outcomes(res.program)) < 1e-12
 
 
 # -- peephole -------------------------------------------------------------------
