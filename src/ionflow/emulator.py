@@ -115,6 +115,7 @@ class ShotResult:
 
 SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
+MAX_BATCH_AMPLITUDES = 1 << 24  # SHOT_BATCH × 2ⁿ cap, 256 MiB of complex128: programs of at most 16 qubits run
 FUSE_QUBITS = 4  # a layer's gates are applied as unitaries on at most this many qubits each
 
 
@@ -300,6 +301,9 @@ class _Runtime:
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     n = prog.n_qubits
+    if SHOT_BATCH << n > MAX_BATCH_AMPLITUDES:
+        most = (MAX_BATCH_AMPLITUDES // SHOT_BATCH).bit_length() - 1
+        raise ValueError(f"program declares {n} qubits; the emulator runs at most {most}")
     items: list = []
     n_outputs = 0
     floats = False

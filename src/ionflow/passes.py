@@ -19,8 +19,9 @@ Three passes, all module-to-module and deterministic:
   inlined callee gets its own copy of the call continuation when that is
   safe (no externally used definitions in the continuation), which is what
   makes the recursive program shape expand into a branching tree of rounds.
-* ``peephole`` — within-block rewriting of short gate sequences against a
-  rule set that is verified unitarily equivalent when the rules are built.
+* ``peephole`` — within-block rewriting of gate pairs on one qubit tuple from
+  one table, ``PAIR_RULES``, whose entries are checked unitarily equivalent
+  by dense matrices once per process, before first use.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .ir import (
     Phi,
     QGate,
     QUANTUM_OPS,
+    ROTATION_GATES,
+    TWO_QUBIT_GATES,
     ReadResult,
     Return,
     Terminator,
@@ -535,114 +538,46 @@ def flatten(module: Module, config: FlattenConfig = FlattenConfig()) -> Module:
 # Peephole rewriting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GateTemplate:
-    name: str
-    qubit_vars: tuple[int, ...]
-    # pattern side: name of the angle variable to bind; replacement side: a
-    # variable name or ("add", a, b)
-    angle_var: str | tuple | None = None
+# Two gates on one qubit tuple that rewrite to at most one gate on it: the
+# pairwise cancellations and rotation merges of Nam et al., "Automated
+# optimization of large quantum circuits with continuous parameters" (2018).
+# A rotation in a replacement takes the sum of the pair's angles.
+PAIR_RULES: dict[tuple[str, str], tuple[str, ...]] = {
+    ("h", "h"): (),
+    ("x", "x"): (),
+    ("z", "z"): (),
+    ("t", "t"): ("s",),
+    ("s", "s"): ("z",),
+    ("t", "tdg"): (),
+    ("s", "sdg"): (),
+    ("rz", "rz"): ("rz",),
+    ("cx", "cx"): (),
+}
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """A unitarily-equivalent gate-sequence rewrite.
+def check_rule(pair: tuple[str, str], replacement: tuple[str, ...]) -> None:
+    """Raise ValueError unless ``pair`` equals ``replacement`` up to global phase.
 
-    ``pattern`` and ``replacement`` are templates over shared qubit variables
-    (0, 1). Replacement angle expressions may be a bound variable name or
-    ``("add", a, b)``. Equivalence is checked with dense matrices when the
-    rule is constructed; a rule that is not equivalent up to global phase
-    cannot be built.
+    Dense unitaries are compared at two sample angle sets: the pair's gates
+    take the angles a and b, the replacement's a + b (gates without an angle
+    ignore theirs).
     """
-
-    name: str
-    pattern: tuple[GateTemplate, ...]
-    replacement: tuple[GateTemplate, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pattern) != 2:
-            raise ValueError("only 2-gate patterns are supported")
-        if len(self.replacement) > len(self.pattern):
-            raise ValueError("replacement may not be longer than pattern")
-        n_vars = len({q for t in self.pattern for q in t.qubit_vars})
-        for sample in (0.37, 1.91):
-            binding = {"a": sample, "b": 2.0 * sample + 0.11}
-            pat = [self._concrete(t, binding) for t in self.pattern]
-            rep = [self._concrete(t, binding) for t in self.replacement]
-            up = G.sequence_unitary(pat, n_vars)
-            ur = G.sequence_unitary(rep, n_vars)
-            if not G.equal_up_to_phase(up, ur):
-                raise ValueError(f"rule '{self.name}' is not unitarily equivalent")
-
-    @staticmethod
-    def _concrete(t: GateTemplate, binding: dict[str, float]) -> tuple[str, tuple[int, ...], float | None]:
-        angle = None
-        if t.angle_var is not None:
-            if isinstance(t.angle_var, tuple):
-                op, x, y = t.angle_var
-                assert op == "add"
-                angle = binding[x] + binding[y]
-            else:
-                angle = binding[t.angle_var]
-        return (t.name, t.qubit_vars, angle)
+    qubits = (0, 1) if pair[0] in TWO_QUBIT_GATES else (0,)
+    for a in (0.37, 1.91):
+        b = 2.0 * a + 0.11
+        up = G.sequence_unitary([(pair[0], qubits, a), (pair[1], qubits, b)], len(qubits))
+        ur = G.sequence_unitary([(name, qubits, a + b) for name in replacement], len(qubits))
+        if not G.equal_up_to_phase(up, ur):
+            raise ValueError(f"rule {pair} -> {replacement} is not unitarily equivalent")
 
 
-@functools.cache  # rules are immutable; each is matrix-checked once per process
-def default_rules() -> tuple[RewriteRule, ...]:
-    r = RewriteRule
-    g = GateTemplate
-    return (
-        r("hh_cancel", (g("h", (0,)), g("h", (0,))), ()),
-        r("xx_cancel", (g("x", (0,)), g("x", (0,))), ()),
-        r("zz_cancel", (g("z", (0,)), g("z", (0,))), ()),
-        r("tt_to_s", (g("t", (0,)), g("t", (0,))), (g("s", (0,)),)),
-        r("ss_to_z", (g("s", (0,)), g("s", (0,))), (g("z", (0,)),)),
-        r("t_tdg_cancel", (g("t", (0,)), g("tdg", (0,))), ()),
-        r("s_sdg_cancel", (g("s", (0,)), g("sdg", (0,))), ()),
-        r("rz_merge", (g("rz", (0,), "a"), g("rz", (0,), "b")), (g("rz", (0,), ("add", "a", "b")),)),
-        r("cx_cx_cancel", (g("cx", (0, 1)), g("cx", (0, 1))), ()),
-    )
+@functools.cache  # the table is fixed; it is matrix-checked once per process, before first use
+def _check_pair_rules() -> None:
+    for pair, replacement in PAIR_RULES.items():
+        check_rule(pair, replacement)
 
 
-def _match_pair(rule: RewriteRule, g1: QGate, g2: QGate) -> dict | None:
-    t1, t2 = rule.pattern
-    if g1.name != t1.name or g2.name != t2.name:
-        return None
-    qb: dict[int, object] = {}
-    for t, g in ((t1, g1), (t2, g2)):
-        if len(t.qubit_vars) != len(g.qubits):
-            return None
-        for var, q in zip(t.qubit_vars, g.qubits):
-            if var in qb and qb[var] != q:
-                return None
-            qb[var] = q
-    if len(set(qb.values())) != len(qb):
-        return None
-    angles: dict[str, float] = {}
-    for t, g in ((t1, g1), (t2, g2)):
-        if t.angle_var is not None:
-            if not isinstance(g.angle, (int, float)) or isinstance(g.angle, bool):
-                return None
-            angles[t.angle_var] = float(g.angle)
-    return {"qubits": qb, "angles": angles}
-
-
-def _build_replacement(rule: RewriteRule, binding: dict) -> list[QGate]:
-    out = []
-    for t in rule.replacement:
-        qubits = tuple(binding["qubits"][v] for v in t.qubit_vars)
-        angle = None
-        if t.angle_var is not None:
-            if isinstance(t.angle_var, tuple):
-                _op, x, y = t.angle_var
-                angle = binding["angles"][x] + binding["angles"][y]
-            else:
-                angle = binding["angles"][t.angle_var]
-        out.append(QGate(t.name, qubits, angle))
-    return out
-
-
-def _rewrite_once(body: list[Instruction], rules: tuple[RewriteRule, ...]) -> list[Instruction] | None:
+def _rewrite_once(body: list[Instruction]) -> list[Instruction] | None:
     """``body`` with the first matching window rewritten, or None if no rule matches."""
     for i, g1 in enumerate(body):
         if not isinstance(g1, QGate):
@@ -654,27 +589,30 @@ def _rewrite_once(body: list[Instruction], rules: tuple[RewriteRule, ...]) -> li
         else:
             continue
         g2 = body[j]
-        if not isinstance(g2, QGate) or set(g2.qubits) - q1:
-            continue  # the next instruction on these qubits is no gate, or overlaps them partially
-        for rule in rules:
-            binding = _match_pair(rule, g1, g2)
-            if binding is not None:
-                return body[:i] + _build_replacement(rule, binding) + body[i + 1 : j] + body[j + 1 :]
+        if not isinstance(g2, QGate) or g2.qubits != g1.qubits:
+            continue  # the next instruction on these qubits is no gate, or not on the same qubit tuple
+        replacement = PAIR_RULES.get((g1.name, g2.name))
+        arity = 2 if g1.name in TWO_QUBIT_GATES else 1
+        if replacement is None or not len(q1) == len(g1.qubits) == arity:
+            continue  # no rule, or a malformed gate: wrong arity or a repeated qubit
+        rotation = g1.name in ROTATION_GATES
+        if rotation and not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in (g1.angle, g2.angle)):
+            continue  # only int and float literal angles merge
+        angle = float(g1.angle) + float(g2.angle) if rotation else None
+        return body[:i] + [QGate(name, g1.qubits, angle) for name in replacement] + body[i + 1 : j] + body[j + 1 :]
     return None
 
 
-def _peephole_block(block: BasicBlock, rules: tuple[RewriteRule, ...]) -> BasicBlock:
-    body = list(block.body)
-    while (rewritten := _rewrite_once(body, rules)) is not None:
-        body = rewritten
-    return BasicBlock(block.label, block.phis, tuple(body), block.terminator)
-
-
 def peephole(module: Module) -> Module:
-    """Apply the default rewrite rules within each block until no rule matches."""
-    rules = default_rules()
+    """Rewrite gate pairs from ``PAIR_RULES`` within each block until none matches."""
+    _check_pair_rules()
     fns = []
     for fn in module.functions:
-        blocks = tuple(_peephole_block(b, rules) for b in fn.blocks)
-        fns.append(Function(fn.name, fn.params, blocks))
+        blocks = []
+        for b in fn.blocks:
+            body = list(b.body)
+            while (rewritten := _rewrite_once(body)) is not None:
+                body = rewritten
+            blocks.append(BasicBlock(b.label, b.phis, tuple(body), b.terminator))
+        fns.append(Function(fn.name, fn.params, tuple(blocks)))
     return Module(module.name, tuple(fns), module.entry, module.required_qubits, module.required_results)

@@ -203,15 +203,15 @@ def schedule_layers(ops: list[Instruction], trap: TrapLayout) -> list[GateLayer]
 
     for ins in ops:
         if isinstance(ins, QGate):
-            placed = PlacedOp("gate", ins.name, tuple(ins.qubits), ins.angle, None, (0, 0))
+            kind, name, angle, slot = "gate", ins.name, ins.angle, None
         elif isinstance(ins, Measure):
-            placed = PlacedOp("measure", None, ins.qubits, None, ins.slot, (0, 0))
+            kind, name, angle, slot = "measure", None, None, ins.slot
         elif isinstance(ins, Reset):
-            placed = PlacedOp("reset", None, ins.qubits, None, None, (0, 0))
+            kind, name, angle, slot = "reset", None, None, None
         else:  # pragma: no cover
             raise TypeError(f"not a quantum op: {ins!r}")
-        earliest = max((qubit_free.get(q, 0) for q in placed.qubits), default=0)
-        l = earliest
+        qubits = tuple(ins.qubits)
+        l = max((qubit_free.get(q, 0) for q in qubits), default=0)
         while True:
             while len(layers) <= l:
                 layers.append([])
@@ -222,8 +222,8 @@ def schedule_layers(ops: list[Instruction], trap: TrapLayout) -> list[GateLayer]
                 break
             l += 1
         zone_used[l].add(zone)
-        layers[l].append(PlacedOp(placed.kind, placed.name, placed.qubits, placed.angle, placed.slot, trap.gate_zones[zone]))
-        for q in placed.qubits:
+        layers[l].append(PlacedOp(kind, name, qubits, angle, slot, trap.gate_zones[zone]))
+        for q in qubits:
             qubit_free[q] = l + 1
 
     return [GateLayer(tuple(ops_)) for ops_ in layers if ops_]
@@ -550,7 +550,9 @@ def lower(
     placement = canonical
     n = module.required_qubits
     all_qubits = set(range(n))
-    # Unrolled rounds repeat their layers, so each distinct query is planned once.
+    # Unrolled rounds repeat their runs and layers, so each distinct run is
+    # scheduled once and each distinct query planned once.
+    schedules: dict = {}
     transport_plans: dict = {}
     restore_plans: dict = {}
 
@@ -562,7 +564,11 @@ def lower(
         chain_guard = gf.blocks[ch.entry_guard_block].guard if ch else b.guard
         for ins in _body_segments(b.body):
             if isinstance(ins, list):
-                for layer in schedule_layers(ins, trap):
+                # keyed by text: the angles 1 and 1.0, or -0.0 and 0.0, are equal but print apart
+                run = repr(ins)
+                if run not in schedules:
+                    schedules[run] = schedule_layers(ins, trap)
+                for layer in schedules[run]:
                     key = (placement, tuple((op.qubits, op.zone) for op in layer.ops))
                     if key not in transport_plans:
                         transport_plans[key] = plan_transport(placement, layer, trap)

@@ -326,3 +326,13 @@ def test_non_finite_angle_is_an_error(tmp_path, capsys, case):
         ],
     }[case]
     assert "not finite" in _cli_error(argv, capsys)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_too_many_qubits_is_an_error(tmp_path, capsys, jobs):
+    # a state of 2⁴⁰ amplitudes per shot must be refused before it is allocated
+    src = tmp_path / "wide.qir.txt"
+    src.write_text("module t\nattrs required_qubits=40 required_results=0\nfunc @main() {\nblock e:\n  h q0\n  ret\n}\n")
+    assert main(["run", str(src), "--shots", "300", "--seed", "1", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: program declares 40 qubits; the emulator runs at most 16"]

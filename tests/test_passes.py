@@ -1,19 +1,27 @@
+import itertools
 import time
 
 import pytest
 
 from conftest import max_distribution_error, random_program
-from ionflow import emulator, oracle, textir, toolchain
+from ionflow import emulator, gates, oracle, textir, toolchain
 from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.qccd import ALWAYS, CONDITIONAL
 from ionflow.ir import (
+    GATE_SET,
+    ROTATION_GATES,
+    TWO_QUBIT_GATES,
+    BasicBlock,
     BinOp,
     Branch,
     Call,
     Cfg,
     Cmp,
+    Function,
+    Module,
     QGate,
     ReadResult,
+    Return,
     Vreg,
     diagnostics_ok,
     instr_uses,
@@ -22,9 +30,8 @@ from ionflow.ir import (
 from ionflow.passes import (
     BudgetExceeded,
     FlattenConfig,
-    GateTemplate,
-    RewriteRule,
-    default_rules,
+    PAIR_RULES,
+    check_rule,
     flatten,
     fold_constants,
     peephole,
@@ -645,9 +652,40 @@ def test_peephole_preserves_distributions():
 
 def test_unsound_rule_rejected_at_registration():
     with pytest.raises(ValueError, match="not unitarily equivalent"):
-        RewriteRule("bogus", (GateTemplate("h", (0,)), GateTemplate("t", (0,))), ())
+        check_rule(("h", "t"), ())
 
 
 def test_default_rules_all_register():
-    rules = default_rules()
-    assert len(rules) == 9
+    assert len(PAIR_RULES) == 9
+    for pair, replacement in PAIR_RULES.items():
+        check_rule(pair, replacement)
+
+
+def _gate_instances():
+    """Every gate of ``GATE_SET`` on every qubit order of q0, q1, including
+    repeated qubits, with int, float, bool and vreg angles on rotations."""
+    for name in GATE_SET:
+        orders = [(a, b) for a in (0, 1) for b in (0, 1)] if name in TWO_QUBIT_GATES else [(0,), (1,)]
+        angles = (3, 0.7, -1.25, True, Vreg("a")) if name in ROTATION_GATES else (None,)
+        for qubits in orders:
+            for angle in angles:
+                yield QGate(name, qubits, angle)
+
+
+def _unitary(body):
+    return gates.sequence_unitary([(g.name, g.qubits, g.angle) for g in body], 3)
+
+
+def test_every_gate_pair_keeps_unitary_and_never_grows():
+    # q2 is disjoint from every instance, so a gate on it may sit between the pair
+    instances = list(_gate_instances())
+    for g1, g2 in itertools.product(instances, repeat=2):
+        for between in ((), (QGate("x", (2,)),)):
+            body = (g1, *between, g2)
+            m = Module("t", (Function("main", (), (BasicBlock("e", (), body, Return()),)),), "main", 3, 0)
+            out = peephole(m).entry_function.entry.body
+            assert len(out) <= len(body)
+            if any(isinstance(g.angle, Vreg) or len(set(g.qubits)) < len(g.qubits) for g in body):
+                assert out == body  # no unitary to keep: nothing may be rewritten
+            else:
+                assert gates.equal_up_to_phase(_unitary(body), _unitary(out)), (body, out)
