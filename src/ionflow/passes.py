@@ -13,12 +13,13 @@ Three passes, all module-to-module and deterministic:
   function is first settled once: folded, its counted loops from the
   ``repeat`` sugar unrolled (one serialized body copy per trip), and folded
   again if a loop was unrolled. Each round then inlines one level of calls
-  into the entry, copying callee bodies from the settled originals with
-  literal arguments substituted, and re-settles only the entry, so
-  recursions guarded by a literal depth bottom out. Each return site of an
-  inlined callee gets its own copy of the call continuation when that is
-  safe (no externally used definitions in the continuation), which is what
-  makes the recursive program shape expand into a branching tree of rounds.
+  into the entry by procedure cloning: a callee is specialized (literal
+  arguments substituted, then settled) once per literal-argument key and
+  cloned at each call with that key, so recursions guarded by a literal
+  depth bottom out; the entry folds once, after the last round. Each return
+  site of an inlined callee gets its own copy of the call continuation when
+  that is safe (no externally used definitions in the continuation), which
+  is what makes the recursive program shape expand into a branching tree.
 * ``peephole`` — within-block rewriting of gate pairs on one qubit tuple from
   one table, ``PAIR_RULES``, whose entries are checked unitarily equivalent
   by dense matrices once per process, before first use.
@@ -182,9 +183,12 @@ def _fold_function(fn: Function) -> Function:
         for p in phis:
             operands[p.dst] = tuple(v for v, _l in p.incomings if isinstance(v, Vreg))
             uses.update(operands[p.dst])
-        body = [map_instr(i, resolve) for i in b.body if not (isinstance(i, (BinOp, Cmp)) and i.dst in env)]
-        for i in body:
+        body = [i for i in b.body if not (isinstance(i, (BinOp, Cmp)) and i.dst in env)]
+        for k, i in enumerate(body):
             used = instr_uses(i)
+            if not env.keys().isdisjoint(used):  # only an instruction with a substituted operand is rebuilt
+                body[k] = i = map_instr(i, resolve)
+                used = instr_uses(i)
             if isinstance(i, (BinOp, Cmp, ReadResult)):
                 operands[i.dst] = used
             uses.update(used)
@@ -401,9 +405,11 @@ def _settle(fn: Function, max_unroll: int) -> Function:
 
 
 class _Inliner:
-    def __init__(self, callees: dict[str, Function]):
+    def __init__(self, callees: dict[str, Function], max_unroll: int):
         self.callees = callees
+        self.max_unroll = max_unroll
         self.counter = 0
+        self.specs: dict[tuple, Function] = {}
         # a block that ends in a call hands its terminator to continuation
         # copies; successor phis must then take their incoming from those
         # copies instead of the original label
@@ -417,6 +423,21 @@ class _Inliner:
             out.extend(self._expand_block(block, entry))
         return Function(entry.name, entry.params, tuple(self._apply_phi_redirects(out)))
 
+    def _specialize(self, call: Call) -> Function:
+        """The settled callee with ``call``'s literal arguments substituted and
+        settled again (a loop whose trip count was an argument unrolls here).
+
+        Memoized per callee and literal-argument key. Literals are keyed by
+        type and repr, since 1, 1.0 and true compare equal but fold apart.
+        """
+        key = (call.callee, tuple(None if isinstance(a, Vreg) else (type(a), repr(a)) for a in call.args))
+        if key not in self.specs:
+            callee = self.callees[call.callee]
+            lits: dict[Vreg, Value] = {p: a for (p, _ty), a in zip(callee.params, call.args) if not isinstance(a, Vreg)}
+            blocks = tuple(_clone_block(b, lits, {}) for b in callee.blocks)
+            self.specs[key] = _settle(Function(callee.name, callee.params, blocks), self.max_unroll)
+        return self.specs[key]
+
     def _expand_block(self, block: BasicBlock, entry: Function) -> list[BasicBlock]:
         call_idx = next((i for i, ins in enumerate(block.body) if isinstance(ins, Call)), None)
         if call_idx is None:
@@ -424,16 +445,19 @@ class _Inliner:
         call = block.body[call_idx]
         assert isinstance(call, Call)
         callee = self.callees[call.callee]
+        spec = self._specialize(call)
         sfx = f".c{self.counter}"
         self.counter += 1
 
-        relabel = {b.label: f"{b.label}{sfx}" for b in callee.blocks}
+        relabel = {b.label: f"{b.label}{sfx}" for b in spec.blocks}
         ren: dict[Vreg, Value] = {}
-        for (pv, _ty), arg in zip(callee.params, call.args):
+        for (pv, _ty), arg in zip(spec.params, call.args):
             ren[pv] = arg
-        for v in _collect_defs(callee.blocks):
+        for v in _collect_defs(spec.blocks):
             ren[v] = Vreg(f"{v.name}{sfx}")
 
+        # continuations are numbered, and shared or not, by the settled
+        # callee's returns, so a return the specialization pruned keeps its number
         ret_labels = [b.label for b in callee.blocks if isinstance(b.terminator, Return)]
         tail_body = block.body[call_idx + 1 :]
         tail_defs = _collect_defs([BasicBlock("", (), tail_body, Return())])
@@ -456,19 +480,24 @@ class _Inliner:
             cont_blocks.append(BasicBlock(cl, (), tail_body, block.terminator))
 
         wired = []
-        for b in callee.blocks:
+        for b in spec.blocks:
             nb = _clone_block(b, ren, relabel)
             if isinstance(nb.terminator, Return):
                 wired.append(BasicBlock(nb.label, nb.phis, nb.body, Jump(cont_labels[b.label])))
             else:
                 wired.append(nb)
 
-        head = BasicBlock(block.label, block.phis, block.body[:call_idx], Jump(relabel[callee.blocks[0].label]))
-        self.redirects[block.label] = [c.label for c in cont_blocks]
-        # continuations may themselves contain further calls from this round
+        head = BasicBlock(block.label, block.phis, block.body[:call_idx], Jump(relabel[spec.blocks[0].label]))
+        live = {cont_labels[b.label] for b in spec.blocks if isinstance(b.terminator, Return)}
+        self.redirects[block.label] = [c.label for c in cont_blocks if c.label in live]
+        # continuations may themselves contain further calls from this round; a
+        # dead one is expanded too, and dropped, so that call numbering does
+        # not depend on which returns a specialization pruned
         expanded_conts: list[BasicBlock] = []
         for c in cont_blocks:
-            expanded_conts.extend(self._expand_block(c, entry))
+            expanded = self._expand_block(c, entry)
+            if c.label in live:
+                expanded_conts.extend(expanded)
         return [head, *wired, *expanded_conts]
 
     @staticmethod
@@ -513,13 +542,14 @@ def flatten(module: Module, config: FlattenConfig = FlattenConfig()) -> Module:
     """Remove calls and loops from the entry function; result is single-function.
 
     Every function is settled once; each round then inlines one level of
-    calls into the entry, from the settled originals, and re-settles only the
-    entry. Raises BudgetExceeded when a loop needs more trips than
-    ``max_unroll``, calls remain after ``max_inline_depth`` rounds, or a
-    round would grow the entry past ``MAX_ENTRY_BLOCKS``.
+    calls into the entry, cloning one specialization per callee and
+    literal-argument key, and the entry folds once after the last round.
+    Raises BudgetExceeded when a loop needs more trips than ``max_unroll``,
+    calls remain after ``max_inline_depth`` rounds, or a round would grow the
+    entry past ``MAX_ENTRY_BLOCKS`` (counted from the settled callees).
     """
     settled = {fn.name: _settle(fn, config.max_unroll) for fn in module.functions}
-    inliner = _Inliner(settled)
+    inliner = _Inliner(settled, config.max_unroll)
     entry = settled[module.entry]
     rounds = 0
     while calls := [i for b in entry.blocks for i in b.body if isinstance(i, Call)]:
@@ -529,8 +559,12 @@ def flatten(module: Module, config: FlattenConfig = FlattenConfig()) -> Module:
         grown = len(entry.blocks) + sum(len(settled[c.callee].blocks) + 1 for c in calls)
         if grown > MAX_ENTRY_BLOCKS:
             raise BudgetExceeded(f"inlining would grow the entry to {grown} blocks, budget is {MAX_ENTRY_BLOCKS}")
-        entry = _settle(inliner.inline_level(entry), config.max_unroll)
+        entry = inliner.inline_level(entry)
         rounds += 1
+    # Specializations are settled, so the entry only needs one fold, which
+    # drops the definitions whose only uses a specialization pruned.
+    if rounds:
+        entry = _fold_function(entry)
     return Module(module.name, (entry,), module.entry, module.required_qubits, module.required_results)
 
 

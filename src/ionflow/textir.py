@@ -35,7 +35,7 @@ literals, no comments), so ``parse(emit(m)) == m`` for any valid module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import (
     BasicBlock,
@@ -84,24 +84,29 @@ class ParseError(Exception):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Each match is optional blanks, then one token, comment or newline; any
+# other character but a blank is "bad", so only blanks at the end of the
+# source go unmatched.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>;[^\n]*)
-  | (?P<newline>\n)
-  | (?P<float>[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d*\.\d+(?:[eE][+-]?\d+)?))
-  | (?P<int>[+-]?\d+)
-  | (?P<vreg>%[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<func>@[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<punct>->|[(){}\[\],:=])
+    [ \t\r]*
+    (?:
+        (?P<comment>;[^\n]*)
+      | (?P<newline>\n)
+      | (?P<float>[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d*\.\d+(?:[eE][+-]?\d+)?))
+      | (?P<int>[+-]?\d+)
+      | (?P<vreg>%[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<func>@[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<punct>->|[(){}\[\],:=])
+      | (?P<bad>[^ \t\r])
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -110,24 +115,17 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        text = m.group()
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
         if kind == "newline":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", line, m.start(kind) - line_start + 1)
+        elif kind != "comment":
+            tokens.append(Token(kind, m.group(kind), line, m.start(kind) - line_start + 1))
+    tokens.append(Token("eof", "", line, len(src) - line_start + 1))
     return tokens
 
 

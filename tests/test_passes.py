@@ -4,8 +4,8 @@ import time
 import pytest
 
 from conftest import max_distribution_error, random_program
-from ionflow import emulator, gates, oracle, textir, toolchain
-from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+from ionflow import emulator, gates, oracle, passes, textir, toolchain
+from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.qccd import ALWAYS, CONDITIONAL
 from ionflow.ir import (
     GATE_SET,
@@ -588,6 +588,201 @@ def test_two_return_callee_matches_both_oracles(src, continuations, mode):
     guarded = oracle.enumerate_guarded(res.guarded, m.required_qubits, m.required_results)
     assert max_distribution_error(expected, guarded) < 1e-12
     assert max_distribution_error(expected, emulator.enumerate_outcomes(res.program)) < 1e-12
+
+
+class _UnspecializedInliner(passes._Inliner):
+    """Inlines from the settled callee itself, with a continuation for every return."""
+
+    def _specialize(self, call):
+        return self.callees[call.callee]
+
+
+def reference_flatten(module, config=FlattenConfig()):
+    """Flattening without specializations: each round inlines from the settled
+    callees, substituting arguments only in the clone, and settles the whole entry."""
+    settled = {fn.name: passes._settle(fn, config.max_unroll) for fn in module.functions}
+    inliner = _UnspecializedInliner(settled, config.max_unroll)
+    entry = settled[module.entry]
+    for _ in range(config.max_inline_depth):
+        if not any(isinstance(i, Call) for b in entry.blocks for i in b.body):
+            break
+        entry = passes._settle(inliner.inline_level(entry), config.max_unroll)
+    return Module(module.name, (entry,), module.entry, module.required_qubits, module.required_results)
+
+
+FLATTEN_CORPUS = {
+    "msd": lambda: [build_msd(MsdConfig(limit, basis)) for basis in BASES for limit in range(9)],
+    "rus-loop": lambda: [build_rus(RusConfig(limit, basis, "loop")) for basis in BASES for limit in range(1, 9)],
+    "rus-recursion": lambda: [build_rus(RusConfig(limit, basis, "recursion")) for basis in BASES for limit in range(1, 8)],
+    "random": lambda: [random_program(seed) for seed in range(300)],
+}
+
+
+@pytest.mark.parametrize("family", list(FLATTEN_CORPUS))
+def test_flatten_matches_reference_on_corpus(family):
+    for m in FLATTEN_CORPUS[family]():
+        m = fold_constants(m)
+        assert textir.emit(flatten(m)) == textir.emit(reference_flatten(m)), m.name
+
+
+# the specialization for %k = 0 prunes @f's only use of %p, which leaves %x
+# and %a without a use in the entry
+DEAD_ARGUMENT = """module t
+attrs required_qubits=1 required_results=1
+func @main() {
+block e:
+  mz q0 -> r0
+  %a = read_result r0
+  %x = add %a, 1
+  call @f(%x, 0)
+  ret
+}
+func @f(%p: int, %k: int) {
+block e:
+  %c = cmp eq %k, 1
+  br %c, y, n
+block y:
+  %q = cmp eq %p, 2
+  br %q, z, n
+block z:
+  x q0
+  jmp n
+block n:
+  ret
+}
+"""
+
+# the specialization for %k = 0 keeps only @f's second return, whose
+# continuation is still the second: e.c0.cont1, defining %a.c0.k1; the call
+# in it is still the third, @f's blocks there still end in .c2
+PRUNED_RETURN = """module t
+attrs required_qubits=2 required_results=1
+func @main() {
+block e:
+  call @f(0)
+  call @f(1)
+  mz q1 -> r0
+  %a = read_result r0
+  br %a, t, u
+block t:
+  x q1
+  jmp u
+block u:
+  output result r0
+  ret
+}
+func @f(%k: int) {
+block a:
+  %c = cmp eq %k, 1
+  br %c, b, c
+block b:
+  x q0
+  ret
+block c:
+  h q0
+  ret
+}
+"""
+
+# literals that compare equal but fold differently get their own specializations
+LITERAL_KEYS = """module t
+attrs required_qubits=1 required_results=0
+func @main() {
+block e:
+  call @f(1)
+  call @f(1.0)
+  call @f(true)
+  call @f(-0.0)
+  call @f(0.0)
+  ret
+}
+func @f(%k: float) {
+block e:
+  %a = and %k, %k
+  %b = mul %k, 1
+  rz(%a) q0
+  rz(%b) q0
+  ret
+}
+"""
+
+# @f's loop bound is its parameter, so the loop unrolls only in @f's
+# specialization, and only then do the calls in its body see literal arguments
+LOOP_BOUND_ARGUMENT = """module t
+attrs required_qubits=1 required_results=1
+func @main() {
+block e:
+  call @f(2)
+  mz q0 -> r0
+  output result r0
+  ret
+}
+func @f(%n: int) {
+block e:
+  jmp h
+block h:
+  %i = phi [0, e], [%j, l]
+  %c = cmp lt %i, %n
+  br %c, b, x
+block b:
+  call @g(%i)
+  jmp l
+block l:
+  %j = add %i, 1
+  jmp h
+block x:
+  ret
+}
+func @g(%k: int) {
+block e:
+  h q0
+  %z = cmp gt %k, 0
+  br %z, r, d
+block r:
+  %k1 = sub %k, 1
+  call @g(%k1)
+  jmp d
+block d:
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "src",
+    [DEAD_ARGUMENT, PRUNED_RETURN, LITERAL_KEYS],
+    ids=["dead-argument", "pruned-return", "literal-keys"],
+)
+def test_flatten_matches_reference_on_edge_cases(src):
+    m = parse(src)
+    assert textir.emit(flatten(m)) == textir.emit(reference_flatten(m))
+
+
+def test_loop_bound_argument_unrolls_in_the_specialization():
+    # the reference unrolls the loop after cloning, so only the order of the
+    # name suffixes differs: b.u0.c0 here, b.c0.u0 there
+    m = parse(LOOP_BOUND_ARGUMENT)
+    flat = flatten(m)
+    assert "block b.u1.c0:" in textir.emit(flat)
+    assert len(flat.entry_function.blocks) == len(reference_flatten(m).entry_function.blocks)
+    assert max_distribution_error(oracle.enumerate_module(m), oracle.enumerate_module(flat)) < 1e-12
+
+
+def test_each_literal_argument_key_folds_once(monkeypatch):
+    folds = []
+    fold = passes._fold_function
+
+    def counting_fold(fn):
+        binops = [i for b in fn.blocks for i in b.body if isinstance(i, BinOp)]
+        folds.append((fn.name, binops[0].a if fn.name == "attempt" else None))
+        return fold(fn)
+
+    monkeypatch.setattr(passes, "_fold_function", counting_fold)
+    flatten(build_rus(RusConfig(5, style="recursion")))
+    # each function settles once, @attempt specializes once per literal depth
+    # 5..1 (its two recursive calls share a key), and the entry folds once
+    # after the five rounds
+    assert folds == [("main", None), ("attempt", Vreg("k"))] + [("attempt", k) for k in (5, 4, 3, 2, 1)] + [("main", None)]
 
 
 # -- peephole -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -132,3 +133,97 @@ def test_parser_never_crashes_on_bytes(data):
         parse(data.decode("latin-1"))
     except ParseError:
         pass
+
+
+# -- tokenizer against the one-token-per-match reference -----------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>;[^\n]*)
+  | (?P<newline>\n)
+  | (?P<float>[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d*\.\d+(?:[eE][+-]?\d+)?))
+  | (?P<int>[+-]?\d+)
+  | (?P<vreg>%[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<func>@[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<punct>->|[(){}\[\],:=])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(src: str) -> list[tuple[str, str, int, int]]:
+    """One match per token, blank run or comment, counting line and column as it goes."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(src):
+        m = _REFERENCE_TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+        kind, text = m.lastgroup, m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        else:
+            if kind not in ("ws", "comment"):
+                tokens.append((kind, text, line, col))
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def token_stream(tokenize, src: str):
+    try:
+        return [tuple(t) for t in tokenize(src)]
+    except ParseError as e:
+        return ("error", str(e))
+
+
+def corpus_sources():
+    from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
+
+    for basis in BASES:
+        yield from (emit(build_msd(MsdConfig(limit, basis))) for limit in range(9))
+        yield from (emit(build_rus(RusConfig(limit, basis, "loop"))) for limit in range(1, 9))
+        yield from (emit(build_rus(RusConfig(limit, basis, "recursion"))) for limit in range(1, 8))
+    yield from (emit(random_program(seed)) for seed in range(300))
+
+
+def test_tokenize_matches_reference_on_corpus():
+    for src in corpus_sources():
+        assert token_stream(textir.tokenize, src) == token_stream(reference_tokenize, src)
+
+
+@pytest.mark.parametrize(
+    "src, line, col",
+    [
+        ("module t\n\t$", 2, 2),  # after a tab
+        ("module t ; note $\n  h q0 $", 2, 8),  # after a comment, which hides the first '$'
+        ("module t\r\nattrs $\r\n", 2, 7),  # on a CRLF line
+        ("module t\r\n  ;\r\n\t \t#", 3, 4),
+    ],
+    ids=["after-tab", "after-comment", "crlf", "crlf-comment-blanks"],
+)
+def test_bad_character_location(src, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert token_stream(textir.tokenize, src) == token_stream(reference_tokenize, src)
+
+
+@pytest.mark.parametrize("src, line, col", [("module", 1, 7), ("module t\nattrs  ", 2, 8), ("module t ; x", 1, 13)])
+def test_error_at_eof_without_trailing_newline(src, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert token_stream(textir.tokenize, src)[-1] == ("eof", "", line, col)
+    assert token_stream(textir.tokenize, src) == token_stream(reference_tokenize, src)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("mod@%q1.-+e \t\r\n;[]->=,:{}$é")), max_size=80))
+def test_tokenize_matches_reference_on_arbitrary_text(src):
+    assert token_stream(textir.tokenize, src) == token_stream(reference_tokenize, src)
