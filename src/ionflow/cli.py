@@ -26,10 +26,14 @@ from .textir import ParseError
 from .toolchain import DEFAULT_PASSES, DEFAULT_REGISTERS, CompileError, compile_module
 
 
-def _add_compile_opts(p: argparse.ArgumentParser) -> None:
+def _add_target_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--registers", type=int, default=DEFAULT_REGISTERS, help="real-time register file size K")
     p.add_argument("--trap", type=Path, default=None, help="trap layout JSON (slots, gate_zones)")
     p.add_argument("--transport-mode", choices=[CONDITIONAL, ALWAYS], default=CONDITIONAL)
+
+
+def _add_compile_opts(p: argparse.ArgumentParser) -> None:
+    _add_target_opts(p)
     p.add_argument("--passes", default=",".join(DEFAULT_PASSES), help="comma list from: fold,flatten,peephole")
     p.add_argument("--max-inline-depth", type=int, default=64)
     p.add_argument("--max-unroll", type=int, default=1024)
@@ -176,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--csv", type=Path, default=None)
     e.add_argument("--json", type=Path, default=None)
     e.add_argument("-o", "--output", type=Path, default=None)
-    _add_compile_opts(e)
+    _add_target_opts(e)  # a built-in experiment always compiles with the default passes and budgets
     _add_run_opts(e)
     e.set_defaults(func=cmd_experiment)
 

@@ -3,9 +3,15 @@
 One interpreter, ``_walk``, runs the flat item list once for a batch of
 rows. A batch holds a (B, 2**n) state, (B, K) registers (all zero at the
 start), (B, R) result slots, each row's ion placement and its counters.
-Each item's guard becomes a row mask: an all-false mask skips the item
-together with the run of following items that share its guard, and a
-partial mask runs the item on the gathered rows.
+
+The walk goes one guard segment at a time. A segment is a maximal run of
+items that share one guard, in which no classical item writes a register
+the guard reads, so the guard holds the same value on every row through
+the whole segment; ``_compile_runtime`` finds the segments once. The
+guard becomes a row mask once per segment. An all-false mask skips the
+segment. A partial mask runs its items on the active rows: their states
+are gathered on first use and scattered back once at the segment's end,
+and every mark of the segment counts the inactive rows as skipped.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -295,8 +301,8 @@ class _Runtime:
     canonical: tuple[int, ...]
     noise: NoiseModel
     items: list
-    run_end: list[int]  # first item after k whose guard differs from item k's
-    run_marks: list[int]  # marks from item k to run_end[k]
+    seg_end: list[int]  # first item after k outside item k's guard segment
+    seg_marks: list[int]  # marks from item k to seg_end[k]
 
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
@@ -330,14 +336,19 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             n_outputs += 1
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {item!r}")
-    run_end = [0] * (len(items) + 1)
-    run_marks = [0] * (len(items) + 1)
+    # a guard segment runs on while the guard stays the same and no classical item writes a register it reads
+    seg_end = [0] * (len(items) + 1)
+    seg_marks = [0] * (len(items) + 1)
     for k in reversed(range(len(items))):
-        same = k + 1 < len(items) and items[k + 1][1] == items[k][1]
-        run_end[k] = run_end[k + 1] if same else k + 1
-        run_marks[k] = (items[k][0] == _MARK) + (run_marks[k + 1] if same else 0)
+        g = items[k][1]
+        same = k + 1 < len(items) and items[k + 1][1] == g
+        if same and items[k][0] == _CLASSICAL and g is not None:
+            reads = set(g) if type(g) is tuple else {g}
+            same = all(ins.dst.index not in reads for ins in items[k][2])
+        seg_end[k] = seg_end[k + 1] if same else k + 1
+        seg_marks[k] = (items[k][0] == _MARK) + (seg_marks[k + 1] if same else 0)
     dtype = np.float64 if floats else np.int64
-    return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, items, run_end, run_marks)
+    return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, items, seg_end, seg_marks)
 
 
 @dataclass
@@ -385,8 +396,11 @@ class _Batch:
 def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int = 0, max_rows: int = 0) -> int | None:
     """Run every row of ``b`` from item ``start`` to the end of the program.
 
-    With an RNG every measurement and reset outcome is drawn per row.
-    Without one (noiseless enumeration) a row with two live outcomes forks.
+    The walk goes one guard segment at a time: the segment's row mask is
+    computed once, and the active rows' states are gathered on first use and
+    scattered back at its end. With an RNG every measurement and reset
+    outcome is drawn per row. Without one (noiseless enumeration) a row with
+    two live outcomes forks; the copy is an active row of the same segment.
     Returns None at the end, or the item to resume from once the batch has
     grown past ``max_rows`` rows.
     """
@@ -395,49 +409,58 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int =
     qubits = tuple(range(rt.n_qubits))
     k = start
     while k < len(items):
-        item = items[k]
-        g = item[1]
-        rows = len(b.weight)
-        if max_rows and rows > max_rows:
+        if max_rows and len(b.weight) > max_rows:
             return k
-        m = None
+        g = items[k][1]
+        end = rt.seg_end[k]
         R = _ALL
         if g is not None:
             m = b.regs[:, g] != 0
             if type(g) is tuple:
                 m = m.any(1)
             c = np.count_nonzero(m)
-            if c == 0:  # nothing in the run executes, so the guard stays false through it
-                b.skipped += rt.run_marks[k]
-                k = rt.run_end[k]
+            if c == 0:  # nothing in the segment executes
+                b.skipped += rt.seg_marks[k]
+                k = end
                 continue
-            if c < rows:
+            if c < len(m):
                 R = m.nonzero()[0]
-        tag = item[0]
-        if tag == _LAYER:
-            _run_layer(rt, b, R, item, rng)
-        elif tag == _CLASSICAL:
-            regs = b.regs[R]
-            _exec_classical(item[2], regs, b.slots[R])
-            if R is not _ALL:
-                b.regs[R] = regs
-        elif tag == _TRANSPORT:
-            b.place[R] = item[2][b.place[R]]
-            b.transport[R] += item[3]
-            if p_transport > 0.0:
-                st = b.state[R]
-                apply_dephasing(st, qubits * item[3], p_transport, rng.random((len(st), len(qubits) * item[3])))
-                b.state[R] = st
-        elif tag == _MARK:
-            if m is not None:
-                b.skipped += ~m
-        else:  # output
-            b.out[R, item[4]] = b.slots[R, item[3]] if item[2] is None else item[2]
-        k += 1
+                if rt.seg_marks[k]:
+                    b.skipped += ~m * rt.seg_marks[k]
+        st = None  # the active rows of b.state, gathered on first use
+        while k < end:
+            item = items[k]
+            k += 1
+            tag = item[0]
+            if tag == _LAYER:
+                st, R = _run_layer(rt, b, R, b.state[R] if st is None else st, item, rng)
+                if max_rows and len(b.weight) > max_rows:
+                    break
+            elif tag == _CLASSICAL:
+                regs = b.regs[R]
+                _exec_classical(item[2], regs, b.slots[R])
+                if R is not _ALL:
+                    b.regs[R] = regs
+            elif tag == _TRANSPORT:
+                b.place[R] = item[2][b.place[R]]
+                b.transport[R] += item[3]
+                if p_transport > 0.0:
+                    if st is None:
+                        st = b.state[R]
+                    apply_dephasing(st, qubits * item[3], p_transport, rng.random((len(st), len(qubits) * item[3])))
+            elif tag == _OUTPUT:
+                b.out[R, item[4]] = b.slots[R, item[3]] if item[2] is None else item[2]
+            # a mark counts only the segment's inactive rows, above
+        if st is not None and R is not _ALL:
+            b.state[R] = st
     return None
 
 
-def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng) -> None:
+def _run_layer(rt: _Runtime, b: _Batch, R, st: np.ndarray, item: tuple, rng):
+    """Run a layer on the rows ``R`` of ``b``, whose states ``st`` it updates in place.
+
+    Returns ``st`` and ``R``, both grown by any rows the layer forked.
+    """
     _, _, qs, expected, fused, depolarize, collapses, idle, idle_col, width, n_gates = item
     n = rt.n_qubits
     if len(qs):
@@ -446,7 +469,6 @@ def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng) -> None:
             row, j = np.argwhere(bad)[0]
             raise ZoneViolation(f"qubit {qs[j]} at slot {b.place[R][row, qs[j]]}, plan expected {expected[j]}")
     b.gates[R] += n_gates
-    st = b.state if R is _ALL else b.state[R]  # kernels work in place on st
     u = rng.random((len(st), width)) if rng is not None and width else None
     for unitary, qubits in fused:
         apply_unitary(st, unitary, qubits, n)
@@ -456,8 +478,7 @@ def _run_layer(rt: _Runtime, b: _Batch, R, item: tuple, rng) -> None:
         st, R = _collapse(b, R, st, op, u)
     if idle:
         apply_dephasing(st, idle, rt.noise.p_idle, u[:, idle_col:])
-    if R is not _ALL:
-        b.state[R] = st
+    return st, R
 
 
 def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None):

@@ -18,10 +18,16 @@ exceeds ``PRUNE_EPS``; two live outcomes fork the path, within
 ``MAX_BRANCH_EVENTS`` per path. A reset collapses like a measurement; when
 both collapse branches land on the same post-reset state (the common
 unentangled case) they are merged so path counts stay small.
+
+The walkers dispatch on exact types, the most frequent first, and
+``_branch`` takes its outcome masks from a cache keyed by state size and
+qubit; neither changes anything the oracle computes.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +74,15 @@ class Leaf:
     slots: tuple[int, ...]
 
 
+@functools.cache
+def _outcome_masks(size: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 weights over ``size`` amplitudes: those whose bit ``q`` is 0, then those where it is 1."""
+    one = ((np.arange(size) >> q) & 1).astype(float)
+    zero = 1.0 - one
+    zero.flags.writeable = one.flags.writeable = False
+    return zero, one
+
+
 def _branch(st, q: int, slot: int | None, n: int, resume) -> bool:
     """Measure (``slot`` set) or reset (``slot`` None) qubit ``q`` of path ``st``.
 
@@ -75,13 +90,12 @@ def _branch(st, q: int, slot: int | None, n: int, resume) -> bool:
     ``st`` continues in place and this returns False. Otherwise every live
     outcome goes to ``resume`` as a copy of ``st`` and this returns True.
     """
-    bit = (np.arange(st.state.size) >> q) & 1
     arms = []
-    for o in (0, 1):
-        kept = np.where(bit == o, st.state, 0.0)
-        p = float(np.sum(np.abs(kept) ** 2))
+    for o, mask in enumerate(_outcome_masks(st.state.size, q)):
+        kept = st.state * mask
+        p = np.vdot(kept, kept).real.item()
         if p > PRUNE_EPS:
-            s = kept / np.sqrt(p)
+            s = kept / math.sqrt(p)
             arms.append((o, p, s if slot is not None or o == 0 else G.embed("x", (q,), None, n) @ s))
     if len(arms) == 2 and slot is None and G.equal_up_to_phase(arms[0][2], arms[1][2]):
         arms.pop()
@@ -104,15 +118,16 @@ def _branch(st, q: int, slot: int | None, n: int, resume) -> bool:
 
 
 def _resolve(v: Value, env: dict) -> Value:
-    if isinstance(v, (Vreg, PReg)):
+    t = type(v)
+    if t is PReg or t is Vreg:
         return env.get(v, False)
     return v
 
 
 def _qubit_index(q, env: dict[Vreg, Value]) -> int:
-    if isinstance(q, Vreg):
+    if type(q) is Vreg:
         q = env.get(q)
-    if not isinstance(q, int) or isinstance(q, bool):
+    if type(q) is not int:  # a bool is not a qubit index
         raise ValueError(f"unresolved qubit operand {q!r}")
     return q
 
@@ -123,22 +138,24 @@ def _step(st, ins: Instruction, env: dict, n: int, resume) -> bool:
     Returns True when a measurement or reset forked the path, every arm of
     which ``_branch`` has handed to ``resume``.
     """
-    if isinstance(ins, QGate):
+    t = type(ins)  # exact types, the most frequent first
+    if t is BinOp:
+        env[ins.dst] = _eval_binop(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
+    elif t is Output:
+        st.outputs.append(st.slots[ins.slot] if ins.kind == "result" else OUTPUT_TOKEN[ins.kind])
+    elif t is QGate:
         qubits = tuple(_qubit_index(q, env) for q in ins.qubits)
         st.state = G.embed(ins.name, qubits, _resolve(ins.angle, env), n) @ st.state
-    elif isinstance(ins, (Measure, Reset)):
-        slot = ins.slot if isinstance(ins, Measure) else None
-        return _branch(st, _qubit_index(ins.qubit, env), slot, n, resume)
-    elif isinstance(ins, ReadResult):
+    elif t is ReadResult:
         env[ins.dst] = bool(st.slots[ins.slot])
-    elif isinstance(ins, BinOp):
-        env[ins.dst] = _eval_binop(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
-    elif isinstance(ins, Cmp):
+    elif t is Measure:
+        return _branch(st, _qubit_index(ins.qubit, env), ins.slot, n, resume)
+    elif t is Reset:
+        return _branch(st, _qubit_index(ins.qubit, env), None, n, resume)
+    elif t is Cmp:
         env[ins.dst] = _eval_cmp(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
-    elif isinstance(ins, Select):
+    elif t is Select:
         env[ins.dst] = _resolve(ins.a if _resolve(ins.cond, env) else ins.b, env)
-    elif isinstance(ins, Output):
-        st.outputs.append(st.slots[ins.slot] if ins.kind == "result" else OUTPUT_TOKEN[ins.kind])
     else:  # pragma: no cover
         raise TypeError(f"cannot interpret {ins!r}")
     return False
@@ -270,12 +287,16 @@ class _GState:
 
 
 def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
-    if isinstance(gv, bool):
-        return gv
-    if isinstance(gv, (Vreg, PReg)):
+    t = type(gv)  # exact types, the most frequent first
+    if t is PReg or t is Vreg:
         return bool(regs.get(gv, False))
-    if isinstance(gv, OrVal):
-        return any(eval_guard_val(p, regs) for p in gv.parts)
+    if t is OrVal:
+        for p in gv.parts:
+            if eval_guard_val(p, regs):
+                return True
+        return False
+    if t is bool:
+        return gv
     raise TypeError(f"bad guard value {gv!r}")
 
 

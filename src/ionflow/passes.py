@@ -28,6 +28,7 @@ Three passes, all module-to-module and deterministic:
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -81,28 +82,23 @@ class FlattenConfig:
 # Constant folding
 # ---------------------------------------------------------------------------
 
+_BIT_OPS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+_ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_CMP_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
 def _eval_binop(op: str, a: Value, b: Value) -> Value:
-    if op in ("and", "or", "xor"):
+    bit_op = _BIT_OPS.get(op)
+    if bit_op is not None:
         if isinstance(a, bool) and isinstance(b, bool):
-            return {"and": a and b, "or": a or b, "xor": a != b}[op]
-        ai, bi = int(a), int(b)
-        v = {"and": ai & bi, "or": ai | bi, "xor": ai ^ bi}[op]
-        return wrap_i64(v)
-    if isinstance(a, float) or isinstance(b, float):
-        return {"add": a + b, "sub": a - b, "mul": a * b}[op]
-    v = {"add": a + b, "sub": a - b, "mul": a * b}[op]
-    return wrap_i64(v)
+            return bit_op(a, b)
+        return wrap_i64(bit_op(int(a), int(b)))
+    v = _ARITH_OPS[op](a, b)
+    return v if isinstance(a, float) or isinstance(b, float) else wrap_i64(v)
 
 
 def _eval_cmp(op: str, a: Value, b: Value) -> bool:
-    return {
-        "eq": a == b,
-        "ne": a != b,
-        "lt": a < b,
-        "le": a <= b,
-        "gt": a > b,
-        "ge": a >= b,
-    }[op]
+    return _CMP_OPS[op](a, b)
 
 
 def _branch_on(cond: Value, then_target: str, else_target: str) -> Branch | Jump:
@@ -409,7 +405,7 @@ class _Inliner:
         self.callees = callees
         self.max_unroll = max_unroll
         self.counter = 0
-        self.specs: dict[tuple, Function] = {}
+        self.specs: dict[tuple, tuple[Function, set[Vreg]]] = {}  # with the values each one defines
         # a block that ends in a call hands its terminator to continuation
         # copies; successor phis must then take their incoming from those
         # copies instead of the original label
@@ -423,9 +419,10 @@ class _Inliner:
             out.extend(self._expand_block(block, entry))
         return Function(entry.name, entry.params, tuple(self._apply_phi_redirects(out)))
 
-    def _specialize(self, call: Call) -> Function:
+    def _specialize(self, call: Call) -> tuple[Function, set[Vreg]]:
         """The settled callee with ``call``'s literal arguments substituted and
-        settled again (a loop whose trip count was an argument unrolls here).
+        settled again (a loop whose trip count was an argument unrolls here),
+        and the values it defines.
 
         Memoized per callee and literal-argument key. Literals are keyed by
         type and repr, since 1, 1.0 and true compare equal but fold apart.
@@ -435,7 +432,8 @@ class _Inliner:
             callee = self.callees[call.callee]
             lits: dict[Vreg, Value] = {p: a for (p, _ty), a in zip(callee.params, call.args) if not isinstance(a, Vreg)}
             blocks = tuple(_clone_block(b, lits, {}) for b in callee.blocks)
-            self.specs[key] = _settle(Function(callee.name, callee.params, blocks), self.max_unroll)
+            spec = _settle(Function(callee.name, callee.params, blocks), self.max_unroll)
+            self.specs[key] = spec, _collect_defs(spec.blocks)
         return self.specs[key]
 
     def _expand_block(self, block: BasicBlock, entry: Function) -> list[BasicBlock]:
@@ -445,7 +443,7 @@ class _Inliner:
         call = block.body[call_idx]
         assert isinstance(call, Call)
         callee = self.callees[call.callee]
-        spec = self._specialize(call)
+        spec, spec_defs = self._specialize(call)
         sfx = f".c{self.counter}"
         self.counter += 1
 
@@ -453,7 +451,7 @@ class _Inliner:
         ren: dict[Vreg, Value] = {}
         for (pv, _ty), arg in zip(spec.params, call.args):
             ren[pv] = arg
-        for v in _collect_defs(spec.blocks):
+        for v in spec_defs:
             ren[v] = Vreg(f"{v.name}{sfx}")
 
         # continuations are numbered, and shared or not, by the settled

@@ -328,6 +328,16 @@ def test_non_finite_angle_is_an_error(tmp_path, capsys, case):
     assert "not finite" in _cli_error(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "flag", [["--passes", "fold,,x"], ["--max-inline-depth", "1"], ["--max-unroll", "1"]], ids=lambda f: f[0]
+)
+def test_experiment_rejects_compile_options_it_does_not_use(capsys, flag):
+    # a built-in experiment compiles with the default passes and budgets, so
+    # these options would be silently ignored
+    argv = ["experiment", "msd", "--limit", "1", "--shots", "5", "--seed", "1", *flag]
+    assert f"unrecognized arguments: {' '.join(flag)}" in _cli_error(argv, capsys)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_too_many_qubits_is_an_error(tmp_path, capsys, jobs):
     # a state of 2⁴⁰ amplitudes per shot must be refused before it is allocated

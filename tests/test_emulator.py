@@ -25,7 +25,8 @@ from ionflow.emulator import (
     run_shots,
 )
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
-from ionflow.qccd import ALWAYS, CONDITIONAL, LayerItem
+from ionflow.ir import BinOp
+from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem
 from ionflow.toolchain import compile_module
 
 
@@ -85,6 +86,90 @@ def test_zone_check_raises_on_bad_placement():
     prog = dataclasses.replace(prog, items=prog.items[:k] + (bad,) + prog.items[k + 1:])
     with pytest.raises(ZoneViolation):
         run_shot(prog, NOISELESS, 0, 0)
+    with pytest.raises(ZoneViolation):
+        enumerate_outcomes(prog)
+
+
+# -- guard segments: runs of items under one guard that the walk masks once -------
+
+# block a runs where r0 = 1; its items share the guard R0 and form one segment
+BRANCHY = """block e:
+  h q0
+  mz q0 -> r0
+  %c = read_result r0
+  br %c, a, b
+block a:
+  x q1
+  mz q1 -> r1
+  output result r0
+  output result r1
+  jmp b
+block b:
+  h q1
+  mz q1 -> r1
+  output result r1
+  ret"""
+
+
+def _insert_after(prog, k: int, *new):
+    return dataclasses.replace(prog, items=prog.items[: k + 1] + new + prog.items[k + 1:])
+
+
+def _segment_items(prog):
+    """Index of block a's mark and of its x layer, and a's guard."""
+    mark = next(k for k, it in enumerate(prog.items) if isinstance(it, MarkItem) and it.label == "a")
+    assert isinstance(prog.items[mark + 1], LayerItem) and prog.items[mark + 1].guard == prog.items[mark].guard
+    return mark, mark + 1, prog.items[mark].guard
+
+
+def test_classical_item_clearing_its_guard_ends_the_segment():
+    # block a clears its own guard register after its x gate: for those rows
+    # the rest of a (a measurement, two outputs and a second mark) must not run
+    prog = compile_src(BRANCHY).program
+    _mark, x_layer, g = _segment_items(prog)
+    clear = ClassicalItem(g, (BinOp("xor", g, g, g),))
+    prog = _insert_after(prog, x_layer, clear, MarkItem(g, "a.rest"))
+    assert enumerate_outcomes(prog) == pytest.approx({(0,): 0.5, (1,): 0.5}, abs=1e-12)
+    shots = run_shots(prog, NOISELESS, 300, 5)
+    took_a = [s.executed_gates == 3 for s in shots]  # h, x, h; rows that skip a run h, h
+    assert 50 < sum(took_a) < 250
+    for s, a in zip(shots, took_a):
+        assert len(s.outputs) == 1
+        assert s.measures_per_qubit == (1, 1)  # block a's measurement of q1 never ran
+        assert s.skipped_blocks == (1 if a else 2)  # a.rest is skipped in every shot
+
+
+def test_fork_inside_a_segment_keeps_marks_and_weights():
+    # two adjacent blocks under one guard, the first forking on a measurement:
+    # the copy is an active row of the segment, so neither counts the second mark
+    prog = compile_src(BRANCHY.replace("  x q1\n", "  h q1\n")).program
+    mark, _h_layer, g = _segment_items(prog)
+    measure = mark + 2
+    assert prog.items[measure].ops[0].kind == "measure"
+    prog = _insert_after(prog, measure, MarkItem(g, "a2"))
+    rt = emulator._compile_runtime(prog, NOISELESS)
+    assert rt.seg_end[mark] > measure + 1  # mark, h, measure and a2 are one segment
+    b = emulator._Batch.start(rt, 1)
+    assert emulator._walk(rt, b, None) is None
+    # r0 = 0 skips a and a2; r0 = 1 forks on q1 in block a; block b forks every row
+    assert sorted(zip(b.weight.round(12).tolist(), b.skipped.tolist())) == [(0.125, 0)] * 4 + [(0.25, 2)] * 2
+    assert sorted(l.prob for l in enumerate_exec_leaves(prog)) == pytest.approx([0.125] * 4 + [0.25] * 2, abs=1e-12)
+    shots = run_shots(prog, NOISELESS, 300, 3)
+    assert {(s.executed_gates, s.skipped_blocks) for s in shots} == {(2, 2), (3, 0)}
+
+
+def test_zone_check_raises_inside_a_segment():
+    # the bad layer is block a's measurement, the third item of its segment
+    prog = compile_src(BRANCHY).program
+    mark, _x_layer, _g = _segment_items(prog)
+    k = mark + 2
+    layer = prog.items[k]
+    (q, slot), *rest = layer.expected_slots
+    bad = dataclasses.replace(layer, expected_slots=((q, slot + 1), *rest))
+    prog = dataclasses.replace(prog, items=prog.items[:k] + (bad,) + prog.items[k + 1:])
+    assert emulator._compile_runtime(prog, NOISELESS).seg_end[mark] > k + 1
+    with pytest.raises(ZoneViolation):
+        run_shots(prog, NOISELESS, 300, 0)
     with pytest.raises(ZoneViolation):
         enumerate_outcomes(prog)
 

@@ -594,7 +594,8 @@ class _UnspecializedInliner(passes._Inliner):
     """Inlines from the settled callee itself, with a continuation for every return."""
 
     def _specialize(self, call):
-        return self.callees[call.callee]
+        fn = self.callees[call.callee]
+        return fn, passes._collect_defs(fn.blocks)
 
 
 def reference_flatten(module, config=FlattenConfig()):
