@@ -3,7 +3,10 @@
 
 The corpus is MSD limits 0-8 and RUS loop limits 1-8 and recursion limits
 1-7, each in every measurement basis, plus ``random_program`` seeds 0-299
-from ``tests/conftest.py``. Each program's digest covers, in order:
+and two hand-written flatten programs from ``tests/conftest.py``: a block
+with two calls (``TWO_CALL_BLOCK``) and a continuation shared by both
+returns (``CONTINUATION_DEF_USED_LATER``). Each program's digest covers, in
+order:
 
 * ``emit(fold_constants(m))``;
 * ``emit(flatten(fold_constants(m)))``;
@@ -44,7 +47,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import random_program  # noqa: E402
+from conftest import CONTINUATION_DEF_USED_LATER, TWO_CALL_BLOCK, random_program  # noqa: E402
 from ionflow import passes, textir, toolchain  # noqa: E402
 from ionflow.emulator import H1E_LIKE, NOISELESS, run_shots  # noqa: E402
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus  # noqa: E402
@@ -62,6 +65,8 @@ def corpus():
             yield f"rus-recursion-{limit}-{basis}", lambda c=RusConfig(limit, basis, "recursion"): build_rus(c)
     for seed in range(300):
         yield f"random-{seed}", lambda s=seed: random_program(s)
+    yield "flatten-two-call-block", lambda: textir.parse(TWO_CALL_BLOCK)
+    yield "flatten-shared-continuation", lambda: textir.parse(CONTINUATION_DEF_USED_LATER)
 
 
 SHOTS = 300

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -105,6 +106,7 @@ def cmd_run(args) -> int:
 
 def cmd_experiment(args) -> int:
     noise = _load_noise(args)
+    noise = dataclasses.replace(noise, prep_overrotation=noise.prep_overrotation + args.overrotation)
     trap = _load_trap(args)
     common = dict(
         shots=args.shots,
@@ -116,7 +118,7 @@ def cmd_experiment(args) -> int:
         registers=args.registers,
     )
     if args.kind == "msd":
-        cfg = MsdConfig(limit=args.limit, basis=args.basis, prep_overrotation=args.overrotation)
+        cfg = MsdConfig(limit=args.limit, basis=args.basis)
     else:
         cfg = RusConfig(limit=args.limit, basis=args.basis, style=args.style)
     res, _shots, report = run_experiment(cfg, **common)
@@ -130,24 +132,45 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+_REPORT_KEYS = CSV_HEADER.split(",")
+_TEXT_COLUMNS = ("experiment", "style", "basis")
+_INT_COLUMNS = ("limit", "shots", "blocks", "colors")
+
+
+def _report_record(row: str, where: str) -> dict:
+    """One report row, typed as ``experiment --json`` writes it; an empty field is None."""
+    vals = row.split(",")
+    if len(vals) != len(_REPORT_KEYS):
+        raise ValueError(f"{where}: {len(vals)} fields, the header has {len(_REPORT_KEYS)}")
+    record = {k: v or None for k, v in zip(_REPORT_KEYS, vals)}
+    for k, v in record.items():
+        if v is None or k in _TEXT_COLUMNS:
+            continue
+        try:
+            record[k] = int(v) if k in _INT_COLUMNS else float(v)
+        except ValueError:
+            raise ValueError(f"{where}: {k} is not a number: {v!r}") from None
+        if not math.isfinite(record[k]):
+            raise ValueError(f"{where}: {k} is not finite: {v!r}")
+    return record
+
+
 def cmd_report(args) -> int:
     rows: list[str] = []
+    records: list[dict] = []
     for f in args.files:
-        lines = [l for l in Path(f).read_text().splitlines() if l.strip()]
+        lines = [(n, l) for n, l in enumerate(Path(f).read_text().splitlines(), 1) if l.strip()]
         if not lines:
             continue
-        if lines[0] != CSV_HEADER:
+        if lines[0][1] != CSV_HEADER:
             print(f"error: {f} is not a report CSV (bad header)", file=sys.stderr)
             return 1
-        rows.extend(lines[1:])
+        for n, row in lines[1:]:
+            records.append(_report_record(row, f"{f} line {n}"))
+            rows.append(row)
     csv_text = CSV_HEADER + "\n" + "\n".join(rows) + ("\n" if rows else "")
     _write(csv_text, args.output)
     if args.json is not None:
-        keys = CSV_HEADER.split(",")
-        records = []
-        for row in rows:
-            vals = row.split(",")
-            records.append({k: (v if v != "" else None) for k, v in zip(keys, vals)})
         args.json.write_text(json.dumps(records, indent=2) + "\n")
     return 0
 
@@ -175,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--limit", type=int, required=True)
     e.add_argument("--basis", choices=["X", "Y", "Z"], default="Z")
     e.add_argument("--style", choices=["loop", "recursion"], default="loop")
-    e.add_argument("--overrotation", type=float, default=0.0)
+    e.add_argument("--overrotation", type=float, default=0.0, help="added to the noise model's prep_overrotation")
     e.add_argument("--emit", choices=["report", "exec"], default="report")
     e.add_argument("--csv", type=Path, default=None)
     e.add_argument("--json", type=Path, default=None)

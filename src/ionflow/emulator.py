@@ -236,10 +236,9 @@ def _cguard(g):
     if isinstance(g, PReg):
         return g.index
     if isinstance(g, OrVal):
-        parts = [_cguard(p) for p in g.parts]
-        if any(p is None for p in parts):
+        if any(p is True for p in g.parts):
             return None
-        return tuple(r for p in parts for r in (p if isinstance(p, tuple) else (p,)))
+        return tuple(p.index for p in g.parts if p is not False)
     raise TypeError(f"bad exec guard {g!r}")
 
 

@@ -27,7 +27,7 @@ pipeline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .emulator import NOISELESS, NoiseModel, ShotResult, run_shots
 from .ir import Module
@@ -86,15 +86,12 @@ MSD_CORRECTION: tuple[tuple[str, tuple[int, ...]], ...] = (("x", (0,)), ("sdg", 
 class MsdConfig:
     limit: int = 1
     basis: str = "Z"
-    prep_overrotation: float = 0.0
 
     def __post_init__(self) -> None:
         if self.limit < 0:
             raise ValueError("limit must be >= 0")
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
-        if not math.isfinite(self.prep_overrotation):
-            raise ValueError(f"prep_overrotation={self.prep_overrotation} is not finite")
 
 
 @dataclass(frozen=True)
@@ -456,8 +453,6 @@ def run_experiment(
     """Build, compile and sample one program of either family, and summarize it into a report row."""
     if isinstance(cfg, MsdConfig):
         experiment, style, module = "msd", "", build_msd(cfg)
-        if cfg.prep_overrotation:
-            noise = replace(noise, prep_overrotation=noise.prep_overrotation + cfg.prep_overrotation)
     else:
         experiment, style, module = "rus", cfg.style, build_rus(cfg)
     res = compile_module(module, trap=trap, mode=mode, registers=registers)

@@ -290,9 +290,9 @@ def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
     t = type(gv)  # exact types, the most frequent first
     if t is PReg or t is Vreg:
         return bool(regs.get(gv, False))
-    if t is OrVal:
+    if t is OrVal:  # flat: its parts are registers or bools
         for p in gv.parts:
-            if eval_guard_val(p, regs):
+            if (p if type(p) is bool else regs.get(p, False)):
                 return True
         return False
     if t is bool:

@@ -17,9 +17,10 @@ Three passes, all module-to-module and deterministic:
   arguments substituted, then settled) once per literal-argument key and
   cloned at each call with that key, so recursions guarded by a literal
   depth bottom out; the entry folds once, after the last round. Each return
-  site of an inlined callee gets its own copy of the call continuation when
-  that is safe (no externally used definitions in the continuation), which
-  is what makes the recursive program shape expand into a branching tree.
+  site of an inlined callee gets its own copy of the call continuation
+  unless a definition in it escapes (a phi, or a block other than its own,
+  reads it; one escape set per round), which is what makes the recursive
+  program shape expand into a branching tree.
 * ``peephole`` — within-block rewriting of gate pairs on one qubit tuple from
   one table, ``PAIR_RULES``, whose entries are checked unitarily equivalent
   by dense matrices once per process, before first use.
@@ -400,6 +401,18 @@ def _settle(fn: Function, max_unroll: int) -> Function:
     return _fold_function(fn) if unrolled else fn
 
 
+def _escaping(fn: Function) -> set[Vreg]:
+    """The values that a phi of ``fn`` reads, or a block other than their defining one."""
+    home = {d: b.label for b in fn.blocks for i in b.body for d in instr_defs(i)}
+    out = {v for b in fn.blocks for p in b.phis for v, _l in p.incomings if isinstance(v, Vreg)}
+    for b in fn.blocks:
+        reads = [u for i in b.body for u in instr_uses(i)]
+        if isinstance(b.terminator, Branch):
+            reads.append(b.terminator.cond)
+        out.update(u for u in reads if home.get(u) != b.label)
+    return out
+
+
 class _Inliner:
     def __init__(self, callees: dict[str, Function], max_unroll: int):
         self.callees = callees
@@ -410,13 +423,15 @@ class _Inliner:
         # copies; successor phis must then take their incoming from those
         # copies instead of the original label
         self.redirects: dict[str, list[str]] = {}
+        self.escaping = functools.cache(set)  # of the round's entry, built on first need
 
     def inline_level(self, entry: Function) -> Function:
         """Inline every call currently present in ``entry``, one level."""
         self.redirects = {}
+        self.escaping = functools.cache(functools.partial(_escaping, entry))
         out: list[BasicBlock] = []
         for block in entry.blocks:
-            out.extend(self._expand_block(block, entry))
+            out.extend(self._expand_block(block))
         return Function(entry.name, entry.params, tuple(self._apply_phi_redirects(out)))
 
     def _specialize(self, call: Call) -> tuple[Function, set[Vreg]]:
@@ -436,7 +451,7 @@ class _Inliner:
             self.specs[key] = spec, _collect_defs(spec.blocks)
         return self.specs[key]
 
-    def _expand_block(self, block: BasicBlock, entry: Function) -> list[BasicBlock]:
+    def _expand_block(self, block: BasicBlock) -> list[BasicBlock]:
         call_idx = next((i for i, ins in enumerate(block.body) if isinstance(ins, Call)), None)
         if call_idx is None:
             return [block]
@@ -459,7 +474,9 @@ class _Inliner:
         ret_labels = [b.label for b in callee.blocks if isinstance(b.terminator, Return)]
         tail_body = block.body[call_idx + 1 :]
         tail_defs = _collect_defs([BasicBlock("", (), tail_body, Return())])
-        duplicate = len(ret_labels) <= 1 or not self._defs_used_outside(tail_defs, block, entry)
+        # a continuation copy's renamed definitions are read only inside it,
+        # so they escape no more than the ones they copy
+        duplicate = len(ret_labels) <= 1 or not tail_defs or self.escaping().isdisjoint(tail_defs)
 
         cont_labels: dict[str, str] = {}
         cont_blocks: list[BasicBlock] = []
@@ -493,27 +510,10 @@ class _Inliner:
         # not depend on which returns a specialization pruned
         expanded_conts: list[BasicBlock] = []
         for c in cont_blocks:
-            expanded = self._expand_block(c, entry)
+            expanded = self._expand_block(c)
             if c.label in live:
                 expanded_conts.extend(expanded)
         return [head, *wired, *expanded_conts]
-
-    @staticmethod
-    def _defs_used_outside(defs: set[Vreg], block: BasicBlock, entry: Function) -> bool:
-        if not defs:
-            return False
-        for b in entry.blocks:
-            for phi in b.phis:
-                if any(isinstance(v, Vreg) and v in defs for v, _l in phi.incomings):
-                    return True
-            if b.label == block.label:
-                continue
-            for ins in b.body:
-                if any(u in defs for u in instr_uses(ins)):
-                    return True
-            if isinstance(b.terminator, Branch) and b.terminator.cond in defs:
-                return True
-        return False
 
     def _apply_phi_redirects(self, blocks: list[BasicBlock]) -> list[BasicBlock]:
         if not self.redirects:

@@ -15,9 +15,12 @@ nodes become ``ir.Select`` instructions over the incoming edge guards,
 keeping every register single-assignment; ``textir`` formats them like any
 other instruction.
 
-The result also keeps a symbolic guard per block. The backend compares
-those symbolically (conjunction containment) to decide where ion placement
-may flow from one block to the next without a reconciliation checkpoint.
+The same walk over the same in-edges also builds each block's guard as a
+symbolic formula. The backend compares those (conjunction containment) to
+decide where ion placement may flow from one block to the next without a
+reconciliation checkpoint. This is the if-conversion of Allen, Kennedy,
+Porterfield and Warren, "Conversion of control dependence to data
+dependence" (POPL 1983).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .ir import (
     Branch,
     Call,
     Cfg,
-    FALSE_ARM,
     Function,
     Instruction,
     Select,
@@ -94,23 +96,16 @@ def sym_implies(g: SymGuard, h: SymGuard) -> bool:
 
 @dataclass(frozen=True)
 class OrVal:
-    """A not-yet-materialized OR join of guard values."""
+    """A not-yet-materialized OR join, flat: its parts are bools and Vregs (PRegs after regalloc)."""
 
-    parts: tuple["GuardVal", ...]
+    parts: tuple
 
 
 GuardVal = Union[bool, Vreg, OrVal]
 
 
 def guard_vregs(gv: GuardVal) -> tuple[Vreg, ...]:
-    if isinstance(gv, Vreg):
-        return (gv,)
-    if isinstance(gv, OrVal):
-        out: list[Vreg] = []
-        for p in gv.parts:
-            out.extend(guard_vregs(p))
-        return tuple(out)
-    return ()
+    return tuple(p for p in (gv.parts if isinstance(gv, OrVal) else (gv,)) if isinstance(p, Vreg))
 
 
 @dataclass(frozen=True)
@@ -127,36 +122,6 @@ class GuardedFunction:
     name: str
     blocks: tuple[GuardedBlock, ...]
     new_vregs: int
-    branch_count: int
-    phi_count: int
-
-
-def compute_guards(cfg: Cfg, fn: Function) -> dict[str, SymGuard]:
-    """Symbolic guard per block; linear size via per-block reuse.
-
-    Raises CycleDetected on back edges.
-    """
-    order = topo_sort(cfg)
-    guards: dict[str, SymGuard] = {}
-    for label in order:
-        in_edges = cfg.in_edges(label)
-        if not in_edges:
-            guards[label] = STrue()
-            continue
-        parts: list[SymGuard] = []
-        for e in in_edges:
-            base = guards[e.src]
-            if e.condition == TRUE_ARM or e.condition == FALSE_ARM:
-                term = fn.block(e.src).terminator
-                assert isinstance(term, Branch)
-                cond: SymGuard = SRef(term.cond)
-                if e.condition == FALSE_ARM:
-                    cond = SNot(cond)
-                parts.append(cond if isinstance(base, STrue) else SAnd(base, cond))
-            else:
-                parts.append(base)
-        guards[label] = parts[0] if len(parts) == 1 else SOr(tuple(parts))
-    return guards
 
 
 class _Materializer:
@@ -195,28 +160,25 @@ def if_convert(fn: Function) -> GuardedFunction:
 
     cfg = Cfg.from_function(fn)
     order = topo_sort(cfg)  # raises CycleDetected
-    sym = compute_guards(cfg, fn)
 
     mat = _Materializer({v.name for v in seen_defs} | {v.name for v, _t in fn.params})
     guard_val: dict[str, GuardVal] = {}
+    sym: dict[str, SymGuard] = {}
     edge_val: dict[tuple[str, str, str], GuardVal] = {}
     # the two arm guards of one branch OR back to the branch block's own
     # guard; joins matching such a pair reuse that value instead of a fresh OR
     complement: dict[frozenset, GuardVal] = {}
-    branch_count = sum(1 for b in fn.blocks if isinstance(b.terminator, Branch))
-    phi_count = sum(len(b.phis) for b in fn.blocks)
 
     out_blocks: list[GuardedBlock] = []
 
     def materialize(gv: GuardVal, prelude: list[Instruction]) -> bool | Vreg:
-        if isinstance(gv, (bool, Vreg)):
+        if not isinstance(gv, OrVal):
             return gv
-        parts = [materialize(p, prelude) for p in gv.parts]
-        if any(p is True for p in parts):
+        if any(p is True for p in gv.parts):
             # or with a true arm never happens on real CFGs; keep it exact anyway
             return True
-        acc: Value = parts[0]
-        for p in parts[1:]:
+        acc: Value = gv.parts[0]
+        for p in gv.parts[1:]:
             dst = mat.fresh("g")
             prelude.append(BinOp("or", dst, acc, p))
             acc = dst
@@ -266,11 +228,22 @@ def if_convert(fn: Function) -> GuardedFunction:
 
         if not in_edges:
             gv: GuardVal = True
+            sym[label] = STrue()
         else:
-            vals = [edge_value(e) for e in in_edges]
+            # per in-edge: its guard value, flattened into the join's parts,
+            # and its symbolic guard, AND(guard(src), edge cond)
             parts: list[GuardVal] = []
-            for v in vals:
+            sym_parts: list[SymGuard] = []
+            for e in in_edges:
+                v = edge_value(e)
                 parts.extend(v.parts if isinstance(v, OrVal) else (v,))
+                base = sym[e.src]
+                if e.condition != UNCOND:
+                    ref = SRef(fn.block(e.src).terminator.cond)
+                    cond = ref if e.condition == TRUE_ARM else SNot(ref)
+                    base = cond if isinstance(base, STrue) else SAnd(base, cond)
+                sym_parts.append(base)
+            sym[label] = sym_parts[0] if len(sym_parts) == 1 else SOr(tuple(sym_parts))
             if len(parts) == 1:
                 gv = parts[0]
             elif len(parts) == 2 and frozenset(parts) in complement:
@@ -299,34 +272,16 @@ def if_convert(fn: Function) -> GuardedFunction:
             acc_val: Value = incoming[-1][0]
             rest = incoming[:-1]
             for idx, (v, src) in enumerate(reversed(rest)):
-                conds = [materialize(edge_value(e), prelude) for e in edges_by_src[src]]
-                cond: Value = conds[0]
-                for extra in conds[1:]:
-                    joined = mat.fresh("g")
-                    prelude.append(BinOp("or", joined, cond, extra))
-                    cond = joined
+                conds = tuple(materialize(edge_value(e), prelude) for e in edges_by_src[src])
+                sel = materialize(OrVal(conds), prelude)
                 outermost = idx == len(rest) - 1
                 dst = phi.dst if outermost else mat.fresh("sel")
-                prelude.append(Select(dst, cond, v, acc_val))
+                prelude.append(Select(dst, sel, v, acc_val))
                 acc_val = dst
 
-        out_blocks.append(
-            GuardedBlock(
-                label=label,
-                prelude=tuple(prelude),
-                guard=gv,
-                symbolic=sym[label],
-                body=block.body,
-            )
-        )
+        out_blocks.append(GuardedBlock(label, tuple(prelude), gv, sym[label], block.body))
 
-    return GuardedFunction(
-        name=fn.name,
-        blocks=tuple(out_blocks),
-        new_vregs=mat.new_vregs,
-        branch_count=branch_count,
-        phi_count=phi_count,
-    )
+    return GuardedFunction(fn.name, tuple(out_blocks), mat.new_vregs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +289,8 @@ def if_convert(fn: Function) -> GuardedFunction:
 # ---------------------------------------------------------------------------
 
 def format_guard(gv) -> str:
-    if isinstance(gv, bool):
-        return "true" if gv else "false"
     if isinstance(gv, OrVal):
-        return "(" + " | ".join(format_guard(p) for p in gv.parts) + ")"
+        return "(" + " | ".join(map(_fmt_value, gv.parts)) + ")"
     return _fmt_value(gv)
 
 

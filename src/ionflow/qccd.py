@@ -484,12 +484,11 @@ class ExecProgram:
         return sum(len(it.steps) for it in self.items if isinstance(it, TransportItem))
 
     def to_json(self) -> str:
+        def reg(o):
+            return {"reg": o.index} if isinstance(o, PReg) else o
+
         def enc(o):
-            if isinstance(o, PReg):
-                return {"reg": o.index}
-            if isinstance(o, OrVal):
-                return {"or": [enc(p) for p in o.parts]}
-            return o
+            return {"or": list(map(reg, o.parts))} if isinstance(o, OrVal) else reg(o)
 
         items = []
         for it in self.items:

@@ -189,7 +189,7 @@ def rewrite(gf: GuardedFunction, regfile: RegFile) -> GuardedFunction:
         return PReg(asg[v]) if isinstance(v, Vreg) else v
 
     def guard(gv: GuardVal):
-        return OrVal(tuple(map(guard, gv.parts))) if isinstance(gv, OrVal) else reg(gv)
+        return OrVal(tuple(map(reg, gv.parts))) if isinstance(gv, OrVal) else reg(gv)
 
     def mapped(instrs) -> tuple:
         return tuple(
@@ -199,4 +199,4 @@ def rewrite(gf: GuardedFunction, regfile: RegFile) -> GuardedFunction:
         )
 
     blocks = [GuardedBlock(b.label, mapped(b.prelude), guard(b.guard), b.symbolic, mapped(b.body)) for b in gf.blocks]
-    return GuardedFunction(gf.name, tuple(blocks), gf.new_vregs, gf.branch_count, gf.phi_count)
+    return GuardedFunction(gf.name, tuple(blocks), gf.new_vregs)

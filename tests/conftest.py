@@ -139,3 +139,65 @@ def random_program(
 def max_distribution_error(a: dict, b: dict) -> float:
     keys = set(a) | set(b)
     return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+
+# Hand-written flatten programs, shared by tests/test_passes.py and the
+# corpus of scripts/output_digest.py.
+TWO_RETURNS = """func @f() {
+block a:
+  h q0
+  mz q0 -> r0
+  %m = read_result r0
+  br %m, b, c
+block b:
+  ret
+block c:
+  ret
+}
+"""
+
+# A continuation that defines a value read in a later block: both returns
+# of @f share it.
+CONTINUATION_DEF_USED_LATER = """module t
+attrs required_qubits=2 required_results=2
+func @main() {
+block e:
+  call @f()
+  %y = read_result r0
+  jmp k
+block k:
+  br %y, y1, z
+block y1:
+  x q1
+  jmp z
+block z:
+  mz q1 -> r1
+  output result r0
+  output result r1
+  ret
+}
+""" + TWO_RETURNS
+
+# Two calls in one block. The second call's continuation defines only a
+# value read in the block itself, so on both return paths of the first call
+# it gets one copy per return of @f.
+TWO_CALL_BLOCK = """module t
+attrs required_qubits=2 required_results=2
+func @main() {
+block e:
+  call @f()
+  %v = read_result r0
+  call @f()
+  %w = xor %v, true
+  br %w, y1, z
+block y1:
+  x q1
+  jmp z
+block z:
+  mz q1 -> r1
+  output result r0
+  output result r1
+  ret
+}
+""" + TWO_RETURNS

@@ -161,6 +161,45 @@ def test_report_merges_csvs(tmp_path):
     assert len(json.loads(jm.read_text())) == 2
 
 
+def test_report_json_is_typed_as_experiment_json(tmp_path):
+    row, exp_json, rep_json = tmp_path / "r.csv", tmp_path / "e.json", tmp_path / "r.json"
+    argv = ["experiment", "rus", "--limit", "2", "--shots", "200", "--seed", "5", "--csv", str(row), "--json", str(exp_json)]
+    assert main(argv) == 0
+    assert main(["report", str(row), "-o", str(tmp_path / "m.csv"), "--json", str(rep_json)]) == 0
+    [record] = json.loads(rep_json.read_text())
+    expected = json.loads(exp_json.read_text())
+    assert [(k, type(v), v) for k, v in record.items()] == [(k, type(expected[k]), expected[k]) for k in CSV_HEADER.split(",")]
+    assert type(record["limit"]) is int and type(record["avg_transport"]) is float and record["exp_x"] is None
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("msd,,X,1", "4 fields, the header has 13"),
+        ("msd,,X,one,100,0.5,0.1,,,,1.0,5,3", "limit is not a number: 'one'"),
+        ("msd,,X,1,100,0.5,0.1,,,,x,5,3", "avg_transport is not a number: 'x'"),
+        ("msd,,X,1,100,0.5,nan,,,,1.0,5,3", "exp_x is not finite: 'nan'"),
+    ],
+    ids=["short-row", "int-column", "float-column", "non-finite"],
+)
+def test_report_rejects_malformed_rows(tmp_path, capsys, row, message):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"{CSV_HEADER}\n{row}\n")
+    out = tmp_path / "merged.json"
+    assert _cli_error(["report", str(f), "-o", str(tmp_path / "m.csv"), "--json", str(out)], capsys) .strip() == f"error: {f} line 2: {message}"
+    assert not out.exists()
+
+
+def test_overrotation_changes_rus_rows(tmp_path):
+    rows = []
+    for over in ("0", "1.3"):
+        f = tmp_path / f"rus-{over}.csv"
+        argv = ["experiment", "rus", "--limit", "2", "--basis", "X", "--shots", "2000", "--seed", "3", "--overrotation", over]
+        assert main([*argv, "--csv", str(f)]) == 0
+        rows.append(f.read_text().splitlines()[1])
+    assert rows[0] != rows[1]
+
+
 def test_identical_invocations_byte_identical_any_jobs(tmp_path):
     outs = []
     for jobs in ("1", "3"):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import max_distribution_error, random_program
+from conftest import CONTINUATION_DEF_USED_LATER, TWO_CALL_BLOCK, TWO_RETURNS, max_distribution_error, random_program
 from ionflow import emulator, gates, oracle, passes, textir, toolchain
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.qccd import ALWAYS, CONDITIONAL
@@ -510,19 +510,6 @@ def test_phi_after_unrolled_loop_matches_oracle(trips, phi, mode):
     assert max_distribution_error(oracle.enumerate_module(m), emulator.enumerate_outcomes(program)) < 1e-12
 
 
-TWO_RETURNS = """func @f() {
-block a:
-  h q0
-  mz q0 -> r0
-  %m = read_result r0
-  br %m, b, c
-block b:
-  ret
-block c:
-  ret
-}
-"""
-
 CALL_BLOCK_FEEDS_PHI = """module t
 attrs required_qubits=2 required_results=3
 func @main() {
@@ -549,26 +536,6 @@ block z:
 }
 """ + TWO_RETURNS
 
-CONTINUATION_DEF_USED_LATER = """module t
-attrs required_qubits=2 required_results=2
-func @main() {
-block e:
-  call @f()
-  %y = read_result r0
-  jmp k
-block k:
-  br %y, y1, z
-block y1:
-  x q1
-  jmp z
-block z:
-  mz q1 -> r1
-  output result r0
-  output result r1
-  ret
-}
-""" + TWO_RETURNS
-
 
 @pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
 @pytest.mark.parametrize(
@@ -588,6 +555,19 @@ def test_two_return_callee_matches_both_oracles(src, continuations, mode):
     guarded = oracle.enumerate_guarded(res.guarded, m.required_qubits, m.required_results)
     assert max_distribution_error(expected, guarded) < 1e-12
     assert max_distribution_error(expected, emulator.enumerate_outcomes(res.program)) < 1e-12
+
+
+def test_second_call_gets_the_same_continuations_on_both_return_paths():
+    # %w, defined in the second call's continuation, is read only by its own
+    # block's branch, so that continuation is copied per return of @f both in
+    # the first call's continuation that keeps the original names (cont0) and
+    # in the renamed one (cont1)
+    m = parse(TWO_CALL_BLOCK)
+    flat = flatten(m)
+    labels = [b.label for b in flat.entry_function.blocks]
+    assert [l for l in labels if l.startswith("e.c0.cont0.")] == ["e.c0.cont0.c1.cont0", "e.c0.cont0.c1.cont1"]
+    assert [l for l in labels if l.startswith("e.c0.cont1.")] == ["e.c0.cont1.c2.cont0", "e.c0.cont1.c2.cont1"]
+    assert oracle.enumerate_module(flat) == oracle.enumerate_module(m)
 
 
 class _UnspecializedInliner(passes._Inliner):

@@ -2,18 +2,21 @@ import pytest
 
 from conftest import max_distribution_error, random_program
 from ionflow import oracle, textir
-from ionflow.ir import Cfg, CycleDetected, QGate
+from ionflow.ir import Branch, Cfg, CycleDetected, QGate
 from ionflow.predication import (
     NonSSA,
+    OrVal,
     SAnd,
     SNot,
     SRef,
     STrue,
-    compute_guards,
     if_convert,
     sym_implies,
 )
 from ionflow.ir import Vreg
+from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+from ionflow.regalloc import PReg
+from ionflow.toolchain import compile_module
 
 
 def parse(src: str):
@@ -60,34 +63,35 @@ block join:
 """
 
 
+def symbolic_guards(fn):
+    return {b.label: b.symbolic for b in if_convert(fn).blocks}
+
+
 def test_straight_line_guards_all_true():
     m = parse(wrap("block a:\n  h q0\n  jmp b\nblock b:\n  ret"))
-    fn = m.entry_function
-    guards = compute_guards(Cfg.from_function(fn), fn)
+    guards = symbolic_guards(m.entry_function)
     assert guards["a"] == STrue()
     assert guards["b"] == STrue()
 
 
 def test_triangle_guards():
-    fn = parse(wrap(TRIANGLE)).entry_function
-    guards = compute_guards(Cfg.from_function(fn), fn)
+    guards = symbolic_guards(parse(wrap(TRIANGLE)).entry_function)
     assert guards["then"] == SRef(Vreg("cond"))
     merge = guards["merge"]
     assert set(merge.disjuncts) == {SRef(Vreg("cond")), SNot(SRef(Vreg("cond")))}
 
 
 def test_nested_inner_guard_is_conjunction():
-    fn = parse(wrap(NESTED)).entry_function
-    guards = compute_guards(Cfg.from_function(fn), fn)
+    guards = symbolic_guards(parse(wrap(NESTED)).entry_function)
     inner = guards["inner"]
     assert inner == SAnd(SRef(Vreg("cond")), SRef(Vreg("r1")))
     assert sym_implies(inner, guards["outer"])
 
 
-def test_compute_guards_rejects_cycles():
+def test_symbolic_guards_reject_cycles():
     fn = parse(wrap("block a:\n  jmp b\nblock b:\n  jmp a")).entry_function
     with pytest.raises(CycleDetected):
-        compute_guards(Cfg.from_function(fn), fn)
+        symbolic_guards(fn)
 
 
 def test_if_convert_single_block_identity():
@@ -129,9 +133,21 @@ def test_order_soundness_on_random_programs():
 
 def test_linear_register_overhead():
     for seed in range(30):
-        m = random_program(seed, max_branches=3)
-        gf = if_convert(m.entry_function)
-        assert gf.new_vregs <= 2 * gf.branch_count + gf.phi_count
+        fn = random_program(seed, max_branches=3).entry_function
+        branches = sum(isinstance(b.terminator, Branch) for b in fn.blocks)
+        phis = sum(len(b.phis) for b in fn.blocks)
+        assert if_convert(fn).new_vregs <= 2 * branches + phis
+
+
+def test_or_joins_are_flat():
+    guarded = [if_convert(random_program(seed).entry_function) for seed in range(300)]
+    # random programs nest diamonds, whose joins reuse the branch block's own
+    # guard; the experiment programs' three-arm merges stay OR joins, checked
+    # here after register allocation
+    experiments = [build_msd(MsdConfig(2)), build_rus(RusConfig(3, style="loop")), build_rus(RusConfig(3, style="recursion"))]
+    guarded += [compile_module(m).guarded for m in experiments]
+    joins = [b.guard for gf in guarded for b in gf.blocks if isinstance(b.guard, OrVal)]
+    assert joins and all(isinstance(p, (bool, Vreg, PReg)) for j in joins for p in j.parts)
 
 
 def test_diamond_with_phi_distribution_equivalent():
