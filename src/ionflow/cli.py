@@ -19,11 +19,10 @@ from pathlib import Path
 from . import textir
 from .emulator import NOISELESS, NoiseModel, run_shots
 from .experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
-from .passes import BudgetExceeded, FlattenConfig
+from .ir import IonflowError
+from .passes import FlattenConfig
 from .predication import format_guarded
 from .qccd import ALWAYS, CONDITIONAL, TrapLayout
-from .regalloc import RegisterPressureExceeded
-from .textir import ParseError
 from .toolchain import DEFAULT_PASSES, DEFAULT_REGISTERS, CompileError, compile_module
 
 
@@ -49,24 +48,24 @@ def _add_run_opts(p: argparse.ArgumentParser) -> None:
     noise.add_argument("--noiseless", action="store_true", help="no noise (the default)")
 
 
-def _load_trap(args) -> TrapLayout | None:
-    if args.trap is None:
-        return None
-    return TrapLayout.from_json(args.trap.read_text())
+def _decoded(read) -> str:
+    """The text ``read()`` returns; text that is not UTF-8 is rejected input."""
+    try:
+        return read()
+    except UnicodeDecodeError as e:
+        raise IonflowError(str(e)) from None
 
 
-def _load_noise(args) -> NoiseModel:
-    if getattr(args, "noise", None) is not None:
-        return NoiseModel.from_json(args.noise.read_text())
-    return NOISELESS
+def _load(path: Path | None, config, default):
+    """``config.from_json`` of the file at ``path``, or ``default`` without one."""
+    return default if path is None else config.from_json(_decoded(path.read_text))
 
 
 def _compile_from_args(args):
-    source = sys.stdin.read() if str(args.file) == "-" else Path(args.file).read_text()
-    module = textir.parse(source)
+    module = textir.parse(_decoded(sys.stdin.read if str(args.file) == "-" else Path(args.file).read_text))
     return compile_module(
         module,
-        trap=_load_trap(args),
+        trap=_load(args.trap, TrapLayout, None),
         mode=args.transport_mode,
         registers=args.registers,
         pass_names=tuple(args.passes.split(",")) if args.passes else (),
@@ -94,7 +93,7 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     res = _compile_from_args(args)
-    noise = _load_noise(args)
+    noise = _load(args.noise, NoiseModel, NOISELESS)
     shots = run_shots(res.program, noise, args.shots, args.seed, args.jobs)
     lines = ["shot,outputs,executed_transport_steps,executed_gates,skipped_blocks"]
     for i, s in enumerate(shots):
@@ -105,23 +104,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    noise = _load_noise(args)
+    noise = _load(args.noise, NoiseModel, NOISELESS)
     noise = dataclasses.replace(noise, prep_overrotation=noise.prep_overrotation + args.overrotation)
-    trap = _load_trap(args)
-    common = dict(
-        shots=args.shots,
-        seed=args.seed,
-        noise=noise,
-        trap=trap,
-        mode=args.transport_mode,
-        jobs=args.jobs,
-        registers=args.registers,
-    )
+    trap = _load(args.trap, TrapLayout, None)
     if args.kind == "msd":
         cfg = MsdConfig(limit=args.limit, basis=args.basis)
     else:
         cfg = RusConfig(limit=args.limit, basis=args.basis, style=args.style)
-    res, _shots, report = run_experiment(cfg, **common)
+    res, _shots, report = run_experiment(
+        cfg, args.shots, args.seed, noise, trap, mode=args.transport_mode, jobs=args.jobs, registers=args.registers
+    )
     if args.emit == "exec":
         _write(res.program.to_json() + "\n", args.output)
         return 0
@@ -141,7 +133,7 @@ def _report_record(row: str, where: str) -> dict:
     """One report row, typed as ``experiment --json`` writes it; an empty field is None."""
     vals = row.split(",")
     if len(vals) != len(_REPORT_KEYS):
-        raise ValueError(f"{where}: {len(vals)} fields, the header has {len(_REPORT_KEYS)}")
+        raise IonflowError(f"{where}: {len(vals)} fields, the header has {len(_REPORT_KEYS)}")
     record = {k: v or None for k, v in zip(_REPORT_KEYS, vals)}
     for k, v in record.items():
         if v is None or k in _TEXT_COLUMNS:
@@ -149,9 +141,9 @@ def _report_record(row: str, where: str) -> dict:
         try:
             record[k] = int(v) if k in _INT_COLUMNS else float(v)
         except ValueError:
-            raise ValueError(f"{where}: {k} is not a number: {v!r}") from None
+            raise IonflowError(f"{where}: {k} is not a number: {v!r}") from None
         if not math.isfinite(record[k]):
-            raise ValueError(f"{where}: {k} is not finite: {v!r}")
+            raise IonflowError(f"{where}: {k} is not finite: {v!r}")
     return record
 
 
@@ -159,12 +151,11 @@ def cmd_report(args) -> int:
     rows: list[str] = []
     records: list[dict] = []
     for f in args.files:
-        lines = [(n, l) for n, l in enumerate(Path(f).read_text().splitlines(), 1) if l.strip()]
+        lines = [(n, l) for n, l in enumerate(_decoded(Path(f).read_text).splitlines(), 1) if l.strip()]
         if not lines:
             continue
         if lines[0][1] != CSV_HEADER:
-            print(f"error: {f} is not a report CSV (bad header)", file=sys.stderr)
-            return 1
+            raise IonflowError(f"{f} is not a report CSV (bad header)")
         for n, row in lines[1:]:
             records.append(_report_record(row, f"{f} line {n}"))
             rows.append(row)
@@ -218,15 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 1
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise IonflowError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except CompileError as e:  # each diagnostic starts with its own severity
         print("\n".join(map(str, e.diagnostics)), file=sys.stderr)
         return 1
-    except (ParseError, BudgetExceeded, RegisterPressureExceeded, ValueError, OSError) as e:
+    except (IonflowError, OSError) as e:  # rejected input; any other exception is a bug
         print(f"error: {e}", file=sys.stderr)
         return 1
 

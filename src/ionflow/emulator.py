@@ -40,13 +40,14 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import gates as G
-from .ir import OUTPUT_TOKEN, BinOp, ReadResult, Select
-from .oracle import MAX_BRANCH_EVENTS, PRUNE_EPS, TooManyBranches
+from .ir import OUTPUT_TOKEN, BinOp, IonflowError, ReadResult, Select, config_from_json
+from .oracle import MAX_BRANCH_EVENTS, PRUNE_EPS, TooManyBranches, distribution
 from .predication import OrVal
 from .qccd import (
     ClassicalItem,
@@ -61,7 +62,7 @@ from .regalloc import PReg
 
 
 class ZoneViolation(Exception):
-    """An operation ran while its ions were not in the planned zone slots."""
+    """A broken invariant, not rejected input: an operation ran while its ions were not in the planned slots."""
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,14 @@ class NoiseModel:
     prep_overrotation: float = 0.0  # systematic angle error added to rotations
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p_meas", "p_reset", "p_transport", "p_idle"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if not math.isfinite(self.prep_overrotation):
-            raise ValueError(f"prep_overrotation={self.prep_overrotation} is not finite")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise IonflowError(f"{f.name}={v!r} is not a number")
+            if f.name != "prep_overrotation" and not 0.0 <= v <= 1.0:
+                raise IonflowError(f"{f.name}={v} outside [0, 1]")
+        if not abs(self.prep_overrotation) <= sys.float_info.max:  # also an int too large for a float
+            raise IonflowError(f"prep_overrotation={self.prep_overrotation} is not finite")
 
     @property
     def is_noiseless(self) -> bool:
@@ -88,18 +91,7 @@ class NoiseModel:
 
     @staticmethod
     def from_json(text: str) -> "NoiseModel":
-        import json
-
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("noise model JSON must be an object")
-        unknown = sorted(set(data) - set(NoiseModel.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown noise model key(s): {', '.join(unknown)}")
-        for key, v in data.items():
-            if type(v) not in (int, float) or not math.isfinite(v):
-                raise ValueError(f"noise model key {key} must be a finite number, got {v!r}")
-        return NoiseModel(**data)
+        return config_from_json(NoiseModel, text)
 
 
 NOISELESS = NoiseModel()
@@ -121,7 +113,7 @@ class ShotResult:
 
 SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
-MAX_BATCH_AMPLITUDES = 1 << 24  # SHOT_BATCH × 2ⁿ cap, 256 MiB of complex128: programs of at most 16 qubits run
+MAX_BATCH_AMPLITUDES = 1 << 24  # cap on SHOT_BATCH × 2ⁿ (256 MiB of complex128, 16 qubits), result slots or registers
 FUSE_QUBITS = 4  # a layer's gates are applied as unitaries on at most this many qubits each
 
 
@@ -263,6 +255,8 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
     for op in item.ops:
         if op.kind == "gate":
             angle = None if op.angle is None else float(op.angle) + noise.prep_overrotation
+            if angle is not None and not math.isfinite(angle):
+                raise IonflowError(f"{op.name}({op.angle}) plus prep_overrotation={noise.prep_overrotation} is not finite")
             u, qubits = G.gate_unitary(op.name, angle), op.qubits
             if fused and len(fused[-1][1]) + len(qubits) <= FUSE_QUBITS:
                 a, top = fused.pop()  # kron(a, u): a's qubits are the top bits
@@ -308,7 +302,10 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     n = prog.n_qubits
     if SHOT_BATCH << n > MAX_BATCH_AMPLITUDES:
         most = (MAX_BATCH_AMPLITUDES // SHOT_BATCH).bit_length() - 1
-        raise ValueError(f"program declares {n} qubits; the emulator runs at most {most}")
+        raise IonflowError(f"program declares {n} qubits; the emulator runs at most {most}")
+    for count, what in ((prog.n_results, "result slots"), (prog.n_regs, "registers")):
+        if SHOT_BATCH * count > MAX_BATCH_AMPLITUDES:
+            raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
     items: list = []
     n_outputs = 0
     floats = False
@@ -563,7 +560,9 @@ def run_shots(
 ) -> list[ShotResult]:
     """n_shots independent shots; identical results for any jobs value."""
     if n_shots < 1:
-        raise ValueError("need at least one shot")
+        raise IonflowError("need at least one shot")
+    if master_seed < 0:
+        raise IonflowError(f"seed must be >= 0, got {master_seed}")
     n_batches = -(-n_shots // SHOT_BATCH)
     parts = np.array_split(np.arange(n_batches), max(1, min(jobs, n_batches)))
     if len(parts) == 1:
@@ -583,8 +582,6 @@ class ExecLeaf:
     prob: float
     outputs: tuple
     state: np.ndarray
-    slots: tuple[int, ...]
-    regs: tuple
     executed_transport_steps: int
 
 
@@ -601,18 +598,10 @@ def enumerate_exec_leaves(prog: ExecProgram) -> list[ExecLeaf]:
             half = len(b.weight) // 2
             todo += [(b.take(slice(half, None)), k), (b.take(slice(0, half)), k)]
             continue
-        leaves.extend(
-            ExecLeaf(w, out, state, tuple(slots), tuple(regs), transport)
-            for w, out, state, slots, regs, transport in zip(
-                b.weight.tolist(), b.outputs(), b.state, b.slots.tolist(), b.regs.tolist(), b.transport.tolist()
-            )
-        )
+        leaves.extend(map(ExecLeaf, b.weight.tolist(), b.outputs(), b.state, b.transport.tolist()))
     return leaves
 
 
 def enumerate_outcomes(prog: ExecProgram) -> dict[tuple, float]:
     """Exact output distribution of a lowered program (noiseless)."""
-    dist: dict[tuple, float] = {}
-    for leaf in enumerate_exec_leaves(prog):
-        dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
-    return dist
+    return distribution(enumerate_exec_leaves(prog))

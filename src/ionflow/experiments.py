@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .emulator import NOISELESS, NoiseModel, ShotResult, run_shots
-from .ir import Module
+from .ir import IonflowError, Module
 from .qccd import CONDITIONAL, TrapLayout
 from .textir import parse
 from .toolchain import CompileResult, compile_module
@@ -89,9 +89,9 @@ class MsdConfig:
 
     def __post_init__(self) -> None:
         if self.limit < 0:
-            raise ValueError("limit must be >= 0")
+            raise IonflowError("limit must be >= 0")
         if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
+            raise IonflowError(f"basis must be one of {BASES}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,11 @@ class RusConfig:
 
     def __post_init__(self) -> None:
         if self.limit < 1:
-            raise ValueError("limit must be >= 1")
+            raise IonflowError("limit must be >= 1")
         if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
+            raise IonflowError(f"basis must be one of {BASES}")
         if self.style not in ("loop", "recursion"):
-            raise ValueError("style must be 'loop' or 'recursion'")
+            raise IonflowError("style must be 'loop' or 'recursion'")
 
 
 def _gate_lines(gates, indent="  ") -> list[str]:
@@ -313,8 +313,8 @@ def _build_rus_recursion(cfg: RusConfig) -> Module:
 # Statistics
 # ---------------------------------------------------------------------------
 
-class EmptyInput(Exception):
-    pass
+class EmptyInput(IonflowError):
+    """No shots to summarize."""
 
 
 @dataclass(frozen=True)
@@ -398,7 +398,7 @@ def summarize(
         all_bits = [bit for _ok, bit, _a in decoded3]
         survival = (post_bits.count(0) / len(post_bits)) if post_bits else None
     else:
-        raise ValueError(f"unknown experiment '{experiment}'")
+        raise IonflowError(f"unknown experiment '{experiment}'")
 
     exp_post = _expectation(post_bits)
     exp_all = _expectation(all_bits)
@@ -433,7 +433,7 @@ def ideal_reference(kind: str, limit: int = 1) -> float:
         return IDEAL_MAGIC_EXPECTATION
     if kind == "rus_survival":
         return 1.0
-    raise ValueError(f"unknown reference '{kind}'")
+    raise IonflowError(f"unknown reference '{kind}'")
 
 
 # ---------------------------------------------------------------------------

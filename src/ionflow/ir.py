@@ -17,14 +17,19 @@ This module alone knows where each instruction keeps its operands:
 ``instr_uses``, ``instr_defs`` and ``map_instr`` serve every pass, the
 register allocator and the oracle. ``Select`` appears only in the guarded
 form that if-conversion builds.
+
+``IonflowError``, a ``ValueError``, is the base of every error raised for
+input the library rejects (source text, configs, arguments); any other
+error reports a broken invariant, which is a bug.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Union
 
@@ -41,8 +46,30 @@ INT_MIN = -(2**63)
 INT_MASK = 2**64 - 1
 
 
-class CycleDetected(Exception):
+class IonflowError(ValueError):
+    """Input the library rejects; the CLI prints it as one ``error:`` line."""
+
+
+class CycleDetected(IonflowError):
     """Raised when an operation requiring an acyclic CFG meets a back edge."""
+
+
+def config_from_json(cls, text: str):
+    """``cls(**data)`` for the JSON object ``data`` in ``text``: its keys are fields of the
+    dataclass ``cls``, including each one without a default, and ``cls`` checks the values."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as e:  # malformed, an int past the digit limit, or nested too deeply
+        raise IonflowError(str(e)) from None
+    if not isinstance(data, dict):
+        raise IonflowError(f"{cls.__name__} JSON must be an object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise IonflowError(f"unknown {cls.__name__} key(s): {unknown}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise IonflowError(f"{cls.__name__} JSON lacks key(s) {missing}")
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -251,6 +278,15 @@ def map_instr(instr: Instruction, f: Callable[[Value], Value]) -> Instruction:
     if isinstance(instr, Call):
         return Call(instr.callee, tuple(map(f, instr.args)))
     return instr
+
+
+def targets(t: Terminator) -> tuple[str, ...]:
+    """The labels a terminator can go to, the true arm first."""
+    if isinstance(t, Jump):
+        return (t.target,)
+    if isinstance(t, Branch):
+        return (t.then_target, t.else_target)
+    return ()
 
 
 def retarget(block: BasicBlock, old: str, new: str) -> BasicBlock:

@@ -41,6 +41,7 @@ from .ir import (
     Cmp,
     Function,
     Instruction,
+    IonflowError,
     Jump,
     Measure,
     Module,
@@ -62,7 +63,7 @@ PRUNE_EPS = 1e-12
 MAX_BRANCH_EVENTS = 20
 
 
-class TooManyBranches(Exception):
+class TooManyBranches(IonflowError):
     """A path needs more branching measurement or reset events than the budget allows."""
 
 
@@ -72,6 +73,14 @@ class Leaf:
     outputs: tuple
     state: np.ndarray
     slots: tuple[int, ...]
+
+
+def distribution(leaves) -> dict[tuple, float]:
+    """The output distribution of ``leaves``: each output record's probability, summed in leaf order."""
+    dist: dict[tuple, float] = {}
+    for leaf in leaves:
+        dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
+    return dist
 
 
 @functools.cache
@@ -128,7 +137,7 @@ def _qubit_index(q, env: dict[Vreg, Value]) -> int:
     if type(q) is Vreg:
         q = env.get(q)
     if type(q) is not int:  # a bool is not a qubit index
-        raise ValueError(f"unresolved qubit operand {q!r}")
+        raise IonflowError(f"unresolved qubit operand {q!r}")
     return q
 
 
@@ -257,10 +266,7 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf]) -> None:
 
 def enumerate_module(module: Module) -> dict[tuple, float]:
     """Exact output distribution of a module; probabilities sum to 1."""
-    dist: dict[tuple, float] = {}
-    for leaf in enumerate_module_leaves(module):
-        dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
-    return dist
+    return distribution(enumerate_module_leaves(module))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +307,7 @@ def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
 
 
 def enumerate_guarded(gf: GuardedFunction, n_qubits: int, n_results: int) -> dict[tuple, float]:
-    dist: dict[tuple, float] = {}
-    for leaf in enumerate_guarded_leaves(gf, n_qubits, n_results):
-        dist[leaf.outputs] = dist.get(leaf.outputs, 0.0) + leaf.prob
-    return dist
+    return distribution(enumerate_guarded_leaves(gf, n_qubits, n_results))
 
 
 def enumerate_guarded_leaves(gf: GuardedFunction, n_qubits: int, n_results: int) -> list[Leaf]:

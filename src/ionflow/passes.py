@@ -43,6 +43,7 @@ from .ir import (
     Cmp,
     Function,
     Instruction,
+    IonflowError,
     Jump,
     Module,
     Phi,
@@ -59,11 +60,12 @@ from .ir import (
     instr_uses,
     map_instr,
     retarget,
+    targets,
     wrap_i64,
 )
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(IonflowError):
     """Loop trip count, recursion depth or entry size exceeded the flatten budgets."""
 
 
@@ -109,14 +111,6 @@ def _branch_on(cond: Value, then_target: str, else_target: str) -> Branch | Jump
     return Jump(then_target if cond else else_target)
 
 
-def _targets(t: Terminator) -> tuple[str, ...]:
-    if isinstance(t, Jump):
-        return (t.target,)
-    if isinstance(t, Branch):
-        return (t.then_target, t.else_target)
-    return ()
-
-
 def _fold_function(fn: Function) -> Function:
     """Fold ``fn`` to its fixpoint in one call.
 
@@ -144,7 +138,7 @@ def _fold_function(fn: Function) -> Function:
         work = [fn.blocks[0].label]
         while work:
             src = work.pop()
-            for s in _targets(terminator(fn.by_label[src])) if src in fn.by_label else ():
+            for s in targets(terminator(fn.by_label[src])) if src in fn.by_label else ():
                 if s not in preds:
                     preds[s] = set()
                     work.append(s)

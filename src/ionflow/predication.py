@@ -35,6 +35,7 @@ from .ir import (
     Cfg,
     Function,
     Instruction,
+    IonflowError,
     Select,
     TRUE_ARM,
     UNCOND,
@@ -46,8 +47,8 @@ from .ir import (
 from .textir import _fmt_instr, _fmt_value
 
 
-class NonSSA(Exception):
-    pass
+class NonSSA(IonflowError):
+    """A vreg is defined twice."""
 
 
 # Symbolic guards, used for implication reasoning -----------------------------
@@ -142,10 +143,6 @@ class _Materializer:
 
 def if_convert(fn: Function) -> GuardedFunction:
     """Linearize an acyclic, SSA, call-free function into guarded blocks."""
-    for b in fn.blocks:
-        for ins in b.body:
-            if isinstance(ins, Call):
-                raise ValueError(f"function @{fn.name} still contains calls")
     seen_defs: set[Vreg] = set()
     for b in fn.blocks:
         for phi in b.phis:
@@ -153,6 +150,8 @@ def if_convert(fn: Function) -> GuardedFunction:
                 raise NonSSA(str(phi.dst))
             seen_defs.add(phi.dst)
         for ins in b.body:
+            if isinstance(ins, Call):
+                raise IonflowError(f"function @{fn.name} still contains calls")
             for d in instr_defs(ins):
                 if d in seen_defs:
                     raise NonSSA(str(d))

@@ -32,13 +32,13 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .ir import QUANTUM_OPS, Instruction, Measure, Module, Output, QGate, Reset
+from .ir import QUANTUM_OPS, Instruction, IonflowError, Measure, Module, Output, QGate, Reset, config_from_json
 from .predication import GuardedFunction, OrVal, guard_vregs, sym_implies
 from .regalloc import BlockSpan, PReg
 
 
 class Unreachable(Exception):
-    """Transport search failed; cannot happen on a connected linear trap."""
+    """A broken invariant, not rejected input: transport search failed, which a connected linear trap rules out."""
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,22 @@ class TrapLayout:
     gate_zones: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.slots) is not int:
+            raise IonflowError(f"trap slots must be an int, got {self.slots!r}")
+        zones = self.gate_zones
+        pairs = isinstance(zones, (list, tuple)) and all(isinstance(z, (list, tuple)) and len(z) == 2 for z in zones)
+        if not pairs or any(type(x) is not int for z in zones for x in z):
+            raise IonflowError(f"trap gate_zones must be (int, int) pairs, got {zones!r}")
+        object.__setattr__(self, "gate_zones", tuple(map(tuple, zones)))  # a JSON list of lists, as tuples
         seen: set[int] = set()
         for a, b in self.gate_zones:
             if b != a + 1:
-                raise ValueError(f"gate zone ({a},{b}) is not an adjacent pair")
+                raise IonflowError(f"gate zone ({a},{b}) is not an adjacent pair")
             if a in seen or b in seen or a < 0 or b >= self.slots:
-                raise ValueError(f"gate zone ({a},{b}) overlaps another zone or the trap edge")
+                raise IonflowError(f"gate zone ({a},{b}) overlaps another zone or the trap edge")
             seen.update((a, b))
         if not self.gate_zones:
-            raise ValueError("trap needs at least one gate zone")
+            raise IonflowError("trap needs at least one gate zone")
 
     @staticmethod
     def default(n_qubits: int) -> "TrapLayout":
@@ -66,16 +73,7 @@ class TrapLayout:
 
     @staticmethod
     def from_json(text: str) -> "TrapLayout":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("trap layout JSON must be an object")
-        if set(data) != {"slots", "gate_zones"}:
-            raise ValueError(f"trap layout JSON needs exactly the keys slots and gate_zones, got {sorted(data)}")
-        slots, zones = data["slots"], data["gate_zones"]
-        pairs = isinstance(zones, list) and all(isinstance(z, list) and len(z) == 2 for z in zones)
-        if type(slots) is not int or not pairs or any(type(x) is not int for z in zones for x in z):
-            raise ValueError(f"trap layout JSON needs an integer slots and [int, int] gate_zones pairs, got {data}")
-        return TrapLayout(slots, tuple(map(tuple, zones)))
+        return config_from_json(TrapLayout, text)
 
     def to_json(self) -> str:
         return json.dumps({"slots": self.slots, "gate_zones": [list(z) for z in self.gate_zones]})
@@ -152,7 +150,7 @@ def place_initial(module: Module, trap: TrapLayout) -> Placement:
     """
     n = module.required_qubits
     if n > trap.slots:
-        raise ValueError(f"{n} qubits do not fit in {trap.slots} slots")
+        raise IonflowError(f"{n} qubits do not fit in {trap.slots} slots")
     weights = interaction_weights(module)
     order = list(range(n))
     for _ in range(4):
@@ -537,7 +535,7 @@ def lower(
 ) -> ExecProgram:
     """Emit the flat executable program with per-chain transport plans."""
     if mode not in (CONDITIONAL, ALWAYS):
-        raise ValueError(f"unknown transport mode '{mode}'")
+        raise IonflowError(f"unknown transport mode '{mode}'")
     canonical = place_initial(module, trap)
     chains = compute_chains(gf)
     chain_of_block: dict[int, Chain] = {}

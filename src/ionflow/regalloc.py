@@ -25,13 +25,13 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import QUANTUM_OPS, Value, Vreg, instr_defs, instr_uses, map_instr
+from .ir import QUANTUM_OPS, IonflowError, Value, Vreg, instr_defs, instr_uses, map_instr
 from .predication import GuardedBlock, GuardedFunction, GuardVal, OrVal, guard_vregs
 
 PRESSURE_MESSAGE = "register pressure exceeds real-time register file"
 
 
-class RegisterPressureExceeded(Exception):
+class RegisterPressureExceeded(IonflowError):
     def __init__(self, needed_hint: int, k: int):
         self.needed_hint = needed_hint
         self.k = k
@@ -159,7 +159,7 @@ def color(graph: InterferenceGraph, k: int) -> RegFile:
     free heap once its interval ends at or before the next start.
     """
     if k < 1:
-        raise ValueError("need at least one register")
+        raise IonflowError("need at least one register")
     assignment: dict[Vreg, int] = {}
     free = list(range(min(k, len(graph.nodes))))  # a sorted list is a heap
     active: list[tuple[int, int]] = []  # (end, register)

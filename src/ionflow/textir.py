@@ -42,10 +42,10 @@ from .ir import (
     BinOp,
     Branch,
     Call,
-    Cfg,
     Cmp,
     Function,
     Instruction,
+    IonflowError,
     Jump,
     Measure,
     Module,
@@ -65,14 +65,15 @@ from .ir import (
     GATE_SET,
     ROTATION_GATES,
     retarget,
+    targets,
 )
 
 NEXT_LABEL = "next"  # reserved jump target inside repeat bodies
+OUTSIDE = "<outside>"  # a repeat counter's start edges, until its function is parsed
 
 
-class ParseError(Exception):
+class ParseError(IonflowError):
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
-        self.message = message
         self.line = line
         self.col = col
         self.expected = expected
@@ -214,7 +215,7 @@ class _Parser:
         self.expect("punct", "}")
         if not blocks:
             raise self.error("function has no blocks")
-        return Function(name=name, params=tuple(params), blocks=tuple(blocks))
+        return Function(name=name, params=tuple(params), blocks=_start_counters(blocks))
 
     def parse_block_list(self) -> list[BasicBlock]:
         blocks: list[BasicBlock] = []
@@ -256,7 +257,7 @@ class _Parser:
         rewritten = [retarget(b, NEXT_LABEL, latch_label) for b in body]
         head = BasicBlock(
             label=head_label,
-            phis=(Phi(ctr, ((0, "<outside>"), (ctr_next, latch_label))),),
+            phis=(Phi(ctr, ((0, OUTSIDE), (ctr_next, latch_label))),),
             body=(Cmp("lt", cond, ctr, trips),),
             terminator=Branch(cond, body_entry, exit_target),
         )
@@ -431,42 +432,30 @@ class _Parser:
         return self.parse_value()
 
 
-def _fix_outside_phi_labels(module: Module) -> Module:
-    """Resolve the '<outside>' placeholder left by repeat desugaring.
-
-    The loop header's counter phi needs one incoming per real predecessor;
-    those are only known once the whole function has been parsed.
-    """
-    new_fns = []
-    for fn in module.functions:
-        cfg = Cfg.from_function(fn)
-        new_blocks = []
-        for b in fn.blocks:
-            new_phis = []
-            for phi in b.phis:
-                placeholder = [(v, l) for v, l in phi.incomings if l == "<outside>"]
-                if placeholder:
-                    concrete = [(v, l) for v, l in phi.incomings if l != "<outside>"]
-                    known = {l for _v, l in concrete}
-                    init_val = placeholder[0][0]
-                    for pred in cfg.predecessors(b.label):
-                        if pred not in known:
-                            concrete.append((init_val, pred))
-                    new_phis.append(Phi(phi.dst, tuple(concrete)))
-                else:
-                    new_phis.append(phi)
-            new_blocks.append(BasicBlock(b.label, tuple(new_phis), b.body, b.terminator))
-        new_fns.append(Function(fn.name, fn.params, tuple(new_blocks)))
-    return Module(module.name, tuple(new_fns), module.entry, module.required_qubits, module.required_results)
+def _start_counters(blocks: list[BasicBlock]) -> tuple[BasicBlock, ...]:
+    """Give each repeat header's counter phi its start value on every edge from outside its loop."""
+    preds: dict[str, list[str]] = {}
+    for b in blocks:
+        for target in targets(b.terminator):
+            preds.setdefault(target, []).append(b.label)
+    for i, b in enumerate(blocks):
+        if b.phis and b.phis[0].incomings[0][1] == OUTSIDE:
+            (start, _), back = b.phis[0].incomings
+            starts = tuple((start, p) for p in preds.get(b.label, ()) if p != back[1])
+            blocks[i] = BasicBlock(b.label, (Phi(b.phis[0].dst, (back, *starts)),), b.body, b.terminator)
+    return tuple(blocks)
 
 
 def parse(src: str) -> Module:
     """Parse source text into a Module; raises ParseError on malformed input."""
     try:
-        module = _Parser(src).parse_module()
+        return _Parser(src).parse_module()
     except RecursionError:
         raise ParseError("input nests too deeply", 0, 0)
-    return _fix_outside_phi_labels(module)
+    except ParseError:
+        raise
+    except ValueError as e:  # int() of a literal past Python's limit on digits
+        raise ParseError(str(e), 0, 0) from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import passes, predication, qccd, regalloc, textir
-from .ir import Diagnostic, Module, diagnostics_ok, validate_profile
+from .ir import Diagnostic, IonflowError, Module, diagnostics_ok, validate_profile
 from .passes import FlattenConfig
 from .qccd import CONDITIONAL, ExecProgram, TrapLayout
 
 
-class CompileError(Exception):
+class CompileError(IonflowError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         super().__init__("; ".join(str(d) for d in diagnostics))
@@ -49,7 +49,7 @@ def run_passes(
         elif name == "peephole":
             module = passes.peephole(module)
         else:
-            raise ValueError(f"unknown pass '{name}'")
+            raise IonflowError(f"unknown pass '{name}'")
     return module
 
 

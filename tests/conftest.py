@@ -4,6 +4,13 @@ Programs are acyclic by construction (nested/sequential measure-and-branch
 diamonds), stay within 3 qubits and a handful of measurements, and end by
 recording every result slot, so exact output distributions are cheap to
 enumerate and compare across compilation stages.
+
+With ``or_joins``, the then-arm of a diamond without phis measures once
+more and branches to the merge or into the else-arm. The else-arm is then
+an OR join of two arms that are not complements of each other: the
+branch's false arm and the then-arm's second branch. Without it the
+generator draws exactly what it always drew, so ``random_program(seed)``
+is unchanged.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ ONE_QUBIT_GATES = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, n_qubits: int, max_gates: int, max_branches: int, max_measures: int):
+    def __init__(
+        self, rng: random.Random, n_qubits: int, max_gates: int, max_branches: int, max_measures: int, or_joins: bool
+    ):
         self.rng = rng
+        self.or_joins = or_joins
         self.n_qubits = n_qubits
         self.gates_left = rng.randint(max(1, max_gates // 2), max_gates)
         self.branches_left = rng.randint(0, max_branches)
@@ -91,7 +101,11 @@ class _Gen:
             self.lines.append(f"  %{ev} = and %{cond}, %{cond}")
         self.lines.append(f"  br %{cond}, {then_l}, {else_l}")
         self.lines.append(f"block {then_l}:")
-        self.region(depth + 1, merge_l, allow_branch=not with_phi)
+        cross = self.measure_bool() if self.or_joins and not with_phi else None
+        if cross is None:
+            self.region(depth + 1, merge_l, allow_branch=not with_phi)
+        else:  # into the merge, or on into the else-arm
+            self.lines.append(f"  br %{cross}, {merge_l}, {else_l}")
         self.lines.append(f"block {else_l}:")
         self.region(depth + 1, merge_l, allow_branch=not with_phi)
         self.lines.append(f"block {merge_l}:")
@@ -130,9 +144,13 @@ def random_program(
     max_gates: int = 12,
     max_branches: int = 2,
     max_measures: int = 4,
+    or_joins: bool = False,
 ) -> Module:
     rng = random.Random(seed)
-    gen = _Gen(rng, n_qubits=rng.randint(1, n_qubits), max_gates=max_gates, max_branches=max_branches, max_measures=max_measures)
+    gen = _Gen(
+        rng, n_qubits=rng.randint(1, n_qubits), max_gates=max_gates, max_branches=max_branches,
+        max_measures=max_measures, or_joins=or_joins,
+    )
     return textir.parse(gen.build())
 
 

@@ -385,3 +385,98 @@ def test_run_too_many_qubits_is_an_error(tmp_path, capsys, jobs):
     assert main(["run", str(src), "--shots", "300", "--seed", "1", "--jobs", jobs]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: program declares 40 qubits; the emulator runs at most 16"]
+
+
+THREE_QUBITS = """module t
+attrs required_qubits=3 required_results=1
+func @main() {
+block e:
+  h q0
+  cx q0, q2
+  mz q0 -> r0
+  output result r0
+  ret
+}
+"""
+
+# each reached an error line only through a catch-all for ValueError; a
+# negative seed printed numpy's "expected non-negative integer", and an
+# integer literal past Python's digit limit had no position
+DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
+REJECTED = {
+    "non-utf8-source": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "malformed-noise-json": "Expecting ',' delimiter: line 1 column 11 (char 10)",
+    "zero-shots": "need at least one shot",
+    "zero-registers": "need at least one register",
+    "unknown-pass": "unknown pass 'bogus'",
+    "negative-limit": "limit must be >= 0",
+    "trap-too-small": "3 qubits do not fit in 2 slots",
+    "negative-seed": "seed must be >= 0, got -1",
+    "integer-past-digit-limit": f"0:0: {DIGIT_LIMIT}; use sys.set_int_max_str_digits() to increase the limit",
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_input_message(tmp_path, capsys, case):
+    src = tmp_path / "p.qir.txt"
+    src.write_text(THREE_QUBITS)
+    cfg = tmp_path / "cfg.json"
+    run = ["run", str(src), "--seed", "1"]
+    if case == "non-utf8-source":
+        src.write_bytes(b"\xff\xfe")
+        argv = [*run, "--shots", "5"]
+    elif case == "malformed-noise-json":
+        cfg.write_text('{"p1": 0.1')
+        argv = [*run, "--shots", "5", "--noise", str(cfg)]
+    elif case == "integer-past-digit-limit":
+        src.write_text(THREE_QUBITS.replace("h q0", f"%a = add 1, {'1' * 5000}"))
+        argv = ["compile", str(src)]
+    elif case == "trap-too-small":
+        cfg.write_text('{"slots": 2, "gate_zones": [[0, 1]]}')
+        argv = ["compile", str(src), "--trap", str(cfg)]
+    else:
+        argv = {
+            "zero-shots": [*run, "--shots", "0"],
+            "zero-registers": ["compile", str(src), "--registers", "0"],
+            "unknown-pass": ["compile", str(src), "--passes", "fold,bogus"],
+            "negative-limit": ["experiment", "msd", "--limit", "-1", "--shots", "5", "--seed", "1"],
+            "negative-seed": ["run", str(src), "--seed", "-1", "--shots", "5"],
+        }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {REJECTED[case]}"]
+
+
+# each raised FloatingPointError, MemoryError (or allocated ahead of a
+# batch), RecursionError or OverflowError
+TRACEBACKS = {
+    "angle-overflows": "rz(1e+308) plus prep_overrotation=1e+308 is not finite",
+    "too-many-result-slots": "program uses 65537 result slots; the emulator runs at most 65536",
+    "too-many-registers": "program uses 65537 registers; the emulator runs at most 65536",
+    "noise-json-nested-too-deeply": "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    "noise-int-too-large-for-a-float": f"prep_overrotation={10**400} is not finite",
+    "noise-probability-int-too-large": f"p1={10**400} outside [0, 1]",
+}
+
+
+@pytest.mark.parametrize("case", list(TRACEBACKS))
+def test_input_that_ended_in_a_traceback(tmp_path, capsys, case):
+    src = tmp_path / "p.qir.txt"
+    noise = tmp_path / "noise.json"
+    results = 65537 if case == "too-many-result-slots" else 1
+    src.write_text(
+        f"module t\nattrs required_qubits=1 required_results={results}\nfunc @main() {{\nblock e:\n"
+        "  rz(1e308) q0\n  h q0\n  mz q0 -> r0\n  output result r0\n  ret\n}\n"
+    )
+    argv = ["run", str(src), "--shots", "5", "--seed", "1"]
+    if case == "too-many-registers":
+        argv += ["--registers", "65537"]
+    elif case != "too-many-result-slots":
+        noise.write_text({
+            "angle-overflows": '{"prep_overrotation": 1e308}',
+            "noise-json-nested-too-deeply": "[" * 100_000,
+            "noise-int-too-large-for-a-float": f'{{"prep_overrotation": {10**400}}}',
+            "noise-probability-int-too-large": f'{{"p1": {10**400}}}',
+        }[case])
+        argv += ["--noise", str(noise)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {TRACEBACKS[case]}"]

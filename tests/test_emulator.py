@@ -26,6 +26,7 @@ from ionflow.emulator import (
 )
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.ir import BinOp
+from ionflow.predication import OrVal
 from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem
 from ionflow.toolchain import compile_module
 
@@ -291,6 +292,23 @@ def _sampled_matches_exact(program, shots: int, seed: int) -> None:
 def test_sampled_records_agree_with_enumeration_on_random_programs(mode):
     for seed in range(50):
         _sampled_matches_exact(compile_module(random_program(seed), mode=mode).program, 1000, seed)
+
+
+def test_enumerators_agree_on_or_joins():
+    # random programs with cross edges, whose else-arms are OR joins of arms
+    # that are not complements; the guarded walk reads the register-rewritten
+    # form, whose OR joins have register parts
+    programs = [random_program(seed, max_branches=3, or_joins=True) for seed in range(100)]
+    joins = 0
+    for m in programs:
+        want = oracle.enumerate_module(m)
+        for mode in (CONDITIONAL, ALWAYS):
+            res = compile_module(m, mode=mode)
+            guarded = oracle.enumerate_guarded(res.guarded, m.required_qubits, m.required_results)
+            assert max_distribution_error(guarded, want) < 1e-12, mode
+            assert max_distribution_error(enumerate_outcomes(res.program), want) < 1e-12, mode
+        joins += any(isinstance(b.guard, OrVal) for b in res.guarded.blocks)
+    assert joins >= 25
 
 
 @pytest.mark.parametrize("name", ["msd-2", "rus-loop-4", "rus-recursion-4"])

@@ -142,8 +142,10 @@ def test_linear_register_overhead():
 def test_or_joins_are_flat():
     guarded = [if_convert(random_program(seed).entry_function) for seed in range(300)]
     # random programs nest diamonds, whose joins reuse the branch block's own
-    # guard; the experiment programs' three-arm merges stay OR joins, checked
-    # here after register allocation
+    # guard, unless a cross edge makes an else-arm an OR join; the experiment
+    # programs' three-arm merges stay OR joins, checked here after register
+    # allocation
+    guarded += [if_convert(random_program(seed, or_joins=True).entry_function) for seed in range(100)]
     experiments = [build_msd(MsdConfig(2)), build_rus(RusConfig(3, style="loop")), build_rus(RusConfig(3, style="recursion"))]
     guarded += [compile_module(m).guarded for m in experiments]
     joins = [b.guard for gf in guarded for b in gf.blocks if isinstance(b.guard, OrVal)]
