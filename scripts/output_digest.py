@@ -13,9 +13,11 @@ order:
 * ``compile_module(m, mode=...).program.to_json()`` in both transport modes;
 * with ``--shots``, after each mode's JSON: ``run_shots`` of that program,
   300 shots (two ``SHOT_BATCH`` streams, the second one partly used) at
-  seed 2024, under ``NOISELESS`` and then ``H1E_LIKE``. Every field of every
-  ``ShotResult`` is hashed, so a change to the sampler's RNG streams or to
-  any per-shot result shows.
+  seed 2024, under ``NOISELESS`` and then ``H1E_LIKE``. Each shot is hashed
+  as the tuple of its ``SHOT_FIELDS``, read by name, so a change to the
+  sampler's RNG streams or to any per-shot result shows. For the MSD and
+  RUS programs the ``summarize`` report row of those shots follows, so a
+  change to the table's statistics shows too.
 
 where any step that raises contributes the exception's type and message
 instead. One ``name digest`` line is printed per program. Without
@@ -29,8 +31,9 @@ Run from the repository root:
     PYTHONPATH=src python3 scripts/output_digest.py --shots --against shots-before.txt
 
 ``--shots`` takes about 30 s on a 2-core machine, against about 8 s
-without it. To compare with an older commit that lacks the flag, run this
-script with ``PYTHONPATH`` set to that commit's ``src``.
+without it. To compare with an older commit, run this script with
+``PYTHONPATH`` set to that commit's ``src``: it reads only the shot fields
+and library calls that commit also has.
 
 With ``--against FILE`` the digests are compared with FILE's; every program
 that differs, or is missing from either side, is listed and the exit status
@@ -50,42 +53,54 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import CONTINUATION_DEF_USED_LATER, TWO_CALL_BLOCK, random_program  # noqa: E402
 from ionflow import passes, textir, toolchain  # noqa: E402
 from ionflow.emulator import H1E_LIKE, NOISELESS, run_shots  # noqa: E402
-from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus  # noqa: E402
+from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus, summarize  # noqa: E402
 from ionflow.qccd import ALWAYS, CONDITIONAL  # noqa: E402
 
 
 def corpus():
-    """(name, module builder) for every corpus program, in a fixed order."""
+    """(name, module builder, MSD/RUS config or None) for every corpus program, in a fixed order."""
     for basis in BASES:
         for limit in range(9):
-            yield f"msd-{limit}-{basis}", lambda c=MsdConfig(limit, basis): build_msd(c)
-        for limit in range(1, 9):
-            yield f"rus-loop-{limit}-{basis}", lambda c=RusConfig(limit, basis, "loop"): build_rus(c)
-        for limit in range(1, 8):
-            yield f"rus-recursion-{limit}-{basis}", lambda c=RusConfig(limit, basis, "recursion"): build_rus(c)
+            cfg = MsdConfig(limit, basis)
+            yield f"msd-{limit}-{basis}", lambda c=cfg: build_msd(c), cfg
+        for style, limits in (("loop", range(1, 9)), ("recursion", range(1, 8))):
+            for limit in limits:
+                cfg = RusConfig(limit, basis, style)
+                yield f"rus-{style}-{limit}-{basis}", lambda c=cfg: build_rus(c), cfg
     for seed in range(300):
-        yield f"random-{seed}", lambda s=seed: random_program(s)
-    yield "flatten-two-call-block", lambda: textir.parse(TWO_CALL_BLOCK)
-    yield "flatten-shared-continuation", lambda: textir.parse(CONTINUATION_DEF_USED_LATER)
+        yield f"random-{seed}", lambda s=seed: random_program(s), None
+    yield "flatten-two-call-block", lambda: textir.parse(TWO_CALL_BLOCK), None
+    yield "flatten-shared-continuation", lambda: textir.parse(CONTINUATION_DEF_USED_LATER), None
 
 
 SHOTS = 300
 SHOT_SEED = 2024
+SHOT_FIELDS = ("outputs", "executed_transport_steps", "executed_gates", "skipped_blocks", "measures_per_qubit")
 
 
-def _outputs(m, shots: bool):
+def _sampled(res, noise, cfg) -> str:
+    """The kept fields of each shot, then for an MSD/RUS program its report row."""
+    shots = run_shots(res.program, noise, SHOTS, SHOT_SEED)
+    text = repr([tuple(getattr(s, f) for f in SHOT_FIELDS) for s in shots])
+    if cfg is None:
+        return text
+    experiment, style = ("msd", "") if isinstance(cfg, MsdConfig) else ("rus", cfg.style)
+    return text + "\n" + repr(summarize(shots, experiment, cfg.basis, cfg.limit, style, res.block_count, res.colors_used))
+
+
+def _outputs(m, cfg, shots: bool):
     yield lambda: textir.emit(passes.fold_constants(m))
     yield lambda: textir.emit(passes.flatten(passes.fold_constants(m)))
     for mode in (CONDITIONAL, ALWAYS):
-        program = functools.cache(lambda mode=mode: toolchain.compile_module(m, mode=mode).program)
-        yield lambda program=program: program().to_json()
+        compiled = functools.cache(lambda mode=mode: toolchain.compile_module(m, mode=mode))
+        yield lambda compiled=compiled: compiled().program.to_json()
         for noise in (NOISELESS, H1E_LIKE) if shots else ():
-            yield lambda program=program, noise=noise: repr(run_shots(program(), noise, SHOTS, SHOT_SEED))
+            yield lambda compiled=compiled, noise=noise: _sampled(compiled(), noise, cfg)
 
 
-def digest(build, shots: bool = False) -> str:
+def digest(build, cfg=None, shots: bool = False) -> str:
     h = hashlib.sha256()
-    for output in _outputs(build(), shots):
+    for output in _outputs(build(), cfg, shots):
         try:
             text = output()
         except Exception as e:  # a raised error is part of the output being compared
@@ -100,7 +115,7 @@ def main(argv=None) -> int:
     ap.add_argument("--against", type=Path, help="digest file to compare with; exit 1 on any difference")
     ap.add_argument("--shots", action="store_true", help="also hash sampled shots, noiseless and H1E_LIKE")
     args = ap.parse_args(argv)
-    digests = {name: digest(build, args.shots) for name, build in corpus()}
+    digests = {name: digest(build, cfg, args.shots) for name, build, cfg in corpus()}
     if args.against is None:
         for name, d in digests.items():
             print(name, d)

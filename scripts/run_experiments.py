@@ -8,6 +8,10 @@ Sweeps:
 
 Noiseless by default (the quantitative references are noiseless); pass
 --noise to supply a noise-model JSON for qualitative runs.
+
+Rejected input (a bad option value, a noise file that is missing or
+invalid) ends in one ``error:`` line and exit status 1, as in the
+``ionflow`` CLI.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import sys
 import time
 from pathlib import Path
 
+from ionflow.cli import _load
 from ionflow.emulator import NOISELESS, NoiseModel
 from ionflow.experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
+from ionflow.ir import IonflowError
 from ionflow.qccd import ALWAYS, CONDITIONAL
 
 
@@ -33,11 +39,17 @@ def main(argv=None) -> int:
     ap.add_argument("--noise", type=Path, default=None)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+    try:
+        return sweep(args)
+    except (IonflowError, OSError) as e:  # rejected input; any other exception is a bug
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
-    noise = NoiseModel.from_json(args.noise.read_text()) if args.noise else NOISELESS
+
+def sweep(args) -> int:
+    if args.jobs < 1:
+        raise IonflowError(f"--jobs must be at least 1, got {args.jobs}")
+    noise = _load(args.noise, NoiseModel, NOISELESS)
     args.out.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
     records: list[dict] = []

@@ -103,12 +103,10 @@ H1E_LIKE = NoiseModel(p1=1e-4, p2=3e-3, p_meas=3e-3, p_reset=3e-3, p_transport=2
 @dataclass(frozen=True)
 class ShotResult:
     outputs: tuple
-    slots: tuple[int, ...]
     executed_transport_steps: int
     executed_gates: int
     skipped_blocks: int
     measures_per_qubit: tuple[int, ...]
-    seed: int
 
 
 SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
@@ -526,20 +524,8 @@ def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None):
 def _run_batch(rt: _Runtime, master_seed: int, batch_index: int, rows: int) -> list[ShotResult]:
     b = _Batch.start(rt, rows)
     _walk(rt, b, np.random.Generator(np.random.PCG64(batch_seed(master_seed, batch_index))))
-    first = batch_index * SHOT_BATCH
-    return [
-        ShotResult(out, tuple(slots), transport, gates, skipped, tuple(measures), first + j)
-        for j, (out, slots, transport, gates, skipped, measures) in enumerate(zip(
-            b.outputs(), b.slots.tolist(), b.transport.tolist(), b.gates.tolist(), b.skipped.tolist(),
-            b.measures.tolist(),
-        ))
-    ]
-
-
-def run_shot(prog: ExecProgram, noise: NoiseModel, master_seed: int, shot_index: int) -> ShotResult:
-    """One shot: ``run_shots(prog, noise, n, master_seed)[shot_index]`` for any n that fills its batch."""
-    batch, row = divmod(shot_index, SHOT_BATCH)
-    return _run_batch(_compile_runtime(prog, noise), master_seed, batch, SHOT_BATCH)[row]
+    counters = (b.transport.tolist(), b.gates.tolist(), b.skipped.tolist(), map(tuple, b.measures.tolist()))
+    return list(map(ShotResult, b.outputs(), *counters))
 
 
 def _run_batches(args) -> list[ShotResult]:

@@ -27,6 +27,7 @@ pipeline:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .emulator import NOISELESS, NoiseModel, ShotResult, run_shots
@@ -351,24 +352,22 @@ class ExperimentReport:
 CSV_HEADER = "experiment,style,basis,limit,shots,success_fraction,exp_x,exp_y,exp_z,survival,avg_transport,blocks,colors"
 
 
-def decode_msd_shot(shot: ShotResult, limit: int) -> tuple[bool, int]:
-    """(heralded success, final measured bit) from an MSD shot record."""
-    if limit == 0:
-        return True, int(shot.outputs[1])
-    syndrome = shot.outputs[1:5]
-    return all(b == 0 for b in syndrome), int(shot.outputs[5])
+def decode_record(outputs: tuple, experiment: str, limit: int) -> tuple[bool, int]:
+    """(heralded, final bit) of one output record, read from its result bits.
 
-
-def decode_rus_shot(shot: ShotResult) -> tuple[bool, int, int]:
-    """(success, final bit, attempts) from an RUS shot record."""
-    m0, m1, final = shot.outputs[1], shot.outputs[2], shot.outputs[3]
-    return (m0 == 0 and m1 == 0), int(final), shot.measures_per_qubit[0]
-
-
-def _expectation(bits: list[int]) -> float | None:
-    if not bits:
-        return None
-    return (bits.count(0) - bits.count(1)) / len(bits)
+    An MSD record holds the last round's four syndrome bits, then the final
+    bit (only the final bit at limit 0); an RUS record holds the two ancilla
+    bits, then the final bit. A record is heralded when every bit before the
+    final one is 0.
+    """
+    if experiment == "msd":
+        herald = 4 if limit else 0
+    elif experiment == "rus":
+        herald = 2
+    else:
+        raise IonflowError(f"unknown experiment '{experiment}'")
+    bits = [b for b in outputs if type(b) is int]
+    return not any(bits[:herald]), bits[herald]
 
 
 def summarize(
@@ -380,28 +379,21 @@ def summarize(
     blocks: int = 0,
     colors: int = 0,
 ) -> ExperimentReport:
-    """Aggregate per-shot records into the report row used by the CSV/JSON output."""
+    """Aggregate per-shot records into the report row used by the CSV/JSON output.
+
+    Each distinct record is decoded once; the row is built from the shot
+    counts per (heralded, final bit).
+    """
     if not shots:
         raise EmptyInput("no shots to summarize")
-    if experiment == "msd":
-        decoded = [decode_msd_shot(s, limit) for s in shots]
-        succ = [(ok, bit) for ok, bit in decoded if ok]
-        success_count = len(succ)
-        post_bits = [bit for _ok, bit in succ]
-        all_bits = [bit for _ok, bit in decoded]
-        survival = None
-    elif experiment == "rus":
-        decoded3 = [decode_rus_shot(s) for s in shots]
-        succ3 = [d for d in decoded3 if d[0]]
-        success_count = len(succ3)
-        post_bits = [bit for _ok, bit, _a in succ3]
-        all_bits = [bit for _ok, bit, _a in decoded3]
-        survival = (post_bits.count(0) / len(post_bits)) if post_bits else None
-    else:
-        raise IonflowError(f"unknown experiment '{experiment}'")
-
-    exp_post = _expectation(post_bits)
-    exp_all = _expectation(all_bits)
+    counts: Counter = Counter()
+    for outputs, n in Counter(s.outputs for s in shots).items():
+        counts[decode_record(outputs, experiment, limit)] += n
+    n0, n1 = counts[True, 0], counts[True, 1]  # heralded shots by final bit
+    success_count = n0 + n1
+    exp_post = (n0 - n1) / success_count if success_count else None
+    exp_all = (n0 + counts[False, 0] - n1 - counts[False, 1]) / len(shots)
+    survival = n0 / success_count if experiment == "rus" and success_count else None
     per_basis = {b: (exp_post if b == basis else None) for b in BASES}
     per_basis_u = {b: (exp_all if b == basis else None) for b in BASES}
     return ExperimentReport(

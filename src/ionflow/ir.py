@@ -5,8 +5,8 @@ of straight-line instructions (gates, measurements, classical ops, output
 recording, calls) and exactly one terminator (jump / conditional branch /
 return). Profile validation enforces the machine-executable subset: acyclic
 control flow, SSA discipline, in-range qubit/result indices, known gates,
-finite literal angles, and (in strict mode) no remaining calls and constant
-rotation angles.
+finite literal angles, 64-bit int literals in classical operands, and (in
+strict mode) no remaining calls and constant rotation angles.
 
 Values are either Python literals (bool / int / float) or `Vreg` references.
 Qubit operands are literal indices into the global qubit register, or
@@ -43,6 +43,7 @@ OUTPUT_KINDS = ("array_start", "array_end", "tuple_start", "tuple_end", "result"
 OUTPUT_TOKEN = {"array_start": "[", "array_end": "]", "tuple_start": "(", "tuple_end": ")"}  # "result" records its slot
 
 INT_MIN = -(2**63)
+INT_MAX = 2**63 - 1
 INT_MASK = 2**64 - 1
 
 
@@ -510,6 +511,7 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
                             f"{loc_fn}:{b.label}",
                         )
                     )
+                _check_int_literals((v for v, _l in phi.incomings), diags, f"{loc_fn}:{b.label}(phi)")
                 for v, from_label in phi.incomings:
                     if isinstance(v, Vreg):
                         # a phi use happens at the end of the incoming edge
@@ -532,6 +534,13 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
     if strict and entry_fn.params:
         diags.append(Diagnostic(ERROR, "ENTRY_PARAMS", "entry function must take no parameters", f"@{entry_fn.name}"))
     return diags
+
+
+def _check_int_literals(values, diags: list[Diagnostic], loc: str) -> None:
+    """An int literal must fit the 64-bit registers that classical ops run in."""
+    for v in values:
+        if type(v) is int and not INT_MIN <= v <= INT_MAX:
+            diags.append(Diagnostic(ERROR, "INT_RANGE", f"int literal outside [{INT_MIN}, {INT_MAX}]", loc))
 
 
 def _validate_instr(
@@ -592,9 +601,11 @@ def _validate_instr(
     elif isinstance(instr, BinOp):
         if instr.op not in BINOPS:
             diags.append(Diagnostic(ERROR, "BAD_OP", f"unknown binop '{instr.op}'", loc))
+        _check_int_literals((instr.a, instr.b), diags, loc)
     elif isinstance(instr, Cmp):
         if instr.op not in CMPOPS:
             diags.append(Diagnostic(ERROR, "BAD_OP", f"unknown comparison '{instr.op}'", loc))
+        _check_int_literals((instr.a, instr.b), diags, loc)
     elif isinstance(instr, Output):
         if instr.kind not in OUTPUT_KINDS:
             diags.append(Diagnostic(ERROR, "BAD_OUTPUT", f"unknown output kind '{instr.kind}'", loc))
@@ -604,6 +615,7 @@ def _validate_instr(
             else:
                 check_slot(instr.slot)
     elif isinstance(instr, Call):
+        _check_int_literals(instr.args, diags, loc)
         if instr.callee not in fn_names:
             diags.append(Diagnostic(ERROR, "UNRESOLVED_CALL", f"call to undefined @{instr.callee}", loc))
         elif strict:

@@ -37,6 +37,12 @@ from .predication import GuardedFunction, OrVal, guard_vregs, sym_implies
 from .regalloc import BlockSpan, PReg
 
 
+# Widest trap accepted. Lowering and transport cost grows with the slot
+# count even for a few qubits, and a module's qubit count sets the default
+# trap's width, so this bounds both.
+MAX_TRAP_SLOTS = 4096
+
+
 class Unreachable(Exception):
     """A broken invariant, not rejected input: transport search failed, which a connected linear trap rules out."""
 
@@ -49,6 +55,8 @@ class TrapLayout:
     def __post_init__(self) -> None:
         if type(self.slots) is not int:
             raise IonflowError(f"trap slots must be an int, got {self.slots!r}")
+        if self.slots > MAX_TRAP_SLOTS:
+            raise IonflowError(f"trap slots={self.slots} above the maximum {MAX_TRAP_SLOTS}")
         zones = self.gate_zones
         pairs = isinstance(zones, (list, tuple)) and all(isinstance(z, (list, tuple)) and len(z) == 2 for z in zones)
         if not pairs or any(type(x) is not int for z in zones for x in z):

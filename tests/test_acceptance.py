@@ -25,8 +25,7 @@ from ionflow.experiments import (
     RusConfig,
     build_msd,
     build_rus,
-    decode_msd_shot,
-    decode_rus_shot,
+    decode_record,
     ideal_reference,
     run_experiment,
 )
@@ -58,7 +57,7 @@ def test_criterion_01_msd_attempt_probability():
     dist = enumerate_outcomes(res.program)
     exact = sum(p for k, p in dist.items() if all(b == 0 for b in k[1:5]))
     shots = run_shots(res.program, NOISELESS, SHOTS, master_seed=101)
-    sampled = sum(1 for s in shots if decode_msd_shot(s, 1)[0]) / SHOTS
+    sampled = sum(1 for s in shots if decode_record(s.outputs, "msd", 1)[0]) / SHOTS
     ok = abs(exact - 1 / 6) <= 1e-9 and abs(sampled - 1 / 6) <= 0.01
     report(
         "criterion 1 (MSD per-attempt success = 1/6)",
@@ -112,7 +111,7 @@ def test_criterion_04_rus_correctness():
     p_oracle = sum(p for k, p in dist.items() if k[1] == 0 and k[2] == 0)
     surv_exact = sum(p for k, p in dist.items() if k[1] == 0 and k[2] == 0 and k[3] == 0) / p_oracle
 
-    decoded = [decode_rus_shot(s) for s in shots]
+    decoded = [decode_record(s.outputs, "rus", cfg.limit) for s in shots]
     attempts = attempt_counts(shots)
     successes = sum(1 for d in decoded if d[0])
     p_hat = successes / sum(attempts)
@@ -247,7 +246,7 @@ def test_criterion_07_basis_sensitivity():
     surv, err = {}, {}
     for basis in ("X", "Y", "Z"):
         _res, shots, rep = run_experiment(RusConfig(limit=4, basis=basis, style="loop"), SHOTS, seed=700, noise=noise)
-        decoded = [decode_rus_shot(s) for s in shots]
+        decoded = [decode_record(s.outputs, "rus", 4) for s in shots]
         succ = [d for d in decoded if d[0]]
         zeros = sum(1 for d in succ if d[1] == 0)
         p = zeros / len(succ)

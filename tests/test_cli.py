@@ -321,19 +321,33 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, jobs):
         assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: --jobs must be at least 1, got {jobs}"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_run_experiments_script_rejects_jobs_below_one(tmp_path, jobs):
+SCRIPT_ERRORS = {
+    "0": "--jobs must be at least 1, got 0",
+    "-2": "--jobs must be at least 1, got -2",
+    "noise-out-of-range": "p1=2 outside [0, 1]",
+    "missing-noise-file": "[Errno 2] No such file or directory: '{noise}'",
+    "zero-shots": "need at least one shot",
+}
+
+
+@pytest.mark.parametrize("case", list(SCRIPT_ERRORS))
+def test_run_experiments_script_rejects_jobs_below_one(tmp_path, case):
     root = Path(__file__).resolve().parent.parent
+    noise = tmp_path / "noise.json"
+    if case == "noise-out-of-range":
+        noise.write_text('{"p1": 2}')
+    flags = {"zero-shots": ["--shots", "0"]}.get(case, ["--noise", str(noise)] if "noise" in case else ["--jobs", case])
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_experiments.py"), "--out", str(tmp_path / "out"), "--jobs", jobs],
+        [sys.executable, str(root / "scripts" / "run_experiments.py"), "--out", str(tmp_path / "out"), *flags],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stderr.strip().splitlines()[-1].startswith("error: --jobs")
-    assert not (tmp_path / "out").exists()
+    assert proc.stderr.strip().splitlines() == [f"error: {SCRIPT_ERRORS[case].format(noise=noise)}"]
+    # the shot count is checked when the first row is sampled, after the output directory is made
+    assert (tmp_path / "out").exists() == (case == "zero-shots")
 
 
 def _source(tmp_path, body: str) -> str:
@@ -400,8 +414,9 @@ block e:
 """
 
 # each reached an error line only through a catch-all for ValueError; a
-# negative seed printed numpy's "expected non-negative integer", and an
-# integer literal past Python's digit limit had no position
+# negative seed printed numpy's "expected non-negative integer", an integer
+# literal past Python's digit limit had no position, and a trap of a million
+# slots was accepted and took seconds to run
 DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
 REJECTED = {
     "non-utf8-source": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
@@ -413,6 +428,7 @@ REJECTED = {
     "trap-too-small": "3 qubits do not fit in 2 slots",
     "negative-seed": "seed must be >= 0, got -1",
     "integer-past-digit-limit": f"0:0: {DIGIT_LIMIT}; use sys.set_int_max_str_digits() to increase the limit",
+    "trap-too-wide": "trap slots=1000000 above the maximum 4096",
 }
 
 
@@ -434,6 +450,9 @@ def test_rejected_input_message(tmp_path, capsys, case):
     elif case == "trap-too-small":
         cfg.write_text('{"slots": 2, "gate_zones": [[0, 1]]}')
         argv = ["compile", str(src), "--trap", str(cfg)]
+    elif case == "trap-too-wide":  # a run on it took 1.6 s; ten times as many slots took 20 s
+        cfg.write_text('{"slots": 1000000, "gate_zones": [[0, 1]]}')
+        argv = [*run, "--shots", "5", "--trap", str(cfg)]
     else:
         argv = {
             "zero-shots": [*run, "--shots", "0"],
@@ -448,6 +467,7 @@ def test_rejected_input_message(tmp_path, capsys, case):
 
 # each raised FloatingPointError, MemoryError (or allocated ahead of a
 # batch), RecursionError or OverflowError
+INT_RANGE = f"INT_RANGE: int literal outside [{-(2**63)}, {2**63 - 1}]"
 TRACEBACKS = {
     "angle-overflows": "rz(1e+308) plus prep_overrotation=1e+308 is not finite",
     "too-many-result-slots": "program uses 65537 result slots; the emulator runs at most 65536",
@@ -455,22 +475,44 @@ TRACEBACKS = {
     "noise-json-nested-too-deeply": "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
     "noise-int-too-large-for-a-float": f"prep_overrotation={10**400} is not finite",
     "noise-probability-int-too-large": f"p1={10**400} outside [0, 1]",
+    "int-literal-past-64-bits-folded": f"{INT_RANGE} [@main:e#0]",
+    "int-literal-past-64-bits-in-registers": f"{INT_RANGE} [@main:e#3]",
+    "module-declares-too-many-qubits": "trap slots=100000000000 above the maximum 4096",
 }
+
+INT_PAST_64_BITS_IN_A_BRANCH = """  h q0
+  mz q0 -> r0
+  %m = read_result r0
+  %a = add %m, 99999999999999999999
+  %c = cmp gt %a, 5
+  br %c, a, b
+block a:
+  x q0
+  jmp b
+block b:
+  output result r0
+  ret
+"""
 
 
 @pytest.mark.parametrize("case", list(TRACEBACKS))
 def test_input_that_ended_in_a_traceback(tmp_path, capsys, case):
     src = tmp_path / "p.qir.txt"
     noise = tmp_path / "noise.json"
+    qubits = 100_000_000_000 if case == "module-declares-too-many-qubits" else 1
     results = 65537 if case == "too-many-result-slots" else 1
-    src.write_text(
-        f"module t\nattrs required_qubits=1 required_results={results}\nfunc @main() {{\nblock e:\n"
-        "  rz(1e308) q0\n  h q0\n  mz q0 -> r0\n  output result r0\n  ret\n}\n"
-    )
+    body = "  rz(1e308) q0\n  h q0\n  mz q0 -> r0\n  output result r0\n  ret\n"
+    if case == "int-literal-past-64-bits-folded":
+        body = f"  %a = add 1.5, {'9' * 400}\n" + body
+    elif case == "int-literal-past-64-bits-in-registers":
+        body = INT_PAST_64_BITS_IN_A_BRANCH
+    src.write_text(f"module t\nattrs required_qubits={qubits} required_results={results}\nfunc @main() {{\nblock e:\n{body}}}\n")
     argv = ["run", str(src), "--shots", "5", "--seed", "1"]
-    if case == "too-many-registers":
+    if case in ("int-literal-past-64-bits-folded", "module-declares-too-many-qubits"):
+        argv = ["compile", str(src)]
+    elif case == "too-many-registers":
         argv += ["--registers", "65537"]
-    elif case != "too-many-result-slots":
+    elif case not in ("too-many-result-slots", "int-literal-past-64-bits-in-registers"):
         noise.write_text({
             "angle-overflows": '{"prep_overrotation": 1e308}',
             "noise-json-nested-too-deeply": "[" * 100_000,

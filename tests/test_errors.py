@@ -19,7 +19,7 @@ from ionflow.ir import CycleDetected, IonflowError
 from ionflow.oracle import TooManyBranches
 from ionflow.passes import BudgetExceeded
 from ionflow.predication import NonSSA
-from ionflow.qccd import TrapLayout, Unreachable
+from ionflow.qccd import MAX_TRAP_SLOTS, TrapLayout, Unreachable
 from ionflow.regalloc import RegisterPressureExceeded
 from ionflow.textir import ParseError
 from ionflow.toolchain import CompileError
@@ -45,8 +45,9 @@ def test_rejected_input_errors_share_one_base():
         (NoiseModel, {"prep_overrotation": math.nan}, '{"prep_overrotation": NaN}', "prep_overrotation=nan is not finite"),
         (TrapLayout, {"slots": 8.0, "gate_zones": ((0, 1),)}, '{"slots": 8.0, "gate_zones": [[0, 1]]}', "trap slots must be an int, got 8.0"),
         (TrapLayout, {"slots": 8, "gate_zones": ((0, 2),)}, '{"slots": 8, "gate_zones": [[0, 2]]}', "gate zone (0,2) is not an adjacent pair"),
+        (TrapLayout, {"slots": 4097, "gate_zones": ((0, 1),)}, '{"slots": 4097, "gate_zones": [[0, 1]]}', "trap slots=4097 above the maximum 4096"),
     ],
-    ids=["bool", "string", "probability", "nan", "float-slots", "zone"],
+    ids=["bool", "string", "probability", "nan", "float-slots", "zone", "wide-trap"],
 )
 def test_config_rule_is_the_same_built_directly_and_from_json(cls, kwargs, text, message):
     for make in (lambda: cls(**kwargs), lambda: cls.from_json(text)):
@@ -92,9 +93,9 @@ _scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max
 _json = st.recursive(_scalars, lambda c: st.lists(c, max_size=3) | st.dictionaries(st.text(max_size=4), c, max_size=3), max_leaves=6)
 _numbers = st.floats() | st.integers(-3, 3) | st.sampled_from([0.001, 0.5, 1.0, 10**400])
 _noise_json = st.dictionaries(st.sampled_from(NOISE_KEYS), _numbers | _scalars, max_size=4).map(json.dumps)
-# slots stay small: a trap of millions of slots is slow to lower, but raises nothing
 _zone = st.lists(st.integers(-1, 9), min_size=1, max_size=3) | _json
-_trap = st.fixed_dictionaries({"slots": st.integers(-1, 12) | _scalars, "gate_zones": st.lists(_zone, max_size=4) | _json})
+_slots = st.integers(-1, 12) | st.sampled_from([MAX_TRAP_SLOTS, MAX_TRAP_SLOTS + 1, 10**12]) | _scalars
+_trap = st.fixed_dictionaries({"slots": _slots, "gate_zones": st.lists(_zone, max_size=4) | _json})
 _trap_json = (_trap | st.dictionaries(st.sampled_from(["slots", "gate_zones", "x"]), _json, max_size=3)).map(json.dumps)
 _text = st.text(st.characters(exclude_categories=("Cs",)), max_size=30)
 _edit = st.tuples(st.integers(0, len(PROGRAM)), st.integers(0, 6), _text)  # replace PROGRAM[i:i + n] with a string

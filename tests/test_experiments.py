@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ionflow import oracle, textir
-from ionflow.emulator import enumerate_outcomes
+from ionflow.emulator import H1E_LIKE, ShotResult, enumerate_outcomes
 from ionflow.experiments import (
     ALPHA,
     CSV_HEADER,
@@ -21,13 +21,12 @@ from ionflow.experiments import (
     RusConfig,
     build_msd,
     build_rus,
-    decode_msd_shot,
-    decode_rus_shot,
+    decode_record,
     ideal_reference,
     run_experiment,
     summarize,
 )
-from ionflow.ir import validate_profile, diagnostics_ok
+from ionflow.ir import IonflowError, diagnostics_ok, validate_profile
 from ionflow.toolchain import compile_module, run_passes
 
 
@@ -204,21 +203,68 @@ def test_rus_success_branch_state_is_v3_exactly():
 
 # -- statistics -----------------------------------------------------------------
 
-def test_expectation_of_balanced_bits_is_zero():
-    _res, shots, report = run_experiment(RusConfig(limit=1, basis="Z"), 40, seed=0)
-    fake = summarize(shots[:4], "rus", "Z", 1)
-    # direct formula check on a constructed outcome list
-    from ionflow.experiments import _expectation
+def _shots(*records: tuple) -> list[ShotResult]:
+    """Hand-built shots with the given output records and no other activity."""
+    return [ShotResult(r, 0, 0, 0, ()) for r in records]
 
-    assert _expectation([0, 0, 1, 1]) == 0.0
-    assert _expectation([0]) == 1.0 and _expectation([1]) == -1.0
+
+def _rus(m0: int, m1: int, final: int) -> tuple:
+    return ("(", m0, m1, final, ")")
+
+
+def test_expectation_of_balanced_bits_is_zero():
+    # direct formula check on constructed outcome lists
+    assert summarize(_shots(_rus(0, 0, 0), _rus(0, 0, 0), _rus(0, 0, 1), _rus(0, 0, 1)), "rus", "Z", 1).exp_z == 0.0
+    assert summarize(_shots(_rus(0, 0, 0)), "rus", "Z", 1).exp_z == 1.0
+    assert summarize(_shots(_rus(0, 0, 1)), "rus", "Z", 1).exp_z == -1.0
+
+
+def test_decode_record_reads_result_bits_of_both_families():
+    assert decode_record(("[", 0, 0, 0, 0, 1, "]"), "msd", 3) == (True, 1)
+    assert decode_record(("[", 0, 0, 1, 0, 0, "]"), "msd", 3) == (False, 0)
+    assert decode_record(("[", 1, "]"), "msd", 0) == (True, 1)
+    assert decode_record(("[", 0, "]"), "msd", 0) == (True, 0)
+    assert decode_record(_rus(0, 0, 1), "rus", 2) == (True, 1)
+    assert decode_record(_rus(0, 1, 0), "rus", 2) == (False, 0)
+    assert decode_record(_rus(1, 0, 1), "rus", 2) == (False, 1)
+    with pytest.raises(IonflowError, match="unknown experiment 'bogus'"):
+        decode_record(_rus(0, 0, 0), "bogus", 1)
+
+
+def test_summarize_with_no_heralded_shot():
+    msd = summarize(_shots(("[", 0, 1, 0, 0, 0, "]"), ("[", 1, 1, 1, 1, 1, "]")), "msd", "X", 2)
+    rus = summarize(_shots(_rus(1, 0, 0), _rus(0, 1, 1), _rus(1, 1, 0)), "rus", "Y", 1)
+    for rep in (msd, rus):
+        assert rep.success_count == 0 and rep.success_fraction == 0.0
+        assert (rep.exp_x, rep.exp_y, rep.exp_z, rep.survival) == (None, None, None, None)
+    assert msd.exp_x_uncond == 0.0 and rus.exp_y_uncond == 1 / 3
+
+
+def test_summarize_msd_limit_zero_heralds_every_shot():
+    rep = summarize(_shots(("[", 0, "]"), ("[", 1, "]"), ("[", 0, "]"), ("[", 0, "]")), "msd", "Z", 0)
+    assert rep.success_count == 4 and rep.success_fraction == 1.0
+    assert rep.exp_z == rep.exp_z_uncond == 0.5 and rep.survival is None
+
+
+@pytest.mark.parametrize("cfg", [MsdConfig(0, "X"), MsdConfig(2, "Y"), RusConfig(2, "Z", "loop"), RusConfig(3, "X", "recursion")])
+def test_summarize_matches_a_per_shot_count(cfg):
+    _res, shots, rep = run_experiment(cfg, 600, seed=5, noise=H1E_LIKE)
+    experiment = "msd" if isinstance(cfg, MsdConfig) else "rus"
+    decoded = [decode_record(s.outputs, experiment, cfg.limit) for s in shots]
+    post = [bit for ok, bit in decoded if ok]
+    every = [bit for _ok, bit in decoded]
+    assert rep.success_count == len(post) and rep.shots == len(shots)
+    assert getattr(rep, f"exp_{cfg.basis.lower()}") == (post.count(0) - post.count(1)) / len(post)
+    assert getattr(rep, f"exp_{cfg.basis.lower()}_uncond") == (every.count(0) - every.count(1)) / len(every)
+    assert rep.survival == (post.count(0) / len(post) if experiment == "rus" else None)
+    assert rep.avg_transport == sum(s.executed_transport_steps for s in shots) / len(shots)
 
 
 def test_all_success_shots_make_post_equal_uncond():
     # Z-basis RUS is noiseless-stable: survival exact, and when every shot
     # succeeds the post-selected and unconditional expectations coincide
     _res, shots, report = run_experiment(RusConfig(limit=8, basis="Z"), 300, seed=2)
-    succ = [decode_rus_shot(s)[0] for s in shots]
+    succ = [decode_record(s.outputs, "rus", 8)[0] for s in shots]
     if all(succ):
         assert report.exp_z == report.exp_z_uncond
 

@@ -145,6 +145,24 @@ def test_unresolved_call_is_error_even_lenient():
     assert any(d.code == "UNRESOLVED_CALL" for d in validate_profile(m, strict=False))
 
 
+INT_OPERANDS = {
+    "binop": "block a:\n  %x = add 1, {v}\n  ret",
+    "cmp": "block a:\n  %x = cmp lt {v}, 2\n  ret",
+    "phi": "block a:\n  h q0\n  mz q0 -> r0\n  %m = read_result r0\n  br %m, b, c\nblock b:\n  jmp c\n"
+    "block c:\n  %p = phi [{v}, a], [0, b]\n  ret",
+    "call": "block a:\n  call @f({v})\n  ret\n}}\nfunc @f(%k: int) {{\nblock e:\n  ret",
+}
+
+
+@pytest.mark.parametrize("where", list(INT_OPERANDS))
+def test_int_literal_operands_must_fit_64_bits(where):
+    for v, fits in ((ir.INT_MIN, True), (ir.INT_MAX, True), (True, True), (ir.INT_MIN - 1, False), (ir.INT_MAX + 1, False)):
+        m = parse(INT_OPERANDS[where].format(v=str(v).lower()))
+        for strict in (False, True):
+            codes = [d.code for d in validate_profile(m, strict=strict) if d.severity == "error"]
+            assert ("INT_RANGE" not in codes) == fits, (v, strict, codes)
+
+
 # -- topo sort ---------------------------------------------------------------
 
 def test_topo_diamond_source_order_tiebreak():

@@ -6,11 +6,12 @@ from collections import Counter, deque
 import pytest
 
 from ionflow import qccd, textir
-from ionflow.ir import Measure, QGate, Reset
+from ionflow.ir import IonflowError, Measure, QGate, Reset
 from ionflow.qccd import (
     ALWAYS,
     BFS_EXACT_LIMIT,
     CONDITIONAL,
+    MAX_TRAP_SLOTS,
     GateLayer,
     PlacedOp,
     TrapLayout,
@@ -46,6 +47,15 @@ def test_trap_rejects_bad_zones():
         TrapLayout(4, ((0, 2),))
     with pytest.raises(ValueError):
         TrapLayout(4, ((0, 1), (1, 2)))
+
+
+def test_trap_width_is_bounded_for_given_and_default_traps():
+    assert TrapLayout(MAX_TRAP_SLOTS, ((0, 1),)).slots == TrapLayout.default(MAX_TRAP_SLOTS).slots == MAX_TRAP_SLOTS
+    too_wide = f"^trap slots={MAX_TRAP_SLOTS + 1} above the maximum {MAX_TRAP_SLOTS}$"
+    with pytest.raises(IonflowError, match=too_wide):
+        TrapLayout(MAX_TRAP_SLOTS + 1, ((0, 1),))
+    with pytest.raises(IonflowError, match=too_wide):
+        TrapLayout.default(MAX_TRAP_SLOTS + 1)  # a module declaring that many qubits
 
 
 def test_trap_json_roundtrip():
