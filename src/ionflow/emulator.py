@@ -56,7 +56,6 @@ from .qccd import (
     MarkItem,
     OutputItem,
     TransportItem,
-    apply_step,
 )
 from .regalloc import PReg
 
@@ -276,10 +275,12 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
 
 
 def _compile_transport(steps: tuple, slots: int) -> tuple:
-    perm = tuple(range(slots))  # composed slot permutation: where something starting at slot s ends up
+    occupant = list(range(slots))  # occupant[s]: the slot whose content is now in slot s
     for st in steps:
-        perm = apply_step(perm, st)
-    return np.array(perm), len(steps)
+        for a, b in st:
+            occupant[a], occupant[b] = occupant[b], occupant[a]
+    # its inverse, the composed slot permutation: where something starting at slot s ends up
+    return np.argsort(occupant), len(steps)
 
 
 @dataclass

@@ -1,25 +1,25 @@
 """Reference enumeration semantics, independent of the compiled fast path.
 
-Two interpreters, both noiseless and exact:
+One interpreter, noiseless and exact: ``enumerate_module`` walks the IR
+directly (blocks, branches, phis, calls, even counted loops) and branches
+depth-first on every measurement outcome, producing the exact distribution
+over recorded outputs. ``enumerate_guarded`` walks the if-converted linear
+form with the same walker, as the CFG it stands for: each guarded block's
+prelude runs, then a branch on its guard enters the body or skips it.
 
-* ``enumerate_module`` walks the IR directly (blocks, branches, phis, calls,
-  even counted loops) and branches depth-first on every measurement outcome,
-  producing the exact distribution over recorded outputs.
-* ``enumerate_guarded`` does the same for the if-converted linear form.
-
-These are deliberately written against the plain matrix embedding from
+The walker is deliberately written against the plain matrix embedding from
 ``gates`` rather than the emulator's in-place kernels, so the oracle and the
 emulator's single compiled-form interpreter share no simulation code.
 
-Both walkers run every instruction other than control flow and calls
-through one helper, ``_step``, which hands measurements and resets to
-``_branch``. An outcome is live when the weight of its own amplitudes
-exceeds ``PRUNE_EPS``; two live outcomes fork the path, within
-``MAX_BRANCH_EVENTS`` per path. A reset collapses like a measurement; when
-both collapse branches land on the same post-reset state (the common
-unentangled case) they are merged so path counts stay small.
+It runs every instruction other than control flow and calls through one
+helper, ``_step``, which hands measurements and resets to ``_branch``. An
+outcome is live when the weight of its own amplitudes exceeds ``PRUNE_EPS``;
+two live outcomes fork the path, within ``MAX_BRANCH_EVENTS`` per path. A
+reset collapses like a measurement; when both collapse branches land on the
+same post-reset state (the common unentangled case) they are merged so path
+counts stay small.
 
-The walkers dispatch on exact types, the most frequent first, and
+The walker dispatches on exact types, the most frequent first, and
 ``_branch`` takes its outcome masks from a cache keyed by state size and
 qubit; neither changes anything the oracle computes.
 """
@@ -35,6 +35,7 @@ import numpy as np
 from . import gates as G
 from .ir import (
     OUTPUT_TOKEN,
+    BasicBlock,
     BinOp,
     Branch,
     Call,
@@ -49,6 +50,7 @@ from .ir import (
     QGate,
     ReadResult,
     Reset,
+    Return,
     Select,
     Value,
     Vreg,
@@ -244,7 +246,7 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf]) -> None:
         while fr.idx < len(block.body):
             instr = block.body[fr.idx]
             fr.idx += 1
-            if isinstance(instr, Call):
+            if type(instr) is Call:
                 callee = module.function(instr.callee)
                 env = {pv: _resolve(a, fr.env) for (pv, _t), a in zip(callee.params, instr.args)}
                 ms.frames.append(_Frame(callee, env, callee.blocks[0].label, None, 0, False))
@@ -253,10 +255,10 @@ def _run_module(module: Module, ms: _MState, leaves: list[Leaf]) -> None:
                 return  # every arm handled recursively
         else:
             term = block.terminator
-            if isinstance(term, Jump):
+            if type(term) is Jump:
                 fr.prev_label, fr.label, fr.idx, fr.phis_done = fr.label, term.target, 0, False
-            elif isinstance(term, Branch):
-                cond = _resolve(term.cond, fr.env)
+            elif type(term) is Branch:
+                cond = eval_guard_val(term.cond, fr.env)
                 target = term.then_target if cond else term.else_target
                 fr.prev_label, fr.label, fr.idx, fr.phis_done = fr.label, target, 0, False
             else:
@@ -270,27 +272,8 @@ def enumerate_module(module: Module) -> dict[tuple, float]:
 
 
 # ---------------------------------------------------------------------------
-# Guarded-form interpreter
+# Guarded form, walked as the CFG it stands for
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _GState:
-    state: np.ndarray
-    slots: list[int]
-    outputs: list
-    prob: float
-    regs: dict[Vreg, Value]
-    block_idx: int
-    in_body: bool
-    instr_idx: int
-    branch_events: int
-
-    def copy(self) -> "_GState":
-        return _GState(
-            self.state.copy(), self.slots[:], self.outputs[:], self.prob,
-            dict(self.regs), self.block_idx, self.in_body, self.instr_idx, self.branch_events,
-        )
-
 
 def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
     t = type(gv)  # exact types, the most frequent first
@@ -306,40 +289,31 @@ def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
     raise TypeError(f"bad guard value {gv!r}")
 
 
+def _guarded_cfg(gf: GuardedFunction) -> Function:
+    """``gf`` as a function: block ``p{i}`` runs guarded block ``i``'s prelude
+    and branches on its guard into ``g{i}``, the body, or past it to
+    ``p{i+1}``; ``p{len(gf.blocks)}`` returns. A literal guard or an empty
+    body needs no branch. Labels come from indices, so no block label of
+    ``gf`` can collide with them. A branch condition may be any guard value:
+    the walker reads it through ``eval_guard_val``."""
+    blocks = []
+    for i, b in enumerate(gf.blocks):
+        nxt = f"p{i + 1}"
+        if b.guard is False or not b.body:
+            blocks.append(BasicBlock(f"p{i}", (), b.prelude, Jump(nxt)))
+        elif b.guard is True:
+            blocks.append(BasicBlock(f"p{i}", (), b.prelude + b.body, Jump(nxt)))
+        else:
+            blocks.append(BasicBlock(f"p{i}", (), b.prelude, Branch(b.guard, f"g{i}", nxt)))
+            blocks.append(BasicBlock(f"g{i}", (), b.body, Jump(nxt)))
+    blocks.append(BasicBlock(f"p{len(gf.blocks)}", (), (), Return()))
+    return Function(gf.name, (), tuple(blocks))
+
+
 def enumerate_guarded(gf: GuardedFunction, n_qubits: int, n_results: int) -> dict[tuple, float]:
     return distribution(enumerate_guarded_leaves(gf, n_qubits, n_results))
 
 
 def enumerate_guarded_leaves(gf: GuardedFunction, n_qubits: int, n_results: int) -> list[Leaf]:
-    init = np.zeros(1 << max(n_qubits, 1), dtype=complex)
-    init[0] = 1.0
-    start = _GState(init, [0] * n_results, [], 1.0, {}, 0, False, 0, 0)
-    leaves: list[Leaf] = []
-    _run_guarded(gf, n_qubits, start, leaves)
-    return leaves
-
-
-def _run_guarded(gf: GuardedFunction, n: int, gs: _GState, leaves: list[Leaf]) -> None:
-    def resume(child: _GState) -> None:
-        _run_guarded(gf, n, child, leaves)
-
-    while gs.block_idx < len(gf.blocks):
-        block = gf.blocks[gs.block_idx]
-        if not gs.in_body:
-            for ins in block.prelude:  # classical only, so it never forks
-                _step(gs, ins, gs.regs, n, resume)
-            gs.in_body = True
-            gs.instr_idx = 0
-            if not eval_guard_val(block.guard, gs.regs):
-                gs.block_idx += 1
-                gs.in_body = False
-                continue
-        while gs.instr_idx < len(block.body):
-            instr = block.body[gs.instr_idx]
-            gs.instr_idx += 1
-            if _step(gs, instr, gs.regs, n, resume):
-                return
-        gs.block_idx += 1
-        gs.in_body = False
-        gs.instr_idx = 0
-    leaves.append(Leaf(gs.prob, tuple(gs.outputs), gs.state, tuple(gs.slots)))
+    fn = _guarded_cfg(gf)
+    return enumerate_module_leaves(Module(gf.name, (fn,), fn.name, n_qubits, n_results))

@@ -26,7 +26,7 @@ dependence" (POPL 1983).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .ir import (
     BinOp,
@@ -83,14 +83,37 @@ SymGuard = Union[STrue, SRef, SNot, SAnd, SOr]
 
 
 def sym_implies(g: SymGuard, h: SymGuard) -> bool:
-    """Conservative syntactic implication g => h (sound, not complete)."""
-    if isinstance(h, STrue) or g == h:
+    """Conservative syntactic implication g => h (sound, not complete): an
+    ``SAnd`` implies ``h`` if either side does, an ``SOr`` if every disjunct
+    does. ``if_convert`` builds each distinct formula once, so a part equals
+    ``h`` only if it is ``h``. Guards nest one level per chained branch, so
+    the walk keeps its own stack; it stops at the first part that settles
+    its frame, in the order of the parts."""
+    if isinstance(h, STrue):
         return True
-    if isinstance(g, SAnd):
-        return sym_implies(g.left, h) or sym_implies(g.right, h)
-    if isinstance(g, SOr):
-        return all(sym_implies(d, h) for d in g.disjuncts)
-    return False
+    stack: list[tuple[bool, Iterator[SymGuard]]] = []  # (settled by a True?, parts left)
+    node = g
+    while True:
+        if node is h:
+            res: bool | None = True
+        elif isinstance(node, SAnd):
+            stack.append((True, iter((node.left, node.right))))
+            res = None
+        elif isinstance(node, SOr):
+            stack.append((False, iter(node.disjuncts)))
+            res = None
+        else:
+            res = False
+        while True:  # settle frames until one has a part to walk next
+            if not stack:
+                return res
+            any_of, parts = stack[-1]
+            if res is not any_of:
+                node = next(parts, None)
+                if node is not None:
+                    break
+                res = not any_of
+            stack.pop()
 
 
 # Materialized guard values ----------------------------------------------------
@@ -167,6 +190,16 @@ def if_convert(fn: Function) -> GuardedFunction:
     # the two arm guards of one branch OR back to the branch block's own
     # guard; joins matching such a pair reuse that value instead of a fresh OR
     complement: dict[frozenset, GuardVal] = {}
+    # each distinct symbolic guard is built once, keyed by its parts'
+    # identities (a register by its name), so equal guards are one object
+    formulas: dict[tuple, SymGuard] = {}
+
+    def formula(cls, *parts) -> SymGuard:
+        key = (cls, *(p if isinstance(p, Vreg) else id(p) for p in parts))
+        f = formulas.get(key)
+        if f is None:
+            f = formulas[key] = cls(parts) if cls is SOr else cls(*parts)
+        return f
 
     out_blocks: list[GuardedBlock] = []
 
@@ -227,7 +260,7 @@ def if_convert(fn: Function) -> GuardedFunction:
 
         if not in_edges:
             gv: GuardVal = True
-            sym[label] = STrue()
+            sym[label] = formula(STrue)
         else:
             # per in-edge: its guard value, flattened into the join's parts,
             # and its symbolic guard, AND(guard(src), edge cond)
@@ -238,11 +271,11 @@ def if_convert(fn: Function) -> GuardedFunction:
                 parts.extend(v.parts if isinstance(v, OrVal) else (v,))
                 base = sym[e.src]
                 if e.condition != UNCOND:
-                    ref = SRef(fn.block(e.src).terminator.cond)
-                    cond = ref if e.condition == TRUE_ARM else SNot(ref)
-                    base = cond if isinstance(base, STrue) else SAnd(base, cond)
+                    ref = formula(SRef, fn.block(e.src).terminator.cond)
+                    cond = ref if e.condition == TRUE_ARM else formula(SNot, ref)
+                    base = cond if isinstance(base, STrue) else formula(SAnd, base, cond)
                 sym_parts.append(base)
-            sym[label] = sym_parts[0] if len(sym_parts) == 1 else SOr(tuple(sym_parts))
+            sym[label] = sym_parts[0] if len(sym_parts) == 1 else formula(SOr, *sym_parts)
             if len(parts) == 1:
                 gv = parts[0]
             elif len(parts) == 2 and frozenset(parts) in complement:

@@ -92,14 +92,10 @@ TransportStep = tuple[tuple[int, int], ...]  # disjoint adjacent slot swaps, sor
 
 
 def apply_step(placement: Placement, step: TransportStep) -> Placement:
-    out = list(placement)
+    moves = {}  # the step's swaps are disjoint, so each slot moves at most once
     for a, b in step:
-        for q, s in enumerate(out):
-            if s == a:
-                out[q] = b
-            elif s == b:
-                out[q] = a
-    return tuple(out)
+        moves[a], moves[b] = b, a
+    return tuple([moves.get(s, s) for s in placement])
 
 
 def all_steps(slots: int) -> list[TransportStep]:

@@ -149,6 +149,13 @@ def test_experiment_emit_exec(tmp_path):
     assert data["qubits"] == 3
 
 
+def test_experiment_runs_a_long_branch_chain(capsys):
+    """RUS loop 400 chains 400 branches, and its symbolic guards nest that deep."""
+    assert main(["experiment", "rus", "--limit", "400", "--shots", "1", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == CSV_HEADER and lines[1].startswith("rus,loop,Z,400,1,")
+
+
 def test_report_merges_csvs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for i, f in enumerate((a, b)):

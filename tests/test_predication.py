@@ -2,12 +2,15 @@ import pytest
 
 from conftest import max_distribution_error, random_program
 from ionflow import oracle, textir
-from ionflow.ir import Branch, Cfg, CycleDetected, QGate
+from ionflow.ir import Branch, Cfg, CycleDetected, Measure, Output, QGate, ReadResult
 from ionflow.predication import (
+    GuardedBlock,
+    GuardedFunction,
     NonSSA,
     OrVal,
     SAnd,
     SNot,
+    SOr,
     SRef,
     STrue,
     if_convert,
@@ -15,7 +18,7 @@ from ionflow.predication import (
 )
 from ionflow.ir import Vreg
 from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
-from ionflow.regalloc import PReg
+from ionflow.regalloc import PReg, build_interference, color, compute_liveness, rewrite
 from ionflow.toolchain import compile_module
 
 
@@ -186,3 +189,103 @@ def test_distribution_equivalence_random_sample():
         gf = if_convert(m.entry_function)
         after = oracle.enumerate_guarded(gf, m.required_qubits, m.required_results)
         assert max_distribution_error(base, after) < 1e-12, seed
+
+
+def test_msd_400_compiles():
+    """Each MSD round nests the symbolic guards of later blocks one level deeper."""
+    res = compile_module(build_msd(MsdConfig(400, "Z")), registers=512)
+    assert res.block_count == 403
+
+
+def test_sym_implies_walks_deep_guards():
+    ref = SRef(Vreg("c"))
+    deep = ref
+    for i in range(5000):
+        deep = SAnd(deep, SRef(Vreg(f"v{i}")))
+    assert sym_implies(deep, ref)
+    assert sym_implies(SOr((deep, SAnd(ref, deep))), ref)
+    assert not sym_implies(SOr((deep, SRef(Vreg("v0")))), ref)
+    assert not sym_implies(deep, SNot(ref))
+
+
+# -- guard shapes the compiler rarely builds, walked by the oracle ---------------
+
+def hand_built(*blocks) -> GuardedFunction:
+    """A guarded function of (prelude, guard, body) triples."""
+    return GuardedFunction("f", tuple(GuardedBlock(f"b{i}", pre, g, STrue(), body) for i, (pre, g, body) in enumerate(blocks)), 0)
+
+
+def assert_distribution(got: dict, want: dict) -> None:
+    assert set(got) == set(want) and max_distribution_error(got, want) < 1e-12
+
+
+def test_false_guard_keeps_a_measuring_body_from_running():
+    gf = hand_built(
+        ((), True, (QGate("h", (0,)),)),
+        ((), False, (Measure(0, 0), Output("result", 0))),
+        ((), True, (Output("result", 0),)),
+    )
+    assert_distribution(oracle.enumerate_guarded(gf, 1, 1), {(0,): 1.0})
+
+
+def test_true_guard_with_empty_body_still_runs_its_prelude():
+    gf = hand_built(
+        ((), True, (QGate("h", (0,)), Measure(0, 0))),
+        ((ReadResult(Vreg("m"), 0),), True, ()),
+        ((), Vreg("m"), (QGate("x", (1,)),)),
+        ((), True, (Measure(1, 1), Output("result", 0), Output("result", 1))),
+    )
+    assert_distribution(oracle.enumerate_guarded(gf, 2, 2), {(0, 0): 0.5, (1, 1): 0.5})
+
+
+def test_or_guards_with_literal_parts():
+    measured = ((), True, (QGate("h", (0,)), Measure(0, 0)))
+    read = ((ReadResult(Vreg("m"), 0),), True, ())
+
+    def flips(guard, q):
+        return ((), guard, (QGate("x", (q,)),))
+
+    record = ((), True, tuple(Measure(q, q) for q in (1, 2, 3)) + tuple(Output("result", s) for s in range(4)))
+    gf = hand_built(
+        measured, read,
+        flips(OrVal((Vreg("m"), True)), 1),  # always runs
+        flips(OrVal((False, Vreg("m"))), 2),  # runs when m is set
+        flips(OrVal((False, Vreg("never_set"))), 3),  # never runs
+        record,
+    )
+    assert_distribution(oracle.enumerate_guarded(gf, 4, 4), {(0, 1, 0, 0): 0.5, (1, 1, 1, 0): 0.5})
+
+
+def test_physical_register_guards_after_rewrite():
+    body = """
+block entry:
+  h q0
+  mz q0 -> r0
+  %c = read_result r0
+  br %c, a, join
+block a:
+  h q1
+  mz q1 -> r1
+  %d = read_result r1
+  br %d, b, join
+block b:
+  x q2
+  jmp join
+block join:
+  mz q2 -> r2
+  output result r0
+  output result r1
+  output result r2
+  ret
+"""
+    gf = if_convert(parse(wrap(body)).entry_function)
+    rgf = rewrite(gf, color(build_interference(compute_liveness(gf)), 16))
+    guards = [b.guard for b in rgf.blocks]
+    assert PReg in map(type, guards) and any(isinstance(g, OrVal) and all(isinstance(p, PReg) for p in g.parts) for g in guards)
+    assert_distribution(oracle.enumerate_guarded(rgf, 3, 3), {(0, 0, 0): 0.5, (1, 0, 0): 0.25, (1, 1, 1): 0.25})
+
+
+def test_function_with_no_blocks_has_one_leaf():
+    (leaf,) = oracle.enumerate_guarded_leaves(GuardedFunction("f", (), 0), 1, 2)
+    assert (leaf.prob, leaf.outputs, leaf.slots, leaf.state.tolist()) == (1.0, (), (0, 0), [1, 0])
+    assert oracle.enumerate_guarded(GuardedFunction("f", (), 0), 1, 2) == {(): 1.0}

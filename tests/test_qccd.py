@@ -6,6 +6,7 @@ from collections import Counter, deque
 import pytest
 
 from ionflow import qccd, textir
+from ionflow.emulator import _compile_transport
 from ionflow.ir import IonflowError, Measure, QGate, Reset
 from ionflow.qccd import (
     ALWAYS,
@@ -225,6 +226,33 @@ def test_greedy_routing_used_beyond_bfs_limit():
     for st in steps:
         check = apply_step(check, st)
     assert check == goal
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_composed_transport_is_the_fold_of_its_steps(seed):
+    """On traps wider than the BFS limit, ``apply_step`` moves each ion as a
+    scan over the step's swaps does, and the emulator's composed slot
+    permutation of a transport item is ``apply_step`` folded over its steps."""
+    rng = random.Random(seed)
+    slots = rng.randrange(BFS_EXACT_LIMIT + 1, 300)
+    steps = []
+    for _ in range(rng.randrange(1, 60)):
+        step, a = [], rng.randrange(2)
+        while a < slots - 1:
+            if rng.random() < 0.4:
+                step.append((a, a + 1))
+                a += 1
+            a += 1
+        steps.append(tuple(step))
+    placement = tuple(range(slots))
+    for st in steps:
+        scanned = list(placement)
+        for a, b in st:
+            scanned = [b if s == a else a if s == b else s for s in scanned]
+        placement = apply_step(placement, st)
+        assert placement == tuple(scanned)
+    perm, n_steps = _compile_transport(tuple(steps), slots)
+    assert perm.tolist() == list(placement) and n_steps == len(steps)
 
 
 def reference_bfs_plan(current, goal, slots):
