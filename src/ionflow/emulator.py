@@ -1,17 +1,35 @@
 """Batched execution of lowered programs with stochastic Pauli noise.
 
-One interpreter, ``_walk``, runs the flat item list once for a batch of
+One interpreter, ``_walk``, runs a compiled program once for a batch of
 rows. A batch holds a (B, 2**n) state, (B, K) registers (all zero at the
 start), (B, R) result slots, each row's ion placement and its counters.
 
-The walk goes one guard segment at a time. A segment is a maximal run of
-items that share one guard, in which no classical item writes a register
-the guard reads, so the guard holds the same value on every row through
-the whole segment; ``_compile_runtime`` finds the segments once. The
-guard becomes a row mask once per segment. An all-false mask skips the
-segment. A partial mask runs its items on the active rows: their states
-are gathered on first use and scattered back once at the segment's end,
-and every mark of the segment counts the inactive rows as skipped.
+``_compile_runtime`` compiles the flat item list, in one forward pass, into
+one entry per guard segment: a maximal run of items that share one guard,
+in which no classical item writes a register the guard reads, so the guard
+holds the same value on every row through the whole segment. Repeated
+layers, transport and segment bodies are built once. The walk runs one
+entry at a time. The guard becomes a row mask once; an all-false mask skips
+the segment and counts its marks as skipped. Otherwise the segment's head
+runs once for its active rows:
+
+* its zone checks: each layer's expected (qubit, slot) pairs, each slot
+  mapped back through the segment's transport before that layer, so the
+  check reads the placement at the head;
+* its transport as one composed slot permutation, with its step and gate
+  counts (a row forked later in the segment inherits them);
+* its marks, counted as skipped on the inactive rows.
+
+Its ops then run in order on the active rows' states, gathered once and
+scattered back at its end: unitaries, each layer's noise draws and
+collapses, classical items, outputs and, under noise, transport dephasing.
+Every draw keeps its place and shape, so the RNG streams do not depend on
+this grouping. Up to ``MATRIX_QUBITS`` qubits a layer's gates are one
+2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers between two ops that
+draw or collapse fuse into one matrix; that is every run of gate layers up
+to the next measurement, reset or segment end when p1 = p2 = p_idle =
+p_transport = 0, since over-rotation changes only the matrices. Wider registers apply each
+layer's gates as unitaries on at most ``FUSE_QUBITS`` qubits each.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -32,7 +50,9 @@ exact noiseless output distribution, within a branching budget.
 Determinism: shots run in batches of the fixed size ``SHOT_BATCH``, and
 batch ``b`` draws from ``SeedSequence(master_seed, spawn_key=(b,))``, so
 results do not depend on the number of worker processes and are always
-merged in shot order.
+merged in shot order. Each worker runs a contiguous range of batches. A run
+returns at most ``MAX_SHOTS`` shots; a larger count is refused before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -42,6 +62,7 @@ import math
 import multiprocessing
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,9 +130,12 @@ class ShotResult:
 
 
 SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
+SHOT_BYTES = 120  # memory one shot's ShotResult and list entry take at least (CPython 3.11)
+MAX_SHOTS = (64 << 30) // SHOT_BYTES  # shots per run: more would need a result list over 64 GiB
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
 MAX_BATCH_AMPLITUDES = 1 << 24  # cap on SHOT_BATCH × 2ⁿ (256 MiB of complex128, 16 qubits), result slots or registers
-FUSE_QUBITS = 4  # a layer's gates are applied as unitaries on at most this many qubits each
+FUSE_QUBITS = 4  # above MATRIX_QUBITS a layer's gates run as unitaries on at most this many qubits each
+MATRIX_QUBITS = 5  # up to this many qubits a layer's gates are one 2ⁿ×2ⁿ matrix; at 6 its groups ran faster
 
 
 @functools.cache
@@ -206,12 +230,17 @@ def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
 
 
 # ---------------------------------------------------------------------------
-# Compiled runtime: items are lowered once into tag/tuple form, with guards
-# as register indices and index arrays and unitaries precomputed. A layer
-# draws its uniforms as one (rows, width) array; each draw site owns a column.
+# Compiled runtime: one entry per guard segment, with its guard as register
+# indices. An entry holds what runs once at the segment's head (the zone
+# checks, the composed slot permutation, the step and gate counts) and an
+# ordered op list for its active rows: unitaries, layer draws, classical
+# items, outputs and transport dephasing. A layer draws its uniforms as one
+# (rows, width) array; each draw site owns a column.
 # ---------------------------------------------------------------------------
 
-_MARK, _CLASSICAL, _TRANSPORT, _LAYER, _OUTPUT = range(5)
+# item bodies, then ops
+_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE = range(9)
+_MARK_BODY = (_MARK,)
 _OP_MEASURE, _OP_RESET = range(2)
 _ALL = slice(None)  # every row of a batch
 _CODE = {kind: 2 + i for i, kind in enumerate(OUTPUT_TOKEN)}  # output codes; 0 and 1 are result bits
@@ -239,26 +268,58 @@ def _collapse_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return sel, bit, idx ^ (1 << q)
 
 
+def _fuse(gates: list) -> tuple:
+    """Gates on disjoint qubits as unitaries on up to FUSE_QUBITS qubits each."""
+    fused: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    for u, qubits in gates:
+        if fused and len(fused[-1][1]) + len(qubits) <= FUSE_QUBITS:
+            a, top = fused.pop()  # kron(a, u): a's qubits are the top bits
+            u, qubits = (a[:, None, :, None] * u[None, :, None, :]).reshape(len(a) * len(u), -1), top + qubits
+        fused.append((u, qubits))
+    return tuple(fused)
+
+
+def _from_bytes(data: bytes) -> np.ndarray:
+    """A square complex matrix from the bytes of one."""
+    return np.frombuffer(data, complex).reshape(math.isqrt(len(data) // 16), -1)
+
+
+@functools.lru_cache(maxsize=128)
+def _unitary(run: tuple, n: int):
+    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS ``_fuse``'s groups.
+
+    A layer is a tuple of gates, each ``(the bytes of its matrix, qubits)``,
+    so the result depends on the key alone. The cache spans programs, whose
+    rounds and limits repeat their layers: a sweep uses a few dozen runs.
+    The matrix is in row form: ``st @ m`` applies the gates to every row.
+    """
+    layers = [[(_from_bytes(data), qubits) for data, qubits in gates] for gates in run]
+    if n > MATRIX_QUBITS:
+        return sum(map(_fuse, layers), ())
+    m = np.eye(1 << n, dtype=complex)
+    for gates in layers:
+        for u, qubits in gates:
+            apply_unitary(m, u, qubits, n)  # row i becomes U e_i, so (st @ m)[r] = U st[r]
+    m.flags.writeable = False
+    return m
+
+
 def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
-    """Everything of a layer item but its guard.
+    """A layer's body: ``(_LAYER, qubits, planned slots, gates, draws)``.
 
     Ops in a layer act on disjoint qubits and commute, so the gates run
-    first, fused into unitaries on up to FUSE_QUBITS qubits; each gate's
-    depolarizing follows, then the measurements and resets.
+    first (``_unitary`` of ``gates``, empty for none); each gate's
+    depolarizing follows, then the measurements and resets. ``draws`` is
+    None for a layer that neither draws nor collapses.
     """
-    fused: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    depolarize, collapses = [], []
+    gates, depolarize, collapses = [], [], []
     col = 0  # next column of the layer's uniforms
     for op in item.ops:
         if op.kind == "gate":
             angle = None if op.angle is None else float(op.angle) + noise.prep_overrotation
             if angle is not None and not math.isfinite(angle):
                 raise IonflowError(f"{op.name}({op.angle}) plus prep_overrotation={noise.prep_overrotation} is not finite")
-            u, qubits = G.gate_unitary(op.name, angle), op.qubits
-            if fused and len(fused[-1][1]) + len(qubits) <= FUSE_QUBITS:
-                a, top = fused.pop()  # kron(a, u): a's qubits are the top bits
-                u, qubits = (a[:, None, :, None] * u[None, :, None, :]).reshape(len(a) * len(u), -1), top + qubits
-            fused.append((u, qubits))
+            gates.append((G.gate_unitary(op.name, angle).tobytes(), op.qubits))
             p = noise.p2 if op.name == "cx" else noise.p1
             if p > 0.0:
                 depolarize.append((op.qubits, p, col))
@@ -269,9 +330,9 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
             collapses.append((tag, op.qubits[0], op.slot, *_collapse_tables(n, op.qubits[0]), p, col))
             col += 1 + (p > 0.0)
     idle = item.idle_qubits if noise.p_idle > 0.0 else ()
+    draws = (_DRAWS, tuple(depolarize), tuple(collapses), idle, col, col + len(idle)) if col or idle else None
     qs, slots = np.array(item.expected_slots, dtype=np.int64).reshape(-1, 2).T
-    n_gates = sum(op.kind == "gate" for op in item.ops)
-    return qs, slots, tuple(fused), tuple(depolarize), tuple(collapses), idle, col, col + len(idle), n_gates
+    return _LAYER, qs, slots, tuple(gates), draws
 
 
 def _compile_transport(steps: tuple, slots: int) -> tuple:
@@ -283,6 +344,77 @@ def _compile_transport(steps: tuple, slots: int) -> tuple:
     return np.argsort(occupant), len(steps)
 
 
+class _Segment(NamedTuple):
+    """A guard segment's work: its head's, done once for its active rows, then its ops in order."""
+
+    marks: int  # block marks, counted as skipped on the inactive rows
+    zone_qubits: np.ndarray | None  # every layer's expected (qubit, slot), the slot mapped back
+    zone_slots: np.ndarray | None  # through the transport before it to the placement at the head
+    zone: tuple  # per layer (qubits, planned slots, slot permutation before it or None), for the message
+    perm: np.ndarray | None  # composed slot permutation of the segment's transport
+    steps: int  # transport steps
+    gates: int
+    ops: tuple
+    state: bool  # some op touches the state
+
+
+def _unitary_op(run: list, n: int) -> tuple:
+    return _MATRIX if n <= MATRIX_QUBITS else _GROUPS, _unitary(tuple(run), n)
+
+
+def _segment(parts: list, n: int) -> _Segment:
+    """Build a segment from its items' bodies, in order.
+
+    Unitaries run as late as the next op that touches the state, so the
+    layers between two draws or collapses fuse into one op: one matrix, or
+    above MATRIX_QUBITS one tuple of groups. Classical items and outputs do
+    not touch the state.
+    """
+    marks = steps = gates = 0
+    perm = inv = None
+    zone, zone_slots, ops, run = [], [], [], []
+    state = False
+    for part in parts:
+        tag = part[0]
+        if tag == _MARK:
+            marks += 1
+        elif tag == _TRANSPORT:
+            _, t, t_inv, n_steps, dephase = part
+            perm, inv = (t, t_inv) if perm is None else (t[perm], inv[t_inv])
+            steps += n_steps
+            if dephase:
+                if run:
+                    ops.append(_unitary_op(run, n))
+                    run = []
+                ops.append(dephase)
+                state = True
+        elif tag == _LAYER:
+            _, qs, planned, layer_gates, draws = part
+            gates += len(layer_gates)
+            if len(qs):
+                zone.append((qs, planned, perm))
+                zone_slots.append(planned if inv is None else inv[planned])
+            if layer_gates:
+                run.append(layer_gates)
+            if draws:
+                if run:
+                    ops.append(_unitary_op(run, n))
+                    run = []
+                ops.append(draws)
+                state = True
+        else:
+            ops.append(part)
+    if run:
+        ops.append(_unitary_op(run, n))
+        state = True
+    zq = zs = None
+    if len(zone) == 1:
+        zq, zs = zone[0][0], zone_slots[0]
+    elif zone:
+        zq, zs = np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots)
+    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state)
+
+
 @dataclass
 class _Runtime:
     n_qubits: int
@@ -292,9 +424,7 @@ class _Runtime:
     reg_dtype: type
     canonical: tuple[int, ...]
     noise: NoiseModel
-    items: list
-    seg_end: list[int]  # first item after k outside item k's guard segment
-    seg_marks: list[int]  # marks from item k to seg_end[k]
+    segments: list  # per guard segment: (guard, index of its first item, _Segment, classical instructions)
 
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
@@ -305,45 +435,72 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     for count, what in ((prog.n_results, "result slots"), (prog.n_regs, "registers")):
         if SHOT_BATCH * count > MAX_BATCH_AMPLITUDES:
             raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
-    items: list = []
+    # Layers, transport and whole segments repeat, and each distinct one is
+    # built once. Lowering shares a layer's ops tuple between its repeats, so a
+    # layer is looked up by that tuple's identity (its items hold it alive)
+    # before the value of the op fields it reads. A segment is looked up by
+    # the identities of its items' bodies; its classical instructions stay
+    # out of its body, which names them by position.
+    layers, layer_values, transports, bodies = {}, {}, {}, {}
+    guards = {}  # by identity too: a register's hash is a Python call
+    classical = []  # classical[j]: the body of a segment's j-th classical item
+    opened = []  # per segment: its guard, first item, item bodies and classical instructions
     n_outputs = 0
     floats = False
-    bodies: dict = {}  # layers and transport steps repeat; each distinct one compiles once
-    for item in prog.items:
+    conditional = prog.conditional_transport
+    seg_guard, closed = None, True
+    for k, item in enumerate(prog.items):
         kind = type(item)
-        g = _cguard(item.guard)
+        gid = id(item.guard)
+        if gid not in guards:
+            guards[gid] = _cguard(item.guard)
+        g = guards[gid] if conditional or kind is not TransportItem else None
+        if closed or g != seg_guard:
+            # a segment runs on while the guard stays the same and no classical item writes a register it reads
+            parts, instrs = [], []
+            opened.append((g, k, parts, instrs))
+            seg_guard, closed = g, False
         if kind is LayerItem:
-            key = (item.ops, item.expected_slots, item.idle_qubits)
-            if key not in bodies:
-                bodies[key] = _compile_layer(item, n, noise)
-            items.append((_LAYER, g, *bodies[key]))
+            lk = (id(item.ops), item.expected_slots, item.idle_qubits)
+            body = layers.get(lk)
+            if body is None:
+                ops = tuple((op.kind, op.name, op.qubits, op.angle, op.slot) for op in item.ops)
+                vk = (ops, item.expected_slots, item.idle_qubits)
+                if vk not in layer_values:
+                    layer_values[vk] = _compile_layer(item, n, noise)
+                body = layers[lk] = layer_values[vk]
+            parts.append(body)
         elif kind is MarkItem:
-            items.append((_MARK, g))
-        elif kind is ClassicalItem:
-            items.append((_CLASSICAL, g, item.instrs))
-            floats |= any(type(i) in (BinOp, Select) and float in (type(i.a), type(i.b)) for i in item.instrs)
+            parts.append(_MARK_BODY)
         elif kind is TransportItem:
-            if item.steps not in bodies:
-                bodies[item.steps] = _compile_transport(item.steps, prog.trap.slots)
-            items.append((_TRANSPORT, g if prog.conditional_transport else None, *bodies[item.steps]))
+            body = transports.get(item.steps)
+            if body is None:
+                perm, n_steps = _compile_transport(item.steps, prog.trap.slots)
+                dephase = (_DEPHASE, tuple(range(n)) * n_steps) if noise.p_transport > 0.0 and n_steps else None
+                body = transports[item.steps] = (_TRANSPORT, perm, np.argsort(perm), n_steps, dephase)
+            parts.append(body)
+        elif kind is ClassicalItem:
+            if len(instrs) == len(classical):
+                classical.append((_CLASSICAL, len(instrs)))
+            parts.append(classical[len(instrs)])
+            instrs.append(item.instrs)
+            floats |= any(type(i) in (BinOp, Select) and float in (type(i.a), type(i.b)) for i in item.instrs)
+            if g is not None:
+                reads = set(g) if type(g) is tuple else {g}
+                closed = any(ins.dst.index in reads for ins in item.instrs)
         elif kind is OutputItem:
-            items.append((_OUTPUT, g, _CODE.get(item.kind), item.slot, n_outputs))
+            parts.append((_OUTPUT, _CODE.get(item.kind), item.slot, n_outputs))
             n_outputs += 1
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {item!r}")
-    # a guard segment runs on while the guard stays the same and no classical item writes a register it reads
-    seg_end = [0] * (len(items) + 1)
-    seg_marks = [0] * (len(items) + 1)
-    for k in reversed(range(len(items))):
-        g = items[k][1]
-        same = k + 1 < len(items) and items[k + 1][1] == g
-        if same and items[k][0] == _CLASSICAL and g is not None:
-            reads = set(g) if type(g) is tuple else {g}
-            same = all(ins.dst.index not in reads for ins in items[k][2])
-        seg_end[k] = seg_end[k + 1] if same else k + 1
-        seg_marks[k] = (items[k][0] == _MARK) + (seg_marks[k + 1] if same else 0)
+    segments = []
+    for seg_guard, first, parts, instrs in opened:
+        key = tuple(map(id, parts))
+        if key not in bodies:
+            bodies[key] = _segment(parts, n)
+        segments.append((seg_guard, first, bodies[key], tuple(instrs)))
     dtype = np.float64 if floats else np.int64
-    return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, items, seg_end, seg_marks)
+    return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, segments)
 
 
 @dataclass
@@ -388,89 +545,110 @@ class _Batch:
         return [tuple(_DECODE[v] for v in row if v >= 0) for row in self.out.tolist()]
 
 
-def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: int = 0, max_rows: int = 0) -> int | None:
-    """Run every row of ``b`` from item ``start`` to the end of the program.
+def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple[int, int] = (0, 0),
+          max_rows: int = 0) -> tuple[int, int] | None:
+    """Run every row of ``b`` from op ``start[1]`` of segment ``start[0]`` to the end of the program.
 
-    The walk goes one guard segment at a time: the segment's row mask is
-    computed once, and the active rows' states are gathered on first use and
-    scattered back at its end. With an RNG every measurement and reset
-    outcome is drawn per row. Without one (noiseless enumeration) a row with
-    two live outcomes forks; the copy is an active row of the same segment.
-    Returns None at the end, or the item to resume from once the batch has
-    grown past ``max_rows`` rows.
+    The segment's row mask is computed once. At its head (op 0) its zone
+    checks run, its counters and slot permutation are added to its active
+    rows, and its marks to its inactive ones. Its ops then run in order on
+    the active rows' states, gathered once and scattered back at its end.
+    With an RNG every measurement and reset outcome is drawn per row.
+    Without one (noiseless enumeration) a row with two live outcomes forks;
+    the copy is an active row of the same segment and has the head's work
+    already. Returns None at the end, or the (segment, op) to resume from
+    once the batch has grown past ``max_rows`` rows.
     """
-    items = rt.items
+    segments = rt.segments
     p_transport = rt.noise.p_transport
-    qubits = tuple(range(rt.n_qubits))
-    k = start
-    while k < len(items):
+    masked = None  # the last mask: (guard, rows, mask, count, active rows), until a register or the rows change
+    s, j = start
+    while s < len(segments):
         if max_rows and len(b.weight) > max_rows:
-            return k
-        g = items[k][1]
-        end = rt.seg_end[k]
+            return s, j
+        g, _first, seg, instrs = segments[s]
         R = _ALL
         if g is not None:
-            m = b.regs[:, g] != 0
-            if type(g) is tuple:
-                m = m.any(1)
-            c = np.count_nonzero(m)
+            if masked is None or masked[0] != g or masked[1] != len(b.weight):
+                m = b.regs[:, g] != 0
+                if type(g) is tuple:
+                    m = m.any(1)
+                c = np.count_nonzero(m)
+                masked = g, len(m), m, c, m.nonzero()[0] if 0 < c < len(m) else _ALL
+            _, _, m, c, R = masked
             if c == 0:  # nothing in the segment executes
-                b.skipped += rt.seg_marks[k]
-                k = end
+                if seg.marks and j == 0:
+                    b.skipped += seg.marks
+                s, j = s + 1, 0
                 continue
             if c < len(m):
-                R = m.nonzero()[0]
-                if rt.seg_marks[k]:
-                    b.skipped += ~m * rt.seg_marks[k]
-        st = None  # the active rows of b.state, gathered on first use
-        while k < end:
-            item = items[k]
-            k += 1
-            tag = item[0]
-            if tag == _LAYER:
-                st, R = _run_layer(rt, b, R, b.state[R] if st is None else st, item, rng)
+                if seg.marks and j == 0:
+                    b.skipped += ~m * seg.marks
+        if j == 0:
+            place = b.place if R is _ALL else b.place[R]
+            if seg.zone_qubits is not None and (place[:, seg.zone_qubits] != seg.zone_slots).any():
+                _zone_violation(place, seg.zone)
+            if seg.gates:
+                b.gates[R] += seg.gates
+            if seg.perm is not None:
+                b.place[R] = seg.perm[place]
+                b.transport[R] += seg.steps
+        ops = seg.ops
+        st = (b.state if R is _ALL else b.state[R]) if seg.state else None
+        for i in range(j, len(ops)):
+            op = ops[i]
+            tag = op[0]
+            if tag == _MATRIX:
+                st = st @ op[1]
+                if R is _ALL:
+                    b.state = st
+            elif tag == _DRAWS:
+                st, R = _run_draws(rt, b, R, st, op, rng)
                 if max_rows and len(b.weight) > max_rows:
-                    break
+                    if R is not _ALL:
+                        b.state[R] = st
+                    return (s, i + 1) if i + 1 < len(ops) else (s + 1, 0)
             elif tag == _CLASSICAL:
+                masked = None
                 regs = b.regs[R]
-                _exec_classical(item[2], regs, b.slots[R])
+                _exec_classical(instrs[op[1]], regs, b.slots[R])
                 if R is not _ALL:
                     b.regs[R] = regs
-            elif tag == _TRANSPORT:
-                b.place[R] = item[2][b.place[R]]
-                b.transport[R] += item[3]
-                if p_transport > 0.0:
-                    if st is None:
-                        st = b.state[R]
-                    apply_dephasing(st, qubits * item[3], p_transport, rng.random((len(st), len(qubits) * item[3])))
             elif tag == _OUTPUT:
-                b.out[R, item[4]] = b.slots[R, item[3]] if item[2] is None else item[2]
-            # a mark counts only the segment's inactive rows, above
+                b.out[R, op[3]] = b.slots[R, op[2]] if op[1] is None else op[1]
+            elif tag == _GROUPS:
+                for unitary, qubits in op[1]:
+                    apply_unitary(st, unitary, qubits, rt.n_qubits)
+            else:  # _DEPHASE
+                apply_dephasing(st, op[1], p_transport, rng.random((len(st), len(op[1]))))
         if st is not None and R is not _ALL:
             b.state[R] = st
+        s, j = s + 1, 0
     return None
 
 
-def _run_layer(rt: _Runtime, b: _Batch, R, st: np.ndarray, item: tuple, rng):
-    """Run a layer on the rows ``R`` of ``b``, whose states ``st`` it updates in place.
+def _zone_violation(place: np.ndarray, zone: tuple):
+    """Raise for the first layer of a segment whose ions, from the head's ``place``, miss their planned slots."""
+    for qs, planned, perm in zone:
+        now = place[:, qs] if perm is None else perm[place[:, qs]]
+        bad = now != planned
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise ZoneViolation(f"qubit {qs[j]} at slot {now[row, j]}, plan expected {planned[j]}")
+    raise AssertionError("a segment's zone check failed but none of its layers' did")  # pragma: no cover
+
+
+def _run_draws(rt: _Runtime, b: _Batch, R, st: np.ndarray, op: tuple, rng):
+    """A layer's draws and collapses on the rows ``R`` of ``b``, whose states ``st`` it updates.
 
     Returns ``st`` and ``R``, both grown by any rows the layer forked.
     """
-    _, _, qs, expected, fused, depolarize, collapses, idle, idle_col, width, n_gates = item
-    n = rt.n_qubits
-    if len(qs):
-        bad = b.place[R][:, qs] != expected
-        if bad.any():
-            row, j = np.argwhere(bad)[0]
-            raise ZoneViolation(f"qubit {qs[j]} at slot {b.place[R][row, qs[j]]}, plan expected {expected[j]}")
-    b.gates[R] += n_gates
+    _, depolarize, collapses, idle, idle_col, width = op
     u = rng.random((len(st), width)) if rng is not None and width else None
-    for unitary, qubits in fused:
-        apply_unitary(st, unitary, qubits, n)
     for qubits, p, col in depolarize:
         apply_depolarizing(st, qubits, p, u[:, col])
-    for op in collapses:
-        st, R = _collapse(b, R, st, op, u)
+    for c in collapses:
+        st, R = _collapse(b, R, st, c, u)
     if idle:
         apply_dephasing(st, idle, rt.noise.p_idle, u[:, idle_col:])
     return st, R
@@ -534,7 +712,7 @@ def _run_batches(args) -> list[ShotResult]:
     rt = _compile_runtime(prog, noise)
     out: list[ShotResult] = []
     for i in batches:
-        out.extend(_run_batch(rt, master_seed, int(i), min(SHOT_BATCH, n_shots - int(i) * SHOT_BATCH)))
+        out.extend(_run_batch(rt, master_seed, i, min(SHOT_BATCH, n_shots - i * SHOT_BATCH)))
     return out
 
 
@@ -548,14 +726,17 @@ def run_shots(
     """n_shots independent shots; identical results for any jobs value."""
     if n_shots < 1:
         raise IonflowError("need at least one shot")
+    if n_shots > MAX_SHOTS:
+        raise IonflowError(f"{n_shots} shots asked; a run returns at most {MAX_SHOTS}")
     if master_seed < 0:
         raise IonflowError(f"seed must be >= 0, got {master_seed}")
     n_batches = -(-n_shots // SHOT_BATCH)
-    parts = np.array_split(np.arange(n_batches), max(1, min(jobs, n_batches)))
-    if len(parts) == 1:
+    workers = max(1, min(jobs, n_batches))
+    parts = [range(n_batches * w // workers, n_batches * (w + 1) // workers) for w in range(workers)]
+    if workers == 1:
         return _run_batches((prog, noise, master_seed, n_shots, parts[0]))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(parts)) as pool:
+    with ctx.Pool(processes=workers) as pool:
         done = pool.map(_run_batches, [(prog, noise, master_seed, n_shots, part) for part in parts])
     return [shot for part in done for shot in part]
 
@@ -577,7 +758,7 @@ def enumerate_exec_leaves(prog: ExecProgram) -> list[ExecLeaf]:
     rt = _compile_runtime(prog, NOISELESS)
     max_rows = max(1, ENUM_AMPLITUDES >> rt.n_qubits)
     leaves: list[ExecLeaf] = []
-    todo = [(_Batch.start(rt, 1), 0)]
+    todo = [(_Batch.start(rt, 1), (0, 0))]
     while todo:  # a batch that grows too large goes on in halves, first half first
         b, k = todo.pop()
         k = _walk(rt, b, None, k, max_rows)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ionflow import emulator
 from ionflow.cli import main
 from ionflow.experiments import CSV_HEADER
 
@@ -529,3 +530,20 @@ def test_input_that_ended_in_a_traceback(tmp_path, capsys, case):
         argv += ["--noise", str(noise)]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {TRACEBACKS[case]}"]
+
+
+@pytest.mark.parametrize("shots", [emulator.MAX_SHOTS + 1, 10**12])
+def test_shot_count_past_the_bound_is_refused(tmp_path, capsys, monkeypatch, shots):
+    # refused before any batch is handed out; a missing check fails at once
+    # here instead of running the shots or allocating for them
+    def ran(_args):
+        raise AssertionError("shots ran")
+
+    monkeypatch.setattr(emulator, "_run_batches", ran)
+    src = tmp_path / "p.qir.txt"
+    src.write_text(THREE_QUBITS)
+    assert main(["run", str(src), "--shots", str(shots), "--seed", "1"]) == 1
+    refused = f"error: {shots} shots asked; a run returns at most {emulator.MAX_SHOTS}"
+    assert capsys.readouterr().err.splitlines() == [refused]
+    with pytest.raises(AssertionError, match="shots ran"):  # the bound itself is allowed
+        main(["run", str(src), "--shots", str(emulator.MAX_SHOTS), "--seed", "1"])

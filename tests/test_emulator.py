@@ -1,5 +1,7 @@
+import bisect
 import dataclasses
 import math
+import random
 import time
 from collections import Counter
 
@@ -12,6 +14,7 @@ from ionflow import gates as G
 from ionflow import emulator, oracle, textir
 from ionflow.emulator import (
     H1E_LIKE,
+    MATRIX_QUBITS,
     NOISELESS,
     SHOT_BATCH,
     NoiseModel,
@@ -26,7 +29,7 @@ from ionflow.emulator import (
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.ir import BinOp
 from ionflow.predication import OrVal
-from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem
+from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem, TransportItem
 from ionflow.toolchain import compile_module
 
 
@@ -122,6 +125,13 @@ def _segment_items(prog):
     return mark, mark + 1, prog.items[mark].guard
 
 
+def _segment_of(rt, prog, k: int):
+    """The first item, the end and the body of the guard segment that holds item k."""
+    firsts = [first for _guard, first, _seg, _instrs in rt.segments] + [len(prog.items)]
+    i = bisect.bisect_right(firsts, k) - 1
+    return firsts[i], firsts[i + 1], rt.segments[i][2]
+
+
 def test_classical_item_clearing_its_guard_ends_the_segment():
     # block a clears its own guard register after its x gate: for those rows
     # the rest of a (a measurement, two outputs and a second mark) must not run
@@ -148,7 +158,8 @@ def test_fork_inside_a_segment_keeps_marks_and_weights():
     assert prog.items[measure].ops[0].kind == "measure"
     prog = _insert_after(prog, measure, MarkItem(g, "a2"))
     rt = emulator._compile_runtime(prog, NOISELESS)
-    assert rt.seg_end[mark] > measure + 1  # mark, h, measure and a2 are one segment
+    first, end, seg = _segment_of(rt, prog, mark)
+    assert first == mark and end > measure + 1 and seg.marks == 2  # mark, h, measure and a2 are one segment
     b = emulator._Batch.start(rt, 1)
     assert emulator._walk(rt, b, None) is None
     # r0 = 0 skips a and a2; r0 = 1 forks on q1 in block a; block b forks every row
@@ -167,11 +178,131 @@ def test_zone_check_raises_inside_a_segment():
     (q, slot), *rest = layer.expected_slots
     bad = dataclasses.replace(layer, expected_slots=((q, slot + 1), *rest))
     prog = dataclasses.replace(prog, items=prog.items[:k] + (bad,) + prog.items[k + 1:])
-    assert emulator._compile_runtime(prog, NOISELESS).seg_end[mark] > k + 1
+    first, end, _seg = _segment_of(emulator._compile_runtime(prog, NOISELESS), prog, mark)
+    assert first == mark and end > k + 1
     with pytest.raises(ZoneViolation):
         run_shots(prog, NOISELESS, 300, 0)
     with pytest.raises(ZoneViolation):
         enumerate_outcomes(prog)
+
+
+def _moving_segment(prog, x_slot=2, measure_slot=3, second_step=((2, 3),)):
+    """BRANCHY with block a's ion q1 moved in its own segment: slot 1 to 2
+    before the x layer, 2 to 3 before the measurement, and back after it."""
+    mark, x_layer, g = _segment_items(prog)
+    x, measure = prog.items[x_layer], prog.items[x_layer + 1]
+    assert x.expected_slots == measure.expected_slots == ((1, 1),)
+    moved = (
+        TransportItem(g, (((1, 2),),)),
+        dataclasses.replace(x, expected_slots=((1, x_slot),)),
+        TransportItem(g, (second_step,)),
+        dataclasses.replace(measure, expected_slots=((1, measure_slot),)),
+        TransportItem(g, (((2, 3),), ((1, 2),))),
+    )
+    items = prog.items[: mark + 1] + moved + prog.items[x_layer + 2:]
+    return dataclasses.replace(prog, items=items), mark
+
+
+def test_hoisted_zone_checks_follow_the_segment_transport():
+    prog = compile_src(BRANCHY).program
+    moved, mark = _moving_segment(prog)
+    rt = emulator._compile_runtime(moved, NOISELESS)
+    first, end, seg = _segment_of(rt, moved, mark)
+    assert (first, end) == (mark, mark + 8)  # the mark, three transports, two layers and two outputs
+    assert seg.steps == 4 and seg.gates == 1 and len(seg.zone) == 2
+    assert enumerate_outcomes(moved) == pytest.approx(enumerate_outcomes(prog), abs=1e-12)
+    shots = run_shots(moved, NOISELESS, 300, 0)
+    assert [s.outputs for s in shots] == [s.outputs for s in run_shots(prog, NOISELESS, 300, 0)]
+    took_a = [len(s.outputs) == 3 for s in shots]
+    assert 50 < sum(took_a) < 250
+    assert [s.executed_transport_steps for s in shots] == [4 if a else 0 for a in took_a]
+
+
+@pytest.mark.parametrize("case", ["bad-layer-after-transport", "corrupted-transport-step"])
+def test_hoisted_zone_check_names_the_slot_after_the_transport(case):
+    # q1 starts the segment in slot 1; the message gives its slot at the bad
+    # layer, after the segment's transport before it, and the planned slot
+    prog = compile_src(BRANCHY).program
+    if case == "bad-layer-after-transport":
+        bad, _mark = _moving_segment(prog, measure_slot=2)
+        message = "qubit 1 at slot 3, plan expected 2"
+    else:
+        bad, _mark = _moving_segment(prog, second_step=((0, 1),))
+        message = "qubit 1 at slot 2, plan expected 3"
+    with pytest.raises(ZoneViolation, match=message):
+        run_shots(bad, NOISELESS, 300, 0)
+    with pytest.raises(ZoneViolation, match=message):
+        enumerate_outcomes(bad)
+
+
+# -- whole-register kernels: one matrix per layer, and per run of layers ---------
+
+def _random_layer(rng: random.Random, n: int) -> list:
+    """Gates on disjoint qubits of an n-qubit register, at least one."""
+    free = list(range(n))
+    rng.shuffle(free)
+    gates = []
+    while free and (not gates or rng.random() < 0.7):
+        if len(free) >= 2 and rng.random() < 0.3:
+            gates.append((G.gate_unitary("cx"), (free.pop(), free.pop())))
+        else:
+            name = rng.choice(["x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz"])
+            angle = rng.uniform(-7.0, 7.0) if name.startswith("r") else None
+            gates.append((G.gate_unitary(name, angle), (free.pop(),)))
+    return gates
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_whole_register_matrix_is_the_per_group_kernel(seed):
+    # one layer, and a run of up to four layers fused into one matrix
+    rng = random.Random(seed)
+    n = rng.randint(1, MATRIX_QUBITS)
+    layers = [_random_layer(rng, n) for _ in range(rng.choice([1, rng.randint(2, 4)]))]
+    normal = np.random.default_rng(seed).normal
+    states = normal(size=(7, 1 << n)) + 1j * normal(size=(7, 1 << n))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    grouped, gate_by_gate = states.copy(), states.copy()
+    for gates in layers:
+        for u, qubits in emulator._fuse(gates):
+            apply_unitary(grouped, u, qubits, n)
+        for u, qubits in gates:
+            apply_unitary(gate_by_gate, u, qubits, n)
+    run = tuple(tuple((u.tobytes(), qubits) for u, qubits in gates) for gates in layers)
+    whole = states @ emulator._unitary(run, n)
+    assert np.abs(whole - grouped).max() < 1e-12
+    assert np.abs(whole - gate_by_gate).max() < 1e-12
+
+
+def test_programs_above_the_matrix_cap_match_the_oracle():
+    # registers wider than MATRIX_QUBITS keep each layer's fused groups
+    wide = 0
+    for seed in range(60):
+        m = random_program(seed, n_qubits=MATRIX_QUBITS + 3, max_branches=3)
+        if m.required_qubits <= MATRIX_QUBITS:
+            continue
+        wide += 1
+        want = oracle.enumerate_module(m)
+        for mode in (CONDITIONAL, ALWAYS):
+            program = compile_module(m, mode=mode).program
+            rt = emulator._compile_runtime(program, NOISELESS)
+            ops = [op[0] for _g, _first, seg, _i in rt.segments for op in seg.ops]
+            assert emulator._GROUPS in ops and emulator._MATRIX not in ops
+            assert max_distribution_error(enumerate_outcomes(program), want) < 1e-12, (seed, mode)
+    assert wide >= 10
+
+
+def test_layers_fuse_only_when_nothing_draws_between_them():
+    program = compile_module(build_rus(RusConfig(limit=3, style="recursion"))).program
+    gate_layers = sum(isinstance(it, LayerItem) and any(op.kind == "gate" for op in it.ops) for it in program.items)
+
+    def unitary_ops(noise):
+        rt = emulator._compile_runtime(program, noise)
+        return sum(op[0] == emulator._MATRIX for _g, _first, seg, _i in rt.segments for op in seg.ops)
+
+    assert unitary_ops(H1E_LIKE) == gate_layers  # depolarizing draws after every gate layer
+    fused = unitary_ops(NOISELESS)
+    assert fused < gate_layers
+    assert unitary_ops(NoiseModel(prep_overrotation=0.01, p_meas=0.1)) == fused  # no draw between gate layers
 
 
 # -- noise channels (batched: one state per row) ----------------------------------
