@@ -45,9 +45,10 @@ Run from the repository root:
     PYTHONPATH=src python3 scripts/output_digest.py --exact --against exact-before.txt
 
 On a 2-core machine the digests take about 7 s, about 15-30 s with
-``--shots`` and about 125 s with ``--exact``, most of which is the three
+``--shots`` and about 55 s with ``--exact``, most of which is the three
 enumerations of each MSD limit 4 program (108,482 leaves each); MSD limits
-5-8 stop at ``MAX_BRANCH_EVENTS`` and hash the error. To compare with an older commit, run this script with
+5-8 stop at ``MAX_BRANCH_EVENTS`` and hash the error. Commits before the
+oracle's numbered form took about 125 s with ``--exact``. To compare with an older commit, run this script with
 ``PYTHONPATH`` set to that commit's ``src``: it reads only the shot fields
 and library calls that commit also has.
 

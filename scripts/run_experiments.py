@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from ionflow.cli import _load
-from ionflow.emulator import NOISELESS, NoiseModel
+from ionflow.emulator import NOISELESS, NoiseModel, check_jobs
 from ionflow.experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
 from ionflow.ir import IonflowError
 from ionflow.qccd import ALWAYS, CONDITIONAL
@@ -47,8 +47,7 @@ def main(argv=None) -> int:
 
 
 def sweep(args) -> int:
-    if args.jobs < 1:
-        raise IonflowError(f"--jobs must be at least 1, got {args.jobs}")
+    check_jobs(args.jobs)
     noise = _load(args.noise, NoiseModel, NOISELESS)
     args.out.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import textir
-from .emulator import NOISELESS, NoiseModel, run_shots
+from .emulator import NOISELESS, NoiseModel, check_jobs, run_shots
 from .experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
 from .ir import IonflowError
 from .passes import FlattenConfig
@@ -210,8 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise IonflowError(f"--jobs must be at least 1, got {args.jobs}")
+        check_jobs(getattr(args, "jobs", 1))
         return args.func(args)
     except CompileError as e:  # each diagnostic starts with its own severity
         print("\n".join(map(str, e.diagnostics)), file=sys.stderr)

@@ -51,8 +51,8 @@ Determinism: shots run in batches of the fixed size ``SHOT_BATCH``, and
 batch ``b`` draws from ``SeedSequence(master_seed, spawn_key=(b,))``, so
 results do not depend on the number of worker processes and are always
 merged in shot order. Each worker runs a contiguous range of batches. A run
-returns at most ``MAX_SHOTS`` shots; a larger count is refused before
-anything is allocated.
+returns at most ``MAX_SHOTS`` shots and starts at most ``MAX_JOBS`` workers;
+a larger count is refused before anything is allocated or started.
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ class ShotResult:
 SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
 SHOT_BYTES = 120  # memory one shot's ShotResult and list entry take at least (CPython 3.11)
 MAX_SHOTS = (64 << 30) // SHOT_BYTES  # shots per run: more would need a result list over 64 GiB
+# Worker processes per run. Each is a fork of the caller, and a worker beyond the
+# host's cores only waits for one, so a larger count could only exhaust processes.
+MAX_JOBS = 256
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
 MAX_BATCH_AMPLITUDES = 1 << 24  # cap on SHOT_BATCH × 2ⁿ (256 MiB of complex128, 16 qubits), result slots or registers
 FUSE_QUBITS = 4  # above MATRIX_QUBITS a layer's gates run as unitaries on at most this many qubits each
@@ -716,6 +719,14 @@ def _run_batches(args) -> list[ShotResult]:
     return out
 
 
+def check_jobs(jobs: int) -> None:
+    """Refuse a worker count outside 1..``MAX_JOBS``."""
+    if jobs < 1:
+        raise IonflowError(f"--jobs must be at least 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise IonflowError(f"--jobs must be at most {MAX_JOBS}, got {jobs}")
+
+
 def run_shots(
     prog: ExecProgram,
     noise: NoiseModel,
@@ -730,6 +741,7 @@ def run_shots(
         raise IonflowError(f"{n_shots} shots asked; a run returns at most {MAX_SHOTS}")
     if master_seed < 0:
         raise IonflowError(f"seed must be >= 0, got {master_seed}")
+    check_jobs(jobs)
     n_batches = -(-n_shots // SHOT_BATCH)
     workers = max(1, min(jobs, n_batches))
     parts = [range(n_batches * w // workers, n_batches * (w + 1) // workers) for w in range(workers)]

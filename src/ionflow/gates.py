@@ -113,10 +113,17 @@ def embed(name: str, qubits: tuple[int, ...], angle: float | None, n_qubits: int
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     if abs(a[idx]) < tol and abs(b[idx]) < tol:
-        return bool(np.allclose(a, b, atol=tol))
+        return _allclose(a, b, tol)
     if abs(b[idx]) < tol:
         return False
     phase = a[idx] / b[idx]
     if not math.isclose(abs(phase), 1.0, abs_tol=1e-9):
         return False
-    return bool(np.allclose(a, phase * b, atol=tol))
+    return _allclose(a, phase * b, tol)
+
+
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)`` for complex arrays: numpy's ``isclose``
+    predicate at its default ``rtol``, written out without its argument handling."""
+    with np.errstate(invalid="ignore"):
+        return bool(((abs(a - b) <= atol + 1e-5 * abs(b)) & np.isfinite(b) | (a == b)).all())

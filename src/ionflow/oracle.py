@@ -11,24 +11,26 @@ The walker is deliberately written against the plain matrix embedding from
 ``gates`` rather than the emulator's in-place kernels, so the oracle and the
 emulator's single compiled-form interpreter share no simulation code.
 
-It runs every instruction other than control flow and calls through one
-helper, ``_step``, which hands measurements and resets to ``_branch``. An
+Each enumeration first lowers every function of the module into a numbered
+form, once: block labels become indices, and every register and literal
+operand a slot of a per-frame list, so a path's registers are a list copied
+on fork. A register reads False until it is written. Each phi set becomes
+one parallel copy per incoming edge, read in full before any write; a phi
+with no incoming from the edge's source reads False. A gate whose qubits and
+angle are literals keeps its ``gates.embed`` matrix. The walker, ``_run``,
+runs only that form and hands measurements and resets to ``_branch``. An
 outcome is live when the weight of its own amplitudes exceeds ``PRUNE_EPS``;
 two live outcomes fork the path, within ``MAX_BRANCH_EVENTS`` per path. A
 reset collapses like a measurement; when both collapse branches land on the
 same post-reset state (the common unentangled case) they are merged so path
 counts stay small.
-
-The walker dispatches on exact types, the most frequent first, and
-``_branch`` takes its outcome masks from a cache keyed by state size and
-qubit; neither changes anything the oracle computes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .ir import (
     Call,
     Cmp,
     Function,
-    Instruction,
     IonflowError,
     Jump,
     Measure,
@@ -52,11 +53,10 @@ from .ir import (
     Reset,
     Return,
     Select,
-    Value,
     Vreg,
 )
 from .passes import _eval_binop, _eval_cmp
-from .predication import GuardedFunction, GuardVal, OrVal
+from .predication import GuardedFunction, OrVal
 from .regalloc import PReg
 
 # An outcome whose amplitude weight is below this is rounding noise, not an arm.
@@ -128,82 +128,122 @@ def _branch(st, q: int, slot: int | None, n: int, resume) -> bool:
     return True
 
 
-def _resolve(v: Value, env: dict) -> Value:
-    t = type(v)
-    if t is PReg or t is Vreg:
-        return env.get(v, False)
-    return v
-
-
-def _qubit_index(q, env: dict[Vreg, Value]) -> int:
-    if type(q) is Vreg:
-        q = env.get(q)
-    if type(q) is not int:  # a bool is not a qubit index
-        raise IonflowError(f"unresolved qubit operand {q!r}")
-    return q
-
-
-def _step(st, ins: Instruction, env: dict, n: int, resume) -> bool:
-    """Run one non-control instruction on path ``st`` with registers ``env``.
-
-    Returns True when a measurement or reset forked the path, every arm of
-    which ``_branch`` has handed to ``resume``.
-    """
-    t = type(ins)  # exact types, the most frequent first
-    if t is BinOp:
-        env[ins.dst] = _eval_binop(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
-    elif t is Output:
-        st.outputs.append(st.slots[ins.slot] if ins.kind == "result" else OUTPUT_TOKEN[ins.kind])
-    elif t is QGate:
-        qubits = tuple(_qubit_index(q, env) for q in ins.qubits)
-        st.state = G.embed(ins.name, qubits, _resolve(ins.angle, env), n) @ st.state
-    elif t is ReadResult:
-        env[ins.dst] = bool(st.slots[ins.slot])
-    elif t is Measure:
-        return _branch(st, _qubit_index(ins.qubit, env), ins.slot, n, resume)
-    elif t is Reset:
-        return _branch(st, _qubit_index(ins.qubit, env), None, n, resume)
-    elif t is Cmp:
-        env[ins.dst] = _eval_cmp(ins.op, _resolve(ins.a, env), _resolve(ins.b, env))
-    elif t is Select:
-        env[ins.dst] = _resolve(ins.a if _resolve(ins.cond, env) else ins.b, env)
-    else:  # pragma: no cover
-        raise TypeError(f"cannot interpret {ins!r}")
-    return False
-
-
 # ---------------------------------------------------------------------------
-# Module-level interpreter
+# The numbered form, built once per enumeration, and its walker
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Frame:
-    fn: Function
-    env: dict[Vreg, Value]
-    label: str
-    prev_label: str | None
-    idx: int
-    phis_done: bool
+# Op kinds: each op is a tuple led by its kind, whose operands are slots.
+_GATE, _CALC, _SELECT, _READ, _OUTPUT, _COLLAPSE, _GATE_VAR, _CALL = range(8)
+_REGISTERS = (Vreg, PReg)
 
 
 @dataclass
-class _MState:
+class _Code:
+    """A function in numbered form. A new frame's registers are a copy of
+    ``template``: False for each register, and each literal operand's value.
+    ``blocks[i]`` is block i's ops and terminator: None for a return, else
+    ``(cond, then_edge, else_edge)`` with ``cond`` None for a jump, a slot,
+    or an ``OrVal``'s tuple of slots. An edge, like ``entry``, is the target
+    block's index and its phis as one parallel copy ``(dsts, srcs)``, or None."""
+
+    template: list = field(default_factory=list)
+    params: tuple[int, ...] = ()
+    entry: tuple = ()
+    blocks: list = field(default_factory=list)
+
+
+def _lower(module: Module, n: int) -> _Code:
+    """The entry function of ``module`` in numbered form, each function lowered once."""
+    codes = {f.name: _Code() for f in module.functions}
+    for name, code in codes.items():
+        _lower_function(code, module.function(name), n, codes)
+    return codes[module.entry]
+
+
+def _lower_function(code: _Code, fn: Function, n: int, codes: dict[str, _Code]) -> None:
+    template, slot_of = code.template, {}
+
+    def slot(v) -> int:
+        # a literal is keyed by its type and repr, so that True and 1, or 0.0 and -0.0, stay apart
+        key = v if type(v) in _REGISTERS else (type(v), repr(v))
+        if key not in slot_of:
+            slot_of[key] = len(template)
+            template.append(False if key is v else v)
+        return slot_of[key]
+
+    index = {b.label: i for i, b in enumerate(fn.blocks)}  # the last block of a label, as ``Function.block``
+
+    def edge(src: str | None, target: str) -> tuple:
+        phis = fn.blocks[index[target]].phis
+        srcs = [slot(next((v for v, l in phi.incomings if l == src), False)) for phi in phis]
+        return index[target], (tuple(slot(phi.dst) for phi in phis), tuple(srcs)) if phis else None
+
+    code.params = tuple(slot(pv) for pv, _t in fn.params)
+    code.entry = edge(None, fn.blocks[0].label)
+    for b in fn.blocks:
+        ops = []
+        for ins in b.body:
+            t = type(ins)
+            if t is QGate and all(type(q) is int for q in ins.qubits) and type(ins.angle) not in _REGISTERS:
+                ops.append((_GATE, G.embed(ins.name, ins.qubits, ins.angle, n)))
+            elif t is QGate:
+                ops.append((_GATE_VAR, ins.name, tuple(map(slot, ins.qubits)), slot(ins.angle)))
+            elif t is BinOp or t is Cmp:
+                calc = _eval_binop if t is BinOp else _eval_cmp
+                ops.append((_CALC, slot(ins.dst), calc, ins.op, slot(ins.a), slot(ins.b)))
+            elif t is Select:
+                ops.append((_SELECT, slot(ins.dst), slot(ins.cond), slot(ins.a), slot(ins.b)))
+            elif t is ReadResult:
+                ops.append((_READ, slot(ins.dst), ins.slot))
+            elif t is Output:
+                ops.append((_OUTPUT, ins.slot, None if ins.kind == "result" else OUTPUT_TOKEN[ins.kind]))
+            elif t is Measure or t is Reset:
+                ops.append((_COLLAPSE, slot(ins.qubit), ins.slot if t is Measure else None))
+            elif t is Call:
+                ops.append((_CALL, codes[ins.callee], tuple(map(slot, ins.args))))
+            else:  # pragma: no cover
+                raise TypeError(f"cannot interpret {ins!r}")
+        term = b.terminator
+        if type(term) is Jump:
+            term = (None, edge(b.label, term.target), None)
+        elif type(term) is Branch:  # on a guard value in the guarded form
+            c = tuple(map(slot, term.cond.parts)) if type(term.cond) is OrVal else slot(term.cond)
+            term = (c, edge(b.label, term.then_target), edge(b.label, term.else_target))
+        else:  # a return
+            term = None
+        code.blocks.append((ops, term))
+
+
+def _copy_phis(regs: list, copy: tuple) -> None:
+    """Run the parallel copy ``copy`` on ``regs``: every source is read before any write."""
+    dsts, srcs = copy
+    for d, v in zip(dsts, [regs[s] for s in srcs]):
+        regs[d] = v
+
+
+def _enter(code: _Code, regs: list) -> list:
+    """A new frame of ``code`` with registers ``regs``, at its entry block."""
+    block, copy = code.entry
+    if copy is not None:
+        _copy_phis(regs, copy)
+    return [code, regs, block, 0]
+
+
+@dataclass
+class _Path:
+    """One path: its state, result slots and outputs so far, and its call
+    frames, each ``[code, registers, block index, op index]``."""
+
     state: np.ndarray
     slots: list[int]
     outputs: list
     prob: float
-    frames: list[_Frame]
+    frames: list[list]
     branch_events: int
 
-    def copy(self) -> "_MState":
-        return _MState(
-            state=self.state.copy(),
-            slots=self.slots[:],
-            outputs=self.outputs[:],
-            prob=self.prob,
-            frames=[_Frame(f.fn, dict(f.env), f.label, f.prev_label, f.idx, f.phis_done) for f in self.frames],
-            branch_events=self.branch_events,
-        )
+    def copy(self) -> "_Path":
+        frames = [[code, regs[:], b, i] for code, regs, b, i in self.frames]
+        return _Path(self.state.copy(), self.slots[:], self.outputs[:], self.prob, frames, self.branch_events)
 
 
 def enumerate_module_leaves(module: Module) -> list[Leaf]:
@@ -211,59 +251,68 @@ def enumerate_module_leaves(module: Module) -> list[Leaf]:
     n = module.required_qubits
     init = np.zeros(1 << max(n, 1), dtype=complex)
     init[0] = 1.0
-    entry = module.entry_function
-    start = _MState(
-        state=init,
-        slots=[0] * module.required_results,
-        outputs=[],
-        prob=1.0,
-        frames=[_Frame(entry, {}, entry.blocks[0].label, None, 0, False)],
-        branch_events=0,
-    )
+    entry = _lower(module, n)
+    start = _Path(init, [0] * module.required_results, [], 1.0, [_enter(entry, entry.template[:])], 0)
     leaves: list[Leaf] = []
-    _run_module(module, start, leaves)
+    _run(start, n, leaves)
     return leaves
 
 
-def _run_module(module: Module, ms: _MState, leaves: list[Leaf]) -> None:
-    n = module.required_qubits
-
-    def resume(child: _MState) -> None:
-        _run_module(module, child, leaves)
-
-    while ms.frames:
-        fr = ms.frames[-1]
-        block = fr.fn.block(fr.label)
-        if not fr.phis_done:
-            if block.phis:
-                vals = []
-                for phi in block.phis:
-                    match = [v for v, l in phi.incomings if l == fr.prev_label]
-                    vals.append(_resolve(match[0], fr.env) if match else False)
-                for phi, v in zip(block.phis, vals):
-                    fr.env[phi.dst] = v
-            fr.phis_done = True
-        while fr.idx < len(block.body):
-            instr = block.body[fr.idx]
-            fr.idx += 1
-            if type(instr) is Call:
-                callee = module.function(instr.callee)
-                env = {pv: _resolve(a, fr.env) for (pv, _t), a in zip(callee.params, instr.args)}
-                ms.frames.append(_Frame(callee, env, callee.blocks[0].label, None, 0, False))
+def _run(st: _Path, n: int, leaves: list[Leaf]) -> None:
+    """Walk path ``st`` to its end and append its leaves; a fork walks each arm in turn."""
+    resume = functools.partial(_run, n=n, leaves=leaves)
+    frames = st.frames
+    while frames:
+        fr = frames[-1]
+        code, regs, b, i = fr
+        ops, term = code.blocks[b]
+        end = len(ops)
+        while i < end:
+            op = ops[i]
+            i += 1
+            k = op[0]
+            if k == _GATE:
+                st.state = op[1] @ st.state
+            elif k == _CALC:
+                regs[op[1]] = op[2](op[3], regs[op[4]], regs[op[5]])
+            elif k == _SELECT:
+                regs[op[1]] = regs[op[3]] if regs[op[2]] else regs[op[4]]
+            elif k == _READ:
+                regs[op[1]] = bool(st.slots[op[2]])
+            elif k == _OUTPUT:
+                st.outputs.append(st.slots[op[1]] if op[2] is None else op[2])
+            elif k == _COLLAPSE:
+                q = regs[op[1]]
+                if type(q) is not int:  # a bool is not a qubit index
+                    raise IonflowError(f"unresolved qubit operand {q!r}")
+                fr[3] = i
+                if _branch(st, q, op[2], n, resume):
+                    return  # every arm handled recursively
+            elif k == _GATE_VAR:
+                qubits = tuple(map(regs.__getitem__, op[2]))
+                for q in qubits:
+                    if type(q) is not int:
+                        raise IonflowError(f"unresolved qubit operand {q!r}")
+                st.state = G.embed(op[1], qubits, regs[op[3]], n) @ st.state
+            else:  # _CALL
+                callee = op[1]
+                args = callee.template[:]
+                for p, a in zip(callee.params, op[2]):
+                    args[p] = regs[a]
+                fr[3] = i
+                frames.append(_enter(callee, args))
                 break
-            if _step(ms, instr, fr.env, n, resume):
-                return  # every arm handled recursively
         else:
-            term = block.terminator
-            if type(term) is Jump:
-                fr.prev_label, fr.label, fr.idx, fr.phis_done = fr.label, term.target, 0, False
-            elif type(term) is Branch:
-                cond = eval_guard_val(term.cond, fr.env)
-                target = term.then_target if cond else term.else_target
-                fr.prev_label, fr.label, fr.idx, fr.phis_done = fr.label, target, 0, False
-            else:
-                ms.frames.pop()
-    leaves.append(Leaf(ms.prob, tuple(ms.outputs), ms.state, tuple(ms.slots)))
+            if term is None:
+                frames.pop()
+                continue
+            c, then, other = term
+            taken = c is None or (regs[c] if type(c) is int else any(map(regs.__getitem__, c)))
+            fr[2], copy = then if taken else other
+            fr[3] = 0
+            if copy is not None:
+                _copy_phis(regs, copy)
+    leaves.append(Leaf(st.prob, tuple(st.outputs), st.state, tuple(st.slots)))
 
 
 def enumerate_module(module: Module) -> dict[tuple, float]:
@@ -275,27 +324,13 @@ def enumerate_module(module: Module) -> dict[tuple, float]:
 # Guarded form, walked as the CFG it stands for
 # ---------------------------------------------------------------------------
 
-def eval_guard_val(gv: GuardVal, regs: dict) -> bool:
-    t = type(gv)  # exact types, the most frequent first
-    if t is PReg or t is Vreg:
-        return bool(regs.get(gv, False))
-    if t is OrVal:  # flat: its parts are registers or bools
-        for p in gv.parts:
-            if (p if type(p) is bool else regs.get(p, False)):
-                return True
-        return False
-    if t is bool:
-        return gv
-    raise TypeError(f"bad guard value {gv!r}")
-
-
 def _guarded_cfg(gf: GuardedFunction) -> Function:
     """``gf`` as a function: block ``p{i}`` runs guarded block ``i``'s prelude
     and branches on its guard into ``g{i}``, the body, or past it to
     ``p{i+1}``; ``p{len(gf.blocks)}`` returns. A literal guard or an empty
     body needs no branch. Labels come from indices, so no block label of
     ``gf`` can collide with them. A branch condition may be any guard value:
-    the walker reads it through ``eval_guard_val``."""
+    the walker reads a register's or an ``OrVal``'s truth."""
     blocks = []
     for i, b in enumerate(gf.blocks):
         nxt = f"p{i + 1}"

@@ -9,6 +9,7 @@ import pytest
 from ionflow import emulator
 from ionflow.cli import main
 from ionflow.experiments import CSV_HEADER
+from ionflow.ir import IonflowError
 
 GOOD = """module t
 attrs required_qubits=2 required_results=2
@@ -335,6 +336,12 @@ SCRIPT_ERRORS = {
     "noise-out-of-range": "p1=2 outside [0, 1]",
     "missing-noise-file": "[Errno 2] No such file or directory: '{noise}'",
     "zero-shots": "need at least one shot",
+    "too-many-jobs": f"--jobs must be at most {emulator.MAX_JOBS}, got {emulator.MAX_JOBS + 1}",
+}
+# one shot and one row, so that a missing bound would start no worker and end quickly
+SCRIPT_FLAGS = {
+    "zero-shots": ["--shots", "0"],
+    "too-many-jobs": ["--jobs", str(emulator.MAX_JOBS + 1), "--shots", "1", "--limits", "0"],
 }
 
 
@@ -344,7 +351,7 @@ def test_run_experiments_script_rejects_jobs_below_one(tmp_path, case):
     noise = tmp_path / "noise.json"
     if case == "noise-out-of-range":
         noise.write_text('{"p1": 2}')
-    flags = {"zero-shots": ["--shots", "0"]}.get(case, ["--noise", str(noise)] if "noise" in case else ["--jobs", case])
+    flags = SCRIPT_FLAGS.get(case, ["--noise", str(noise)] if "noise" in case else ["--jobs", case])
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "run_experiments.py"), "--out", str(tmp_path / "out"), *flags],
         capture_output=True,
@@ -356,6 +363,28 @@ def test_run_experiments_script_rejects_jobs_below_one(tmp_path, case):
     assert proc.stderr.strip().splitlines() == [f"error: {SCRIPT_ERRORS[case].format(noise=noise)}"]
     # the shot count is checked when the first row is sampled, after the output directory is made
     assert (tmp_path / "out").exists() == (case == "zero-shots")
+
+
+@pytest.mark.parametrize("jobs", [emulator.MAX_JOBS + 1, 10**9])
+def test_worker_count_past_the_bound_is_refused(tmp_path, capsys, monkeypatch, jobs):
+    # refused before any pool starts; a missing check fails at once here
+    # instead of forking the workers
+    def started(*_args, **_kwargs):
+        raise AssertionError("workers started")
+
+    monkeypatch.setattr(emulator.multiprocessing, "get_context", started)
+    monkeypatch.setattr(emulator, "_run_batches", started)
+    src = tmp_path / "p.qir.txt"
+    src.write_text(THREE_QUBITS)
+    run = ["run", str(src), "--shots", "600", "--seed", "1"]
+    experiment = ["experiment", "msd", "--limit", "0", "--shots", "600", "--seed", "1"]
+    for argv in (run, experiment):
+        assert main([*argv, "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --jobs must be at most {emulator.MAX_JOBS}, got {jobs}"]
+        with pytest.raises(AssertionError, match="workers started"):  # the bound itself is allowed
+            main([*argv, "--jobs", str(emulator.MAX_JOBS)])
+    with pytest.raises(IonflowError, match="at most"):  # so is a library call
+        emulator.run_shots(None, emulator.NOISELESS, 600, 1, jobs=jobs)
 
 
 def _source(tmp_path, body: str) -> str:
