@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import textir
-from .emulator import NOISELESS, NoiseModel, check_jobs, run_shots
-from .experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
+from .emulator import NOISELESS, NoiseModel, check_jobs, check_shots, run_shots
+from .experiments import CSV_HEADER, MsdConfig, RusConfig, compile_experiment, run_experiment
 from .ir import IonflowError
 from .passes import FlattenConfig
 from .predication import format_guarded
@@ -111,12 +111,14 @@ def cmd_experiment(args) -> int:
         cfg = MsdConfig(limit=args.limit, basis=args.basis)
     else:
         cfg = RusConfig(limit=args.limit, basis=args.basis, style=args.style)
-    res, _shots, report = run_experiment(
-        cfg, args.shots, args.seed, noise, trap, mode=args.transport_mode, jobs=args.jobs, registers=args.registers
-    )
-    if args.emit == "exec":
+    if args.emit == "exec":  # the program alone: nothing is sampled, but the run options are still checked
+        res = compile_experiment(cfg, trap, args.transport_mode, args.registers)
+        check_shots(args.shots, args.seed)
         _write(res.program.to_json() + "\n", args.output)
         return 0
+    _res, _shots, report = run_experiment(
+        cfg, args.shots, args.seed, noise, trap, mode=args.transport_mode, jobs=args.jobs, registers=args.registers
+    )
     csv_text = CSV_HEADER + "\n" + report.csv_row() + "\n"
     _write(csv_text, args.csv)
     if args.json is not None:

@@ -47,6 +47,11 @@ RNG. ``enumerate_outcomes`` passes no RNG: a path with two live outcomes
 forks into two rows, each weighted by its arm's probability. It returns the
 exact noiseless output distribution, within a branching budget.
 
+A program's runtime is built once per noise model, on its first use, and
+lives as long as the program: enumeration and sampling of one program share
+it, and its arrays are read-only. With several workers, ``run_shots``
+builds it before forking them, and each worker inherits it.
+
 Determinism: shots run in batches of the fixed size ``SHOT_BATCH``, and
 batch ``b`` draws from ``SeedSequence(master_seed, spawn_key=(b,))``, so
 results do not depend on the number of worker processes and are always
@@ -61,6 +66,7 @@ import functools
 import math
 import multiprocessing
 import sys
+import weakref
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -263,12 +269,19 @@ def _cguard(g):
     raise TypeError(f"bad exec guard {g!r}")
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, read-only: a runtime serves every consumer of its program."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def _collapse_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     idx = np.arange(1 << n)
     bit = (idx >> q) & 1 == 1
     sel = np.stack([~bit, bit], axis=1).astype(float)  # state weights @ sel = (p0, p1) per row
-    return sel, bit, idx ^ (1 << q)
+    return _frozen(sel, bit, idx ^ (1 << q))
 
 
 def _fuse(gates: list) -> tuple:
@@ -279,6 +292,7 @@ def _fuse(gates: list) -> tuple:
             a, top = fused.pop()  # kron(a, u): a's qubits are the top bits
             u, qubits = (a[:, None, :, None] * u[None, :, None, :]).reshape(len(a) * len(u), -1), top + qubits
         fused.append((u, qubits))
+    _frozen(*(u for u, _ in fused))
     return tuple(fused)
 
 
@@ -289,7 +303,7 @@ def _from_bytes(data: bytes) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _unitary(run: tuple, n: int):
-    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS ``_fuse``'s groups.
+    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS ``_fuse``'s read-only groups.
 
     A layer is a tuple of gates, each ``(the bytes of its matrix, qubits)``,
     so the result depends on the key alone. The cache spans programs, whose
@@ -334,7 +348,7 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
             col += 1 + (p > 0.0)
     idle = item.idle_qubits if noise.p_idle > 0.0 else ()
     draws = (_DRAWS, tuple(depolarize), tuple(collapses), idle, col, col + len(idle)) if col or idle else None
-    qs, slots = np.array(item.expected_slots, dtype=np.int64).reshape(-1, 2).T
+    qs, slots = _frozen(*np.array(item.expected_slots, dtype=np.int64).reshape(-1, 2).T)
     return _LAYER, qs, slots, tuple(gates), draws
 
 
@@ -383,7 +397,7 @@ def _segment(parts: list, n: int) -> _Segment:
             marks += 1
         elif tag == _TRANSPORT:
             _, t, t_inv, n_steps, dephase = part
-            perm, inv = (t, t_inv) if perm is None else (t[perm], inv[t_inv])
+            perm, inv = (t, t_inv) if perm is None else _frozen(t[perm], inv[t_inv])
             steps += n_steps
             if dephase:
                 if run:
@@ -412,9 +426,9 @@ def _segment(parts: list, n: int) -> _Segment:
         state = True
     zq = zs = None
     if len(zone) == 1:
-        zq, zs = zone[0][0], zone_slots[0]
+        zq, zs = _frozen(zone[0][0], zone_slots[0])
     elif zone:
-        zq, zs = np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots)
+        zq, zs = _frozen(np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots))
     return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state)
 
 
@@ -480,7 +494,7 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             if body is None:
                 perm, n_steps = _compile_transport(item.steps, prog.trap.slots)
                 dephase = (_DEPHASE, tuple(range(n)) * n_steps) if noise.p_transport > 0.0 and n_steps else None
-                body = transports[item.steps] = (_TRANSPORT, perm, np.argsort(perm), n_steps, dephase)
+                body = transports[item.steps] = (_TRANSPORT, *_frozen(perm, np.argsort(perm)), n_steps, dephase)
             parts.append(body)
         elif kind is ClassicalItem:
             if len(instrs) == len(classical):
@@ -504,6 +518,24 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         segments.append((seg_guard, first, bodies[key], tuple(instrs)))
     dtype = np.float64 if floats else np.int64
     return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, segments)
+
+
+# Each program's runtimes, one per noise model, by id(program). A finalizer
+# on the program drops its entry, so a runtime lives exactly as long as its
+# program, and the id cannot be reused while the entry is there.
+_RUNTIMES: dict[int, dict[NoiseModel, _Runtime]] = {}
+
+
+def _runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
+    """The program's runtime under ``noise``, built (and checked) on first use."""
+    built = _RUNTIMES.get(id(prog))
+    if built is None:
+        built = _RUNTIMES[id(prog)] = {}
+        weakref.finalize(prog, _RUNTIMES.pop, id(prog), None)
+    rt = built.get(noise)
+    if rt is None:
+        rt = built[noise] = _compile_runtime(prog, noise)
+    return rt
 
 
 @dataclass
@@ -711,12 +743,17 @@ def _run_batch(rt: _Runtime, master_seed: int, batch_index: int, rows: int) -> l
 
 
 def _run_batches(args) -> list[ShotResult]:
-    prog, noise, master_seed, n_shots, batches = args
-    rt = _compile_runtime(prog, noise)
+    rt, master_seed, n_shots, batches = args
     out: list[ShotResult] = []
     for i in batches:
         out.extend(_run_batch(rt, master_seed, i, min(SHOT_BATCH, n_shots - i * SHOT_BATCH)))
     return out
+
+
+def _run_inherited(task) -> list[ShotResult]:
+    """In a forked worker: the batches of a task, on the runtime ``_RUNTIMES`` held at the fork."""
+    prog_id, noise, *rest = task
+    return _run_batches((_RUNTIMES[prog_id][noise], *rest))
 
 
 def check_jobs(jobs: int) -> None:
@@ -727,6 +764,16 @@ def check_jobs(jobs: int) -> None:
         raise IonflowError(f"--jobs must be at most {MAX_JOBS}, got {jobs}")
 
 
+def check_shots(n_shots: int, master_seed: int) -> None:
+    """Refuse a shot count outside 1..``MAX_SHOTS`` or a negative seed."""
+    if n_shots < 1:
+        raise IonflowError("need at least one shot")
+    if n_shots > MAX_SHOTS:
+        raise IonflowError(f"{n_shots} shots asked; a run returns at most {MAX_SHOTS}")
+    if master_seed < 0:
+        raise IonflowError(f"seed must be >= 0, got {master_seed}")
+
+
 def run_shots(
     prog: ExecProgram,
     noise: NoiseModel,
@@ -734,22 +781,23 @@ def run_shots(
     master_seed: int,
     jobs: int = 1,
 ) -> list[ShotResult]:
-    """n_shots independent shots; identical results for any jobs value."""
-    if n_shots < 1:
-        raise IonflowError("need at least one shot")
-    if n_shots > MAX_SHOTS:
-        raise IonflowError(f"{n_shots} shots asked; a run returns at most {MAX_SHOTS}")
-    if master_seed < 0:
-        raise IonflowError(f"seed must be >= 0, got {master_seed}")
+    """n_shots independent shots; identical results for any jobs value.
+
+    With several workers the runtime is built here, and each forked worker
+    finds it in its inherited copy of ``_RUNTIMES``; a task is only the
+    program's id, the noise model, the seed, the shot count and a batch range.
+    """
+    check_shots(n_shots, master_seed)
     check_jobs(jobs)
+    rt = _runtime(prog, noise)
     n_batches = -(-n_shots // SHOT_BATCH)
     workers = max(1, min(jobs, n_batches))
     parts = [range(n_batches * w // workers, n_batches * (w + 1) // workers) for w in range(workers)]
     if workers == 1:
-        return _run_batches((prog, noise, master_seed, n_shots, parts[0]))
+        return _run_batches((rt, master_seed, n_shots, parts[0]))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
-        done = pool.map(_run_batches, [(prog, noise, master_seed, n_shots, part) for part in parts])
+        done = pool.map(_run_inherited, [(id(prog), noise, master_seed, n_shots, part) for part in parts])
     return [shot for part in done for shot in part]
 
 
@@ -767,7 +815,7 @@ class ExecLeaf:
 
 def enumerate_exec_leaves(prog: ExecProgram) -> list[ExecLeaf]:
     """All terminal paths of a lowered program with exact probabilities."""
-    rt = _compile_runtime(prog, NOISELESS)
+    rt = _runtime(prog, NOISELESS)
     max_rows = max(1, ENUM_AMPLITUDES >> rt.n_qubits)
     leaves: list[ExecLeaf] = []
     todo = [(_Batch.start(rt, 1), (0, 0))]

@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .emulator import NOISELESS, NoiseModel, ShotResult, run_shots
+from .emulator import MAX_BATCH_AMPLITUDES, NOISELESS, SHOT_BATCH, NoiseModel, ShotResult, run_shots
 from .ir import IonflowError, Module
 from .qccd import CONDITIONAL, TrapLayout
 from .textir import parse
@@ -83,6 +83,12 @@ DECODER_GATES: tuple[tuple[str, tuple[int, ...]], ...] = tuple(reversed(ENCODER_
 MSD_CORRECTION: tuple[tuple[str, tuple[int, ...]], ...] = (("x", (0,)), ("sdg", (0,)))
 
 
+# Limit L declares 4L + 1 result slots, and the emulator runs at most
+# MAX_BATCH_AMPLITUDES // SHOT_BATCH; a larger limit is refused before its
+# source text, which grows with L, is built.
+MAX_MSD_LIMIT = (MAX_BATCH_AMPLITUDES // SHOT_BATCH - 1) // 4
+
+
 @dataclass(frozen=True)
 class MsdConfig:
     limit: int = 1
@@ -91,6 +97,8 @@ class MsdConfig:
     def __post_init__(self) -> None:
         if self.limit < 0:
             raise IonflowError("limit must be >= 0")
+        if self.limit > MAX_MSD_LIMIT:
+            raise IonflowError(f"limit must be <= {MAX_MSD_LIMIT}, got {self.limit}")
         if self.basis not in BASES:
             raise IonflowError(f"basis must be one of {BASES}")
 
@@ -432,6 +440,14 @@ def ideal_reference(kind: str, limit: int = 1) -> float:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
+def compile_experiment(
+    cfg: MsdConfig | RusConfig, trap: TrapLayout | None = None, mode: str = CONDITIONAL, registers: int = 64
+) -> CompileResult:
+    """Build and compile one program of either family."""
+    module = build_msd(cfg) if isinstance(cfg, MsdConfig) else build_rus(cfg)
+    return compile_module(module, trap=trap, mode=mode, registers=registers)
+
+
 def run_experiment(
     cfg: MsdConfig | RusConfig,
     shots: int,
@@ -443,11 +459,8 @@ def run_experiment(
     registers: int = 64,
 ) -> tuple[CompileResult, list[ShotResult], ExperimentReport]:
     """Build, compile and sample one program of either family, and summarize it into a report row."""
-    if isinstance(cfg, MsdConfig):
-        experiment, style, module = "msd", "", build_msd(cfg)
-    else:
-        experiment, style, module = "rus", cfg.style, build_rus(cfg)
-    res = compile_module(module, trap=trap, mode=mode, registers=registers)
+    experiment, style = ("msd", "") if isinstance(cfg, MsdConfig) else ("rus", cfg.style)
+    res = compile_experiment(cfg, trap, mode, registers)
     results = run_shots(res.program, noise, shots, seed, jobs)
     report = summarize(
         results, experiment, cfg.basis, cfg.limit, style=style, blocks=res.block_count, colors=res.colors_used

@@ -8,7 +8,7 @@ import pytest
 
 from ionflow import emulator
 from ionflow.cli import main
-from ionflow.experiments import CSV_HEADER
+from ionflow.experiments import CSV_HEADER, RusConfig, run_experiment
 from ionflow.ir import IonflowError
 
 GOOD = """module t
@@ -149,6 +149,26 @@ def test_experiment_emit_exec(tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["qubits"] == 3
+
+
+def test_experiment_emit_exec_samples_nothing(tmp_path, capsys, monkeypatch):
+    # it sampled every shot before writing only the program
+    res, _shots, _report = run_experiment(RusConfig(limit=2, style="recursion"), 1, 0)
+
+    def ran(_args):
+        raise AssertionError("shots ran")
+
+    monkeypatch.setattr(emulator, "_run_batches", ran)
+    out = tmp_path / "rus.json"
+    argv = ["experiment", "rus", "--limit", "2", "--style", "recursion", "--emit", "exec", "-o", str(out)]
+    assert main([*argv, "--shots", "20000", "--seed", "0"]) == 0
+    assert out.read_text() == res.program.to_json() + "\n"
+    for flags, message in (
+        (["--shots", "0", "--seed", "0"], "need at least one shot"),
+        (["--shots", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ):  # the run options are still checked
+        assert main([*argv, *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_experiment_runs_a_long_branch_chain(capsys):
@@ -466,6 +486,8 @@ REJECTED = {
     "negative-seed": "seed must be >= 0, got -1",
     "integer-past-digit-limit": f"0:0: {DIGIT_LIMIT}; use sys.set_int_max_str_digits() to increase the limit",
     "trap-too-wide": "trap slots=1000000 above the maximum 4096",
+    # built its whole source text first, and ran out of memory under a 1.5 GB address-space limit
+    "msd-limit-too-large": "limit must be <= 16383, got 10000000",
 }
 
 
@@ -496,6 +518,7 @@ def test_rejected_input_message(tmp_path, capsys, case):
             "zero-registers": ["compile", str(src), "--registers", "0"],
             "unknown-pass": ["compile", str(src), "--passes", "fold,bogus"],
             "negative-limit": ["experiment", "msd", "--limit", "-1", "--shots", "5", "--seed", "1"],
+            "msd-limit-too-large": ["experiment", "msd", "--limit", "10000000", "--shots", "1", "--seed", "1"],
             "negative-seed": ["run", str(src), "--seed", "-1", "--shots", "5"],
         }[case]
     assert main(argv) == 1

@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
+import gc
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -365,6 +367,88 @@ def test_prep_overrotation_changes_angles():
     assert p_over > 0.97  # ry(pi) |0> = |1>
 
 
+# -- one runtime per program and noise model ---------------------------------------
+
+def test_one_runtime_per_program_and_noise_model(monkeypatch):
+    built = []
+    parent = os.getpid()
+    compile_runtime = emulator._compile_runtime
+
+    def counted(prog, noise):
+        assert os.getpid() == parent, "a worker built its own runtime"
+        built.append(noise)
+        return compile_runtime(prog, noise)
+
+    monkeypatch.setattr(emulator, "_compile_runtime", counted)
+    before = set(emulator._RUNTIMES)
+    prog = compile_module(build_rus(RusConfig(limit=2, style="recursion"))).program
+    enumerate_outcomes(prog)
+    enumerate_exec_leaves(prog)
+    run_shots(prog, NOISELESS, 300, 1)
+    run_shots(prog, NOISELESS, 600, 1, jobs=2)
+    assert built == [NOISELESS]
+    run_shots(prog, H1E_LIKE, 600, 1, jobs=2)
+    run_shots(prog, H1E_LIKE, 300, 1)
+    assert built == [NOISELESS, H1E_LIKE]
+    copy = dataclasses.replace(prog)
+    enumerate_outcomes(copy)
+    assert built == [NOISELESS, H1E_LIKE, NOISELESS]
+    assert set(emulator._RUNTIMES) == before | {id(prog), id(copy)}
+    del prog, copy
+    gc.collect()
+    assert set(emulator._RUNTIMES) == before
+
+
+def _arrays(x):
+    """Every numpy array reachable from ``x`` through tuples and lists (named tuples included)."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _arrays(y)
+
+
+SIX_QUBITS = "block e:\n" + "".join(f"  h q{i}\n" for i in range(6)) + "  cx q0, q5\n  mz q0 -> r0\n  output result r0\n  ret"
+
+
+@pytest.mark.parametrize("case", ["msd-noisy", "msd-noiseless", "rus-recursion", "six-qubits"])
+def test_runtime_arrays_are_read_only(case):
+    # a runtime serves every consumer of its program, so a walk that wrote into it would corrupt the next one
+    if case == "six-qubits":  # above MATRIX_QUBITS: fused gate groups
+        prog = compile_src(SIX_QUBITS, qubits=6, results=1).program
+    elif case == "rus-recursion":
+        prog = compile_module(build_rus(RusConfig(limit=3, style="recursion"))).program
+    else:
+        prog = compile_module(build_msd(MsdConfig(limit=1))).program
+    rt = emulator._runtime(prog, H1E_LIKE if case in ("msd-noisy", "six-qubits") else NOISELESS)
+    segs = [seg for _g, _first, seg, _instrs in rt.segments]
+    ops = {op[0] for seg in segs for op in seg.ops}
+    assert ops >= {emulator._GROUPS if case == "six-qubits" else emulator._MATRIX, emulator._DRAWS}
+    assert any(seg.zone_qubits is not None for seg in segs)
+    if case.startswith("msd"):
+        assert any(seg.perm is not None for seg in segs)
+    arrays = list(_arrays(rt.segments))
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][...] = 0
+
+
+def _leaf_key(leaves):
+    return [(l.prob, l.outputs, l.state.tobytes(), l.executed_transport_steps) for l in leaves]
+
+
+@pytest.mark.parametrize("noise", [NOISELESS, H1E_LIKE], ids=["noiseless", "noisy"])
+def test_enumerate_and_sample_in_turn_on_one_runtime(noise):
+    prog = compile_module(build_msd(MsdConfig(limit=1, basis="X"))).program
+    fresh = dataclasses.replace(prog)  # its own runtime, used once per consumer
+    want_leaves = _leaf_key(enumerate_exec_leaves(fresh))
+    want_shots = run_shots(dataclasses.replace(prog), noise, 600, 9)
+    assert _leaf_key(enumerate_exec_leaves(prog)) == want_leaves
+    assert run_shots(prog, noise, 600, 9) == want_shots
+    assert run_shots(prog, noise, 600, 9, jobs=2) == want_shots
+    assert _leaf_key(enumerate_exec_leaves(prog)) == want_leaves
+
+
 # -- shots ------------------------------------------------------------------------
 
 def test_same_master_seed_reproduces():
@@ -390,6 +474,14 @@ def test_jobs_invariance_across_batch_boundaries():
     assert len(one) == n
     for jobs in (2, 3):
         assert run_shots(res.program, H1E_LIKE, n, 21, jobs=jobs) == one, jobs
+
+
+def test_jobs_invariance_on_a_recursion_program():
+    prog = compile_module(build_rus(RusConfig(limit=3, style="recursion"))).program
+    one = run_shots(prog, NOISELESS, 700, 4, jobs=1)  # three batches
+    assert len(one) == 700
+    for jobs in (2, 3):
+        assert run_shots(prog, NOISELESS, 700, 4, jobs=jobs) == one, jobs
 
 
 def test_full_batches_do_not_depend_on_the_shot_count():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from ionflow import oracle, textir
-from ionflow.emulator import H1E_LIKE, ShotResult, enumerate_outcomes
+from ionflow.emulator import H1E_LIKE, MAX_BATCH_AMPLITUDES, SHOT_BATCH, ShotResult, enumerate_outcomes
 from ionflow.experiments import (
     ALPHA,
     CSV_HEADER,
     IDEAL_MAGIC_EXPECTATION,
     MSD_CORRECTION,
+    MAX_MSD_LIMIT,
     MSD_SUCCESS_PROBABILITY,
     PHI,
     RUS_SUCCESS_PROBABILITY,
@@ -290,3 +291,12 @@ def test_msd_decode_success_flag():
     _res, shots, report = run_experiment(MsdConfig(limit=2, basis="Z"), 400, seed=3)
     by_hand = sum(1 for s in shots if all(b == 0 for b in s.outputs[1:5])) / len(shots)
     assert report.success_fraction == by_hand
+
+
+def test_msd_limit_is_bounded_by_the_emulator_result_slots():
+    # limit L declares 4L + 1 result slots; the bound is the largest limit the emulator runs
+    assert MAX_MSD_LIMIT == 16383
+    assert 4 * MAX_MSD_LIMIT + 1 <= MAX_BATCH_AMPLITUDES // SHOT_BATCH < 4 * (MAX_MSD_LIMIT + 1) + 1
+    assert MsdConfig(limit=MAX_MSD_LIMIT).limit == MAX_MSD_LIMIT  # constructs; not built or run here
+    with pytest.raises(IonflowError, match=r"^limit must be <= 16383, got 16384$"):
+        MsdConfig(limit=MAX_MSD_LIMIT + 1)
