@@ -7,29 +7,38 @@ start), (B, R) result slots, each row's ion placement and its counters.
 ``_compile_runtime`` compiles the flat item list, in one forward pass, into
 one entry per guard segment: a maximal run of items that share one guard,
 in which no classical item writes a register the guard reads, so the guard
-holds the same value on every row through the whole segment. Repeated
-layers, transport and segment bodies are built once. The walk runs one
-entry at a time. The guard becomes a row mask once; an all-false mask skips
-the segment and counts its marks as skipped. Otherwise the segment's head
-runs once for its active rows:
+holds the same value on every row through the whole segment. Shared
+transport, transport whose guard is always true so that every row runs it,
+joins the segment it meets, unless a classical item has just closed it.
+Repeated layers, transport and segment bodies are built once, and gate
+matrices and transport permutations once across programs. The walk runs
+one entry at a time. The guard becomes a row mask once. The inactive rows
+count the segment's marks as skipped and get its shared transport alone:
+its composed slot permutation and steps at the head, and its dephasing
+where it stands. An all-false mask runs nothing else. Otherwise the
+segment's head runs once for its active rows:
 
 * its zone checks: each layer's expected (qubit, slot) pairs, each slot
   mapped back through the segment's transport before that layer, so the
   check reads the placement at the head;
-* its transport as one composed slot permutation, with its step and gate
-  counts (a row forked later in the segment inherits them);
-* its marks, counted as skipped on the inactive rows.
+* all its transport as one composed slot permutation, with its step and
+  gate counts (a row forked later in the segment inherits them).
 
 Its ops then run in order on the active rows' states, gathered once and
 scattered back at its end: unitaries, each layer's noise draws and
 collapses, classical items, outputs and, under noise, transport dephasing.
-Every draw keeps its place and shape, so the RNG streams do not depend on
-this grouping. Up to ``MATRIX_QUBITS`` qubits a layer's gates are one
-2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers between two ops that
-draw or collapse fuse into one matrix; that is every run of gate layers up
-to the next measurement, reset or segment end when p1 = p2 = p_idle =
-p_transport = 0, since over-rotation changes only the matrices. Wider registers apply each
-layer's gates as unitaries on at most ``FUSE_QUBITS`` qubits each.
+A shared transport's dephasing draws for every row of the batch and
+updates the inactive rows' states in place. A layer whose draws fire no
+noise event runs only its collapses, and a dephasing draw below no
+threshold calls no kernel. Every draw keeps its place and shape, so the
+RNG streams do not depend on this grouping. Up to ``MATRIX_QUBITS`` qubits
+a layer's gates are one 2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers
+between two ops that draw or collapse fuse into one matrix; that is every
+run of gate layers up to the next measurement, reset or segment end when
+p1 = p2 = p_idle = p_transport = 0, since over-rotation changes only the
+matrices, and shared transport without noise draws nothing. Wider
+registers apply each layer's gates as unitaries on at most
+``FUSE_QUBITS`` qubits each.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -38,8 +47,8 @@ a systematic over-rotation added to every rotation angle.
 
 Transport items carry the entry predicate of their chain. In conditional
 mode a false predicate skips the steps entirely (no counter increase, no
-transport dephasing); in always mode every transport item executes and only
-gates, measurements and classical operations remain predicated.
+transport dephasing); in always mode every transport item is shared and
+only gates, measurements and classical operations remain predicated.
 
 The rows are shots when sampling and paths when enumerating; they differ
 only at a measurement or reset. A shot draws the outcome from its batch's
@@ -194,14 +203,14 @@ def apply_depolarizing(states: np.ndarray, qubits: tuple[int, ...], p: float, u:
     _apply_paulis(states, rows, xmask, zmask, np.bitwise_count(xmask & zmask))
 
 
-def apply_dephasing(states: np.ndarray, qubits: tuple[int, ...], p: float, u: np.ndarray) -> None:
-    """A Z on qubit ``qubits[j]`` of each row whose draw ``u[:, j]`` is below p (a qubit may repeat)."""
+def apply_dephasing(states: np.ndarray, qubits: tuple[int, ...], p: float, u: np.ndarray, rows=None) -> None:
+    """A Z on qubit ``qubits[j]`` of row i, or of row ``rows[i]``, whose draw ``u[i, j]`` is below p (a qubit may repeat)."""
     hits = u < p
-    rows = hits.any(1).nonzero()[0]
-    if len(rows):
-        zmask = np.bitwise_xor.reduce(np.where(hits[rows], 1 << np.array(qubits), 0), axis=1)
+    hit = hits.any(1).nonzero()[0]
+    if len(hit):
+        zmask = np.bitwise_xor.reduce(np.where(hits[hit], 1 << np.array(qubits), 0), axis=1)
         zero = np.zeros_like(zmask)
-        _apply_paulis(states, rows, zero, zmask, zero)
+        _apply_paulis(states, hit if rows is None else rows[hit], zero, zmask, zero)
 
 
 _NP_OPS = {
@@ -327,10 +336,12 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
     Ops in a layer act on disjoint qubits and commute, so the gates run
     first (``_unitary`` of ``gates``, empty for none); each gate's
     depolarizing follows, then the measurements and resets. ``draws`` is
-    None for a layer that neither draws nor collapses.
+    None for a layer that neither draws nor collapses. Its last field is a
+    read-only threshold per column of the layer's uniforms: a draw below it
+    is a noise event, and an outcome column's threshold is 0. It is None
+    when every threshold is 0, so a noiseless layer makes no check.
     """
-    gates, depolarize, collapses = [], [], []
-    col = 0  # next column of the layer's uniforms
+    gates, depolarize, collapses, thr = [], [], [], []  # len(thr): the next column
     for op in item.ops:
         if op.kind == "gate":
             angle = None if op.angle is None else float(op.angle) + noise.prep_overrotation
@@ -339,26 +350,32 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
             gates.append((G.gate_unitary(op.name, angle).tobytes(), op.qubits))
             p = noise.p2 if op.name == "cx" else noise.p1
             if p > 0.0:
-                depolarize.append((op.qubits, p, col))
-                col += 1
+                depolarize.append((op.qubits, p, len(thr)))
+                thr.append(p)
         else:
             p = noise.p_meas if op.kind == "measure" else noise.p_reset
             tag = _OP_MEASURE if op.kind == "measure" else _OP_RESET
-            collapses.append((tag, op.qubits[0], op.slot, *_collapse_tables(n, op.qubits[0]), p, col))
-            col += 1 + (p > 0.0)
+            collapses.append((tag, op.qubits[0], op.slot, *_collapse_tables(n, op.qubits[0]), p, len(thr)))
+            thr += [0.0, p] if p > 0.0 else [0.0]
     idle = item.idle_qubits if noise.p_idle > 0.0 else ()
-    draws = (_DRAWS, tuple(depolarize), tuple(collapses), idle, col, col + len(idle)) if col or idle else None
+    col = len(thr)
+    thr += [noise.p_idle] * len(idle)
+    thr = _frozen(np.array(thr))[0] if any(thr) else None  # None: no column can fire
+    draws = (_DRAWS, tuple(depolarize), tuple(collapses), idle, col, col + len(idle), thr) if col or idle else None
     qs, slots = _frozen(*np.array(item.expected_slots, dtype=np.int64).reshape(-1, 2).T)
     return _LAYER, qs, slots, tuple(gates), draws
 
 
+@functools.lru_cache(maxsize=256)
 def _compile_transport(steps: tuple, slots: int) -> tuple:
+    """A transport's read-only slot permutation, its inverse and its step count; cached across programs."""
     occupant = list(range(slots))  # occupant[s]: the slot whose content is now in slot s
     for st in steps:
         for a, b in st:
             occupant[a], occupant[b] = occupant[b], occupant[a]
     # its inverse, the composed slot permutation: where something starting at slot s ends up
-    return np.argsort(occupant), len(steps)
+    perm = np.argsort(occupant)
+    return (*_frozen(perm, np.argsort(perm)), len(steps))
 
 
 class _Segment(NamedTuple):
@@ -373,6 +390,9 @@ class _Segment(NamedTuple):
     gates: int
     ops: tuple
     state: bool  # some op touches the state
+    shared_perm: np.ndarray | None  # composed slot permutation of its shared transport alone, for the inactive rows
+    shared_steps: int
+    shared: tuple  # the shared transport's dephasing ops, for a segment with no active row
 
 
 def _unitary_op(run: list, n: int) -> tuple:
@@ -387,18 +407,22 @@ def _segment(parts: list, n: int) -> _Segment:
     above MATRIX_QUBITS one tuple of groups. Classical items and outputs do
     not touch the state.
     """
-    marks = steps = gates = 0
-    perm = inv = None
-    zone, zone_slots, ops, run = [], [], [], []
+    marks = steps = gates = shared_steps = 0
+    perm = inv = shared_perm = None
+    zone, zone_slots, ops, run, shared = [], [], [], [], []
     state = False
     for part in parts:
         tag = part[0]
         if tag == _MARK:
             marks += 1
         elif tag == _TRANSPORT:
-            _, t, t_inv, n_steps, dephase = part
+            _, t, t_inv, n_steps, dephase, is_shared = part
             perm, inv = (t, t_inv) if perm is None else _frozen(t[perm], inv[t_inv])
             steps += n_steps
+            if is_shared:
+                shared_perm = t if shared_perm is None else _frozen(t[shared_perm])[0]
+                shared_steps += n_steps
+                shared += [dephase] if dephase else []
             if dephase:
                 if run:
                     ops.append(_unitary_op(run, n))
@@ -429,7 +453,7 @@ def _segment(parts: list, n: int) -> _Segment:
         zq, zs = _frozen(zone[0][0], zone_slots[0])
     elif zone:
         zq, zs = _frozen(np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots))
-    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state)
+    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state, shared_perm, shared_steps, tuple(shared))
 
 
 @dataclass
@@ -472,8 +496,10 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         if gid not in guards:
             guards[gid] = _cguard(item.guard)
         g = guards[gid] if conditional or kind is not TransportItem else None
-        if closed or g != seg_guard:
-            # a segment runs on while the guard stays the same and no classical item writes a register it reads
+        shared = g is None and kind is TransportItem  # every row runs it
+        if closed or g != seg_guard and not shared:
+            # a segment runs on while the guard stays the same and no classical item writes a register it
+            # reads; shared transport joins it, and the segment's inactive rows run that transport alone
             parts, instrs = [], []
             opened.append((g, k, parts, instrs))
             seg_guard, closed = g, False
@@ -490,11 +516,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         elif kind is MarkItem:
             parts.append(_MARK_BODY)
         elif kind is TransportItem:
-            body = transports.get(item.steps)
+            body = transports.get((item.steps, shared))
             if body is None:
-                perm, n_steps = _compile_transport(item.steps, prog.trap.slots)
-                dephase = (_DEPHASE, tuple(range(n)) * n_steps) if noise.p_transport > 0.0 and n_steps else None
-                body = transports[item.steps] = (_TRANSPORT, *_frozen(perm, np.argsort(perm)), n_steps, dephase)
+                perm, inv, n_steps = _compile_transport(item.steps, prog.trap.slots)
+                dephase = (_DEPHASE, tuple(range(n)) * n_steps, shared) if noise.p_transport > 0.0 and n_steps else None
+                body = transports[item.steps, shared] = (_TRANSPORT, perm, inv, n_steps, dephase, shared)
             parts.append(body)
         elif kind is ClassicalItem:
             if len(instrs) == len(classical):
@@ -586,13 +612,16 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
 
     The segment's row mask is computed once. At its head (op 0) its zone
     checks run, its counters and slot permutation are added to its active
-    rows, and its marks to its inactive ones. Its ops then run in order on
-    the active rows' states, gathered once and scattered back at its end.
-    With an RNG every measurement and reset outcome is drawn per row.
-    Without one (noiseless enumeration) a row with two live outcomes forks;
-    the copy is an active row of the same segment and has the head's work
-    already. Returns None at the end, or the (segment, op) to resume from
-    once the batch has grown past ``max_rows`` rows.
+    rows, and its marks and its shared transport's permutation and steps to
+    its inactive ones. Its ops then run in order on the active rows' states,
+    gathered once and scattered back at its end. Shared transport's
+    dephasing (only under noise, so never while enumerating) also reaches
+    the inactive rows, in ``b.state``. With an RNG every measurement and
+    reset outcome is drawn per row. Without one (noiseless enumeration) a
+    row with two live outcomes forks; the copy is an active row of the same
+    segment and has the head's work already. Returns None at the end, or
+    the (segment, op) to resume from once the batch has grown past
+    ``max_rows`` rows.
     """
     segments = rt.segments
     p_transport = rt.noise.p_transport
@@ -611,14 +640,19 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
                 c = np.count_nonzero(m)
                 masked = g, len(m), m, c, m.nonzero()[0] if 0 < c < len(m) else _ALL
             _, _, m, c, R = masked
-            if c == 0:  # nothing in the segment executes
-                if seg.marks and j == 0:
-                    b.skipped += seg.marks
+            if c == 0:  # only the shared transport runs, on every row
+                if j == 0:
+                    if seg.marks:
+                        b.skipped += seg.marks
+                    if seg.shared_perm is not None:
+                        b.place = seg.shared_perm[b.place]
+                        b.transport += seg.shared_steps
+                    for op in seg.shared:
+                        apply_dephasing(b.state, op[1], p_transport, rng.random((len(b.weight), len(op[1]))))
                 s, j = s + 1, 0
                 continue
-            if c < len(m):
-                if seg.marks and j == 0:
-                    b.skipped += ~m * seg.marks
+            if c < len(m) and seg.marks and j == 0:
+                b.skipped += ~m * seg.marks
         if j == 0:
             place = b.place if R is _ALL else b.place[R]
             if seg.zone_qubits is not None and (place[:, seg.zone_qubits] != seg.zone_slots).any():
@@ -626,8 +660,13 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             if seg.gates:
                 b.gates[R] += seg.gates
             if seg.perm is not None:
+                if R is not _ALL and seg.shared_perm is not None:  # every row runs the shared transport
+                    b.place = seg.shared_perm[b.place]
+                    b.transport += seg.shared_steps
+                    b.transport[R] += seg.steps - seg.shared_steps
+                else:
+                    b.transport[R] += seg.steps
                 b.place[R] = seg.perm[place]
-                b.transport[R] += seg.steps
         ops = seg.ops
         st = (b.state if R is _ALL else b.state[R]) if seg.state else None
         for i in range(j, len(ops)):
@@ -654,8 +693,14 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             elif tag == _GROUPS:
                 for unitary, qubits in op[1]:
                     apply_unitary(st, unitary, qubits, rt.n_qubits)
-            else:  # _DEPHASE
-                apply_dephasing(st, op[1], p_transport, rng.random((len(st), len(op[1]))))
+            else:  # _DEPHASE; a shared transport's draw covers every row of the batch, the inactive ones in place
+                u = rng.random((len(b.weight) if op[2] else len(st), len(op[1])))
+                if (u < p_transport).any():
+                    if op[2] and R is not _ALL:
+                        off = (~m).nonzero()[0]
+                        apply_dephasing(b.state, op[1], p_transport, u[off], off)
+                        u = u[R]
+                    apply_dephasing(st, op[1], p_transport, u)
         if st is not None and R is not _ALL:
             b.state[R] = st
         s, j = s + 1, 0
@@ -678,13 +723,14 @@ def _run_draws(rt: _Runtime, b: _Batch, R, st: np.ndarray, op: tuple, rng):
 
     Returns ``st`` and ``R``, both grown by any rows the layer forked.
     """
-    _, depolarize, collapses, idle, idle_col, width = op
-    u = rng.random((len(st), width)) if rng is not None and width else None
-    for qubits, p, col in depolarize:
+    _, depolarize, collapses, idle, idle_col, width, thr = op
+    u = rng.random((len(st), width)) if rng is not None else None
+    fired = thr is not None and (u < thr).any()  # else no noise event: only the collapses run
+    for qubits, p, col in depolarize if fired else ():
         apply_depolarizing(st, qubits, p, u[:, col])
     for c in collapses:
         st, R = _collapse(b, R, st, c, u)
-    if idle:
+    if idle and fired:
         apply_dephasing(st, idle, rt.noise.p_idle, u[:, idle_col:])
     return st, R
 

@@ -237,6 +237,97 @@ def test_hoisted_zone_check_names_the_slot_after_the_transport(case):
         enumerate_outcomes(bad)
 
 
+# -- shared transport: transport every row runs, inside the guarded segment around it --
+
+def _corpus_programs(mode):
+    for limit in range(5):
+        yield f"msd-{limit}", compile_module(build_msd(MsdConfig(limit=limit)), mode=mode).program
+    for style in ("loop", "recursion"):
+        for limit in range(1, 5):
+            yield f"rus-{style}-{limit}", compile_module(build_rus(RusConfig(limit=limit, style=style)), mode=mode).program
+
+
+@pytest.mark.parametrize("noise", [NOISELESS, H1E_LIKE], ids=["noiseless", "noisy"])
+def test_always_mode_executes_every_planned_step(noise):
+    for name, prog in _corpus_programs(ALWAYS):
+        steps = {s.executed_transport_steps for s in run_shots(prog, noise, 300, 6)}
+        assert steps == {prog.planned_transport_steps}, name
+
+
+@pytest.mark.parametrize("noise", [NOISELESS, H1E_LIKE], ids=["noiseless", "noisy"])
+def test_every_msd_shot_executes_the_same_transport_in_conditional_mode(noise):
+    # MSD's rounds share one chain under an always-true entry guard
+    for limit in range(5):
+        prog = compile_module(build_msd(MsdConfig(limit=limit))).program
+        assert len({s.executed_transport_steps for s in run_shots(prog, noise, 300, 6)}) == 1, limit
+
+
+def test_segment_counts_with_shared_transport():
+    # shared transport joins the guarded segment around it, so each MSD round is about one segment
+    for mode in (CONDITIONAL, ALWAYS):
+        msd = compile_module(build_msd(MsdConfig(limit=8)), mode=mode).program
+        assert len(emulator._compile_runtime(msd, NOISELESS).segments) <= 19, mode
+    rus = compile_module(build_rus(RusConfig(limit=5, style="recursion")), mode=ALWAYS).program
+    assert len(emulator._compile_runtime(rus, NOISELESS).segments) <= 217
+
+
+# q1 enters block b in |+>, and b measures it in the X basis: it reads 1
+# exactly when an odd number of Zs hit q1 on the way
+DEPHASED = """block e:
+  PREP
+  h q1
+  mz q0 -> r0
+  %c = read_result r0
+  br %c, a, b
+block a:
+  x q0
+  jmp b
+block b:
+  h q1
+  mz q1 -> r1
+  output result r0
+  output result r1
+  ret"""
+
+
+@pytest.mark.parametrize("prep", ["h q0", "x q0", "z q0"], ids=["mixed", "all-active", "none-active"])
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+def test_inactive_rows_get_the_shared_transport_inside_a_segment(mode, prep):
+    # q1 moves to slot 2 for e's first layer and back at the end of block a,
+    # a transport every row runs, in a's segment. At p_transport = 1 each
+    # step dephases every qubit; q1 is |0> at the first step, so the second
+    # step's Z decides r1, and every row, whether or not a runs, reads 1
+    prog = compile_src(DEPHASED.replace("PREP", prep), mode=mode).program
+    mark = next(k for k, it in enumerate(prog.items) if isinstance(it, MarkItem) and it.label == "a")
+    assert isinstance(prog.items[mark + 2], TransportItem) and prog.items[mark + 2].guard is True
+    dephasing = NoiseModel(p_transport=1.0)
+    rt = emulator._compile_runtime(prog, dephasing)
+    first, _end, seg = _segment_of(rt, prog, mark + 2)
+    assert first == mark and (seg.steps, seg.shared_steps, len(seg.shared)) == (1, 1, 1)
+    assert rt.segments[[f for _g, f, _s, _i in rt.segments].index(first)][0] is not None
+    r0 = {"h q0": {0, 1}, "x q0": {1}, "z q0": {0}}[prep]
+    shots = run_shots(prog, dephasing, 600, 2)
+    assert {s.outputs for s in shots} == {(r, 1) for r in r0}
+    assert {s.executed_transport_steps for s in shots} == {2}
+    assert {s.outputs for s in run_shots(prog, NOISELESS, 600, 2)} == {(r, 0) for r in r0}
+
+
+def test_shared_transport_after_a_closing_classical_item_opens_a_segment():
+    # block a clears its own guard register; the transport that follows runs
+    # on every row, in a segment of its own under no guard
+    prog = compile_src(BRANCHY).program
+    _mark, x_layer, g = _segment_items(prog)
+    clear = ClassicalItem(g, (BinOp("xor", g, g, g),))
+    prog = _insert_after(prog, x_layer, clear, TransportItem(True, (((2, 3),),)), MarkItem(g, "a.rest"))
+    rt = emulator._compile_runtime(prog, NOISELESS)
+    first, _end, seg = _segment_of(rt, prog, x_layer + 2)
+    assert first == x_layer + 2 and seg.steps == 1
+    assert rt.segments[[f for _g, f, _s, _i in rt.segments].index(first)][0] is None
+    shots = run_shots(prog, NOISELESS, 300, 5)
+    assert {s.executed_transport_steps for s in shots} == {1}
+    assert {s.skipped_blocks for s in shots} == {1, 2}  # a.rest is skipped in every shot, a in about half
+
+
 # -- whole-register kernels: one matrix per layer, and per run of layers ---------
 
 def _random_layer(rng: random.Random, n: int) -> list:
@@ -338,6 +429,27 @@ def test_depolarizing_shrinks_bloch_vector():
     apply_depolarizing(states, (0,), p, rng.random(samples))
     total = np.einsum("bi,ij,bj->", states.conj(), G.X, states).real
     assert abs(total / samples - (1 - 4 * p / 3)) < 0.01
+
+
+@pytest.mark.parametrize("channel", ["p1", "p2", "p_meas", "p_reset", "p_idle"])
+def test_a_layer_without_a_noise_event_runs_only_its_collapses(monkeypatch, channel):
+    # the check against each column's threshold must pass every draw that
+    # fires: a threshold of 1 for every column (the full path, always) gives
+    # the same shots, one noise channel at a time
+    noise = NoiseModel(**{channel: 0.05})
+    programs = [
+        compile_module(build_msd(MsdConfig(limit=1, basis="X"))).program,
+        compile_module(build_rus(RusConfig(limit=2, basis="X", style="recursion"))).program,
+    ]
+    fast = [run_shots(prog, noise, 300, 4) for prog in programs]
+    compile_layer = emulator._compile_layer
+
+    def full_path(item, n, noise):
+        *body, draws = compile_layer(item, n, noise)
+        return (*body, draws and (*draws[:-1], np.ones(draws[5])))  # a threshold of 1 for each of its columns
+
+    monkeypatch.setattr(emulator, "_compile_layer", full_path)
+    assert [run_shots(dataclasses.replace(prog), noise, 300, 4) for prog in programs] == fast
 
 
 def test_measurement_flip_noise():

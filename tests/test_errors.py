@@ -6,14 +6,16 @@ import json
 import math
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionflow import emulator
 from ionflow.cli import main
-from ionflow.emulator import NoiseModel, ZoneViolation
+from ionflow.emulator import MAX_JOBS, MAX_SHOTS, NoiseModel, ZoneViolation
 from ionflow.experiments import EmptyInput
 from ionflow.ir import CycleDetected, IonflowError
 from ionflow.oracle import TooManyBranches
@@ -133,3 +135,60 @@ def test_cli_never_raises_on_trap_json(text):
 @given(_source)
 def test_cli_never_raises_on_source_text(source):
     _cli(source=source)
+
+
+# -- flag values: each gives exit 0, or 1 with an "error:" line ---------------------
+
+class _InlinePool:
+    """A pool that runs its tasks in this process, so no flag value starts a worker."""
+
+    def __init__(self, processes):
+        assert 1 <= processes <= MAX_JOBS
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, f, tasks):
+        return [f(t) for t in tasks]
+
+
+_ints = st.integers(-3, 300) | st.sampled_from([MAX_JOBS, MAX_JOBS + 1, MAX_SHOTS, MAX_SHOTS + 1, 2**63, -(2**63)])
+_flags = st.fixed_dictionaries(
+    {},
+    optional={
+        "--shots": _ints,
+        "--seed": _ints | st.integers(),
+        "--jobs": _ints,
+        "--registers": _ints | st.sampled_from([65536, 65537]),
+        "--overrotation": st.floats() | st.integers(-7, 7),
+        "--transport-mode": st.sampled_from(["conditional", "always"]),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["run", "experiment"]), _flags)
+def test_cli_never_raises_on_flag_values(command, flags):
+    # the pool runs inline and every task samples at most one batch of four
+    # shots, so no value starts a process or samples a large count
+    def few_shots(args):
+        rt, seed, n_shots, batches = args
+        return emulator._run_batch(rt, seed, batches[0], min(4, n_shots - batches[0] * emulator.SHOT_BATCH))
+
+    flags = {"--shots": 5, "--seed": 1, **flags}
+    if command == "run":
+        flags.pop("--overrotation", None)
+    argv = [f"{k}={v}" for k, v in flags.items()]  # "=" keeps a negative value from reading as a flag
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emulator.multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=_InlinePool))
+        mp.setattr(emulator, "_run_batches", few_shots)
+        src = Path(d) / "p.qir.txt"
+        src.write_text(PROGRAM)
+        argv = ["run", str(src), *argv] if command == "run" else ["experiment", "msd", "--limit", "1", *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc == 0 or (rc == 1 and err.getvalue().splitlines()[-1].startswith("error:")), (argv, rc, err.getvalue())

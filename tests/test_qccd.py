@@ -251,8 +251,9 @@ def test_composed_transport_is_the_fold_of_its_steps(seed):
             scanned = [b if s == a else a if s == b else s for s in scanned]
         placement = apply_step(placement, st)
         assert placement == tuple(scanned)
-    perm, n_steps = _compile_transport(tuple(steps), slots)
+    perm, inverse, n_steps = _compile_transport(tuple(steps), slots)
     assert perm.tolist() == list(placement) and n_steps == len(steps)
+    assert inverse[perm].tolist() == list(range(slots))
 
 
 def reference_bfs_plan(current, goal, slots):
