@@ -8,8 +8,11 @@ with two calls (``TWO_CALL_BLOCK``) and a continuation shared by both
 returns (``CONTINUATION_DEF_USED_LATER``). Last come MSD limits 0-2 and RUS
 loop limits 1-3 in every basis on ``WIDE_TRAP``, a 12-slot trap, which is
 wider than ``qccd.BFS_EXACT_LIMIT``, so its transport is planned by odd-even
-routing; the other programs compile for their default trap. Each program's
-digest covers, in order:
+routing; the other programs compile for their default trap. Last of all
+come the 20 ``random_program(seed, n_qubits=8, max_branches=3)`` of seeds
+0-59 with more than ``emulator.MATRIX_QUBITS`` qubits, which the emulator
+runs gate by gate instead of as one matrix per run of layers. Each
+program's digest covers, in order:
 
 * ``emit(fold_constants(m))``;
 * ``emit(flatten(fold_constants(m)))``;
@@ -44,13 +47,14 @@ Run from the repository root:
     PYTHONPATH=src python3 scripts/output_digest.py --exact > exact-before.txt
     PYTHONPATH=src python3 scripts/output_digest.py --exact --against exact-before.txt
 
-On a 2-core machine the digests take about 7 s, about 15-30 s with
-``--shots`` and about 55 s with ``--exact``, most of which is the three
-enumerations of each MSD limit 4 program (108,482 leaves each); MSD limits
-5-8 stop at ``MAX_BRANCH_EVENTS`` and hash the error. Commits before the
-oracle's numbered form took about 125 s with ``--exact``. To compare with an older commit, run this script with
-``PYTHONPATH`` set to that commit's ``src``: it reads only the shot fields
-and library calls that commit also has.
+On a 2-core machine the 412 digests take about 9 s, about 25 s with
+``--shots`` and about 90 s with ``--exact`` (the wide-register slice adds
+1-2 s to each), most of which is the three enumerations of each MSD limit
+4 program (108,482 leaves each); MSD limits 5-8 stop at
+``MAX_BRANCH_EVENTS`` and hash the error. To compare with an older commit,
+run this script with ``PYTHONPATH`` set to that commit's ``src``: it reads
+only shot fields and library names that every commit since
+``emulator.MATRIX_QUBITS`` was added also has.
 
 With ``--against FILE`` the digests are compared with FILE's; every program
 that differs, or is missing from either side, is listed and the exit status
@@ -69,7 +73,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import CONTINUATION_DEF_USED_LATER, TWO_CALL_BLOCK, random_program  # noqa: E402
 from ionflow import oracle, passes, textir, toolchain  # noqa: E402
-from ionflow.emulator import H1E_LIKE, NOISELESS, enumerate_exec_leaves, run_shots  # noqa: E402
+from ionflow.emulator import H1E_LIKE, MATRIX_QUBITS, NOISELESS, enumerate_exec_leaves, run_shots  # noqa: E402
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus, summarize  # noqa: E402
 from ionflow.qccd import ALWAYS, CONDITIONAL, TrapLayout  # noqa: E402
 
@@ -98,6 +102,9 @@ def corpus():
         for limit in range(1, 4):
             cfg = RusConfig(limit, basis, "loop")
             yield f"wide-rus-loop-{limit}-{basis}", lambda c=cfg: build_rus(c), cfg, WIDE_TRAP
+    for seed in range(60):
+        if random_program(seed, n_qubits=8, max_branches=3).required_qubits > MATRIX_QUBITS:
+            yield f"wide-register-{seed}", lambda s=seed: random_program(s, n_qubits=8, max_branches=3), None, None
 
 
 SHOTS = 300

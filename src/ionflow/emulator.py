@@ -1,8 +1,9 @@
 """Batched execution of lowered programs with stochastic Pauli noise.
 
 One interpreter, ``_walk``, runs a compiled program once for a batch of
-rows. A batch holds a (B, 2**n) state, (B, K) registers (all zero at the
-start), (B, R) result slots, each row's ion placement and its counters.
+rows. A batch holds a (B, 2**n) state, (B, K) registers, K being 1 + the
+largest register index the program names (all zero at the start), (B, R)
+result slots, each row's ion placement and its counters.
 
 ``_compile_runtime`` compiles the flat item list, in one forward pass, into
 one entry per guard segment: a maximal run of items that share one guard,
@@ -12,17 +13,17 @@ transport, transport whose guard is always true so that every row runs it,
 joins the segment it meets, unless a classical item has just closed it.
 Repeated layers, transport and segment bodies are built once, and gate
 matrices and transport permutations once across programs. The walk runs
-one entry at a time. The guard becomes a row mask once. The inactive rows
-count the segment's marks as skipped and get its shared transport alone:
-its composed slot permutation and steps at the head, and its dephasing
-where it stands. An all-false mask runs nothing else. Otherwise the
-segment's head runs once for its active rows:
+one entry at a time. At its head every row gets its shared transport's
+composed slot permutation and steps, and the guard becomes a row mask.
+The inactive rows count the segment's marks as skipped and get the shared
+transport's dephasing where it stands. An all-false mask runs nothing
+else. Otherwise the segment's head runs once for its active rows:
 
 * its zone checks: each layer's expected (qubit, slot) pairs, each slot
   mapped back through the segment's transport before that layer, so the
   check reads the placement at the head;
-* all its transport as one composed slot permutation, with its step and
-  gate counts (a row forked later in the segment inherits them).
+* all its transport composed, applied to the head's placement, with its
+  other steps and its gate count (a row forked later inherits them).
 
 Its ops then run in order on the active rows' states, gathered once and
 scattered back at its end: unitaries, each layer's noise draws and
@@ -37,8 +38,7 @@ between two ops that draw or collapse fuse into one matrix; that is every
 run of gate layers up to the next measurement, reset or segment end when
 p1 = p2 = p_idle = p_transport = 0, since over-rotation changes only the
 matrices, and shared transport without noise draws nothing. Wider
-registers apply each layer's gates as unitaries on at most
-``FUSE_QUBITS`` qubits each.
+registers apply the same runs gate by gate.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -152,8 +152,7 @@ MAX_SHOTS = (64 << 30) // SHOT_BYTES  # shots per run: more would need a result 
 MAX_JOBS = 256
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
 MAX_BATCH_AMPLITUDES = 1 << 24  # cap on SHOT_BATCH × 2ⁿ (256 MiB of complex128, 16 qubits), result slots or registers
-FUSE_QUBITS = 4  # above MATRIX_QUBITS a layer's gates run as unitaries on at most this many qubits each
-MATRIX_QUBITS = 5  # up to this many qubits a layer's gates are one 2ⁿ×2ⁿ matrix; at 6 its groups ran faster
+MATRIX_QUBITS = 5  # up to this many qubits a layer's gates are one 2ⁿ×2ⁿ matrix; MSD, the widest table program, has 5
 
 
 @functools.cache
@@ -293,41 +292,25 @@ def _collapse_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _frozen(sel, bit, idx ^ (1 << q))
 
 
-def _fuse(gates: list) -> tuple:
-    """Gates on disjoint qubits as unitaries on up to FUSE_QUBITS qubits each."""
-    fused: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for u, qubits in gates:
-        if fused and len(fused[-1][1]) + len(qubits) <= FUSE_QUBITS:
-            a, top = fused.pop()  # kron(a, u): a's qubits are the top bits
-            u, qubits = (a[:, None, :, None] * u[None, :, None, :]).reshape(len(a) * len(u), -1), top + qubits
-        fused.append((u, qubits))
-    _frozen(*(u for u, _ in fused))
-    return tuple(fused)
-
-
-def _from_bytes(data: bytes) -> np.ndarray:
-    """A square complex matrix from the bytes of one."""
-    return np.frombuffer(data, complex).reshape(math.isqrt(len(data) // 16), -1)
-
-
 @functools.lru_cache(maxsize=128)
 def _unitary(run: tuple, n: int):
-    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS ``_fuse``'s read-only groups.
+    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS one ``(matrix, qubits)`` per gate.
 
-    A layer is a tuple of gates, each ``(the bytes of its matrix, qubits)``,
-    so the result depends on the key alone. The cache spans programs, whose
-    rounds and limits repeat their layers: a sweep uses a few dozen runs.
-    The matrix is in row form: ``st @ m`` applies the gates to every row.
+    A layer is a tuple of gates, each ``(name, angle with over-rotation,
+    qubits)``, so the result depends on the key alone. The cache spans
+    programs, whose rounds and limits repeat their layers: a sweep uses a
+    few dozen runs. The matrix is in row form: ``st @ m`` applies the gates
+    to every row. Fixed gates' matrices are read-only constants of ``gates``;
+    rotations' are built here, and frozen where the result keeps them.
     """
-    layers = [[(_from_bytes(data), qubits) for data, qubits in gates] for gates in run]
+    gates = tuple((G.gate_unitary(name, angle), qubits) for layer in run for name, angle, qubits in layer)
     if n > MATRIX_QUBITS:
-        return sum(map(_fuse, layers), ())
+        _frozen(*(u for u, _ in gates if u.flags.writeable))
+        return gates
     m = np.eye(1 << n, dtype=complex)
-    for gates in layers:
-        for u, qubits in gates:
-            apply_unitary(m, u, qubits, n)  # row i becomes U e_i, so (st @ m)[r] = U st[r]
-    m.flags.writeable = False
-    return m
+    for u, qubits in gates:
+        apply_unitary(m, u, qubits, n)  # row i becomes U e_i, so (st @ m)[r] = U st[r]
+    return _frozen(m)[0]
 
 
 def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
@@ -347,7 +330,7 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
             angle = None if op.angle is None else float(op.angle) + noise.prep_overrotation
             if angle is not None and not math.isfinite(angle):
                 raise IonflowError(f"{op.name}({op.angle}) plus prep_overrotation={noise.prep_overrotation} is not finite")
-            gates.append((G.gate_unitary(op.name, angle).tobytes(), op.qubits))
+            gates.append((op.name, angle, op.qubits))
             p = noise.p2 if op.name == "cx" else noise.p1
             if p > 0.0:
                 depolarize.append((op.qubits, p, len(thr)))
@@ -390,7 +373,7 @@ class _Segment(NamedTuple):
     gates: int
     ops: tuple
     state: bool  # some op touches the state
-    shared_perm: np.ndarray | None  # composed slot permutation of its shared transport alone, for the inactive rows
+    shared_perm: np.ndarray | None  # composed slot permutation of its shared transport alone, run by every row
     shared_steps: int
     shared: tuple  # the shared transport's dephasing ops, for a segment with no active row
 
@@ -404,7 +387,7 @@ def _segment(parts: list, n: int) -> _Segment:
 
     Unitaries run as late as the next op that touches the state, so the
     layers between two draws or collapses fuse into one op: one matrix, or
-    above MATRIX_QUBITS one tuple of groups. Classical items and outputs do
+    above MATRIX_QUBITS their gates in order. Classical items and outputs do
     not touch the state.
     """
     marks = steps = gates = shared_steps = 0
@@ -460,7 +443,7 @@ def _segment(parts: list, n: int) -> _Segment:
 class _Runtime:
     n_qubits: int
     n_results: int
-    n_regs: int
+    n_regs: int  # 1 + the largest register index the program names, not the register file's size
     n_outputs: int
     reg_dtype: type
     canonical: tuple[int, ...]
@@ -473,9 +456,6 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     if SHOT_BATCH << n > MAX_BATCH_AMPLITUDES:
         most = (MAX_BATCH_AMPLITUDES // SHOT_BATCH).bit_length() - 1
         raise IonflowError(f"program declares {n} qubits; the emulator runs at most {most}")
-    for count, what in ((prog.n_results, "result slots"), (prog.n_regs, "registers")):
-        if SHOT_BATCH * count > MAX_BATCH_AMPLITUDES:
-            raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
     # Layers, transport and whole segments repeat, and each distinct one is
     # built once. Lowering shares a layer's ops tuple between its repeats, so a
     # layer is looked up by that tuple's identity (its items hold it alive)
@@ -490,11 +470,13 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     floats = False
     conditional = prog.conditional_transport
     seg_guard, closed = None, True
+    top = -1  # the largest register index a guard or classical instruction names
     for k, item in enumerate(prog.items):
         kind = type(item)
         gid = id(item.guard)
         if gid not in guards:
-            guards[gid] = _cguard(item.guard)
+            cg = guards[gid] = _cguard(item.guard)
+            top = max(top, cg if type(cg) is int else max(cg or (-1,)))
         g = guards[gid] if conditional or kind is not TransportItem else None
         shared = g is None and kind is TransportItem  # every row runs it
         if closed or g != seg_guard and not shared:
@@ -527,7 +509,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
                 classical.append((_CLASSICAL, len(instrs)))
             parts.append(classical[len(instrs)])
             instrs.append(item.instrs)
-            floats |= any(type(i) in (BinOp, Select) and float in (type(i.a), type(i.b)) for i in item.instrs)
+            for ins in item.instrs:  # plain loops, not a generator per item: this runs for every classical item
+                floats |= type(ins) in (BinOp, Select) and float in (type(ins.a), type(ins.b))
+                for v in vars(ins).values():
+                    if type(v) is PReg and v.index > top:
+                        top = v.index
             if g is not None:
                 reads = set(g) if type(g) is tuple else {g}
                 closed = any(ins.dst.index in reads for ins in item.instrs)
@@ -536,6 +522,9 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             n_outputs += 1
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {item!r}")
+    for count, what in ((prog.n_results, "result slots"), (top + 1, "registers")):
+        if SHOT_BATCH * count > MAX_BATCH_AMPLITUDES:
+            raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
     segments = []
     for seg_guard, first, parts, instrs in opened:
         key = tuple(map(id, parts))
@@ -543,7 +532,7 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             bodies[key] = _segment(parts, n)
         segments.append((seg_guard, first, bodies[key], tuple(instrs)))
     dtype = np.float64 if floats else np.int64
-    return _Runtime(n, prog.n_results, prog.n_regs, n_outputs, dtype, prog.canonical, noise, segments)
+    return _Runtime(n, prog.n_results, top + 1, n_outputs, dtype, prog.canonical, noise, segments)
 
 
 # Each program's runtimes, one per noise model, by id(program). A finalizer
@@ -610,13 +599,14 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
           max_rows: int = 0) -> tuple[int, int] | None:
     """Run every row of ``b`` from op ``start[1]`` of segment ``start[0]`` to the end of the program.
 
-    The segment's row mask is computed once. At its head (op 0) its zone
-    checks run, its counters and slot permutation are added to its active
-    rows, and its marks and its shared transport's permutation and steps to
-    its inactive ones. Its ops then run in order on the active rows' states,
-    gathered once and scattered back at its end. Shared transport's
-    dephasing (only under noise, so never while enumerating) also reaches
-    the inactive rows, in ``b.state``. With an RNG every measurement and
+    At a segment's head (op 0) every row gets its shared transport's
+    permutation and steps, and its row mask is computed. Its inactive rows
+    count its marks as skipped; its zone checks read the head's placement
+    of its active rows, which get its gate count, its other steps and its
+    composed slot permutation. Its ops then run in order on the active
+    rows' states, gathered once and scattered back at its end. Shared
+    transport's dephasing (only under noise, so never while enumerating)
+    also reaches the inactive rows, in ``b.state``. With an RNG every measurement and
     reset outcome is drawn per row. Without one (noiseless enumeration) a
     row with two live outcomes forks; the copy is an active row of the same
     segment and has the head's work already. Returns None at the end, or
@@ -625,47 +615,41 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
     """
     segments = rt.segments
     p_transport = rt.noise.p_transport
-    masked = None  # the last mask: (guard, rows, mask, count, active rows), until a register or the rows change
     s, j = start
     while s < len(segments):
         if max_rows and len(b.weight) > max_rows:
             return s, j
         g, _first, seg, instrs = segments[s]
+        head = b.place  # the placement at the segment's head
+        if j == 0 and seg.shared_perm is not None:  # every row runs the shared transport
+            b.place = seg.shared_perm[head]
+            b.transport += seg.shared_steps
         R = _ALL
         if g is not None:
-            if masked is None or masked[0] != g or masked[1] != len(b.weight):
-                m = b.regs[:, g] != 0
-                if type(g) is tuple:
-                    m = m.any(1)
-                c = np.count_nonzero(m)
-                masked = g, len(m), m, c, m.nonzero()[0] if 0 < c < len(m) else _ALL
-            _, _, m, c, R = masked
-            if c == 0:  # only the shared transport runs, on every row
+            m = b.regs[:, g] != 0
+            if type(g) is tuple:
+                m = m.any(1)
+            c = np.count_nonzero(m)
+            if c == 0:  # only the shared transport's dephasing runs, on every row
                 if j == 0:
                     if seg.marks:
                         b.skipped += seg.marks
-                    if seg.shared_perm is not None:
-                        b.place = seg.shared_perm[b.place]
-                        b.transport += seg.shared_steps
                     for op in seg.shared:
                         apply_dephasing(b.state, op[1], p_transport, rng.random((len(b.weight), len(op[1]))))
                 s, j = s + 1, 0
                 continue
-            if c < len(m) and seg.marks and j == 0:
-                b.skipped += ~m * seg.marks
+            if c < len(m):
+                R = m.nonzero()[0]
+                if seg.marks and j == 0:
+                    b.skipped += ~m * seg.marks
         if j == 0:
-            place = b.place if R is _ALL else b.place[R]
+            place = head if R is _ALL else head[R]
             if seg.zone_qubits is not None and (place[:, seg.zone_qubits] != seg.zone_slots).any():
                 _zone_violation(place, seg.zone)
             if seg.gates:
                 b.gates[R] += seg.gates
-            if seg.perm is not None:
-                if R is not _ALL and seg.shared_perm is not None:  # every row runs the shared transport
-                    b.place = seg.shared_perm[b.place]
-                    b.transport += seg.shared_steps
-                    b.transport[R] += seg.steps - seg.shared_steps
-                else:
-                    b.transport[R] += seg.steps
+            if seg.steps > seg.shared_steps:  # else its transport is all shared, and every row has it
+                b.transport[R] += seg.steps - seg.shared_steps
                 b.place[R] = seg.perm[place]
         ops = seg.ops
         st = (b.state if R is _ALL else b.state[R]) if seg.state else None
@@ -683,7 +667,6 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
                         b.state[R] = st
                     return (s, i + 1) if i + 1 < len(ops) else (s + 1, 0)
             elif tag == _CLASSICAL:
-                masked = None
                 regs = b.regs[R]
                 _exec_classical(instrs[op[1]], regs, b.slots[R])
                 if R is not _ALL:

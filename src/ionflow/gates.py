@@ -62,6 +62,8 @@ CX_MATRIX = np.array(
     ],
     dtype=complex,
 )  # basis |control target> with control the first tensor factor
+for _m in (I2, X, Y, Z, H, S, SDG, T, TDG, CX_MATRIX):  # gate_unitary hands the same array to every caller
+    _m.flags.writeable = False
 
 
 def gate_unitary(name: str, angle: float | None = None) -> np.ndarray:

@@ -29,9 +29,10 @@ from ionflow.emulator import (
     run_shots,
 )
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
-from ionflow.ir import BinOp
+from ionflow.ir import BinOp, IonflowError
 from ionflow.predication import OrVal
 from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem, TransportItem
+from ionflow.regalloc import PReg
 from ionflow.toolchain import compile_module
 
 
@@ -330,19 +331,19 @@ def test_shared_transport_after_a_closing_classical_item_opens_a_segment():
 
 # -- whole-register kernels: one matrix per layer, and per run of layers ---------
 
-def _random_layer(rng: random.Random, n: int) -> list:
-    """Gates on disjoint qubits of an n-qubit register, at least one."""
+def _random_layer(rng: random.Random, n: int) -> tuple:
+    """Gates ``(name, angle, qubits)`` on disjoint qubits of an n-qubit register, at least one."""
     free = list(range(n))
     rng.shuffle(free)
     gates = []
     while free and (not gates or rng.random() < 0.7):
         if len(free) >= 2 and rng.random() < 0.3:
-            gates.append((G.gate_unitary("cx"), (free.pop(), free.pop())))
+            gates.append(("cx", None, (free.pop(), free.pop())))
         else:
             name = rng.choice(["x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz"])
             angle = rng.uniform(-7.0, 7.0) if name.startswith("r") else None
-            gates.append((G.gate_unitary(name, angle), (free.pop(),)))
-    return gates
+            gates.append((name, angle, (free.pop(),)))
+    return tuple(gates)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -350,24 +351,20 @@ def test_whole_register_matrix_is_the_per_group_kernel(seed):
     # one layer, and a run of up to four layers fused into one matrix
     rng = random.Random(seed)
     n = rng.randint(1, MATRIX_QUBITS)
-    layers = [_random_layer(rng, n) for _ in range(rng.choice([1, rng.randint(2, 4)]))]
+    run = tuple(_random_layer(rng, n) for _ in range(rng.choice([1, rng.randint(2, 4)])))
     normal = np.random.default_rng(seed).normal
     states = normal(size=(7, 1 << n)) + 1j * normal(size=(7, 1 << n))
     states /= np.linalg.norm(states, axis=1)[:, None]
-    grouped, gate_by_gate = states.copy(), states.copy()
-    for gates in layers:
-        for u, qubits in emulator._fuse(gates):
-            apply_unitary(grouped, u, qubits, n)
-        for u, qubits in gates:
-            apply_unitary(gate_by_gate, u, qubits, n)
-    run = tuple(tuple((u.tobytes(), qubits) for u, qubits in gates) for gates in layers)
+    gate_by_gate = states.copy()
+    for gates in run:
+        for name, angle, qubits in gates:
+            apply_unitary(gate_by_gate, G.gate_unitary(name, angle), qubits, n)
     whole = states @ emulator._unitary(run, n)
-    assert np.abs(whole - grouped).max() < 1e-12
     assert np.abs(whole - gate_by_gate).max() < 1e-12
 
 
 def test_programs_above_the_matrix_cap_match_the_oracle():
-    # registers wider than MATRIX_QUBITS keep each layer's fused groups
+    # registers wider than MATRIX_QUBITS apply each run of layers gate by gate
     wide = 0
     for seed in range(60):
         m = random_program(seed, n_qubits=MATRIX_QUBITS + 3, max_branches=3)
@@ -380,6 +377,10 @@ def test_programs_above_the_matrix_cap_match_the_oracle():
             rt = emulator._compile_runtime(program, NOISELESS)
             ops = [op[0] for _g, _first, seg, _i in rt.segments for op in seg.ops]
             assert emulator._GROUPS in ops and emulator._MATRIX not in ops
+            for _g, _first, seg, _i in rt.segments:  # one read-only (matrix, qubits) entry per gate of the segment
+                groups = [entry for op in seg.ops if op[0] == emulator._GROUPS for entry in op[1]]
+                assert len(groups) == seg.gates
+                assert all(u.shape == (2 ** len(qubits),) * 2 and not u.flags.writeable for u, qubits in groups)
             assert max_distribution_error(enumerate_outcomes(program), want) < 1e-12, (seed, mode)
     assert wide >= 10
 
@@ -830,5 +831,36 @@ def test_norm_drift_detected(monkeypatch):
     bad = np.array([[1.1, 0], [0, 1.1]], dtype=complex)
     real = G.gate_unitary
     monkeypatch.setattr(G, "gate_unitary", lambda name, angle=None: bad if name == "h" else real(name, angle))
-    with pytest.raises(FloatingPointError):
-        run_shots(res.program, NOISELESS, 1, 0)
+    emulator._unitary.cache_clear()  # its cached runs call gate_unitary: no earlier h may stand in for the bad one,
+    try:
+        with pytest.raises(FloatingPointError):
+            run_shots(res.program, NOISELESS, 1, 0)
+    finally:
+        emulator._unitary.cache_clear()  # and the bad one must not serve later tests
+
+
+def test_fixed_gate_matrices_are_read_only():
+    # gate_unitary hands these arrays to every caller, the emulator's cached gate runs included
+    for name in ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx"):
+        u = G.gate_unitary(name)
+        assert not u.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0
+    assert not G.I2.flags.writeable
+
+
+def test_registers_are_sized_by_the_program_and_capped():
+    # the batch's register array has one column per register the program names, not per register of the file
+    res = compile_module(build_msd(MsdConfig(limit=1)))
+    assert res.program.n_regs == 64
+    assert emulator._compile_runtime(res.program, NOISELESS).n_regs == res.colors_used
+    last = len(res.program.items) - 1
+    for top, refused in ((65535, False), (65536, True)):
+        writes, reads = BinOp("xor", PReg(top), 1, 1), BinOp("xor", PReg(0), PReg(top), 1)
+        for names in (ClassicalItem(True, (writes,)), ClassicalItem(True, (reads,)), MarkItem(PReg(top), "far")):
+            prog = _insert_after(res.program, last, names)
+            if refused:
+                with pytest.raises(IonflowError, match="^program uses 65537 registers; the emulator runs at most 65536$"):
+                    emulator._compile_runtime(prog, NOISELESS)
+            else:
+                assert emulator._compile_runtime(prog, NOISELESS).n_regs == 65536
