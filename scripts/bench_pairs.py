@@ -17,6 +17,10 @@ parent's as a fraction (negative when better), beside the metric's bound.
 ``--claim`` adds, for one metric on one workload, the gap between the
 medians and the parent's interquartile range.
 
+The workloads and the claim are checked against ``BENCHMARK.json``, and
+the parent's revision is read, before the first run. A parent copy that is
+not the root of a git checkout is recorded as ``no git metadata``.
+
 Run from this checkout's root, with the parent checked out elsewhere, on
 seeds not used while the change was written:
 
@@ -126,9 +130,33 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+NO_GIT = "no git metadata"
+
+
 def _revision(root: Path) -> str:
-    return subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True, check=True).stdout.strip()
+    """The short revision checked out at ``root``, or ``NO_GIT`` for a copy that is not a git checkout's root."""
+    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--show-toplevel", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != root.resolve():
+        return NO_GIT
+    return lines[1]
+
+
+def check_args(ap: argparse.ArgumentParser, args, spec: dict) -> None:
+    """Refuse, through ``ap.error``, a parent without the benchmark, or a workload or ``--claim`` the summary could not answer."""
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        ap.error(f"--parent {args.parent} holds no perfbench/run.py")
+    known = [w["name"] for w in spec["workloads"]]
+    for workload in args.workloads:
+        if workload not in known:
+            ap.error(f"unknown workload {workload!r}; BENCHMARK.json has {', '.join(known)}")
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in args.workloads:
+            ap.error(f"--claim workload {workload!r} is not among --workloads")
+        if metric not in [m["name"] for m in spec["end_to_end"]]:
+            ap.error(f"--claim metric {metric!r} is not an end-to-end metric of BENCHMARK.json")
 
 
 def main(argv=None) -> int:
@@ -144,8 +172,10 @@ def main(argv=None) -> int:
     import numpy as np  # the benchmark's numpy, recorded with the machine
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    check_args(ap, args, spec)
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     roots = {"parent": args.parent.resolve(), "change": ROOT}
+    parent_revision = _revision(roots["parent"])  # before the first run: a failure here must not cost any
     runs = []
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
@@ -163,7 +193,7 @@ def main(argv=None) -> int:
         "what": (f"alternating parent/change runs of `python3 perfbench/run.py --workload <w> --seed <s> "
                  f"--seconds {seconds:g} --trace 0`; each run's result line is under runs[].result; quartiles "
                  f"are statistics.quantiles(n=4) over the {len(args.seeds)} runs of each side"),
-        "parent": _revision(roots["parent"]),
+        "parent": parent_revision,
         "change": args.change_note,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
         "order": "pair k runs the parent first when k is even and the change first when k is odd",

@@ -8,16 +8,25 @@ result slots, each row's ion placement and its counters.
 ``_compile_runtime`` compiles the flat item list, in one forward pass, into
 one entry per guard segment: a maximal run of items that share one guard,
 in which no classical item writes a register the guard reads, so the guard
-holds the same value on every row through the whole segment. Shared
-transport, transport whose guard is always true so that every row runs it,
-joins the segment it meets, unless a classical item has just closed it.
+holds the same value on every row through the whole segment. Covered
+transport, transport under another guard h that meets an open segment
+under a register guard g, joins it unless a classical item has just closed
+it: a segment has one cover guard h, which it reads at its head, so a
+classical item that writes a register h reads also closes it, and a
+transport under h does not join after such a write. In always mode every
+transport is shared, h being true; in conditional mode a chain's transport
+runs under its entry guard, which each member block's guard implies.
 Repeated layers, transport and segment bodies are built once, and gate
 matrices and transport permutations once across programs. The walk runs
-one entry at a time. At its head every row gets its shared transport's
-composed slot permutation and steps, and the guard becomes a row mask.
-The inactive rows count the segment's marks as skipped and get the shared
-transport's dephasing where it stands. An all-false mask runs nothing
-else. Otherwise the segment's head runs once for its active rows:
+one entry at a time. At its head the rows where h holds get the covered
+transport's composed slot permutation and steps, and g becomes a row mask.
+The rows where g holds must all satisfy h: ``lower`` guarantees it, since
+it chains only a block whose guard implies the chain's and keeps the entry
+guard's register live through the chain, and a row that breaks it raises
+``ZoneViolation``. The inactive rows count the segment's marks as skipped,
+and those where h holds get the covered transport's dephasing where it
+stands. An all-false mask runs nothing else. Otherwise the segment's head
+runs once for its active rows:
 
 * its zone checks: each layer's expected (qubit, slot) pairs, each slot
   mapped back through the segment's transport before that layer, so the
@@ -28,17 +37,18 @@ else. Otherwise the segment's head runs once for its active rows:
 Its ops then run in order on the active rows' states, gathered once and
 scattered back at its end: unitaries, each layer's noise draws and
 collapses, classical items, outputs and, under noise, transport dephasing.
-A shared transport's dephasing draws for every row of the batch and
-updates the inactive rows' states in place. A layer whose draws fire no
-noise event runs only its collapses, and a dephasing draw below no
-threshold calls no kernel. Every draw keeps its place and shape, so the
-RNG streams do not depend on this grouping. Up to ``MATRIX_QUBITS`` qubits
-a layer's gates are one 2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers
-between two ops that draw or collapse fuse into one matrix; that is every
-run of gate layers up to the next measurement, reset or segment end when
-p1 = p2 = p_idle = p_transport = 0, since over-rotation changes only the
-matrices, and shared transport without noise draws nothing. Wider
-registers apply the same runs gate by gate.
+A covered transport's dephasing draws for the rows where h holds, in
+ascending order, as it would in a segment of its own, and updates the
+inactive ones' states in place. A layer whose draws fire no noise event
+runs only its collapses, and a dephasing draw below no threshold calls no
+kernel. Every draw keeps its place and shape, so the RNG streams do not
+depend on this grouping. Up to ``MATRIX_QUBITS`` qubits a layer's gates are
+one 2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers between two ops that
+draw or collapse fuse into one matrix; that is every run of gate layers up
+to the next measurement, reset or segment end when p1 = p2 = p_idle =
+p_transport = 0, since over-rotation changes only the matrices, and
+covered transport without noise draws nothing. Wider registers apply the
+same runs gate by gate.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -47,8 +57,9 @@ a systematic over-rotation added to every rotation angle.
 
 Transport items carry the entry predicate of their chain. In conditional
 mode a false predicate skips the steps entirely (no counter increase, no
-transport dephasing); in always mode every transport item is shared and
-only gates, measurements and classical operations remain predicated.
+transport dephasing); in always mode every transport item is shared (its
+predicate is taken as true) and only gates, measurements and classical
+operations remain predicated.
 
 The rows are shots when sampling and paths when enumerating; they differ
 only at a measurement or reset. A shot draws the outcome from its batch's
@@ -97,7 +108,8 @@ from .regalloc import PReg
 
 
 class ZoneViolation(Exception):
-    """A broken invariant, not rejected input: an operation ran while its ions were not in the planned slots."""
+    """A broken invariant, not rejected input: an operation ran while its ions were not in the planned slots,
+    or a row ran a segment without the covered transport that its chain's entry guard promised it."""
 
 
 @dataclass(frozen=True)
@@ -247,7 +259,7 @@ def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
 
 
 # ---------------------------------------------------------------------------
-# Compiled runtime: one entry per guard segment, with its guard as register
+# Compiled runtime: one entry per guard segment, with its guard and cover guard as register
 # indices. An entry holds what runs once at the segment's head (the zone
 # checks, the composed slot permutation, the step and gate counts) and an
 # ordered op list for its active rows: unitaries, layer draws, classical
@@ -275,6 +287,11 @@ def _cguard(g):
             return None
         return tuple(p.index for p in g.parts if p is not False)
     raise TypeError(f"bad exec guard {g!r}")
+
+
+def _reads(g) -> set:
+    """The register indices a compiled guard reads."""
+    return set() if g is None else set(g) if type(g) is tuple else {g}
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -362,7 +379,13 @@ def _compile_transport(steps: tuple, slots: int) -> tuple:
 
 
 class _Segment(NamedTuple):
-    """A guard segment's work: its head's, done once for its active rows, then its ops in order."""
+    """A guard segment's work: its head's, done once for its active rows, then its ops in order.
+
+    Its transport is its own, run by its active rows, and its covered
+    transport, run by every row where the segment's cover guard holds; the
+    active rows run both, in program order, so ``perm`` and ``steps`` cover
+    both and ``cover_perm`` and ``cover_steps`` only the covered part.
+    """
 
     marks: int  # block marks, counted as skipped on the inactive rows
     zone_qubits: np.ndarray | None  # every layer's expected (qubit, slot), the slot mapped back
@@ -373,9 +396,9 @@ class _Segment(NamedTuple):
     gates: int
     ops: tuple
     state: bool  # some op touches the state
-    shared_perm: np.ndarray | None  # composed slot permutation of its shared transport alone, run by every row
-    shared_steps: int
-    shared: tuple  # the shared transport's dephasing ops, for a segment with no active row
+    cover_perm: np.ndarray | None  # composed slot permutation of its covered transport alone, None for none
+    cover_steps: int
+    covered: tuple  # the covered transport's dephasing ops, for a segment with no active row
 
 
 def _unitary_op(run: list, n: int) -> tuple:
@@ -383,29 +406,29 @@ def _unitary_op(run: list, n: int) -> tuple:
 
 
 def _segment(parts: list, n: int) -> _Segment:
-    """Build a segment from its items' bodies, in order.
+    """Build a segment from its items' bodies, in order; a transport body says whether it is covered.
 
     Unitaries run as late as the next op that touches the state, so the
     layers between two draws or collapses fuse into one op: one matrix, or
     above MATRIX_QUBITS their gates in order. Classical items and outputs do
     not touch the state.
     """
-    marks = steps = gates = shared_steps = 0
-    perm = inv = shared_perm = None
-    zone, zone_slots, ops, run, shared = [], [], [], [], []
+    marks = steps = gates = cover_steps = 0
+    perm = inv = cover_perm = None
+    zone, zone_slots, ops, run, covered = [], [], [], [], []
     state = False
     for part in parts:
         tag = part[0]
         if tag == _MARK:
             marks += 1
         elif tag == _TRANSPORT:
-            _, t, t_inv, n_steps, dephase, is_shared = part
+            _, t, t_inv, n_steps, dephase, is_covered = part
             perm, inv = (t, t_inv) if perm is None else _frozen(t[perm], inv[t_inv])
             steps += n_steps
-            if is_shared:
-                shared_perm = t if shared_perm is None else _frozen(t[shared_perm])[0]
-                shared_steps += n_steps
-                shared += [dephase] if dephase else []
+            if is_covered:
+                cover_perm = t if cover_perm is None else _frozen(t[cover_perm])[0]
+                cover_steps += n_steps
+                covered += [dephase] if dephase else []
             if dephase:
                 if run:
                     ops.append(_unitary_op(run, n))
@@ -436,7 +459,8 @@ def _segment(parts: list, n: int) -> _Segment:
         zq, zs = _frozen(zone[0][0], zone_slots[0])
     elif zone:
         zq, zs = _frozen(np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots))
-    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state, shared_perm, shared_steps, tuple(shared))
+    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state, cover_perm, cover_steps,
+                    tuple(covered))
 
 
 @dataclass
@@ -448,7 +472,7 @@ class _Runtime:
     reg_dtype: type
     canonical: tuple[int, ...]
     noise: NoiseModel
-    segments: list  # per guard segment: (guard, index of its first item, _Segment, classical instructions)
+    segments: list  # per guard segment: (guard, cover guard, index of its first item, _Segment, classical instructions)
 
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
@@ -465,11 +489,12 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     layers, layer_values, transports, bodies = {}, {}, {}, {}
     guards = {}  # by identity too: a register's hash is a Python call
     classical = []  # classical[j]: the body of a segment's j-th classical item
-    opened = []  # per segment: its guard, first item, item bodies and classical instructions
+    opened = []  # per segment: its guard, its cover guard, first item, item bodies and classical instructions
     n_outputs = 0
     floats = False
     conditional = prog.conditional_transport
     seg_guard, closed = None, True
+    cover, reads, written = (), set(), set()  # the open segment's cover guard, registers read and registers written
     top = -1  # the largest register index a guard or classical instruction names
     for k, item in enumerate(prog.items):
         kind = type(item)
@@ -478,12 +503,20 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             cg = guards[gid] = _cguard(item.guard)
             top = max(top, cg if type(cg) is int else max(cg or (-1,)))
         g = guards[gid] if conditional or kind is not TransportItem else None
-        shared = g is None and kind is TransportItem  # every row runs it
-        if closed or g != seg_guard and not shared:
-            # a segment runs on while the guard stays the same and no classical item writes a register it
-            # reads; shared transport joins it, and the segment's inactive rows run that transport alone
+        # transport under another guard joins an open register-guarded segment as its covered transport:
+        # one cover guard per segment, whose registers no earlier classical item of the segment wrote
+        covered = (kind is TransportItem and g != seg_guard and not closed and seg_guard is not None
+                   and cover in ((), g) and (g is None or _reads(g).isdisjoint(written)))
+        if covered:
+            if cover != g:  # the segment's first covered transport sets its cover
+                cover = opened[-1][1] = g
+                reads |= _reads(g)
+        elif closed or g != seg_guard:
+            # a segment runs on while the guard stays the same and no classical item writes a register
+            # that the guard or the cover reads
             parts, instrs = [], []
-            opened.append((g, k, parts, instrs))
+            cover, reads, written = (), _reads(g), set()  # (): no row is covered yet
+            opened.append([g, cover, k, parts, instrs])
             seg_guard, closed = g, False
         if kind is LayerItem:
             lk = (id(item.ops), item.expected_slots, item.idle_qubits)
@@ -498,11 +531,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         elif kind is MarkItem:
             parts.append(_MARK_BODY)
         elif kind is TransportItem:
-            body = transports.get((item.steps, shared))
+            body = transports.get((item.steps, covered))
             if body is None:
                 perm, inv, n_steps = _compile_transport(item.steps, prog.trap.slots)
-                dephase = (_DEPHASE, tuple(range(n)) * n_steps, shared) if noise.p_transport > 0.0 and n_steps else None
-                body = transports[item.steps, shared] = (_TRANSPORT, perm, inv, n_steps, dephase, shared)
+                dephase = (_DEPHASE, tuple(range(n)) * n_steps, covered) if noise.p_transport > 0.0 and n_steps else None
+                body = transports[item.steps, covered] = (_TRANSPORT, perm, inv, n_steps, dephase, covered)
             parts.append(body)
         elif kind is ClassicalItem:
             if len(instrs) == len(classical):
@@ -511,12 +544,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             instrs.append(item.instrs)
             for ins in item.instrs:  # plain loops, not a generator per item: this runs for every classical item
                 floats |= type(ins) in (BinOp, Select) and float in (type(ins.a), type(ins.b))
+                written.add(ins.dst.index)
                 for v in vars(ins).values():
                     if type(v) is PReg and v.index > top:
                         top = v.index
-            if g is not None:
-                reads = set(g) if type(g) is tuple else {g}
-                closed = any(ins.dst.index in reads for ins in item.instrs)
+            closed = not reads.isdisjoint(written)
         elif kind is OutputItem:
             parts.append((_OUTPUT, _CODE.get(item.kind), item.slot, n_outputs))
             n_outputs += 1
@@ -526,11 +558,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         if SHOT_BATCH * count > MAX_BATCH_AMPLITUDES:
             raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
     segments = []
-    for seg_guard, first, parts, instrs in opened:
+    for seg_guard, cover, first, parts, instrs in opened:
         key = tuple(map(id, parts))
         if key not in bodies:
             bodies[key] = _segment(parts, n)
-        segments.append((seg_guard, first, bodies[key], tuple(instrs)))
+        segments.append((seg_guard, cover, first, bodies[key], tuple(instrs)))
     dtype = np.float64 if floats else np.int64
     return _Runtime(n, prog.n_results, top + 1, n_outputs, dtype, prog.canonical, noise, segments)
 
@@ -599,19 +631,21 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
           max_rows: int = 0) -> tuple[int, int] | None:
     """Run every row of ``b`` from op ``start[1]`` of segment ``start[0]`` to the end of the program.
 
-    At a segment's head (op 0) every row gets its shared transport's
-    permutation and steps, and its row mask is computed. Its inactive rows
-    count its marks as skipped; its zone checks read the head's placement
-    of its active rows, which get its gate count, its other steps and its
-    composed slot permutation. Its ops then run in order on the active
-    rows' states, gathered once and scattered back at its end. Shared
-    transport's dephasing (only under noise, so never while enumerating)
-    also reaches the inactive rows, in ``b.state``. With an RNG every measurement and
-    reset outcome is drawn per row. Without one (noiseless enumeration) a
-    row with two live outcomes forks; the copy is an active row of the same
-    segment and has the head's work already. Returns None at the end, or
-    the (segment, op) to resume from once the batch has grown past
-    ``max_rows`` rows.
+    At a segment's head (op 0) every row where its cover guard holds (every
+    row when it has none) gets its covered transport's permutation and
+    steps, and its row mask is computed; an active row where the cover guard
+    fails raises ``ZoneViolation``. Its inactive rows count its marks as
+    skipped; its zone checks read the head's placement of its active rows,
+    which get its gate count, its other steps and its composed slot
+    permutation. Its ops then run in order on the active rows' states,
+    gathered once and scattered back at its end. Covered transport's
+    dephasing (only under noise, so never while enumerating) also reaches
+    the inactive rows where the cover guard holds, in ``b.state``. With an
+    RNG every measurement and reset outcome is drawn per row. Without one
+    (noiseless enumeration) a row with two live outcomes forks; the copy is
+    an active row of the same segment and has the head's work already.
+    Returns None at the end, or the (segment, op) to resume from once the
+    batch has grown past ``max_rows`` rows.
     """
     segments = rt.segments
     p_transport = rt.noise.p_transport
@@ -619,25 +653,37 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
     while s < len(segments):
         if max_rows and len(b.weight) > max_rows:
             return s, j
-        g, _first, seg, instrs = segments[s]
+        g, cg, first, seg, instrs = segments[s]
         head = b.place  # the placement at the segment's head
-        if j == 0 and seg.shared_perm is not None:  # every row runs the shared transport
-            b.place = seg.shared_perm[head]
-            b.transport += seg.shared_steps
+        H = _ALL  # the rows that run the covered transport: every row, their indices, or None for no row
+        if seg.cover_perm is not None:
+            if cg is not None:
+                h = b.regs[:, cg] != 0
+                if type(cg) is tuple:
+                    h = h.any(1)
+                n_h = np.count_nonzero(h)
+                H = None if n_h == 0 else _ALL if n_h == len(h) else h.nonzero()[0]
+            if j == 0 and H is not None:
+                b.place = seg.cover_perm[head] if H is _ALL else np.where(h[:, None], seg.cover_perm[head], head)
+                b.transport[H] += seg.cover_steps
         R = _ALL
         if g is not None:
             m = b.regs[:, g] != 0
             if type(g) is tuple:
                 m = m.any(1)
             c = np.count_nonzero(m)
-            if c == 0:  # only the shared transport's dephasing runs, on every row
+            if c == 0:  # only the covered transport's dephasing runs, on its rows
                 if j == 0:
                     if seg.marks:
                         b.skipped += seg.marks
-                    for op in seg.shared:
-                        apply_dephasing(b.state, op[1], p_transport, rng.random((len(b.weight), len(op[1]))))
+                    for op in seg.covered if H is not None else ():
+                        u = rng.random((len(b.weight) if H is _ALL else len(H), len(op[1])))
+                        apply_dephasing(b.state, op[1], p_transport, u, None if H is _ALL else H)
                 s, j = s + 1, 0
                 continue
+            if H is not _ALL and j == 0 and (H is None or (m > h).any()):
+                raise ZoneViolation(f"row {(m > h).argmax()} runs the segment at item {first} "
+                                    f"but not its chain's transport")
             if c < len(m):
                 R = m.nonzero()[0]
                 if seg.marks and j == 0:
@@ -648,8 +694,8 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
                 _zone_violation(place, seg.zone)
             if seg.gates:
                 b.gates[R] += seg.gates
-            if seg.steps > seg.shared_steps:  # else its transport is all shared, and every row has it
-                b.transport[R] += seg.steps - seg.shared_steps
+            if seg.steps > seg.cover_steps:  # else its transport is all covered, and its rows have it
+                b.transport[R] += seg.steps - seg.cover_steps
                 b.place[R] = seg.perm[place]
         ops = seg.ops
         st = (b.state if R is _ALL else b.state[R]) if seg.state else None
@@ -676,13 +722,14 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             elif tag == _GROUPS:
                 for unitary, qubits in op[1]:
                     apply_unitary(st, unitary, qubits, rt.n_qubits)
-            else:  # _DEPHASE; a shared transport's draw covers every row of the batch, the inactive ones in place
-                u = rng.random((len(b.weight) if op[2] else len(st), len(op[1])))
+            else:  # _DEPHASE; a covered transport's draw covers its rows H, the inactive ones in place
+                u = rng.random((len(st) if not op[2] else len(b.weight) if H is _ALL else len(H), len(op[1])))
                 if (u < p_transport).any():
                     if op[2] and R is not _ALL:
-                        off = (~m).nonzero()[0]
-                        apply_dephasing(b.state, op[1], p_transport, u[off], off)
-                        u = u[R]
+                        act = m[H]  # which of the drawn rows are active, in ascending order like R
+                        off = (~act).nonzero()[0] if H is _ALL else H[~act]
+                        apply_dephasing(b.state, op[1], p_transport, u[~act], off)
+                        u = u[act]
                     apply_dephasing(st, op[1], p_transport, u)
         if st is not None and R is not _ALL:
             b.state[R] = st

@@ -329,7 +329,9 @@ def _route_to_targets(current: Placement, target: Placement, trap: TrapLayout) -
 
     Each slot's content gets a destination key (empty slots absorb the unused
     destinations in order); parallel passes swap adjacent inversions until
-    sorted, which needs at most one pass per slot.
+    sorted, which needs at most one pass per slot. The live inversions are
+    kept by parity: a swap at s can make or clear one only at s - 1, s and
+    s + 1, so a phase costs its swaps, not a scan of every slot.
     """
     slots = trap.slots
     occupant: dict[int, int] = {s: q for q, s in enumerate(current)}
@@ -343,20 +345,28 @@ def _route_to_targets(current: Placement, target: Placement, trap: TrapLayout) -
             fi += 1
         else:
             keys.append(target[q])
+    inversions: tuple[set[int], set[int]] = (set(), set())  # the s with keys[s] > keys[s + 1], by parity
+    for s in range(slots - 1):
+        if keys[s] > keys[s + 1]:
+            inversions[s & 1].add(s)
     plan: list[TransportStep] = []
     pl = current
     for _pass in range(slots + 1):
-        moved = False
+        if not inversions[0] and not inversions[1]:
+            break
         for parity in (0, 1):
-            swaps = tuple((s, s + 1) for s in range(parity, slots - 1, 2) if keys[s] > keys[s + 1])
-            if swaps:
+            if inversions[parity]:
+                swaps = tuple((s, s + 1) for s in sorted(inversions[parity]))
                 for a, b in swaps:
                     keys[a], keys[b] = keys[b], keys[a]
+                for a, _b in swaps:
+                    for s in range(max(a - 1, 0), min(a + 2, slots - 1)):
+                        if keys[s] > keys[s + 1]:
+                            inversions[s & 1].add(s)
+                        else:
+                            inversions[s & 1].discard(s)
                 plan.append(swaps)
                 pl = apply_step(pl, swaps)
-                moved = True
-        if not moved:
-            break
     if pl != target:  # pragma: no cover - odd-even sort always terminates
         raise Unreachable("greedy routing did not reach the target placement")
     return plan, pl

@@ -94,3 +94,67 @@ def test_summary_reads_the_benchmark_metrics_and_the_last_bench_file():
     assert summary.keys() == doc["summary"].keys()
     for workload, s in summary.items():
         assert s == doc["summary"][workload], workload
+
+
+# -- what main checks before its first run -------------------------------------------
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a benchmark run started")
+
+
+def _parent_copy(root: Path) -> Path:
+    """A parent checkout with the benchmark's entry point and no git metadata."""
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text("")
+    return root
+
+
+def _argv(parent, out, *extra):
+    return ["--parent", str(parent), "--seeds", "1-2", "--change-note", "n", "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--workloads", "nope"], "unknown workload 'nope'"),
+    (["--workloads", "rus-recursion-5", "--claim", "msd-8-noisy:shots_per_s"], "is not among --workloads"),
+    (["--workloads", "rus-recursion-5", "--claim", "rus-recursion-5:textir.parse_s"], "not an end-to-end metric"),
+    (["--workloads", "rus-recursion-5", "--claim", "rus-recursion-5"], "metric '' is not an end-to-end metric"),
+    (["--workloads", "rus-recursion-5", "--claim", "rus-recursion-5:shots_per_s:x"], "not an end-to-end metric"),
+], ids=["workload", "claim-workload", "per-layer-metric", "no-metric", "two-colons"])
+def test_bad_workloads_and_claims_are_refused_before_any_run(monkeypatch, tmp_path, capsys, extra, message):
+    monkeypatch.setattr(bench_pairs, "run_once", _no_run)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(_argv(_parent_copy(tmp_path), tmp_path / "out.json", *extra))
+    assert exit_.value.code == 2 and message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_parent_without_the_benchmark_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", _no_run)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(_argv(tmp_path, tmp_path / "out.json", "--workloads", "rus-recursion-5"))
+    assert "holds no perfbench/run.py" in capsys.readouterr().err
+
+
+def test_the_parent_revision_is_read_before_the_first_run(monkeypatch, tmp_path):
+    def revision(root):
+        raise RuntimeError("revision read")
+
+    monkeypatch.setattr(bench_pairs, "run_once", _no_run)
+    monkeypatch.setattr(bench_pairs, "_revision", revision)
+    with pytest.raises(RuntimeError, match="revision read"):
+        bench_pairs.main(_argv(_parent_copy(tmp_path), tmp_path / "out.json", "--workloads", "rus-recursion-5"))
+
+
+def test_a_parent_without_git_metadata_is_recorded_as_such(monkeypatch, tmp_path):
+    # a copy outside any git checkout, and a directory inside one that it is not the root of
+    parent = _parent_copy(tmp_path)
+    assert bench_pairs._revision(parent) == bench_pairs.NO_GIT
+    assert bench_pairs._revision(ROOT / "perfbench") == bench_pairs.NO_GIT
+    canned = iter(_runs())  # in the order main runs them: pair 1 runs the change first
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, workload, seed, seconds: next(canned)["result"])
+    out = tmp_path / "out.json"
+    claim = ["--claim", "rus-recursion-5:shots_per_s"]
+    assert bench_pairs.main(_argv(parent, out, "--workloads", "rus-recursion-5", *claim)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["parent"] == bench_pairs.NO_GIT and len(doc["runs"]) == 4
+    assert doc["claim"]["workload"] == "rus-recursion-5" and doc["claim"]["change_wins"] == "2/2"

@@ -29,7 +29,7 @@ from ionflow.emulator import (
     run_shots,
 )
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
-from ionflow.ir import BinOp, IonflowError
+from ionflow.ir import BinOp, IonflowError, ReadResult
 from ionflow.predication import OrVal
 from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem, TransportItem
 from ionflow.regalloc import PReg
@@ -130,9 +130,15 @@ def _segment_items(prog):
 
 def _segment_of(rt, prog, k: int):
     """The first item, the end and the body of the guard segment that holds item k."""
-    firsts = [first for _guard, first, _seg, _instrs in rt.segments] + [len(prog.items)]
+    firsts = [first for _guard, _cover, first, _seg, _instrs in rt.segments] + [len(prog.items)]
     i = bisect.bisect_right(firsts, k) - 1
-    return firsts[i], firsts[i + 1], rt.segments[i][2]
+    return firsts[i], firsts[i + 1], rt.segments[i][3]
+
+
+def _guards_of(rt, k: int):
+    """The guard and the cover guard of the guard segment that holds item k."""
+    i = bisect.bisect_right([first for _guard, _cover, first, _seg, _instrs in rt.segments], k) - 1
+    return rt.segments[i][:2]
 
 
 def test_classical_item_clearing_its_guard_ends_the_segment():
@@ -189,16 +195,17 @@ def test_zone_check_raises_inside_a_segment():
         enumerate_outcomes(prog)
 
 
-def _moving_segment(prog, x_slot=2, measure_slot=3, second_step=((2, 3),)):
+def _moving_segment(prog, x_slot=2, measure_slot=3, second_step=((2, 3),), second_guard=None):
     """BRANCHY with block a's ion q1 moved in its own segment: slot 1 to 2
-    before the x layer, 2 to 3 before the measurement, and back after it."""
+    before the x layer, 2 to 3 before the measurement, and back after it.
+    The second move is under a's guard, or under ``second_guard``."""
     mark, x_layer, g = _segment_items(prog)
     x, measure = prog.items[x_layer], prog.items[x_layer + 1]
     assert x.expected_slots == measure.expected_slots == ((1, 1),)
     moved = (
         TransportItem(g, (((1, 2),),)),
         dataclasses.replace(x, expected_slots=((1, x_slot),)),
-        TransportItem(g, (second_step,)),
+        TransportItem(g if second_guard is None else second_guard, (second_step,)),
         dataclasses.replace(measure, expected_slots=((1, measure_slot),)),
         TransportItem(g, (((2, 3),), ((1, 2),))),
     )
@@ -263,13 +270,24 @@ def test_every_msd_shot_executes_the_same_transport_in_conditional_mode(noise):
         assert len({s.executed_transport_steps for s in run_shots(prog, noise, 300, 6)}) == 1, limit
 
 
+def _segment_count(program) -> int:
+    return len(emulator._compile_runtime(program, NOISELESS).segments)
+
+
 def test_segment_counts_with_shared_transport():
     # shared transport joins the guarded segment around it, so each MSD round is about one segment
     for mode in (CONDITIONAL, ALWAYS):
         msd = compile_module(build_msd(MsdConfig(limit=8)), mode=mode).program
-        assert len(emulator._compile_runtime(msd, NOISELESS).segments) <= 19, mode
-    rus = compile_module(build_rus(RusConfig(limit=5, style="recursion")), mode=ALWAYS).program
-    assert len(emulator._compile_runtime(rus, NOISELESS).segments) <= 217
+        assert _segment_count(msd) <= 19, mode
+    # covered transport, a chain's transport under its entry guard, joins its member blocks' segments,
+    # so conditional mode walks as many segments as always mode, where every transport is shared
+    for style in ("loop", "recursion"):
+        for limit in range(1, 7):
+            module = build_rus(RusConfig(limit=limit, style=style))
+            counts = [_segment_count(compile_module(module, mode=mode).program) for mode in (CONDITIONAL, ALWAYS)]
+            assert counts[0] == counts[1], (style, limit, counts)
+            if (style, limit) == ("recursion", 5):
+                assert counts[0] <= 217
 
 
 # q1 enters block b in |+>, and b measures it in the X basis: it reads 1
@@ -304,8 +322,9 @@ def test_inactive_rows_get_the_shared_transport_inside_a_segment(mode, prep):
     dephasing = NoiseModel(p_transport=1.0)
     rt = emulator._compile_runtime(prog, dephasing)
     first, _end, seg = _segment_of(rt, prog, mark + 2)
-    assert first == mark and (seg.steps, seg.shared_steps, len(seg.shared)) == (1, 1, 1)
-    assert rt.segments[[f for _g, f, _s, _i in rt.segments].index(first)][0] is not None
+    assert first == mark and (seg.steps, seg.cover_steps, len(seg.covered)) == (1, 1, 1)
+    guard, cover = _guards_of(rt, first)
+    assert guard is not None and cover is None
     r0 = {"h q0": {0, 1}, "x q0": {1}, "z q0": {0}}[prep]
     shots = run_shots(prog, dephasing, 600, 2)
     assert {s.outputs for s in shots} == {(r, 1) for r in r0}
@@ -323,10 +342,148 @@ def test_shared_transport_after_a_closing_classical_item_opens_a_segment():
     rt = emulator._compile_runtime(prog, NOISELESS)
     first, _end, seg = _segment_of(rt, prog, x_layer + 2)
     assert first == x_layer + 2 and seg.steps == 1
-    assert rt.segments[[f for _g, f, _s, _i in rt.segments].index(first)][0] is None
+    assert _guards_of(rt, first)[0] is None
     shots = run_shots(prog, NOISELESS, 300, 5)
     assert {s.executed_transport_steps for s in shots} == {1}
     assert {s.skipped_blocks for s in shots} == {1, 2}  # a.rest is skipped in every shot, a in about half
+
+
+# -- covered transport: transport under a guard that holds on every active row of the segment --
+
+COVER = PReg(9)  # a register that no program compiled here names
+
+
+def _covering(g):
+    """A guard that holds wherever ``g`` does: ``g`` or ``COVER``."""
+    return OrVal((g, COVER))
+
+
+def _holds(guard, regs: dict) -> bool:
+    """``guard`` on a row whose registers are ``regs`` (index to value; 0 where absent)."""
+    if isinstance(guard, bool):
+        return guard
+    if isinstance(guard, PReg):
+        return regs.get(guard.index, 0) != 0
+    return any(_holds(part, regs) for part in guard.parts)
+
+
+def _item_steps(prog, regs: dict) -> int:
+    """The steps of the transport items whose guard holds on a row whose registers are ``regs``."""
+    return sum(len(it.steps) for it in prog.items if isinstance(it, TransportItem) and _holds(it.guard, regs))
+
+
+@pytest.mark.parametrize("case", ["shared", "covered", "covered-every-row"])
+def test_segment_steps_split_between_its_cover_and_its_own_transport(case):
+    # block a's segment holds its own transport (three steps under a's guard)
+    # and, between a's two layers, one step under another guard. That step
+    # carries q1 from slot 2 to 3 on the active rows and moves no ion on the
+    # others. Every row where its guard holds runs it, and a's rows run the
+    # rest: each shot's and each leaf's steps are those of the items whose
+    # guard holds on it
+    res = compile_src(BRANCHY)
+    _mark, _x_layer, g = _segment_items(res.program)
+    prog, mark = _moving_segment(res.program, second_guard=True if case == "shared" else _covering(g))
+    cover = int(case == "covered-every-row")
+    if cover:
+        prog = _insert_after(prog, mark - 1, ClassicalItem(True, (BinOp("or", COVER, 1, 0),)))
+        mark += 1
+    rt = emulator._compile_runtime(prog, NOISELESS)
+    first, end, seg = _segment_of(rt, prog, mark)
+    assert (first, end) == (mark, mark + 8)
+    assert (seg.steps, seg.cover_steps) == (4, 1)  # both terms of the active rows' own steps above 0
+    assert _guards_of(rt, mark) == (g.index, None if case == "shared" else (g.index, COVER.index))
+    want = oracle.enumerate_guarded(res.guarded, 2, 2)
+    assert max_distribution_error(enumerate_outcomes(prog), want) < 1e-12
+
+    def steps(outputs) -> int:
+        ran_a = len(outputs) == 3  # a outputs r0 and r1, b outputs r1
+        return _item_steps(prog, {g.index: int(ran_a), COVER.index: cover})
+
+    shots = run_shots(prog, NOISELESS, 300, 0)
+    assert {len(s.outputs) for s in shots} == {1, 3}
+    assert all(s.executed_transport_steps == steps(s.outputs) for s in shots)
+    assert {s.executed_transport_steps for s in shots} == ({0, 4} if case == "covered" else {1, 4})
+    assert all(l.executed_transport_steps == steps(l.outputs) for l in enumerate_exec_leaves(prog))
+
+
+NEUTRAL = (((2, 3),), ((1, 2),), ((2, 3),))  # three steps that leave an ion in slot 2 and empty slots 1 and 3 as they are
+
+
+@pytest.mark.parametrize("prep", ["h q0", "x q0", "z q0"], ids=["mixed", "all-active", "none-active"])
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+def test_inactive_rows_get_the_covered_transport_inside_a_segment(mode, prep):
+    # DEPHASED with a coin r2, read into COVER before block a, and in a's
+    # segment three steps under r0 or r2 that move no ion. At p_transport = 1
+    # their three Zs on q1 flip r1 on every row where r0 or r2 holds, whether
+    # or not a runs on it (on every row in always mode), and on no other row
+    body = DEPHASED.replace("PREP", f"h q0\n  mz q0 -> r2\n  reset q0\n  {prep}")
+    body = body.replace("  output result r1\n", "  output result r1\n  output result r2\n")
+    prog = compile_src(body, results=3, mode=mode).program
+    mark, x_layer, g = _segment_items(prog)
+    prog = _insert_after(prog, x_layer, TransportItem(_covering(g), NEUTRAL))
+    prog = _insert_after(prog, mark - 1, ClassicalItem(True, (ReadResult(COVER, 2),)))
+    mark += 1
+    dephasing = NoiseModel(p_transport=1.0)
+    rt = emulator._compile_runtime(prog, dephasing)
+    first, _end, seg = _segment_of(rt, prog, mark + 2)
+    assert first == mark
+    if mode == CONDITIONAL:  # the shared transport after it opens a segment of its own
+        assert _guards_of(rt, mark)[1] == (g.index, COVER.index)
+        assert (seg.steps, seg.cover_steps, len(seg.covered)) == (3, 3, 1)
+    else:
+        assert _guards_of(rt, mark)[1] is None
+        assert (seg.steps, seg.cover_steps, len(seg.covered)) == (4, 4, 2)
+    r0 = {"h q0": {0, 1}, "x q0": {1}, "z q0": {0}}[prep]
+
+    def covered(r0, r2) -> int:
+        return int(mode == ALWAYS or r0 or r2)
+
+    shots = run_shots(prog, dephasing, 600, 2)
+    assert {s.outputs for s in shots} == {(a, 1 - covered(a, c), c) for a in r0 for c in (0, 1)}
+    assert all(s.executed_transport_steps == 2 + 3 * covered(s.outputs[0], s.outputs[2]) for s in shots)
+    assert {s.outputs for s in run_shots(prog, NOISELESS, 600, 2)} == {(a, 0, c) for a in r0 for c in (0, 1)}
+
+
+def test_a_row_outside_the_cover_that_runs_its_segment_raises():
+    # a transport under COVER alone, false on every row, joins block a's
+    # segment: the rows that run a break the covering that lowering
+    # guarantees, so the head raises instead of counting
+    prog = compile_src(BRANCHY).program
+    mark, x_layer, _g = _segment_items(prog)
+    prog = _insert_after(prog, x_layer, TransportItem(COVER, (((2, 3),),)))
+    rt = emulator._compile_runtime(prog, NOISELESS)
+    first, end, seg = _segment_of(rt, prog, x_layer + 1)
+    assert first == mark and end > x_layer + 2 and seg.cover_steps == 1 and _guards_of(rt, mark)[1] == COVER.index
+    message = f"runs the segment at item {mark} but not its chain's transport"
+    with pytest.raises(ZoneViolation, match=message):
+        run_shots(prog, NOISELESS, 300, 0)
+    with pytest.raises(ZoneViolation, match=message):
+        enumerate_outcomes(prog)
+
+
+@pytest.mark.parametrize("write", ["after", "before"])
+def test_a_write_to_the_cover_guard_ends_the_segment(write):
+    # a classical item in block a that writes COVER, after a transport under
+    # a's guard or COVER or before it: the head reads the cover guard once, so
+    # the write ends the segment, or the transport opens a segment of its own
+    prog = compile_src(BRANCHY).program
+    mark, x_layer, g = _segment_items(prog)
+    moved = TransportItem(_covering(g), (((2, 3),),))
+    sets = ClassicalItem(g, (BinOp("or", COVER, 1, 0),))
+    new = (moved, sets) if write == "after" else (sets, moved)
+    prog = _insert_after(prog, x_layer, *new, MarkItem(g, "a.rest"))
+    rt = emulator._compile_runtime(prog, NOISELESS)
+    first, end, seg = _segment_of(rt, prog, x_layer + 1)
+    if write == "after":
+        assert (first, end) == (mark, x_layer + 3) and seg.cover_steps == 1  # a.rest opens the next segment
+    else:
+        assert (first, end) == (mark, x_layer + 2)  # the transport opens the next segment
+        assert _segment_of(rt, prog, x_layer + 2)[0] == x_layer + 2
+    shots = run_shots(prog, NOISELESS, 300, 5)
+    took_a = [len(s.outputs) == 3 for s in shots]
+    assert 50 < sum(took_a) < 250
+    assert [s.executed_transport_steps for s in shots] == [int(a) for a in took_a]
+    assert [s.skipped_blocks for s in shots] == [0 if a else 2 for a in took_a]
 
 
 # -- whole-register kernels: one matrix per layer, and per run of layers ---------
@@ -375,9 +532,9 @@ def test_programs_above_the_matrix_cap_match_the_oracle():
         for mode in (CONDITIONAL, ALWAYS):
             program = compile_module(m, mode=mode).program
             rt = emulator._compile_runtime(program, NOISELESS)
-            ops = [op[0] for _g, _first, seg, _i in rt.segments for op in seg.ops]
+            ops = [op[0] for *_entry, seg, _i in rt.segments for op in seg.ops]
             assert emulator._GROUPS in ops and emulator._MATRIX not in ops
-            for _g, _first, seg, _i in rt.segments:  # one read-only (matrix, qubits) entry per gate of the segment
+            for *_entry, seg, _i in rt.segments:  # one read-only (matrix, qubits) entry per gate of the segment
                 groups = [entry for op in seg.ops if op[0] == emulator._GROUPS for entry in op[1]]
                 assert len(groups) == seg.gates
                 assert all(u.shape == (2 ** len(qubits),) * 2 and not u.flags.writeable for u, qubits in groups)
@@ -391,7 +548,7 @@ def test_layers_fuse_only_when_nothing_draws_between_them():
 
     def unitary_ops(noise):
         rt = emulator._compile_runtime(program, noise)
-        return sum(op[0] == emulator._MATRIX for _g, _first, seg, _i in rt.segments for op in seg.ops)
+        return sum(op[0] == emulator._MATRIX for *_entry, seg, _i in rt.segments for op in seg.ops)
 
     assert unitary_ops(H1E_LIKE) == gate_layers  # depolarizing draws after every gate layer
     fused = unitary_ops(NOISELESS)
@@ -534,7 +691,7 @@ def test_runtime_arrays_are_read_only(case):
     else:
         prog = compile_module(build_msd(MsdConfig(limit=1))).program
     rt = emulator._runtime(prog, H1E_LIKE if case in ("msd-noisy", "six-qubits") else NOISELESS)
-    segs = [seg for _g, _first, seg, _instrs in rt.segments]
+    segs = [seg for *_entry, seg, _instrs in rt.segments]
     ops = {op[0] for seg in segs for op in seg.ops}
     assert ops >= {emulator._GROUPS if case == "six-qubits" else emulator._MATRIX, emulator._DRAWS}
     assert any(seg.zone_qubits is not None for seg in segs)
