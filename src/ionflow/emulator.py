@@ -6,49 +6,48 @@ largest register index the program names (all zero at the start), (B, R)
 result slots, each row's ion placement and its counters.
 
 ``_compile_runtime`` compiles the flat item list, in one forward pass, into
-one entry per guard segment: a maximal run of items that share one guard,
-in which no classical item writes a register the guard reads, so the guard
-holds the same value on every row through the whole segment. Covered
-transport, transport under another guard h that meets an open segment
-under a register guard g, joins it unless a classical item has just closed
-it: a segment has one cover guard h, which it reads at its head, so a
-classical item that writes a register h reads also closes it, and a
-transport under h does not join after such a write. In always mode every
-transport is shared, h being true; in conditional mode a chain's transport
-runs under its entry guard, which each member block's guard implies.
-Repeated layers, transport and segment bodies are built once, and gate
-matrices and transport permutations once across programs. The walk runs
-one entry at a time. At its head the rows where h holds get the covered
-transport's composed slot permutation and steps, and g becomes a row mask.
-The rows where g holds must all satisfy h: ``lower`` guarantees it, since
-it chains only a block whose guard implies the chain's and keeps the entry
-guard's register live through the chain, and a row that breaks it raises
-``ZoneViolation``. The inactive rows count the segment's marks as skipped,
-and those where h holds get the covered transport's dephasing where it
-stands. An all-false mask runs nothing else. Otherwise the segment's head
-runs once for its active rows:
+one entry per guard segment: a maximal run of items that share one guard g,
+in which no classical item writes a register g reads, so g holds the same
+value on every row through the whole segment. All of a segment's transport
+runs under one transport guard t, that of its first transport item: g for
+its own transport, or another guard h, which an open segment under a
+register guard g takes on if no earlier classical item of the segment wrote
+a register h reads. In always mode every transport is shared, h being true;
+in conditional mode a chain's transport runs under its entry guard, which
+each member block's guard implies. A later transport joins only under t,
+one under any other guard opens a segment, and a classical item that
+writes a register t reads closes the segment. Repeated layers, transport
+and segment bodies are built once, and gate matrices and transport
+permutations once across programs.
 
-* its zone checks: each layer's expected (qubit, slot) pairs, each slot
-  mapped back through the segment's transport before that layer, so the
-  check reads the placement at the head;
-* all its transport composed, applied to the head's placement, with its
-  other steps and its gate count (a row forked later inherits them).
+The walk runs one entry at a time. At its head g and t become row masks.
+Every row where g holds must satisfy t: ``lower`` guarantees it, since it
+chains only a block whose guard implies the chain's and keeps the entry
+guard's register live through the chain, and a row that breaks it raises
+``ZoneViolation``. The inactive rows count the segment's marks as skipped.
+Then, once:
+
+* its zone checks on the active rows: each layer's expected (qubit, slot)
+  pairs, each slot mapped back through the segment's transport before that
+  layer, so the check reads the placement at the head;
+* its gate count on the active rows (a row forked later inherits it);
+* its transport composed into one slot permutation, applied with its steps
+  to the head's placement of the rows where t holds.
 
 Its ops then run in order on the active rows' states, gathered once and
 scattered back at its end: unitaries, each layer's noise draws and
 collapses, classical items, outputs and, under noise, transport dephasing.
-A covered transport's dephasing draws for the rows where h holds, in
-ascending order, as it would in a segment of its own, and updates the
-inactive ones' states in place. A layer whose draws fire no noise event
-runs only its collapses, and a dephasing draw below no threshold calls no
+A dephasing op draws for the rows where t holds, in ascending order, and
+updates the inactive ones' states in place; on a segment with no active row
+it is the only op that runs. A layer whose draws fire no noise event runs
+only its collapses, and a dephasing draw below no threshold calls no
 kernel. Every draw keeps its place and shape, so the RNG streams do not
 depend on this grouping. Up to ``MATRIX_QUBITS`` qubits a layer's gates are
 one 2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers between two ops that
 draw or collapse fuse into one matrix; that is every run of gate layers up
 to the next measurement, reset or segment end when p1 = p2 = p_idle =
-p_transport = 0, since over-rotation changes only the matrices, and
-covered transport without noise draws nothing. Wider registers apply the
-same runs gate by gate.
+p_transport = 0, since over-rotation changes only the matrices. Wider
+registers apply the same runs gate by gate.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -109,7 +108,7 @@ from .regalloc import PReg
 
 class ZoneViolation(Exception):
     """A broken invariant, not rejected input: an operation ran while its ions were not in the planned slots,
-    or a row ran a segment without the covered transport that its chain's entry guard promised it."""
+    or a row ran a segment whose transport guard, its chain's entry guard, failed on it."""
 
 
 @dataclass(frozen=True)
@@ -259,12 +258,12 @@ def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
 
 
 # ---------------------------------------------------------------------------
-# Compiled runtime: one entry per guard segment, with its guard and cover guard as register
-# indices. An entry holds what runs once at the segment's head (the zone
-# checks, the composed slot permutation, the step and gate counts) and an
-# ordered op list for its active rows: unitaries, layer draws, classical
-# items, outputs and transport dephasing. A layer draws its uniforms as one
-# (rows, width) array; each draw site owns a column.
+# Compiled runtime: one entry per guard segment, with its guard and transport
+# guard as register indices. An entry holds what runs once at the segment's
+# head (the zone checks, the composed slot permutation, the step and gate
+# counts) and an ordered op list for its active rows: unitaries, layer draws,
+# classical items, outputs and transport dephasing. A layer draws its
+# uniforms as one (rows, width) array; each draw site owns a column.
 # ---------------------------------------------------------------------------
 
 # item bodies, then ops
@@ -287,6 +286,12 @@ def _cguard(g):
             return None
         return tuple(p.index for p in g.parts if p is not False)
     raise TypeError(f"bad exec guard {g!r}")
+
+
+def _holds(regs: np.ndarray, g) -> np.ndarray:
+    """The rows of ``regs`` where the register guard ``g``, an index or a tuple of them (an OR), holds."""
+    m = regs[:, g] != 0
+    return m.any(1) if type(g) is tuple else m
 
 
 def _reads(g) -> set:
@@ -379,12 +384,11 @@ def _compile_transport(steps: tuple, slots: int) -> tuple:
 
 
 class _Segment(NamedTuple):
-    """A guard segment's work: its head's, done once for its active rows, then its ops in order.
+    """A guard segment's work: its head's, done once, then its ops in order for its active rows.
 
-    Its transport is its own, run by its active rows, and its covered
-    transport, run by every row where the segment's cover guard holds; the
-    active rows run both, in program order, so ``perm`` and ``steps`` cover
-    both and ``cover_perm`` and ``cover_steps`` only the covered part.
+    Its transport runs under the segment's transport guard, which holds on
+    every active row: ``perm``, ``steps`` and the dephasing ops in ``ops``
+    reach every row where it holds.
     """
 
     marks: int  # block marks, counted as skipped on the inactive rows
@@ -396,9 +400,6 @@ class _Segment(NamedTuple):
     gates: int
     ops: tuple
     state: bool  # some op touches the state
-    cover_perm: np.ndarray | None  # composed slot permutation of its covered transport alone, None for none
-    cover_steps: int
-    covered: tuple  # the covered transport's dephasing ops, for a segment with no active row
 
 
 def _unitary_op(run: list, n: int) -> tuple:
@@ -406,29 +407,25 @@ def _unitary_op(run: list, n: int) -> tuple:
 
 
 def _segment(parts: list, n: int) -> _Segment:
-    """Build a segment from its items' bodies, in order; a transport body says whether it is covered.
+    """Build a segment from its items' bodies, in order.
 
     Unitaries run as late as the next op that touches the state, so the
     layers between two draws or collapses fuse into one op: one matrix, or
     above MATRIX_QUBITS their gates in order. Classical items and outputs do
     not touch the state.
     """
-    marks = steps = gates = cover_steps = 0
-    perm = inv = cover_perm = None
-    zone, zone_slots, ops, run, covered = [], [], [], [], []
+    marks = steps = gates = 0
+    perm = inv = None
+    zone, zone_slots, ops, run = [], [], [], []
     state = False
     for part in parts:
         tag = part[0]
         if tag == _MARK:
             marks += 1
         elif tag == _TRANSPORT:
-            _, t, t_inv, n_steps, dephase, is_covered = part
+            _, t, t_inv, n_steps, dephase = part
             perm, inv = (t, t_inv) if perm is None else _frozen(t[perm], inv[t_inv])
             steps += n_steps
-            if is_covered:
-                cover_perm = t if cover_perm is None else _frozen(t[cover_perm])[0]
-                cover_steps += n_steps
-                covered += [dephase] if dephase else []
             if dephase:
                 if run:
                     ops.append(_unitary_op(run, n))
@@ -459,8 +456,7 @@ def _segment(parts: list, n: int) -> _Segment:
         zq, zs = _frozen(zone[0][0], zone_slots[0])
     elif zone:
         zq, zs = _frozen(np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots))
-    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state, cover_perm, cover_steps,
-                    tuple(covered))
+    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state)
 
 
 @dataclass
@@ -472,7 +468,7 @@ class _Runtime:
     reg_dtype: type
     canonical: tuple[int, ...]
     noise: NoiseModel
-    segments: list  # per guard segment: (guard, cover guard, index of its first item, _Segment, classical instructions)
+    segments: list  # per guard segment: (guard, transport guard, index of its first item, _Segment, classical instructions)
 
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
@@ -489,12 +485,13 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     layers, layer_values, transports, bodies = {}, {}, {}, {}
     guards = {}  # by identity too: a register's hash is a Python call
     classical = []  # classical[j]: the body of a segment's j-th classical item
-    opened = []  # per segment: its guard, its cover guard, first item, item bodies and classical instructions
+    opened = []  # per segment: its guard, its transport guard, first item, item bodies and classical instructions
     n_outputs = 0
     floats = False
     conditional = prog.conditional_transport
+    unset = object()  # the transport guard of a segment with no transport yet, equal to no compiled guard
     seg_guard, closed = None, True
-    cover, reads, written = (), set(), set()  # the open segment's cover guard, registers read and registers written
+    tg, reads, written = unset, set(), set()  # the open segment's transport guard, registers read and registers written
     top = -1  # the largest register index a guard or classical instruction names
     for k, item in enumerate(prog.items):
         kind = type(item)
@@ -503,20 +500,19 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             cg = guards[gid] = _cguard(item.guard)
             top = max(top, cg if type(cg) is int else max(cg or (-1,)))
         g = guards[gid] if conditional or kind is not TransportItem else None
-        # transport under another guard joins an open register-guarded segment as its covered transport:
-        # one cover guard per segment, whose registers no earlier classical item of the segment wrote
-        covered = (kind is TransportItem and g != seg_guard and not closed and seg_guard is not None
-                   and cover in ((), g) and (g is None or _reads(g).isdisjoint(written)))
-        if covered:
-            if cover != g:  # the segment's first covered transport sets its cover
-                cover = opened[-1][1] = g
-                reads |= _reads(g)
-        elif closed or g != seg_guard:
-            # a segment runs on while the guard stays the same and no classical item writes a register
-            # that the guard or the cover reads
+        # a segment's first transport sets its transport guard: its own guard, or another one that an open
+        # register-guarded segment takes on when no earlier classical item of the segment wrote its registers
+        if kind is TransportItem and tg is unset and not closed and (
+                g == seg_guard or seg_guard is not None and _reads(g).isdisjoint(written)):
+            tg = opened[-1][1] = g
+            reads |= _reads(g)
+        elif closed or g != (tg if kind is TransportItem else seg_guard):
+            # a segment runs on while the guard stays the same, its transport stays under one guard, and no
+            # classical item writes a register that either guard reads; a transport opens a segment under its own
             parts, instrs = [], []
-            cover, reads, written = (), _reads(g), set()  # (): no row is covered yet
-            opened.append([g, cover, k, parts, instrs])
+            tg = g if kind is TransportItem else unset
+            reads, written = _reads(g), set()
+            opened.append([g, tg, k, parts, instrs])
             seg_guard, closed = g, False
         if kind is LayerItem:
             lk = (id(item.ops), item.expected_slots, item.idle_qubits)
@@ -531,11 +527,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         elif kind is MarkItem:
             parts.append(_MARK_BODY)
         elif kind is TransportItem:
-            body = transports.get((item.steps, covered))
+            body = transports.get(item.steps)
             if body is None:
                 perm, inv, n_steps = _compile_transport(item.steps, prog.trap.slots)
-                dephase = (_DEPHASE, tuple(range(n)) * n_steps, covered) if noise.p_transport > 0.0 and n_steps else None
-                body = transports[item.steps, covered] = (_TRANSPORT, perm, inv, n_steps, dephase, covered)
+                dephase = (_DEPHASE, tuple(range(n)) * n_steps) if noise.p_transport > 0.0 and n_steps else None
+                body = transports[item.steps] = (_TRANSPORT, perm, inv, n_steps, dephase)
             parts.append(body)
         elif kind is ClassicalItem:
             if len(instrs) == len(classical):
@@ -558,11 +554,11 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
         if SHOT_BATCH * count > MAX_BATCH_AMPLITUDES:
             raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
     segments = []
-    for seg_guard, cover, first, parts, instrs in opened:
+    for seg_guard, tg, first, parts, instrs in opened:
         key = tuple(map(id, parts))
         if key not in bodies:
             bodies[key] = _segment(parts, n)
-        segments.append((seg_guard, cover, first, bodies[key], tuple(instrs)))
+        segments.append((seg_guard, seg_guard if tg is unset else tg, first, bodies[key], tuple(instrs)))
     dtype = np.float64 if floats else np.int64
     return _Runtime(n, prog.n_results, top + 1, n_outputs, dtype, prog.canonical, noise, segments)
 
@@ -631,19 +627,19 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
           max_rows: int = 0) -> tuple[int, int] | None:
     """Run every row of ``b`` from op ``start[1]`` of segment ``start[0]`` to the end of the program.
 
-    At a segment's head (op 0) every row where its cover guard holds (every
-    row when it has none) gets its covered transport's permutation and
-    steps, and its row mask is computed; an active row where the cover guard
-    fails raises ``ZoneViolation``. Its inactive rows count its marks as
-    skipped; its zone checks read the head's placement of its active rows,
-    which get its gate count, its other steps and its composed slot
-    permutation. Its ops then run in order on the active rows' states,
-    gathered once and scattered back at its end. Covered transport's
-    dephasing (only under noise, so never while enumerating) also reaches
-    the inactive rows where the cover guard holds, in ``b.state``. With an
-    RNG every measurement and reset outcome is drawn per row. Without one
-    (noiseless enumeration) a row with two live outcomes forks; the copy is
-    an active row of the same segment and has the head's work already.
+    At a segment's head (op 0) its guard and its transport guard become row
+    masks; an active row where the transport guard fails raises
+    ``ZoneViolation``. Its inactive rows count its marks as skipped; its zone
+    checks read the head's placement of its active rows, which get its gate
+    count; every row where the transport guard holds gets its steps and its
+    composed slot permutation. Its ops then run in order on the active rows'
+    states, gathered once and scattered back at its end. Transport
+    dephasing (only under noise, so never while enumerating) draws for every
+    row where the transport guard holds and updates the inactive ones in
+    ``b.state``. With an RNG every measurement and reset outcome is drawn
+    per row. Without one (noiseless enumeration) a row with two live
+    outcomes forks; the copy is an active row of the same segment and has
+    the head's work already.
     Returns None at the end, or the (segment, op) to resume from once the
     batch has grown past ``max_rows`` rows.
     """
@@ -653,52 +649,42 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
     while s < len(segments):
         if max_rows and len(b.weight) > max_rows:
             return s, j
-        g, cg, first, seg, instrs = segments[s]
-        head = b.place  # the placement at the segment's head
-        H = _ALL  # the rows that run the covered transport: every row, their indices, or None for no row
-        if seg.cover_perm is not None:
-            if cg is not None:
-                h = b.regs[:, cg] != 0
-                if type(cg) is tuple:
-                    h = h.any(1)
-                n_h = np.count_nonzero(h)
-                H = None if n_h == 0 else _ALL if n_h == len(h) else h.nonzero()[0]
-            if j == 0 and H is not None:
-                b.place = seg.cover_perm[head] if H is _ALL else np.where(h[:, None], seg.cover_perm[head], head)
-                b.transport[H] += seg.cover_steps
-        R = _ALL
+        g, t, first, seg, instrs = segments[s]
+        R, c = _ALL, len(b.weight)  # the active rows (every row, their indices or None for none) and their count
         if g is not None:
-            m = b.regs[:, g] != 0
-            if type(g) is tuple:
-                m = m.any(1)
+            m = _holds(b.regs, g)
             c = np.count_nonzero(m)
-            if c == 0:  # only the covered transport's dephasing runs, on its rows
-                if j == 0:
-                    if seg.marks:
-                        b.skipped += seg.marks
-                    for op in seg.covered if H is not None else ():
-                        u = rng.random((len(b.weight) if H is _ALL else len(H), len(op[1])))
-                        apply_dephasing(b.state, op[1], p_transport, u, None if H is _ALL else H)
-                s, j = s + 1, 0
-                continue
-            if H is not _ALL and j == 0 and (H is None or (m > h).any()):
-                raise ZoneViolation(f"row {(m > h).argmax()} runs the segment at item {first} "
-                                    f"but not its chain's transport")
             if c < len(m):
-                R = m.nonzero()[0]
+                R = m.nonzero()[0] if c else None
                 if seg.marks and j == 0:
-                    b.skipped += ~m * seg.marks
+                    b.skipped += ~m * seg.marks if c else seg.marks
+        T = R  # the rows where the transport guard holds, in the same form; every active row is among them
+        if t != g:
+            T = _ALL
+            if t is not None:
+                h = _holds(b.regs, t)
+                n_h = np.count_nonzero(h)
+                if n_h < len(h):
+                    if j == 0 and c and (m > h).any():
+                        raise ZoneViolation(f"row {(m > h).argmax()} runs the segment at item {first} "
+                                            f"but not its chain's transport")
+                    T = h.nonzero()[0] if n_h else None
+        if T is None:  # no row runs anything here
+            s, j = s + 1, 0
+            continue
         if j == 0:
-            place = head if R is _ALL else head[R]
-            if seg.zone_qubits is not None and (place[:, seg.zone_qubits] != seg.zone_slots).any():
-                _zone_violation(place, seg.zone)
-            if seg.gates:
-                b.gates[R] += seg.gates
-            if seg.steps > seg.cover_steps:  # else its transport is all covered, and its rows have it
-                b.transport[R] += seg.steps - seg.cover_steps
-                b.place[R] = seg.perm[place]
-        ops = seg.ops
-        st = (b.state if R is _ALL else b.state[R]) if seg.state else None
+            if c:
+                place = b.place if R is _ALL else b.place[R]  # the placement at the head
+                if seg.zone_qubits is not None and (place[:, seg.zone_qubits] != seg.zone_slots).any():
+                    _zone_violation(place, seg.zone)
+                if seg.gates:
+                    b.gates[R] += seg.gates
+            if seg.steps:
+                b.transport[T] += seg.steps
+                b.place[T] = seg.perm[place if T is R else b.place[T]]
+        # with no active row only the transport's dephasing runs, on the inactive rows where its guard holds
+        ops = seg.ops if c else [op for op in seg.ops if op[0] == _DEPHASE] if p_transport else ()
+        st = (b.state if R is _ALL else b.state[R]) if seg.state and c else None
         for i in range(j, len(ops)):
             op = ops[i]
             tag = op[0]
@@ -722,15 +708,15 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             elif tag == _GROUPS:
                 for unitary, qubits in op[1]:
                     apply_unitary(st, unitary, qubits, rt.n_qubits)
-            else:  # _DEPHASE; a covered transport's draw covers its rows H, the inactive ones in place
-                u = rng.random((len(st) if not op[2] else len(b.weight) if H is _ALL else len(H), len(op[1])))
+            else:  # _DEPHASE: one draw per row where the transport guard holds, in ascending order
+                u = rng.random((len(b.weight) if T is _ALL else len(T), len(op[1])))
                 if (u < p_transport).any():
-                    if op[2] and R is not _ALL:
-                        act = m[H]  # which of the drawn rows are active, in ascending order like R
-                        off = (~act).nonzero()[0] if H is _ALL else H[~act]
-                        apply_dephasing(b.state, op[1], p_transport, u[~act], off)
+                    if T is not R:  # the inactive rows among them update in place
+                        act = m[T]
+                        apply_dephasing(b.state, op[1], p_transport, u[~act], np.flatnonzero(~m) if T is _ALL else T[~act])
                         u = u[act]
-                    apply_dephasing(st, op[1], p_transport, u)
+                    if c:
+                        apply_dephasing(st, op[1], p_transport, u)
         if st is not None and R is not _ALL:
             b.state[R] = st
         s, j = s + 1, 0

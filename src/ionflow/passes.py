@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import gates as G
 from .ir import (
@@ -79,6 +79,12 @@ MAX_ENTRY_BLOCKS = 8192
 class FlattenConfig:
     max_inline_depth: int = 64
     max_unroll: int = 1024
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if type(v) is not int or v < 0:
+                raise IonflowError(f"flatten budget {f.name}={v!r} is not an int >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,15 @@ def test_experiment_rejects_compile_options_it_does_not_use(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in _cli_error(argv, capsys)
 
 
+@pytest.mark.parametrize("flag", ["--max-inline-depth", "--max-unroll"])
+def test_negative_flatten_budget_is_an_error(tmp_path, capsys, flag):
+    # a negative budget is refused as such, not run as a budget no call or loop can meet
+    src = tmp_path / "p.qir.txt"
+    src.write_text(GOOD)
+    err = _cli_error(["run", str(src), "--shots", "5", "--seed", "1", f"{flag}=-5"], capsys)
+    assert f"flatten budget {flag[2:].replace('-', '_')}=-5 is not an int >= 0" in err
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_too_many_qubits_is_an_error(tmp_path, capsys, jobs):
     # a state of 2⁴⁰ amplitudes per shot must be refused before it is allocated

@@ -130,15 +130,20 @@ def _segment_items(prog):
 
 def _segment_of(rt, prog, k: int):
     """The first item, the end and the body of the guard segment that holds item k."""
-    firsts = [first for _guard, _cover, first, _seg, _instrs in rt.segments] + [len(prog.items)]
+    firsts = [first for _guard, _transport_guard, first, _seg, _instrs in rt.segments] + [len(prog.items)]
     i = bisect.bisect_right(firsts, k) - 1
     return firsts[i], firsts[i + 1], rt.segments[i][3]
 
 
 def _guards_of(rt, k: int):
-    """The guard and the cover guard of the guard segment that holds item k."""
-    i = bisect.bisect_right([first for _guard, _cover, first, _seg, _instrs in rt.segments], k) - 1
+    """The guard and the transport guard of the guard segment that holds item k."""
+    i = bisect.bisect_right([first for _guard, _transport_guard, first, _seg, _instrs in rt.segments], k) - 1
     return rt.segments[i][:2]
+
+
+def _dephasings(seg) -> int:
+    """The number of transport dephasing ops of a segment."""
+    return sum(op[0] == emulator._DEPHASE for op in seg.ops)
 
 
 def test_classical_item_clearing_its_guard_ends_the_segment():
@@ -322,9 +327,9 @@ def test_inactive_rows_get_the_shared_transport_inside_a_segment(mode, prep):
     dephasing = NoiseModel(p_transport=1.0)
     rt = emulator._compile_runtime(prog, dephasing)
     first, _end, seg = _segment_of(rt, prog, mark + 2)
-    assert first == mark and (seg.steps, seg.cover_steps, len(seg.covered)) == (1, 1, 1)
-    guard, cover = _guards_of(rt, first)
-    assert guard is not None and cover is None
+    assert first == mark and (seg.steps, _dephasings(seg)) == (1, 1)
+    guard, transport_guard = _guards_of(rt, first)
+    assert guard is not None and transport_guard is None
     r0 = {"h q0": {0, 1}, "x q0": {1}, "z q0": {0}}[prep]
     shots = run_shots(prog, dephasing, 600, 2)
     assert {s.outputs for s in shots} == {(r, 1) for r in r0}
@@ -374,12 +379,12 @@ def _item_steps(prog, regs: dict) -> int:
 
 @pytest.mark.parametrize("case", ["shared", "covered", "covered-every-row"])
 def test_segment_steps_split_between_its_cover_and_its_own_transport(case):
-    # block a's segment holds its own transport (three steps under a's guard)
-    # and, between a's two layers, one step under another guard. That step
-    # carries q1 from slot 2 to 3 on the active rows and moves no ion on the
-    # others. Every row where its guard holds runs it, and a's rows run the
-    # rest: each shot's and each leaf's steps are those of the items whose
-    # guard holds on it
+    # block a holds its own transport (three steps under a's guard) and,
+    # between a's two layers, one step under another guard, which opens a
+    # segment of its own. That step carries q1 from slot 2 to 3 on the active
+    # rows and moves no ion on the others. Every row where its guard holds
+    # runs it, and a's rows run the rest: each shot's and each leaf's steps
+    # are those of the items whose guard holds on it
     res = compile_src(BRANCHY)
     _mark, _x_layer, g = _segment_items(res.program)
     prog, mark = _moving_segment(res.program, second_guard=True if case == "shared" else _covering(g))
@@ -388,10 +393,13 @@ def test_segment_steps_split_between_its_cover_and_its_own_transport(case):
         prog = _insert_after(prog, mark - 1, ClassicalItem(True, (BinOp("or", COVER, 1, 0),)))
         mark += 1
     rt = emulator._compile_runtime(prog, NOISELESS)
-    first, end, seg = _segment_of(rt, prog, mark)
-    assert (first, end) == (mark, mark + 8)
-    assert (seg.steps, seg.cover_steps) == (4, 1)  # both terms of the active rows' own steps above 0
-    assert _guards_of(rt, mark) == (g.index, None if case == "shared" else (g.index, COVER.index))
+    second = None if case == "shared" else (g.index, COVER.index)
+    segments = [(_segment_of(rt, prog, k), _guards_of(rt, k)) for k in (mark, mark + 3, mark + 4)]
+    assert [(first, end, seg.steps, guards) for (first, end, seg), guards in segments] == [
+        (mark, mark + 3, 1, (g.index, g.index)),  # a's mark, its first step and its x layer
+        (mark + 3, mark + 4, 1, (second, second)),  # the step under the second guard
+        (mark + 4, mark + 8, 2, (g.index, g.index)),  # a's measurement, its last two steps and its outputs
+    ]
     want = oracle.enumerate_guarded(res.guarded, 2, 2)
     assert max_distribution_error(enumerate_outcomes(prog), want) < 1e-12
 
@@ -429,10 +437,10 @@ def test_inactive_rows_get_the_covered_transport_inside_a_segment(mode, prep):
     assert first == mark
     if mode == CONDITIONAL:  # the shared transport after it opens a segment of its own
         assert _guards_of(rt, mark)[1] == (g.index, COVER.index)
-        assert (seg.steps, seg.cover_steps, len(seg.covered)) == (3, 3, 1)
+        assert (seg.steps, _dephasings(seg)) == (3, 1)
     else:
         assert _guards_of(rt, mark)[1] is None
-        assert (seg.steps, seg.cover_steps, len(seg.covered)) == (4, 4, 2)
+        assert (seg.steps, _dephasings(seg)) == (4, 2)
     r0 = {"h q0": {0, 1}, "x q0": {1}, "z q0": {0}}[prep]
 
     def covered(r0, r2) -> int:
@@ -449,11 +457,11 @@ def test_a_row_outside_the_cover_that_runs_its_segment_raises():
     # segment: the rows that run a break the covering that lowering
     # guarantees, so the head raises instead of counting
     prog = compile_src(BRANCHY).program
-    mark, x_layer, _g = _segment_items(prog)
+    mark, x_layer, g = _segment_items(prog)
     prog = _insert_after(prog, x_layer, TransportItem(COVER, (((2, 3),),)))
     rt = emulator._compile_runtime(prog, NOISELESS)
     first, end, seg = _segment_of(rt, prog, x_layer + 1)
-    assert first == mark and end > x_layer + 2 and seg.cover_steps == 1 and _guards_of(rt, mark)[1] == COVER.index
+    assert first == mark and end > x_layer + 2 and seg.steps == 1 and _guards_of(rt, mark) == (g.index, COVER.index)
     message = f"runs the segment at item {mark} but not its chain's transport"
     with pytest.raises(ZoneViolation, match=message):
         run_shots(prog, NOISELESS, 300, 0)
@@ -475,7 +483,8 @@ def test_a_write_to_the_cover_guard_ends_the_segment(write):
     rt = emulator._compile_runtime(prog, NOISELESS)
     first, end, seg = _segment_of(rt, prog, x_layer + 1)
     if write == "after":
-        assert (first, end) == (mark, x_layer + 3) and seg.cover_steps == 1  # a.rest opens the next segment
+        assert (first, end) == (mark, x_layer + 3) and seg.steps == 1  # a.rest opens the next segment
+        assert _guards_of(rt, mark) == (g.index, (g.index, COVER.index))
     else:
         assert (first, end) == (mark, x_layer + 2)  # the transport opens the next segment
         assert _segment_of(rt, prog, x_layer + 2)[0] == x_layer + 2
@@ -484,6 +493,41 @@ def test_a_write_to_the_cover_guard_ends_the_segment(write):
     assert 50 < sum(took_a) < 250
     assert [s.executed_transport_steps for s in shots] == [int(a) for a in took_a]
     assert [s.skipped_blocks for s in shots] == [0 if a else 2 for a in took_a]
+
+
+@pytest.mark.parametrize("order", ["own-then-covered", "covered-then-own"])
+def test_transport_under_a_second_guard_opens_a_segment(order):
+    # block a gets a step under its own guard and one under a's guard or
+    # COVER, which holds on every row; neither moves an ion. A segment's
+    # transport runs under one guard, that of its first transport, so the
+    # second one opens a segment under its own guard
+    res = compile_src(BRANCHY)
+    mark, x_layer, g = _segment_items(res.program)
+    own, covered = TransportItem(g, (((2, 3),),)), TransportItem(_covering(g), (((2, 3),),))
+    prog = _insert_after(res.program, x_layer, *((own, covered) if order == "own-then-covered" else (covered, own)))
+    prog = _insert_after(prog, mark - 1, ClassicalItem(True, (BinOp("or", COVER, 1, 0),)))
+    mark, x_layer = mark + 1, x_layer + 1
+    rt = emulator._compile_runtime(prog, NOISELESS)
+    first, end, seg = _segment_of(rt, prog, mark)
+    assert (first, end, seg.steps) == (mark, x_layer + 2, 1)  # a's mark, its x layer and the first step
+    assert _segment_of(rt, prog, x_layer + 2)[0] == x_layer + 2
+    both = (g.index, COVER.index)
+    if order == "own-then-covered":
+        assert _guards_of(rt, mark) == (g.index, g.index)
+        assert _guards_of(rt, x_layer + 2) == (both, both)
+    else:
+        assert _guards_of(rt, mark) == (g.index, both)
+        assert _guards_of(rt, x_layer + 2) == (g.index, g.index)
+    want = oracle.enumerate_guarded(res.guarded, 2, 2)
+    assert max_distribution_error(enumerate_outcomes(prog), want) < 1e-12
+
+    def steps(outputs) -> int:
+        return _item_steps(prog, {g.index: int(len(outputs) == 3), COVER.index: 1})
+
+    shots = run_shots(prog, NOISELESS, 300, 0)
+    assert {s.executed_transport_steps for s in shots} == {1, 2}
+    assert all(s.executed_transport_steps == steps(s.outputs) for s in shots)
+    assert all(l.executed_transport_steps == steps(l.outputs) for l in enumerate_exec_leaves(prog))
 
 
 # -- whole-register kernels: one matrix per layer, and per run of layers ---------

@@ -165,8 +165,12 @@ _flags = st.fixed_dictionaries(
         "--registers": _ints | st.sampled_from([65536, 65537]),
         "--overrotation": st.floats() | st.integers(-7, 7),
         "--transport-mode": st.sampled_from(["conditional", "always"]),
+        "--max-inline-depth": _ints,
+        "--max-unroll": _ints,
+        "--passes": st.lists(st.sampled_from(["fold", "flatten", "peephole", "", "inline", "FOLD", " fold"]), max_size=4).map(",".join),
     },
 )
+COMPILE_FLAGS = ("--max-inline-depth", "--max-unroll", "--passes")  # `run` takes them; a built-in experiment does not
 
 
 @settings(max_examples=80, deadline=None)
@@ -179,8 +183,8 @@ def test_cli_never_raises_on_flag_values(command, flags):
         return emulator._run_batch(rt, seed, batches[0], min(4, n_shots - batches[0] * emulator.SHOT_BATCH))
 
     flags = {"--shots": 5, "--seed": 1, **flags}
-    if command == "run":
-        flags.pop("--overrotation", None)
+    for flag in ("--overrotation",) if command == "run" else COMPILE_FLAGS:
+        flags.pop(flag, None)
     argv = [f"{k}={v}" for k, v in flags.items()]  # "=" keeps a negative value from reading as a flag
     with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
         mp.setattr(emulator.multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=_InlinePool))

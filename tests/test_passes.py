@@ -18,6 +18,7 @@ from ionflow.ir import (
     Cfg,
     Cmp,
     Function,
+    IonflowError,
     Module,
     QGate,
     ReadResult,
@@ -280,6 +281,14 @@ def test_inline_depth_budget_enforced():
     )
     with pytest.raises(BudgetExceeded):
         flatten(parse(src), FlattenConfig(max_inline_depth=5))
+
+
+@pytest.mark.parametrize("budget", [-1, 1.5, True, "8"])
+def test_flatten_budget_must_be_an_int_at_least_zero(budget):
+    for name in ("max_inline_depth", "max_unroll"):
+        with pytest.raises(IonflowError, match=f"flatten budget {name}="):
+            FlattenConfig(**{name: budget})
+    assert FlattenConfig(0, 0) == FlattenConfig(max_inline_depth=0, max_unroll=0)
 
 
 def test_flatten_preserves_distributions():
