@@ -34,20 +34,29 @@ Then, once:
 * its transport composed into one slot permutation, applied with its steps
   to the head's placement of the rows where t holds.
 
+With an RNG, one ``rng.random`` call then draws every uniform the segment
+needs, in item order: each layer's (active rows, width) block and each
+transport dephasing's (rows where t holds, width) block. PCG64 fills
+doubles one after another, so every uniform has the value and place that a
+draw per op would give it, and the RNG streams do not depend on this
+grouping. One threshold test over the block finds the noise events; a draw
+op with no event costs nothing. A dephasing event on an inactive row where
+t holds applies in place, since those rows run none of the segment's layers.
+
 Its ops then run in order on the active rows' states, gathered once and
-scattered back at its end: unitaries, each layer's noise draws and
-collapses, classical items, outputs and, under noise, transport dephasing.
-A dephasing op draws for the rows where t holds, in ascending order, and
-updates the inactive ones' states in place; on a segment with no active row
-it is the only op that runs. A layer whose draws fire no noise event runs
-only its collapses, and a dephasing draw below no threshold calls no
-kernel. Every draw keeps its place and shape, so the RNG streams do not
-depend on this grouping. Up to ``MATRIX_QUBITS`` qubits a layer's gates are
-one 2ⁿ×2ⁿ matrix applied as ``st @ m``, and the layers between two ops that
-draw or collapse fuse into one matrix; that is every run of gate layers up
-to the next measurement, reset or segment end when p1 = p2 = p_idle =
-p_transport = 0, since over-rotation changes only the matrices. Wider
-registers apply the same runs gate by gate.
+scattered back at its end: unitaries, collapses, classical items and
+outputs. Noise does not shape the op list: only a measurement or reset ends
+a run of gate layers, so up to ``MATRIX_QUBITS`` qubits each run is one
+2ⁿ×2ⁿ matrix applied as ``st @ m``, the same matrices as without noise;
+over-rotation changes only the matrices. A noise op inside a run keeps its
+position k and the product S of the run's layers after k. Before each
+collapse (its own layer's noise included), and at the segment's end, the
+events of the draw ops up to there apply in op order to the rows that drew
+them, as ``x @ S⁻¹``, the Pauli, ``x @ S``: the dense analogue of carrying
+a Pauli frame (Gidney, Stim, Quantum 5, 497, 2021). The suffix products are
+built once per distinct run and cached across programs. Wider registers
+apply each run gate by gate, and there a noise op ends the run and applies
+its events at once.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -82,8 +91,10 @@ a larger count is refused before anything is allocated or started.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import multiprocessing
+import operator
 import sys
 import weakref
 from dataclasses import dataclass, fields
@@ -213,14 +224,14 @@ def apply_depolarizing(states: np.ndarray, qubits: tuple[int, ...], p: float, u:
     _apply_paulis(states, rows, xmask, zmask, np.bitwise_count(xmask & zmask))
 
 
-def apply_dephasing(states: np.ndarray, qubits: tuple[int, ...], p: float, u: np.ndarray, rows=None) -> None:
-    """A Z on qubit ``qubits[j]`` of row i, or of row ``rows[i]``, whose draw ``u[i, j]`` is below p (a qubit may repeat)."""
+def apply_dephasing(states: np.ndarray, qubits: tuple[int, ...], p: float, u: np.ndarray) -> None:
+    """A Z on qubit ``qubits[j]`` of row i whose draw ``u[i, j]`` is below p (a qubit may repeat)."""
     hits = u < p
     hit = hits.any(1).nonzero()[0]
     if len(hit):
         zmask = np.bitwise_xor.reduce(np.where(hits[hit], 1 << np.array(qubits), 0), axis=1)
         zero = np.zeros_like(zmask)
-        _apply_paulis(states, hit if rows is None else rows[hit], zero, zmask, zero)
+        _apply_paulis(states, hit, zero, zmask, zero)
 
 
 _NP_OPS = {
@@ -261,13 +272,14 @@ def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
 # Compiled runtime: one entry per guard segment, with its guard and transport
 # guard as register indices. An entry holds what runs once at the segment's
 # head (the zone checks, the composed slot permutation, the step and gate
-# counts) and an ordered op list for its active rows: unitaries, layer draws,
-# classical items, outputs and transport dephasing. A layer draws its
-# uniforms as one (rows, width) array; each draw site owns a column.
+# counts, the draw plan) and an ordered op list for its active rows:
+# unitaries, collapses, classical items and outputs. Its draw ops are its
+# layers' draws and its transports' dephasing; each draws a (rows, width)
+# block of the segment's uniforms, and each draw site owns a column.
 # ---------------------------------------------------------------------------
 
 # item bodies, then ops
-_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE = range(9)
+_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE, _COLLAPSE, _FLUSH = range(11)
 _MARK_BODY = (_MARK,)
 _OP_MEASURE, _OP_RESET = range(2)
 _ALL = slice(None)  # every row of a batch
@@ -290,8 +302,14 @@ def _cguard(g):
 
 def _holds(regs: np.ndarray, g) -> np.ndarray:
     """The rows of ``regs`` where the register guard ``g``, an index or a tuple of them (an OR), holds."""
-    m = regs[:, g] != 0
-    return m.any(1) if type(g) is tuple else m
+    if type(g) is not tuple:
+        return regs[:, g] != 0
+    if not g:
+        return np.zeros(len(regs), bool)
+    m = regs[:, g[0]] != 0
+    for i in g[1:]:
+        np.logical_or(m, regs[:, i], out=m)
+    return m
 
 
 def _reads(g) -> set:
@@ -335,16 +353,38 @@ def _unitary(run: tuple, n: int):
     return _frozen(m)[0]
 
 
+@functools.lru_cache(maxsize=128)
+def _suffixes(run: tuple, n: int) -> tuple[np.ndarray, ...]:
+    """Per position k < len(run) of a fused run, the read-only row-form matrix of its layers from k on.
+
+    A noise event after the run's first k layers is the run's matrix M
+    conjugated by this suffix S: ``y @ S⁻¹``, the Pauli, ``@ S`` on the
+    row's state y after M. With P the first k layers' matrix, S = P⁻¹ M =
+    P† M, so the run's gates are applied once, to P. Cached across programs
+    like ``_unitary``.
+    """
+    m, prefix, out = _unitary(run, n), np.eye(1 << n, dtype=complex), []
+    for layer in run:
+        out.append(prefix.conj().T @ m)
+        for name, angle, qubits in layer:
+            apply_unitary(prefix, G.gate_unitary(name, angle), qubits, n)
+    return _frozen(*out)
+
+
 def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
     """A layer's body: ``(_LAYER, qubits, planned slots, gates, draws)``.
 
     Ops in a layer act on disjoint qubits and commute, so the gates run
     first (``_unitary`` of ``gates``, empty for none); each gate's
-    depolarizing follows, then the measurements and resets. ``draws`` is
-    None for a layer that neither draws nor collapses. Its last field is a
-    read-only threshold per column of the layer's uniforms: a draw below it
-    is a noise event, and an outcome column's threshold is 0. It is None
-    when every threshold is 0, so a noiseless layer makes no check.
+    depolarizing follows, then the idle dephasing, the measurements and the
+    resets. ``draws`` is None for a layer that neither draws nor collapses,
+    else ``(_DRAWS, depolarizing, collapses, (idle qubits, p_idle) or (),
+    first idle column, width, thresholds)``; a transport's dephasing has the
+    same shape under ``_DEPHASE``. The thresholds are read-only, one per
+    column of the layer's uniforms: a draw below its column's is a noise
+    event on the state. An outcome or record-flip column's threshold is 0,
+    since the collapse reads those columns itself. They are None when every
+    threshold is 0.
     """
     gates, depolarize, collapses, thr = [], [], [], []  # len(thr): the next column
     for op in item.ops:
@@ -361,12 +401,13 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
             p = noise.p_meas if op.kind == "measure" else noise.p_reset
             tag = _OP_MEASURE if op.kind == "measure" else _OP_RESET
             collapses.append((tag, op.qubits[0], op.slot, *_collapse_tables(n, op.qubits[0]), p, len(thr)))
-            thr += [0.0, p] if p > 0.0 else [0.0]
+            thr += [0.0, 0.0] if p > 0.0 else [0.0]
     idle = item.idle_qubits if noise.p_idle > 0.0 else ()
     col = len(thr)
     thr += [noise.p_idle] * len(idle)
     thr = _frozen(np.array(thr))[0] if any(thr) else None  # None: no column can fire
-    draws = (_DRAWS, tuple(depolarize), tuple(collapses), idle, col, col + len(idle), thr) if col or idle else None
+    dephase = (idle, noise.p_idle) if idle else ()
+    draws = (_DRAWS, tuple(depolarize), tuple(collapses), dephase, col, col + len(idle), thr) if col or idle else None
     qs, slots = _frozen(*np.array(item.expected_slots, dtype=np.int64).reshape(-1, 2).T)
     return _LAYER, qs, slots, tuple(gates), draws
 
@@ -387,8 +428,8 @@ class _Segment(NamedTuple):
     """A guard segment's work: its head's, done once, then its ops in order for its active rows.
 
     Its transport runs under the segment's transport guard, which holds on
-    every active row: ``perm``, ``steps`` and the dephasing ops in ``ops``
-    reach every row where it holds.
+    every active row: ``perm``, ``steps`` and the dephasing draws in
+    ``draws`` reach every row where it holds.
     """
 
     marks: int  # block marks, counted as skipped on the inactive rows
@@ -400,24 +441,50 @@ class _Segment(NamedTuple):
     gates: int
     ops: tuple
     state: bool  # some op touches the state
+    # per draw op, in item order, its body: a layer's draws (_DRAWS), for the active rows, or a transport's
+    # dephasing (_DEPHASE), for the rows where the transport guard holds
+    draws: tuple
+    starts: tuple  # per draw op, the uniforms per active row and per transported row before it
+    suffixes: tuple  # per draw op, the suffix of its run from its place or None at the run's end; () if none fires
+    row_width: int  # uniforms per active row, over the layers' draws
+    moved_width: int  # uniforms per row where the transport guard holds, over the dephasings
+    # None when no draw can fire a noise event, else the largest threshold and, read-only, (active-row
+    # starts, transported-row starts, widths) per draw op, each op's first threshold and every column's
+    plan: tuple | None
 
 
 def _unitary_op(run: list, n: int) -> tuple:
     return _MATRIX if n <= MATRIX_QUBITS else _GROUPS, _unitary(tuple(run), n)
 
 
-def _segment(parts: list, n: int) -> _Segment:
+def _segment(parts: list, n: int, noise: NoiseModel) -> _Segment:
     """Build a segment from its items' bodies, in order.
 
-    Unitaries run as late as the next op that touches the state, so the
-    layers between two draws or collapses fuse into one op: one matrix, or
-    above MATRIX_QUBITS their gates in order. Classical items and outputs do
-    not touch the state.
+    Unitaries run as late as the next measurement or reset, or the segment's
+    end, so those layers fuse into one op: one matrix, or above MATRIX_QUBITS
+    their gates in order. Noise draws do not cut a run. Each noise op keeps
+    its position k in its run and, up to MATRIX_QUBITS, the run's suffix
+    from k (``_suffixes``), through which the walk carries an event past the
+    rest of the run; above it, a noise op ends the run and flushes its
+    events at once. Classical items and outputs do not touch the state.
     """
     marks = steps = gates = 0
     perm = inv = None
     zone, zone_slots, ops, run = [], [], [], []
-    state = False
+    draws, starts, pending, suffixes = [], [], [], {}  # pending: (draw index, place) of the open run's noise ops
+    row_width = moved_width = plain = 0  # plain: classical items and outputs, which do not touch the state
+    fires = False
+
+    def cut():  # end the open run: its unitary, and its noise ops' suffixes
+        if run:
+            ops.append(_unitary_op(run, n))
+            inside = [(d, k) for d, k in pending if k < len(run)]  # none above MATRIX_QUBITS: noise cuts there
+            if inside:
+                products = _suffixes(tuple(run), n)
+                suffixes.update((d, products[k]) for d, k in inside)
+            run.clear()
+        pending.clear()
+
     for part in parts:
         tag = part[0]
         if tag == _MARK:
@@ -427,36 +494,53 @@ def _segment(parts: list, n: int) -> _Segment:
             perm, inv = (t, t_inv) if perm is None else _frozen(t[perm], inv[t_inv])
             steps += n_steps
             if dephase:
-                if run:
-                    ops.append(_unitary_op(run, n))
-                    run = []
-                ops.append(dephase)
-                state = True
+                pending.append((len(draws), len(run)))
+                draws.append(dephase)
+                starts.append((row_width, moved_width))
+                moved_width += dephase[5]
+                fires = True
+                if n > MATRIX_QUBITS:
+                    cut()
+                    ops.append((_FLUSH, len(draws)))
         elif tag == _LAYER:
-            _, qs, planned, layer_gates, draws = part
+            _, qs, planned, layer_gates, layer_draws = part
             gates += len(layer_gates)
             if len(qs):
                 zone.append((qs, planned, perm))
                 zone_slots.append(planned if inv is None else inv[planned])
             if layer_gates:
                 run.append(layer_gates)
-            if draws:
-                if run:
-                    ops.append(_unitary_op(run, n))
-                    run = []
-                ops.append(draws)
-                state = True
+            if layer_draws:
+                _, depolarize, collapses, idle, _col, width, thr = layer_draws
+                if depolarize or idle:  # noise ops
+                    pending.append((len(draws), len(run)))
+                draws.append(layer_draws)
+                starts.append((row_width, moved_width))
+                row_width += width
+                fires = fires or thr is not None
+                if collapses:
+                    cut()
+                    ops.append((_COLLAPSE, len(draws) - 1, collapses))
+                elif n > MATRIX_QUBITS:
+                    cut()
+                    ops.append((_FLUSH, len(draws)))
         else:
             ops.append(part)
-    if run:
-        ops.append(_unitary_op(run, n))
-        state = True
+            plain += 1
+    cut()
     zq = zs = None
     if len(zone) == 1:
         zq, zs = _frozen(zone[0][0], zone_slots[0])
     elif zone:
         zq, zs = _frozen(np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots))
-    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), state)
+    plan = None
+    if fires:
+        thr = np.concatenate([np.zeros(d[5]) if d[6] is None else d[6] for d in draws])
+        at = np.array([(*start, d[5]) for start, d in zip(starts, draws)]).T
+        plan = (float(thr.max()), *_frozen(at, np.cumsum(at[2]) - at[2], thr))
+    return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), len(ops) > plain, tuple(draws),
+                    tuple(starts), tuple(map(suffixes.get, range(len(draws)))) if fires else (), row_width,
+                    moved_width, plan)
 
 
 @dataclass
@@ -530,7 +614,10 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             body = transports.get(item.steps)
             if body is None:
                 perm, inv, n_steps = _compile_transport(item.steps, prog.trap.slots)
-                dephase = (_DEPHASE, tuple(range(n)) * n_steps) if noise.p_transport > 0.0 and n_steps else None
+                dephase = None
+                if noise.p_transport > 0.0 and n_steps:  # shaped like a layer's draws: a Z column per qubit and step
+                    thr = _frozen(np.full(n * n_steps, noise.p_transport))[0]
+                    dephase = (_DEPHASE, (), (), (tuple(range(n)) * n_steps, noise.p_transport), 0, n * n_steps, thr)
                 body = transports[item.steps] = (_TRANSPORT, perm, inv, n_steps, dephase)
             parts.append(body)
         elif kind is ClassicalItem:
@@ -557,7 +644,7 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     for seg_guard, tg, first, parts, instrs in opened:
         key = tuple(map(id, parts))
         if key not in bodies:
-            bodies[key] = _segment(parts, n)
+            bodies[key] = _segment(parts, n, noise)
         segments.append((seg_guard, seg_guard if tg is unset else tg, first, bodies[key], tuple(instrs)))
     dtype = np.float64 if floats else np.int64
     return _Runtime(n, prog.n_results, top + 1, n_outputs, dtype, prog.canonical, noise, segments)
@@ -632,19 +719,26 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
     ``ZoneViolation``. Its inactive rows count its marks as skipped; its zone
     checks read the head's placement of its active rows, which get its gate
     count; every row where the transport guard holds gets its steps and its
-    composed slot permutation. Its ops then run in order on the active rows'
-    states, gathered once and scattered back at its end. Transport
-    dephasing (only under noise, so never while enumerating) draws for every
-    row where the transport guard holds and updates the inactive ones in
-    ``b.state``. With an RNG every measurement and reset outcome is drawn
-    per row. Without one (noiseless enumeration) a row with two live
+    composed slot permutation. With an RNG, one ``rng.random`` call then
+    draws every uniform of the segment, in its draw ops' order: a layer's
+    (active rows, width) and a dephasing's (rows where the transport guard
+    holds, width), each row-major, so every uniform keeps the value and
+    place a draw per op would give it. One threshold test over the block
+    finds the noise events (``_events``); a dephasing event on an inactive
+    row applies in ``b.state`` at once.
+
+    Its ops then run in order on the active rows' states, gathered once and
+    scattered back at its end. Before each collapse, and at the end, the
+    events of the draw ops before it apply in draw order, each carried
+    through its run's suffix (``_fire``); an op with no event costs nothing.
+    With an RNG every measurement and reset outcome comes from its layer's
+    uniforms. Without one (noiseless enumeration) a row with two live
     outcomes forks; the copy is an active row of the same segment and has
     the head's work already.
     Returns None at the end, or the (segment, op) to resume from once the
     batch has grown past ``max_rows`` rows.
     """
     segments = rt.segments
-    p_transport = rt.noise.p_transport
     s, j = start
     while s < len(segments):
         if max_rows and len(b.weight) > max_rows:
@@ -682,8 +776,16 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             if seg.steps:
                 b.transport[T] += seg.steps
                 b.place[T] = seg.perm[place if T is R else b.place[T]]
-        # with no active row only the transport's dephasing runs, on the inactive rows where its guard holds
-        ops = seg.ops if c else [op for op in seg.ops if op[0] == _DEPHASE] if p_transport else ()
+        u = events = None
+        if rng is not None and seg.draws:
+            moved = c if T is R else len(b.weight) if T is _ALL else len(T)
+            rows = (c, moved)
+            total = c * seg.row_width + moved * seg.moved_width
+            if total:
+                u = rng.random(total)
+                if seg.plan:
+                    events = _events(b, seg, u, rows, R, T, m if T is not R else None)
+        ops = seg.ops if c else ()
         st = (b.state if R is _ALL else b.state[R]) if seg.state and c else None
         for i in range(j, len(ops)):
             op = ops[i]
@@ -692,8 +794,16 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
                 st = st @ op[1]
                 if R is _ALL:
                     b.state = st
-            elif tag == _DRAWS:
-                st, R = _run_draws(rt, b, R, st, op, rng)
+            elif tag == _COLLAPSE:
+                d = op[1]
+                if events:
+                    _flush(st, seg, u, rows, events, d + 1)
+                ul = None
+                if u is not None:  # the layer's (rows, width) uniforms
+                    o, width = c * seg.starts[d][0] + moved * seg.starts[d][1], seg.draws[d][5]
+                    ul = u[o:o + c * width].reshape(c, width)
+                for cop in op[2]:
+                    st, R = _collapse(b, R, st, cop, ul)
                 if max_rows and len(b.weight) > max_rows:
                     if R is not _ALL:
                         b.state[R] = st
@@ -708,19 +818,83 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             elif tag == _GROUPS:
                 for unitary, qubits in op[1]:
                     apply_unitary(st, unitary, qubits, rt.n_qubits)
-            else:  # _DEPHASE: one draw per row where the transport guard holds, in ascending order
-                u = rng.random((len(b.weight) if T is _ALL else len(T), len(op[1])))
-                if (u < p_transport).any():
-                    if T is not R:  # the inactive rows among them update in place
-                        act = m[T]
-                        apply_dephasing(b.state, op[1], p_transport, u[~act], np.flatnonzero(~m) if T is _ALL else T[~act])
-                        u = u[act]
-                    if c:
-                        apply_dephasing(st, op[1], p_transport, u)
+            elif events:  # _FLUSH, above MATRIX_QUBITS
+                _flush(st, seg, u, rows, events, op[1])
+        if events:  # the last run's events
+            if st is None:
+                st = b.state if R is _ALL else b.state[R]
+            _flush(st, seg, u, rows, events, len(seg.draws))
         if st is not None and R is not _ALL:
             b.state[R] = st
         s, j = s + 1, 0
     return None
+
+
+def _events(b: _Batch, seg: _Segment, u: np.ndarray, rows: tuple[int, int], R, T, m) -> list:
+    """The noise events that a segment's uniforms ``u`` fire, as groups ``(draw index, rows of st, rows of its draw)``.
+
+    ``rows`` is (active rows, rows where the transport guard holds); ``m``
+    is the guard's row mask when those differ, else None. The groups are in
+    reverse draw order, for ``_flush`` to pop. A dephasing event on an
+    inactive row applies here, in ``b.state`` and with no suffix: those rows
+    run none of the segment's layers.
+    """
+    pmax, (row_start, moved_start, width), thr_start, thr = seg.plan
+    cand = np.flatnonzero(u < pmax)
+    if not len(cand):
+        return []
+    c, moved = rows
+    start = c * row_start + moved * moved_start
+    d = start.searchsorted(cand, "right") - 1  # the draw op of each candidate
+    rel = cand - start[d]
+    w = width[d]
+    row = rel // w
+    hit = u[cand] < thr[thr_start[d] + rel - row * w]
+    groups = []
+    for k, fired in itertools.groupby(zip(d[hit].tolist(), row[hit].tolist()), key=operator.itemgetter(0)):
+        src = np.array(list(dict.fromkeys(r for _k, r in fired)))  # a row may fire several columns of one op
+        dst = src
+        if m is not None and seg.draws[k][0] == _DEPHASE:  # drawn for the rows where the transport guard holds
+            real = src if T is _ALL else T[src]
+            act = m[real]
+            if not act.all():
+                _fire(b.state, seg, k, u, rows, real[~act], src[~act], None)
+                src, real = src[act], real[act]
+            dst = R.searchsorted(real) if len(real) else real  # R is None when no row is active
+        if len(dst):
+            groups.append((k, dst, src))
+    return groups[::-1]
+
+
+def _flush(st: np.ndarray, seg: _Segment, u: np.ndarray, rows: tuple[int, int], events: list, end: int) -> None:
+    """Apply to ``st``, in draw order, the event groups of ``events`` whose draw index is below ``end``."""
+    while events and events[-1][0] < end:
+        k, dst, src = events.pop()
+        _fire(st, seg, k, u, rows, dst, src, seg.suffixes[k])
+
+
+def _fire(st: np.ndarray, seg: _Segment, k: int, u: np.ndarray, rows: tuple[int, int], dst: np.ndarray,
+          src: np.ndarray, suffix: np.ndarray | None) -> None:
+    """Draw op k's noise on rows ``dst`` of ``st``, from rows ``src`` of its uniforms in the segment's ``u``.
+
+    With a suffix S the rows are at the end of their run: the Paulis apply
+    at the op's place in it as ``x @ S⁻¹``, the Paulis, ``@ S``.
+    """
+    tag, depolarize, _collapses, dephase, col, width, _thr = seg.draws[k]
+    c, moved = rows
+    n_rows = moved if tag == _DEPHASE else c
+    o = c * seg.starts[k][0] + moved * seg.starts[k][1]
+    ud = u[o:o + n_rows * width].reshape(n_rows, width)[src]
+    x = st[dst]
+    if suffix is not None:
+        x = (x.conj() @ suffix.T).conj()  # x @ S⁻¹, S being unitary
+    for qubits, p, j in depolarize:
+        apply_depolarizing(x, qubits, p, ud[:, j])
+    if dephase:
+        apply_dephasing(x, *dephase, ud[:, col:])
+    if suffix is not None:
+        x = x @ suffix
+    st[dst] = x
 
 
 def _zone_violation(place: np.ndarray, zone: tuple):
@@ -734,28 +908,11 @@ def _zone_violation(place: np.ndarray, zone: tuple):
     raise AssertionError("a segment's zone check failed but none of its layers' did")  # pragma: no cover
 
 
-def _run_draws(rt: _Runtime, b: _Batch, R, st: np.ndarray, op: tuple, rng):
-    """A layer's draws and collapses on the rows ``R`` of ``b``, whose states ``st`` it updates.
-
-    Returns ``st`` and ``R``, both grown by any rows the layer forked.
-    """
-    _, depolarize, collapses, idle, idle_col, width, thr = op
-    u = rng.random((len(st), width)) if rng is not None else None
-    fired = thr is not None and (u < thr).any()  # else no noise event: only the collapses run
-    for qubits, p, col in depolarize if fired else ():
-        apply_depolarizing(st, qubits, p, u[:, col])
-    for c in collapses:
-        st, R = _collapse(b, R, st, c, u)
-    if idle and fired:
-        apply_dephasing(st, idle, rt.noise.p_idle, u[:, idle_col:])
-    return st, R
-
-
 def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None):
     """Measure or reset one qubit in every row of ``st``; returns ``st`` and ``R`` after any forks."""
     otag, q, slot, sel, bit, flip, p_noise, col = op
     p = np.abs(st) ** 2 @ sel  # (rows, 2): weight of the |0> and |1> arms
-    norm = p.sum(1)
+    norm = p[:, 0] + p[:, 1]
     drift = np.abs(norm - 1.0)
     if not drift.max() <= 1e-9:  # NaN fails this too
         raise FloatingPointError(f"state norm drifted to {norm[drift.argmax()]}")

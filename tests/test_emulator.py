@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import gc
+import hashlib
 import math
 import os
 import random
@@ -142,8 +143,8 @@ def _guards_of(rt, k: int):
 
 
 def _dephasings(seg) -> int:
-    """The number of transport dephasing ops of a segment."""
-    return sum(op[0] == emulator._DEPHASE for op in seg.ops)
+    """The number of transport dephasing draws of a segment."""
+    return sum(draw[0] == emulator._DEPHASE for draw in seg.draws)
 
 
 def test_classical_item_clearing_its_guard_ends_the_segment():
@@ -586,7 +587,9 @@ def test_programs_above_the_matrix_cap_match_the_oracle():
     assert wide >= 10
 
 
-def test_layers_fuse_only_when_nothing_draws_between_them():
+def test_layers_fuse_up_to_each_measurement_or_reset():
+    # noise draws do not cut a run of gate layers: a noisy runtime runs the
+    # noiseless one's matrices, and only a measurement or reset ends a run
     program = compile_module(build_rus(RusConfig(limit=3, style="recursion"))).program
     gate_layers = sum(isinstance(it, LayerItem) and any(op.kind == "gate" for op in it.ops) for it in program.items)
 
@@ -594,10 +597,104 @@ def test_layers_fuse_only_when_nothing_draws_between_them():
         rt = emulator._compile_runtime(program, noise)
         return sum(op[0] == emulator._MATRIX for *_entry, seg, _i in rt.segments for op in seg.ops)
 
-    assert unitary_ops(H1E_LIKE) == gate_layers  # depolarizing draws after every gate layer
     fused = unitary_ops(NOISELESS)
     assert fused < gate_layers
-    assert unitary_ops(NoiseModel(prep_overrotation=0.01, p_meas=0.1)) == fused  # no draw between gate layers
+    assert unitary_ops(H1E_LIKE) == fused  # depolarizing, idle and transport draws between gate layers
+    assert unitary_ops(NoiseModel(prep_overrotation=0.01, p_meas=0.1)) == fused
+
+
+# h on q0, then q0 idles for a layer while q1 runs x (q1's second x and the
+# cx q1, q0, with q1 = |0>, hold q0's second h back), then h on q0 again. A
+# transport step moves q1 between the first two layers. All four gate
+# layers are one run: the measurement ends it
+IDLE_THEN_H = """block e:
+  h q0
+  x q1
+  x q1
+  cx q1, q0
+  h q0
+  mz q0 -> r0
+  output result r0
+  ret"""
+
+
+def _one_run(noise, body=IDLE_THEN_H):
+    """The program of ``body`` (no peephole, which would cancel x x) and its one segment under ``noise``."""
+    prog = compile_src(body, results=1, pass_names=("fold", "flatten")).program
+    rt = emulator._compile_runtime(prog, noise)
+    (*_entry, seg, _instrs), = rt.segments
+    assert [op[0] for op in seg.ops] == [emulator._MATRIX, emulator._COLLAPSE, emulator._OUTPUT]
+    return prog, seg
+
+
+@pytest.mark.parametrize("channel", ["p_idle", "p_transport"])
+def test_a_noise_event_inside_a_fused_run_lands_before_the_rest_of_the_run(channel):
+    # at probability 1, q0's Z between its two h gates, from its idle layer or
+    # from the transport step, turns |+> into |-> on every shot, so its record
+    # reads 1 where the noiseless program's reads 0. The event is inside the
+    # run: its draw carries the run's suffix
+    prog, seg = _one_run(NoiseModel(**{channel: 1.0}))
+    layers = [it for it in prog.items if isinstance(it, LayerItem)]
+    assert [(layer.idle_qubits, [op.name for op in layer.ops]) for layer in layers] == [
+        ((), ["h", "x"]), ((0,), ["x"]), ((), ["cx"]), ((1,), ["h"]), ((1,), [None]),
+    ]
+    kind = emulator._DRAWS if channel == "p_idle" else emulator._DEPHASE
+    assert any(draw[0] == kind and suffix is not None for draw, suffix in zip(seg.draws, seg.suffixes))
+    between = prog.items[prog.items.index(layers[0]):prog.items.index(layers[3])]
+    assert sum(len(it.steps) for it in between if isinstance(it, TransportItem)) == 1
+    assert {s.outputs for s in run_shots(prog, NoiseModel(**{channel: 1.0}), 300, 8)} == {(1,)}
+    assert {s.outputs for s in run_shots(prog, NOISELESS, 300, 8)} == {(0,)}
+
+
+def test_two_events_on_a_row_in_one_run_apply_in_op_order():
+    # q0 idles twice in one run, around ry(θ): Z ry(θ) Z = ry(-θ), so the
+    # final ry(-π/4) returns |+> rotated by ry(-π/4) to |0> on every shot.
+    # The same two Zs in the other order would give ry(3θ) and a record of 1
+    # on every shot; no Z at all gives |+>, either record
+    quarter = math.pi / 4
+    body = f"""block e:
+  h q0
+  x q1
+  x q1
+  cx q1, q0
+  ry({quarter!r}) q0
+  x q1
+  x q1
+  cx q1, q0
+  ry({-quarter!r}) q0
+  mz q0 -> r0
+  output result r0
+  ret"""
+    prog, seg = _one_run(NoiseModel(p_idle=1.0), body)
+    idle = [it.idle_qubits for it in prog.items if isinstance(it, LayerItem)]
+    assert idle == [(), (0,), (), (), (0,), (), (1,), (1,)]
+    assert sum(draw[3] != () and suffix is not None for draw, suffix in zip(seg.draws, seg.suffixes)) == 2
+    assert {s.outputs for s in run_shots(prog, NoiseModel(p_idle=1.0), 300, 8)} == {(0,)}
+    assert {s.outputs for s in run_shots(prog, NOISELESS, 300, 8)} == {(0,), (1,)}
+
+
+# sha256 of repr([dataclasses.astuple(shot) ...]) for 300 H1E_LIKE shots at seed 2024, as the sampler gave them
+# before noise draws stopped cutting fused runs: a change to any RNG stream or draw order changes these
+PINNED_SHOTS = {
+    ("msd-2-X", CONDITIONAL): "384b68c98c0e320e626cda38cf10de1bcaec358339fb9d4f8380247bf6461ce4",
+    ("msd-2-X", ALWAYS): "384b68c98c0e320e626cda38cf10de1bcaec358339fb9d4f8380247bf6461ce4",
+    ("rus-loop-3-Z", CONDITIONAL): "4cb57b9426ff687e5492e908801b16b406f84199161057c821cf448bf2a7b12d",
+    ("rus-loop-3-Z", ALWAYS): "c1f92850e2646dff8c67476df382ce185289f60451c2355aed1feb33138e8380",
+    ("rus-recursion-3-X", CONDITIONAL): "9d3f45d53bfe8face10828af39e87b3010225674b17aafc8adf9bcbfcf5ad97a",
+    ("rus-recursion-3-X", ALWAYS): "e9bbcaec847b879d22279b2dc8077f8efdadbec8a2ca3e25245fc0cecb97be8f",
+}
+
+
+@pytest.mark.parametrize("name, mode", list(PINNED_SHOTS), ids=[f"{n}-{m}" for n, m in PINNED_SHOTS])
+def test_noisy_shots_keep_their_pinned_streams(name, mode):
+    family, *rest = name.split("-")
+    if family == "msd":
+        module = build_msd(MsdConfig(limit=int(rest[0]), basis=rest[1]))
+    else:
+        module = build_rus(RusConfig(limit=int(rest[1]), basis=rest[2], style=rest[0]))
+    shots = run_shots(compile_module(module, mode=mode).program, H1E_LIKE, 300, 2024)
+    got = hashlib.sha256(repr([dataclasses.astuple(s) for s in shots]).encode()).hexdigest()
+    assert got == PINNED_SHOTS[name, mode]
 
 
 # -- noise channels (batched: one state per row) ----------------------------------
@@ -737,7 +834,7 @@ def test_runtime_arrays_are_read_only(case):
     rt = emulator._runtime(prog, H1E_LIKE if case in ("msd-noisy", "six-qubits") else NOISELESS)
     segs = [seg for *_entry, seg, _instrs in rt.segments]
     ops = {op[0] for seg in segs for op in seg.ops}
-    assert ops >= {emulator._GROUPS if case == "six-qubits" else emulator._MATRIX, emulator._DRAWS}
+    assert ops >= {emulator._GROUPS if case == "six-qubits" else emulator._MATRIX, emulator._COLLAPSE}
     assert any(seg.zone_qubits is not None for seg in segs)
     if case.startswith("msd"):
         assert any(seg.perm is not None for seg in segs)
