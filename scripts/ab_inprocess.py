@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Time one program on two source trees in one process, in alternating pairs.
+"""Time programs on two source trees in one process, in alternating pairs.
 
 Each tree's ``src/ionflow`` is imported under its own package name
 (``ionflow_a`` and ``ionflow_b``), so both run in the same interpreter, on
 the same host state, one right after the other. A pair times one call on
-each side; the side that goes first alternates from pair to pair.
+each side; the side that goes first alternates from pair to pair. A call
+runs every program of ``--program``, a comma list, in its order:
 
-* ``--op run_shots``: each timed call is ``emulator.run_shots`` on a program
-  compiled just before it, untimed, so the call also builds the program's
-  runtime, as a benchmark row does.
-* ``--op compile_text``: each timed call is ``toolchain.compile_text`` of the
-  program's emitted text.
+* ``--op run_shots``: ``emulator.run_shots`` on each program, all of them
+  compiled just before, untimed, so the call also builds each program's
+  runtime, as a benchmark row does. A list of distinct programs measures
+  what one build leaves cached for the next, as a sweep sees it.
+* ``--op compile_text``: ``toolchain.compile_text`` of each program's
+  emitted text.
 
 Every call gets the same inputs on both sides. The script prints each side's
 median time, the median over pairs of the ratio B/A (below 1: B is faster)
@@ -21,6 +23,8 @@ Run from the repository root, with the other tree checked out elsewhere:
 
     python3 scripts/ab_inprocess.py --a ../parent --b . --program msd-8-X \\
         --noise H1E_LIKE --shots 40 --pairs 76
+    python3 scripts/ab_inprocess.py --a ../parent --b . --noise H1E_LIKE \\
+        --program msd-0-X,msd-1-X,msd-2-X,msd-3-X,msd-4-X,msd-5-X,msd-6-X,msd-7-X,msd-8-X
 
 A program is ``msd-LIMIT-BASIS``, ``rus-loop-LIMIT-BASIS`` or
 ``rus-recursion-LIMIT-BASIS``. ``--noise`` is ``NOISELESS``, ``H1E_LIKE`` or
@@ -55,33 +59,34 @@ def load(root: Path, name: str):
 
 
 class Side:
-    """One tree's library, and the program and noise model it times."""
+    """One tree's library, and the programs (a comma list) and noise model it times."""
 
     def __init__(self, root: Path, name: str, program: str, mode: str, noise: str):
         load(root, name)
         mod = {m: importlib.import_module(f"{name}.{m}") for m in ("emulator", "experiments", "textir", "toolchain")}
         self.emulator, self.toolchain = mod["emulator"], mod["toolchain"]
-        self.source = mod["textir"].emit(build(mod["experiments"], program))
+        self.source = tuple(mod["textir"].emit(build(mod["experiments"], p)) for p in program.split(","))
         self.mode = mode
         if noise in ("NOISELESS", "H1E_LIKE"):
             self.noise = getattr(self.emulator, noise)
         else:
             self.noise = self.emulator.NoiseModel.from_json(Path(noise).read_text())
 
-    def compile(self):
-        return self.toolchain.compile_text(self.source, mode=self.mode).program
+    def compile(self) -> list:
+        return [self.toolchain.compile_text(text, mode=self.mode).program for text in self.source]
 
     def shots(self, n_shots: int, seed: int) -> list:
-        return self.emulator.run_shots(self.compile(), self.noise, n_shots, seed)
+        return [shot for program in self.compile() for shot in self.emulator.run_shots(program, self.noise, n_shots, seed)]
 
     def time(self, op: str, n_shots: int, seed: int) -> float:
         if op == "compile_text":
             t0 = time.perf_counter()
             self.compile()
             return time.perf_counter() - t0
-        program = self.compile()
+        programs = self.compile()
         t0 = time.perf_counter()
-        self.emulator.run_shots(program, self.noise, n_shots, seed)
+        for program in programs:
+            self.emulator.run_shots(program, self.noise, n_shots, seed)
         return time.perf_counter() - t0
 
 
@@ -115,7 +120,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--a", type=Path, required=True, help="root of tree A, the reference")
     ap.add_argument("--b", type=Path, default=Path("."), help="root of tree B (default: the current directory)")
-    ap.add_argument("--program", required=True, help="msd-8-X, rus-loop-6-X, rus-recursion-5-X, ...")
+    ap.add_argument("--program", required=True, help="msd-8-X, rus-loop-6-X, rus-recursion-5-X, ..., or a comma list")
     ap.add_argument("--op", choices=("run_shots", "compile_text"), default="run_shots")
     ap.add_argument("--mode", choices=("conditional", "always"), default="conditional")
     ap.add_argument("--noise", default="NOISELESS", help="NOISELESS, H1E_LIKE or a noise-model JSON file")

@@ -16,9 +16,10 @@ a register h reads. In always mode every transport is shared, h being true;
 in conditional mode a chain's transport runs under its entry guard, which
 each member block's guard implies. A later transport joins only under t,
 one under any other guard opens a segment, and a classical item that
-writes a register t reads closes the segment. Repeated layers, transport
-and segment bodies are built once, and gate matrices and transport
-permutations once across programs.
+writes a register t reads closes the segment. Layer, transport, output,
+classical and segment bodies are cached across programs, the segments by
+their bodies' identities, as are gate matrices and suffix products by run,
+so building a program whose rounds an earlier one built is mostly lookups.
 
 The walk runs one entry at a time. At its head g and t become row masks.
 Every row where g holds must satisfy t: ``lower`` guarantees it, since it
@@ -174,6 +175,9 @@ MAX_SHOTS = (64 << 30) // SHOT_BYTES  # shots per run: more would need a result 
 MAX_JOBS = 256
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
 MAX_BATCH_AMPLITUDES = 1 << 24  # cap on SHOT_BATCH × 2ⁿ (256 MiB of complex128, 16 qubits), result slots or registers
+# Runtime bodies and segments cached across programs. The 412 programs of scripts/output_digest.py, in both
+# transport modes and under two noise models, cache 3,196, which hold about 7 MiB with their matrices.
+MAX_BODIES = 1 << 12
 MATRIX_QUBITS = 5  # up to this many qubits a layer's gates are one 2ⁿ×2ⁿ matrix; MSD, the widest table program, has 5
 
 
@@ -412,9 +416,8 @@ def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
     return _LAYER, qs, slots, tuple(gates), draws
 
 
-@functools.lru_cache(maxsize=256)
 def _compile_transport(steps: tuple, slots: int) -> tuple:
-    """A transport's read-only slot permutation, its inverse and its step count; cached across programs."""
+    """A transport's read-only slot permutation, its inverse and its step count."""
     occupant = list(range(slots))  # occupant[s]: the slot whose content is now in slot s
     for st in steps:
         for a, b in st:
@@ -422,6 +425,20 @@ def _compile_transport(steps: tuple, slots: int) -> tuple:
     # its inverse, the composed slot permutation: where something starting at slot s ends up
     perm = np.argsort(occupant)
     return (*_frozen(perm, np.argsort(perm)), len(steps))
+
+
+def _transport_body(steps: tuple, slots: int, n: int, noise: NoiseModel) -> tuple:
+    """A transport's body: ``(_TRANSPORT, slot permutation, its inverse, step count, dephasing or None)``.
+
+    The dephasing is shaped like a layer's draws, under ``_DEPHASE``: a Z
+    column per qubit and step.
+    """
+    perm, inv, n_steps = _compile_transport(steps, slots)
+    dephase = None
+    if noise.p_transport > 0.0 and n_steps:
+        thr = _frozen(np.full(n * n_steps, noise.p_transport))[0]
+        dephase = (_DEPHASE, (), (), (tuple(range(n)) * n_steps, noise.p_transport), 0, n * n_steps, thr)
+    return _TRANSPORT, perm, inv, n_steps, dephase
 
 
 class _Segment(NamedTuple):
@@ -457,7 +474,7 @@ def _unitary_op(run: list, n: int) -> tuple:
     return _MATRIX if n <= MATRIX_QUBITS else _GROUPS, _unitary(tuple(run), n)
 
 
-def _segment(parts: list, n: int, noise: NoiseModel) -> _Segment:
+def _segment(parts: tuple, n: int) -> _Segment:
     """Build a segment from its items' bodies, in order.
 
     Unitaries run as late as the next measurement or reset, or the segment's
@@ -555,18 +572,43 @@ class _Runtime:
     segments: list  # per guard segment: (guard, transport guard, index of its first item, _Segment, classical instructions)
 
 
+# Runtime bodies cached across programs (hash-consing: Filliâtre and Conchon,
+# "Type-Safe Modular Hash-Consing", ML Workshop 2006): layers, transports,
+# outputs and classical items by value, segments by their bodies' identities.
+# A later program with an equal body gets the same object back, so an equal
+# segment is found by identity too. A segment entry holds the bodies its key
+# names, so none of those ids can be reused while the entry is there. Both
+# caches are cleared together when they reach MAX_BODIES entries.
+_BODIES: dict = {}
+_SEGMENTS: dict = {}  # tuple of its bodies' ids: (its bodies, _Segment)
+
+
+def _clear_bodies() -> None:
+    _BODIES.clear()
+    _SEGMENTS.clear()
+
+
+def _cached(cache: dict, key, build, *args):
+    """``cache[key]``, made by ``build(*args)`` on a miss; a build that raises caches nothing."""
+    hit = cache.get(key)
+    if hit is None:
+        if len(_BODIES) + len(_SEGMENTS) >= MAX_BODIES:
+            _clear_bodies()
+        hit = cache[key] = build(*args)
+    return hit
+
+
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     n = prog.n_qubits
     if SHOT_BATCH << n > MAX_BATCH_AMPLITUDES:
         most = (MAX_BATCH_AMPLITUDES // SHOT_BATCH).bit_length() - 1
         raise IonflowError(f"program declares {n} qubits; the emulator runs at most {most}")
-    # Layers, transport and whole segments repeat, and each distinct one is
-    # built once. Lowering shares a layer's ops tuple between its repeats, so a
-    # layer is looked up by that tuple's identity (its items hold it alive)
-    # before the value of the op fields it reads. A segment is looked up by
-    # the identities of its items' bodies; its classical instructions stay
-    # out of its body, which names them by position.
-    layers, layer_values, transports, bodies = {}, {}, {}, {}
+    # Each body comes from the caches above. Lowering shares a layer's ops
+    # tuple between its repeats, so within the program a layer is looked up
+    # first by that tuple's identity (its items hold it alive), and only then
+    # by the value of the op fields it reads. A segment's classical
+    # instructions stay out of its body, which names them by position.
+    layers, transports = {}, {}
     guards = {}  # by identity too: a register's hash is a Python call
     classical = []  # classical[j]: the body of a segment's j-th classical item
     opened = []  # per segment: its guard, its transport guard, first item, item bodies and classical instructions
@@ -603,26 +645,21 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             body = layers.get(lk)
             if body is None:
                 ops = tuple((op.kind, op.name, op.qubits, op.angle, op.slot) for op in item.ops)
-                vk = (ops, item.expected_slots, item.idle_qubits)
-                if vk not in layer_values:
-                    layer_values[vk] = _compile_layer(item, n, noise)
-                body = layers[lk] = layer_values[vk]
+                vk = (_LAYER, n, noise, ops, item.expected_slots, item.idle_qubits)
+                body = layers[lk] = _cached(_BODIES, vk, _compile_layer, item, n, noise)
             parts.append(body)
         elif kind is MarkItem:
             parts.append(_MARK_BODY)
         elif kind is TransportItem:
             body = transports.get(item.steps)
             if body is None:
-                perm, inv, n_steps = _compile_transport(item.steps, prog.trap.slots)
-                dephase = None
-                if noise.p_transport > 0.0 and n_steps:  # shaped like a layer's draws: a Z column per qubit and step
-                    thr = _frozen(np.full(n * n_steps, noise.p_transport))[0]
-                    dephase = (_DEPHASE, (), (), (tuple(range(n)) * n_steps, noise.p_transport), 0, n * n_steps, thr)
-                body = transports[item.steps] = (_TRANSPORT, perm, inv, n_steps, dephase)
+                tk = (_TRANSPORT, n, noise, item.steps, prog.trap.slots)
+                body = transports[item.steps] = _cached(_BODIES, tk, _transport_body, item.steps, prog.trap.slots, n, noise)
             parts.append(body)
         elif kind is ClassicalItem:
             if len(instrs) == len(classical):
-                classical.append((_CLASSICAL, len(instrs)))
+                body = (_CLASSICAL, len(instrs))
+                classical.append(_cached(_BODIES, body, lambda: body))
             parts.append(classical[len(instrs)])
             instrs.append(item.instrs)
             for ins in item.instrs:  # plain loops, not a generator per item: this runs for every classical item
@@ -633,7 +670,8 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
                         top = v.index
             closed = not reads.isdisjoint(written)
         elif kind is OutputItem:
-            parts.append((_OUTPUT, _CODE.get(item.kind), item.slot, n_outputs))
+            body = (_OUTPUT, _CODE.get(item.kind), item.slot, n_outputs)
+            parts.append(_cached(_BODIES, body, lambda: body))
             n_outputs += 1
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {item!r}")
@@ -642,10 +680,9 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             raise IonflowError(f"program uses {count} {what}; the emulator runs at most {MAX_BATCH_AMPLITUDES // SHOT_BATCH}")
     segments = []
     for seg_guard, tg, first, parts, instrs in opened:
-        key = tuple(map(id, parts))
-        if key not in bodies:
-            bodies[key] = _segment(parts, n, noise)
-        segments.append((seg_guard, seg_guard if tg is unset else tg, first, bodies[key], tuple(instrs)))
+        parts = tuple(parts)
+        seg = _cached(_SEGMENTS, tuple(map(id, parts)), lambda: (parts, _segment(parts, n)))[1]
+        segments.append((seg_guard, seg_guard if tg is unset else tg, first, seg, tuple(instrs)))
     dtype = np.float64 if floats else np.int64
     return _Runtime(n, prog.n_results, top + 1, n_outputs, dtype, prog.canonical, noise, segments)
 

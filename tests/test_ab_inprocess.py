@@ -39,3 +39,21 @@ def test_compare_gives_medians_ratio_and_wins():
 def test_a_bad_program_name_is_refused(program):
     with pytest.raises(SystemExit, match="bad program"):
         ab_inprocess.Side(ROOT, "ionflow_a", program, "conditional", "NOISELESS")
+
+
+def test_a_comma_list_times_every_program_in_each_call(capsys):
+    argv = ["--a", str(ROOT), "--b", str(ROOT), "--program", "msd-0-X,rus-loop-1-Z,msd-1-X", "--noise", "H1E_LIKE",
+            "--shots", "20", "--pairs", "2", "--check"]
+    assert ab_inprocess.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "msd-0-X,rus-loop-1-Z,msd-1-X conditional H1E_LIKE run_shots, 20 shots, 2 pairs"
+    listed = ab_inprocess.Side(ROOT, "ionflow_a", "rus-loop-2-Z,msd-1-X", "always", "NOISELESS")
+    alone = [ab_inprocess.Side(ROOT, "ionflow_b", p, "always", "NOISELESS") for p in ("rus-loop-2-Z", "msd-1-X")]
+    assert listed.source == tuple(side.source[0] for side in alone)
+    assert [tuple(vars(s).values()) for s in listed.shots(30, 3)] == [
+        tuple(vars(s).values()) for side in alone for s in side.shots(30, 3)]
+
+
+@pytest.mark.parametrize("programs", ["msd-1-X,", "msd-1-X,qft-3-X"])
+def test_a_bad_name_in_a_list_is_refused(programs):
+    with pytest.raises(SystemExit, match="bad program"):
+        ab_inprocess.Side(ROOT, "ionflow_a", programs, "conditional", "NOISELESS")

@@ -32,7 +32,7 @@ from ionflow.emulator import (
 from ionflow.experiments import BASES, MsdConfig, RusConfig, build_msd, build_rus
 from ionflow.ir import BinOp, IonflowError, ReadResult
 from ionflow.predication import OrVal
-from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem, TransportItem
+from ionflow.qccd import ALWAYS, CONDITIONAL, ClassicalItem, LayerItem, MarkItem, TrapLayout, TransportItem
 from ionflow.regalloc import PReg
 from ionflow.toolchain import compile_module
 
@@ -748,7 +748,11 @@ def test_a_layer_without_a_noise_event_runs_only_its_collapses(monkeypatch, chan
         return (*body, draws and (*draws[:-1], np.ones(draws[5])))  # a threshold of 1 for each of its columns
 
     monkeypatch.setattr(emulator, "_compile_layer", full_path)
-    assert [run_shots(dataclasses.replace(prog), noise, 300, 4) for prog in programs] == fast
+    emulator._clear_bodies()  # else the new programs would get the cached layers, not full_path's
+    try:
+        assert [run_shots(dataclasses.replace(prog), noise, 300, 4) for prog in programs] == fast
+    finally:
+        emulator._clear_bodies()  # and full_path's layers must not serve later tests
 
 
 def test_measurement_flip_noise():
@@ -858,6 +862,89 @@ def test_enumerate_and_sample_in_turn_on_one_runtime(noise):
     assert run_shots(prog, noise, 600, 9) == want_shots
     assert run_shots(prog, noise, 600, 9, jobs=2) == want_shots
     assert _leaf_key(enumerate_exec_leaves(prog)) == want_leaves
+
+
+# -- runtime bodies cached across programs -------------------------------------------
+
+WIDE_TRAP = TrapLayout(12, ((0, 1), (6, 7)))
+OVER_ROTATED = NoiseModel(p1=0.01, p2=0.02, p_meas=0.01, p_reset=0.01, p_transport=0.01, p_idle=0.01,
+                          prep_overrotation=0.05)
+
+
+def _outputs(prog, noises, cold):
+    """Shots under each noise model, then the exact leaves, each from a runtime of its own; with ``cold`` each
+    runtime is built on empty caches."""
+    out = []
+    for noise in (*noises, None):
+        if cold:
+            emulator._clear_bodies()
+        copy = dataclasses.replace(prog)
+        out.append(_leaf_key(enumerate_exec_leaves(copy)) if noise is None else run_shots(copy, noise, 300, 7))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cache_sequence():
+    """Programs that share many bodies, each with its outputs from cold caches.
+
+    Table programs on two traps and in both modes, under three noise models,
+    and registers wider than MATRIX_QUBITS, which run gate by gate.
+    """
+    modules = [build_msd(MsdConfig(limit=k, basis="X")) for k in range(4)]
+    modules += [build_rus(RusConfig(limit=k, basis="X", style=s)) for s in ("loop", "recursion") for k in (1, 2, 3)]
+    progs = [compile_module(m, trap, mode).program for m in modules for trap in (None, WIDE_TRAP)
+             for mode in (CONDITIONAL, ALWAYS)]
+    wide = [m for m in (random_program(s, n_qubits=8, max_branches=3) for s in range(12))
+            if m.required_qubits > MATRIX_QUBITS]
+    progs += [compile_module(m, mode=mode).program for m in wide for mode in (CONDITIONAL, ALWAYS)]
+    noises = (NOISELESS, H1E_LIKE, OVER_ROTATED)
+    return progs, noises, [_outputs(prog, noises, cold=True) for prog in progs]
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_warm_caches_give_the_outputs_of_cold_ones(cache_sequence, order):
+    # bodies cached by value serve later programs: every program must run as if built from scratch
+    progs, noises, cold = cache_sequence
+    assert len(progs) == 48 and sum(p.n_qubits > MATRIX_QUBITS for p in progs) == 8
+    emulator._clear_bodies()
+    indices = range(len(progs)) if order == "forward" else reversed(range(len(progs)))
+    for i in indices:
+        assert _outputs(progs[i], noises, cold=False) == cold[i], i
+
+
+def test_a_recompiled_program_shares_every_segment():
+    module = build_msd(MsdConfig(limit=8, basis="X"))
+    first, second = (emulator._compile_runtime(compile_module(module).program, H1E_LIKE) for _ in range(2))
+    assert all(a[3] is b[3] for a, b in zip(first.segments, second.segments, strict=True))
+
+
+def test_a_sweep_builds_fewer_than_half_the_segments_it_runs():
+    emulator._clear_bodies()
+    runs = sum(len(emulator._compile_runtime(compile_module(build_msd(MsdConfig(limit=k, basis="X"))).program,
+                                             H1E_LIKE).segments) for k in range(9))
+    assert 2 * len(emulator._SEGMENTS) < runs
+
+
+def test_the_caches_stay_within_their_bound(monkeypatch):
+    # past the bound both caches start over; a segment entry holds the bodies its key names by identity.
+    # Each program but MSD 0 builds more than the bound's entries alone, so the caches clear mid-build too.
+    progs = [compile_module(build_rus(RusConfig(limit=k, basis="Z", style=s))).program
+             for s in ("loop", "recursion") for k in (1, 2, 3)]
+    progs += [compile_module(build_msd(MsdConfig(limit=k, basis="Y"))).program for k in range(3)]
+    cold = []
+    for prog in progs:
+        emulator._clear_bodies()
+        cold.append(run_shots(dataclasses.replace(prog), H1E_LIKE, 300, 5))
+    bound, clears, clear = 24, [], emulator._clear_bodies
+    monkeypatch.setattr(emulator, "MAX_BODIES", bound)
+    monkeypatch.setattr(emulator, "_clear_bodies", lambda: clears.append(clear()))
+    clear()
+    for prog, want in [*zip(progs, cold), *zip(progs, cold)]:
+        assert run_shots(dataclasses.replace(prog), H1E_LIKE, 300, 5) == want
+        assert len(emulator._BODIES) + len(emulator._SEGMENTS) <= bound
+        assert all(key == tuple(map(id, parts)) for key, (parts, _seg) in emulator._SEGMENTS.items())
+    assert clears
+    clear()
 
 
 # -- shots ------------------------------------------------------------------------
@@ -1130,11 +1217,13 @@ def test_norm_drift_detected(monkeypatch):
     real = G.gate_unitary
     monkeypatch.setattr(G, "gate_unitary", lambda name, angle=None: bad if name == "h" else real(name, angle))
     emulator._unitary.cache_clear()  # its cached runs call gate_unitary: no earlier h may stand in for the bad one,
+    emulator._clear_bodies()  # nor a cached segment that holds one
     try:
         with pytest.raises(FloatingPointError):
             run_shots(res.program, NOISELESS, 1, 0)
     finally:
         emulator._unitary.cache_clear()  # and the bad one must not serve later tests
+        emulator._clear_bodies()
 
 
 def test_fixed_gate_matrices_are_read_only():
