@@ -16,8 +16,10 @@ runs every program of ``--program``, a comma list, in its order:
 
 Every call gets the same inputs on both sides. The script prints each side's
 median time, the median over pairs of the ratio B/A (below 1: B is faster)
-and how many pairs B won. With ``--check`` it also refuses to time two trees
-whose ``run_shots`` results differ. Times come from ``time.perf_counter``.
+and how many pairs B won. With ``--check`` it first refuses to time two
+trees whose outputs for the timed op differ: under ``run_shots`` their
+shots, under ``compile_text`` each program's JSON, block count and colors.
+Times come from ``time.perf_counter``.
 
 Run from the repository root, with the other tree checked out elsewhere:
 
@@ -73,17 +75,21 @@ class Side:
             self.noise = self.emulator.NoiseModel.from_json(Path(noise).read_text())
 
     def compile(self) -> list:
-        return [self.toolchain.compile_text(text, mode=self.mode).program for text in self.source]
+        return [self.toolchain.compile_text(text, mode=self.mode) for text in self.source]
+
+    def compiled(self) -> list:
+        """What ``--check`` compares under ``compile_text``: each program's JSON, block count and colors."""
+        return [(res.program.to_json(), res.block_count, res.colors_used) for res in self.compile()]
 
     def shots(self, n_shots: int, seed: int) -> list:
-        return [shot for program in self.compile() for shot in self.emulator.run_shots(program, self.noise, n_shots, seed)]
+        return [shot for res in self.compile() for shot in self.emulator.run_shots(res.program, self.noise, n_shots, seed)]
 
     def time(self, op: str, n_shots: int, seed: int) -> float:
         if op == "compile_text":
             t0 = time.perf_counter()
             self.compile()
             return time.perf_counter() - t0
-        programs = self.compile()
+        programs = [res.program for res in self.compile()]
         t0 = time.perf_counter()
         for program in programs:
             self.emulator.run_shots(program, self.noise, n_shots, seed)
@@ -127,16 +133,20 @@ def main(argv=None) -> int:
     ap.add_argument("--shots", type=int, default=40)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=20)
-    ap.add_argument("--check", action="store_true", help="first check that both sides give the same shots")
+    ap.add_argument("--check", action="store_true", help="first check that both sides give the same outputs for --op")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.shots < 1 or args.seed < 0:
         ap.error("--pairs and --shots must be at least 1 and --seed at least 0")
     roots = dict(zip(SIDES, (args.a, args.b)))
     sides = {s: Side(roots[s], f"ionflow_{s}", args.program, args.mode, args.noise) for s in SIDES}
     if args.check:
-        got = {s: [tuple(vars(shot).values()) for shot in side.shots(args.shots, args.seed)] for s, side in sides.items()}
+        if args.op == "compile_text":
+            what, got = "compiled programs", {s: side.compiled() for s, side in sides.items()}
+        else:
+            what = "shots"
+            got = {s: [tuple(vars(shot).values()) for shot in side.shots(args.shots, args.seed)] for s, side in sides.items()}
         if got["a"] != got["b"]:
-            print("error: the two trees' shots differ", file=sys.stderr)
+            print(f"error: the two trees' {what} differ", file=sys.stderr)
             return 1
     times: dict[str, list[float]] = {s: [] for s in SIDES}
     for k in range(args.pairs):

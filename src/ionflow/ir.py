@@ -236,47 +236,53 @@ def wrap_i64(v: int) -> int:
     return ((v - INT_MIN) & INT_MASK) + INT_MIN
 
 
+# The operand helpers run once per instruction in every pass, validation,
+# liveness and the rewrite, so they dispatch on the exact type: no IR class
+# is subclassed, and a bool operand is a literal, never a ``Vreg``.
+_DEFINERS = frozenset((BinOp, Cmp, ReadResult, Select))
+
+
 def instr_defs(instr: Instruction) -> tuple[Vreg, ...]:
-    if isinstance(instr, (BinOp, Cmp, ReadResult, Select)):
-        return (instr.dst,)
-    return ()
+    return (instr.dst,) if type(instr) in _DEFINERS else ()
 
 
 def instr_uses(instr: Instruction) -> tuple[Vreg, ...]:
-    uses: list[Vreg] = []
-    if isinstance(instr, QGate):
-        uses.extend(q for q in instr.qubits if isinstance(q, Vreg))
-        if isinstance(instr.angle, Vreg):
+    """The vregs ``instr`` reads, in operand order: qubits before the angle."""
+    t = type(instr)
+    if t is QGate:
+        uses = [q for q in instr.qubits if type(q) is Vreg]
+        if type(instr.angle) is Vreg:
             uses.append(instr.angle)
-    elif isinstance(instr, (Measure, Reset)):
-        if isinstance(instr.qubit, Vreg):
-            uses.append(instr.qubit)
-    elif isinstance(instr, (BinOp, Cmp)):
-        uses.extend(v for v in (instr.a, instr.b) if isinstance(v, Vreg))
-    elif isinstance(instr, Select):
-        uses.extend(v for v in (instr.cond, instr.a, instr.b) if isinstance(v, Vreg))
-    elif isinstance(instr, Call):
-        uses.extend(a for a in instr.args if isinstance(a, Vreg))
-    return tuple(uses)
+        return tuple(uses)
+    if t is BinOp or t is Cmp:
+        return tuple([v for v in (instr.a, instr.b) if type(v) is Vreg])
+    if t is Measure or t is Reset:
+        return (instr.qubit,) if type(instr.qubit) is Vreg else ()
+    if t is Select:
+        return tuple([v for v in (instr.cond, instr.a, instr.b) if type(v) is Vreg])
+    if t is Call:
+        return tuple([a for a in instr.args if type(a) is Vreg])
+    return ()
 
 
 def map_instr(instr: Instruction, f: Callable[[Value], Value]) -> Instruction:
     """``instr`` with ``f`` applied to every vreg it uses or defines; ``f``
     also sees the literal operands (and a missing angle, None) and must
     return them unchanged."""
-    if isinstance(instr, QGate):
+    t = type(instr)
+    if t is QGate:
         return QGate(instr.name, tuple(map(f, instr.qubits)), f(instr.angle))
-    if isinstance(instr, Measure):
+    if t is BinOp or t is Cmp:
+        return t(instr.op, f(instr.dst), f(instr.a), f(instr.b))
+    if t is Measure:
         return Measure(f(instr.qubit), instr.slot)
-    if isinstance(instr, Reset):
+    if t is Reset:
         return Reset(f(instr.qubit))
-    if isinstance(instr, ReadResult):
+    if t is ReadResult:
         return ReadResult(f(instr.dst), instr.slot)
-    if isinstance(instr, (BinOp, Cmp)):
-        return type(instr)(instr.op, f(instr.dst), f(instr.a), f(instr.b))
-    if isinstance(instr, Select):
+    if t is Select:
         return Select(f(instr.dst), f(instr.cond), f(instr.a), f(instr.b))
-    if isinstance(instr, Call):
+    if t is Call:
         return Call(instr.callee, tuple(map(f, instr.args)))
     return instr
 
@@ -432,6 +438,7 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
     angles, literal qubit operands in the entry function.
     """
     diags: list[Diagnostic] = []
+    problems: list[tuple[str, str]] = []  # one site's (code, message) pairs, until _report locates them
     fn_names = {f.name for f in module.functions}
 
     if module.entry not in fn_names:
@@ -482,18 +489,16 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
                         diags.append(Diagnostic(ERROR, "NON_SSA", f"{d} defined more than once", f"{loc_fn}:{b.label}"))
                     defs[d] = b.label
 
-        def check_use(v: Vreg, using_block: str, pos: str, dom: dict[str, set[str]] | None) -> None:
+        def check_use(v: Vreg, using_block: str, dom: dict[str, set[str]] | None) -> None:
             if v not in defs:
-                diags.append(Diagnostic(ERROR, "USE_BEFORE_DEF", f"{v} used but never defined", f"{loc_fn}:{pos}"))
+                problems.append(("USE_BEFORE_DEF", f"{v} used but never defined"))
                 return
             def_block = defs[v]
             if def_block == "<param>" or dom is None:
                 return
             if def_block != using_block:
                 if def_block not in dom.get(using_block, set()):
-                    diags.append(
-                        Diagnostic(ERROR, "USE_BEFORE_DEF", f"{v} not dominated by its definition", f"{loc_fn}:{pos}")
-                    )
+                    problems.append(("USE_BEFORE_DEF", f"{v} not dominated by its definition"))
 
         dom = _dominators(cfg, order) if order is not None else None
         for b in fn.blocks:
@@ -511,24 +516,28 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
                             f"{loc_fn}:{b.label}",
                         )
                     )
-                _check_int_literals((v for v, _l in phi.incomings), diags, f"{loc_fn}:{b.label}(phi)")
+                _check_int_literals((v for v, _l in phi.incomings), problems)
                 for v, from_label in phi.incomings:
                     if isinstance(v, Vreg):
                         # a phi use happens at the end of the incoming edge
-                        check_use(v, from_label, f"{b.label}(phi)", dom)
+                        check_use(v, from_label, dom)
+                if problems:
+                    _report(problems, diags, f"{loc_fn}:{b.label}(phi)")
             for idx, instr in enumerate(b.body):
-                pos = f"{b.label}#{idx}"
                 for v in instr_uses(instr):
                     if defs.get(v) == b.label and v not in seen_local:
-                        diags.append(Diagnostic(ERROR, "USE_BEFORE_DEF", f"{v} used before local definition", f"{loc_fn}:{pos}"))
+                        problems.append(("USE_BEFORE_DEF", f"{v} used before local definition"))
                     else:
-                        check_use(v, b.label, pos, dom)
+                        check_use(v, b.label, dom)
                 for d in instr_defs(instr):
                     seen_local.add(d)
-                _validate_instr(module, fn, instr, diags, f"{loc_fn}:{pos}", fn_names, strict, param_types)
+                _validate_instr(module, instr, problems, fn_names, strict, param_types)
+                if problems:
+                    _report(problems, diags, f"{loc_fn}:{b.label}#{idx}")
             if isinstance(b.terminator, Branch):
-                c = b.terminator.cond
-                check_use(c, b.label, f"{b.label}(br)", dom)
+                check_use(b.terminator.cond, b.label, dom)
+                if problems:
+                    _report(problems, diags, f"{loc_fn}:{b.label}(br)")
 
     entry_fn = module.entry_function
     if strict and entry_fn.params:
@@ -536,94 +545,97 @@ def validate_profile(module: Module, strict: bool = True) -> list[Diagnostic]:
     return diags
 
 
-def _check_int_literals(values, diags: list[Diagnostic], loc: str) -> None:
+def _report(problems: list[tuple[str, str]], diags: list[Diagnostic], loc: str) -> None:
+    """Move each (code, message) problem found at ``loc`` into ``diags`` as an
+    error. Validation collects a site's problems first and builds its location
+    text only when there are any."""
+    for code, message in problems:
+        diags.append(Diagnostic(ERROR, code, message, loc))
+    problems.clear()
+
+
+def _check_int_literals(values, problems: list[tuple[str, str]]) -> None:
     """An int literal must fit the 64-bit registers that classical ops run in."""
     for v in values:
         if type(v) is int and not INT_MIN <= v <= INT_MAX:
-            diags.append(Diagnostic(ERROR, "INT_RANGE", f"int literal outside [{INT_MIN}, {INT_MAX}]", loc))
+            problems.append(("INT_RANGE", f"int literal outside [{INT_MIN}, {INT_MAX}]"))
+
+
+def _check_qubit(q: QubitRef, module: Module, param_types: dict[Vreg, str], strict: bool, problems: list) -> None:
+    if isinstance(q, Vreg):
+        if param_types.get(q) != "qubit":
+            problems.append(("QUBIT_OPERAND", f"{q} is not a qubit-typed parameter"))
+        elif strict:
+            problems.append(("QUBIT_OPERAND", f"unresolved qubit operand {q}"))
+    elif not (0 <= q < module.required_qubits):
+        problems.append(("QUBIT_RANGE", f"qubit index {q} out of range [0, {module.required_qubits})"))
+
+
+def _check_slot(slot: int, module: Module, problems: list) -> None:
+    if not (0 <= slot < module.required_results):
+        problems.append(("RESULT_RANGE", f"result slot {slot} out of range [0, {module.required_results})"))
 
 
 def _validate_instr(
     module: Module,
-    fn: Function,
     instr: Instruction,
-    diags: list[Diagnostic],
-    loc: str,
+    problems: list[tuple[str, str]],
     fn_names: set[str],
     strict: bool,
     param_types: dict[Vreg, str],
 ) -> None:
-    def check_qubit(q: QubitRef) -> None:
-        if isinstance(q, Vreg):
-            if param_types.get(q) != "qubit":
-                diags.append(Diagnostic(ERROR, "QUBIT_OPERAND", f"{q} is not a qubit-typed parameter", loc))
-            elif strict:
-                diags.append(Diagnostic(ERROR, "QUBIT_OPERAND", f"unresolved qubit operand {q}", loc))
-        elif not (0 <= q < module.required_qubits):
-            diags.append(
-                Diagnostic(ERROR, "QUBIT_RANGE", f"qubit index {q} out of range [0, {module.required_qubits})", loc)
-            )
-
-    def check_slot(slot: int) -> None:
-        if not (0 <= slot < module.required_results):
-            diags.append(
-                Diagnostic(ERROR, "RESULT_RANGE", f"result slot {slot} out of range [0, {module.required_results})", loc)
-            )
-
     if isinstance(instr, QGate):
         if instr.name not in GATE_SET:
-            diags.append(Diagnostic(ERROR, "UNKNOWN_GATE", f"unknown gate '{instr.name}'", loc))
+            problems.append(("UNKNOWN_GATE", f"unknown gate '{instr.name}'"))
             return
         want = 2 if instr.name in TWO_QUBIT_GATES else 1
         if len(instr.qubits) != want:
-            diags.append(Diagnostic(ERROR, "GATE_ARITY", f"{instr.name} takes {want} qubit(s)", loc))
+            problems.append(("GATE_ARITY", f"{instr.name} takes {want} qubit(s)"))
         if want == 2 and len(instr.qubits) == 2 and instr.qubits[0] == instr.qubits[1]:
-            diags.append(Diagnostic(ERROR, "DUP_QUBIT", f"{instr.name} operands must be distinct", loc))
+            problems.append(("DUP_QUBIT", f"{instr.name} operands must be distinct"))
         if instr.name in ROTATION_GATES:
             if instr.angle is None:
-                diags.append(Diagnostic(ERROR, "ANGLE_MISSING", f"{instr.name} requires an angle operand", loc))
+                problems.append(("ANGLE_MISSING", f"{instr.name} requires an angle operand"))
             elif strict and isinstance(instr.angle, Vreg):
-                diags.append(Diagnostic(ERROR, "ANGLE_NONCONST", f"{instr.name} angle must be a literal after folding", loc))
+                problems.append(("ANGLE_NONCONST", f"{instr.name} angle must be a literal after folding"))
             elif not isinstance(instr.angle, Vreg) and not abs(instr.angle) <= sys.float_info.max:
                 # NaN, the infinities and ints too large for a float all fail this
-                diags.append(Diagnostic(ERROR, "ANGLE_NONFINITE", f"{instr.name} angle {instr.angle!r} is not finite", loc))
+                problems.append(("ANGLE_NONFINITE", f"{instr.name} angle {instr.angle!r} is not finite"))
         elif instr.angle is not None:
-            diags.append(Diagnostic(ERROR, "ANGLE_UNEXPECTED", f"{instr.name} takes no angle", loc))
+            problems.append(("ANGLE_UNEXPECTED", f"{instr.name} takes no angle"))
         for q in instr.qubits:
-            check_qubit(q)
+            _check_qubit(q, module, param_types, strict, problems)
     elif isinstance(instr, Measure):
-        check_qubit(instr.qubit)
-        check_slot(instr.slot)
+        _check_qubit(instr.qubit, module, param_types, strict, problems)
+        _check_slot(instr.slot, module, problems)
     elif isinstance(instr, Reset):
-        check_qubit(instr.qubit)
+        _check_qubit(instr.qubit, module, param_types, strict, problems)
     elif isinstance(instr, ReadResult):
-        check_slot(instr.slot)
+        _check_slot(instr.slot, module, problems)
     elif isinstance(instr, BinOp):
         if instr.op not in BINOPS:
-            diags.append(Diagnostic(ERROR, "BAD_OP", f"unknown binop '{instr.op}'", loc))
-        _check_int_literals((instr.a, instr.b), diags, loc)
+            problems.append(("BAD_OP", f"unknown binop '{instr.op}'"))
+        _check_int_literals((instr.a, instr.b), problems)
     elif isinstance(instr, Cmp):
         if instr.op not in CMPOPS:
-            diags.append(Diagnostic(ERROR, "BAD_OP", f"unknown comparison '{instr.op}'", loc))
-        _check_int_literals((instr.a, instr.b), diags, loc)
+            problems.append(("BAD_OP", f"unknown comparison '{instr.op}'"))
+        _check_int_literals((instr.a, instr.b), problems)
     elif isinstance(instr, Output):
         if instr.kind not in OUTPUT_KINDS:
-            diags.append(Diagnostic(ERROR, "BAD_OUTPUT", f"unknown output kind '{instr.kind}'", loc))
+            problems.append(("BAD_OUTPUT", f"unknown output kind '{instr.kind}'"))
         elif instr.kind == "result":
             if instr.slot is None:
-                diags.append(Diagnostic(ERROR, "BAD_OUTPUT", "output result needs a slot", loc))
+                problems.append(("BAD_OUTPUT", "output result needs a slot"))
             else:
-                check_slot(instr.slot)
+                _check_slot(instr.slot, module, problems)
     elif isinstance(instr, Call):
-        _check_int_literals(instr.args, diags, loc)
+        _check_int_literals(instr.args, problems)
         if instr.callee not in fn_names:
-            diags.append(Diagnostic(ERROR, "UNRESOLVED_CALL", f"call to undefined @{instr.callee}", loc))
+            problems.append(("UNRESOLVED_CALL", f"call to undefined @{instr.callee}"))
         elif strict:
-            diags.append(Diagnostic(ERROR, "CALL_IN_PROFILE", f"call to @{instr.callee} must be flattened", loc))
+            problems.append(("CALL_IN_PROFILE", f"call to @{instr.callee} must be flattened"))
         else:
             callee = module.function(instr.callee)
             if len(callee.params) != len(instr.args):
-                diags.append(
-                    Diagnostic(ERROR, "CALL_ARITY", f"@{instr.callee} takes {len(callee.params)} args", loc)
-                )
+                problems.append(("CALL_ARITY", f"@{instr.callee} takes {len(callee.params)} args"))
 

@@ -20,15 +20,16 @@ exactly what makes control-flow shape visible in executed-transport counts:
 a bigger, branchier guarded program funnels more blocks into chains whose
 entry guard is weak, so more transport runs per shot.
 
-Plans are memoized per lowering: each distinct (placement, layer operands
-and zones) query, and each distinct restore, is planned once per ``lower``
-call and reused wherever the program repeats it.
+Plans are memoized per process, by value and within a bound: each distinct
+run schedule, (placement, layer operands and zones) query and restore is
+planned once and reused wherever this program or a later one repeats it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -540,6 +541,70 @@ class ExecProgram:
         )
 
 
+# Plans are cached across lowerings by value, so a later compile that asks
+# an earlier query gets the earlier plan back instead of searching again.
+# Each key holds everything its plan depends on, and each plan is a tuple, so
+# no caller can change a shared one. A search that raises caches nothing.
+# The bound counts size, not entries: odd-even routing on a wide trap plans
+# tens of thousands of swaps for one program (MSD 2 on MAX_TRAP_SLOTS slots
+# caches 90,034 in 30 entries, about 12 MiB). An entry's size is one, plus
+# its run's ops or its plan's swaps, about 130 bytes each, so the caches
+# hold at most about 17 MiB; they are cleared together when the next entry
+# would take them past MAX_PLANNED. The paper's whole sweep caches 650.
+MAX_PLANNED = 1 << 17
+_SCHEDULES: dict = {}  # (gate zones, run's _op_keys): ((layer, its (qubits, zone) per op), ...)
+_TRANSPORTS: dict = {}  # (trap, placement, layer's (qubits, zone) per op): (steps, placement after)
+_RESTORES: dict = {}  # (trap, canonical, placement): (steps, canonical)
+_planned = 0  # the size the three caches hold
+
+
+def _clear_plans() -> None:
+    global _planned
+    _SCHEDULES.clear()
+    _TRANSPORTS.clear()
+    _RESTORES.clear()
+    _planned = 0
+
+
+def _remember(cache: dict, key, plan, size: int):
+    """Store ``plan`` of ``size`` under ``key``, first clearing every cache if
+    it would not fit; a plan larger than the bound is returned uncached."""
+    global _planned
+    if _planned + size > MAX_PLANNED:
+        _clear_plans()
+    if size <= MAX_PLANNED:
+        cache[key] = plan
+        _planned += size
+    return plan
+
+
+def _scheduled(run: list[Instruction], trap: TrapLayout) -> tuple:
+    """The run's layers, each with its (qubits, zone) per op, the layer's part of a transport query."""
+    return tuple((layer, tuple((op.qubits, op.zone) for op in layer.ops)) for layer in schedule_layers(run, trap))
+
+
+def _plan_size(steps) -> int:
+    return 1 + sum(map(len, steps))
+
+
+def _remember_plan(cache: dict, key, planned: tuple[list[TransportStep], Placement]):
+    steps, after = planned
+    return _remember(cache, key, (tuple(steps), after), _plan_size(steps))
+
+
+def _op_key(ins: Instruction) -> tuple:
+    """A quantum op as a key equal only where the ops print alike: ``1``, ``1.0``
+    and ``True`` compare equal, as do ``-0.0`` and ``0.0``, so each number's
+    type, and a float's sign, ride with its value. Cheaper than ``repr``."""
+    t = type(ins)
+    if t is QGate:
+        a = ins.angle
+        return (ins.name, ins.qubits, *map(type, ins.qubits), a, type(a), math.copysign(1.0, a) if type(a) is float else None)
+    if t is Measure:
+        return (t, ins.qubit, type(ins.qubit), ins.slot, type(ins.slot))
+    return (t, ins.qubit, type(ins.qubit))
+
+
 def lower(
     gf: GuardedFunction,
     module: Module,
@@ -561,11 +626,6 @@ def lower(
     placement = canonical
     n = module.required_qubits
     all_qubits = set(range(n))
-    # Unrolled rounds repeat their runs and layers, so each distinct run is
-    # scheduled once and each distinct query planned once.
-    schedules: dict = {}
-    transport_plans: dict = {}
-    restore_plans: dict = {}
 
     for i, b in enumerate(gf.blocks):
         if b.prelude:
@@ -575,17 +635,13 @@ def lower(
         chain_guard = gf.blocks[ch.entry_guard_block].guard if ch else b.guard
         for ins in _body_segments(b.body):
             if isinstance(ins, list):
-                # keyed by text: the angles 1 and 1.0, or -0.0 and 0.0, are equal but print apart
-                run = repr(ins)
-                if run not in schedules:
-                    schedules[run] = schedule_layers(ins, trap)
-                for layer in schedules[run]:
-                    key = (placement, tuple((op.qubits, op.zone) for op in layer.ops))
-                    if key not in transport_plans:
-                        transport_plans[key] = plan_transport(placement, layer, trap)
-                    steps, placement = transport_plans[key]
+                key = (trap.gate_zones, tuple(map(_op_key, ins)))
+                layers = _SCHEDULES.get(key) or _remember(_SCHEDULES, key, _scheduled(ins, trap), 1 + len(ins))
+                for layer, operands in layers:
+                    key = (trap, placement, operands)
+                    steps, placement = _TRANSPORTS.get(key) or _remember_plan(_TRANSPORTS, key, plan_transport(placement, layer, trap))
                     if steps:
-                        items.append(TransportItem(chain_guard, tuple(steps)))
+                        items.append(TransportItem(chain_guard, steps))
                     expected = tuple((q, placement[q]) for op in layer.ops for q in op.qubits)
                     busy = {q for op in layer.ops for q in op.qubits}
                     items.append(LayerItem(b.guard, layer.ops, expected, tuple(sorted(all_qubits - busy))))
@@ -594,11 +650,10 @@ def lower(
             else:
                 items.append(ClassicalItem(b.guard, (ins,)))
         if ch and i == ch.members[-1]:
-            if placement not in restore_plans:
-                restore_plans[placement] = plan_restore(placement, canonical, trap)
-            steps, placement = restore_plans[placement]
+            key = (trap, canonical, placement)
+            steps, placement = _RESTORES.get(key) or _remember_plan(_RESTORES, key, plan_restore(placement, canonical, trap))
             if steps:
-                items.append(TransportItem(chain_guard, tuple(steps)))
+                items.append(TransportItem(chain_guard, steps))
             assert placement == canonical
 
     return ExecProgram(

@@ -1,6 +1,7 @@
 """``scripts/ab_inprocess.py``: two trees in one process, timed in alternating pairs (here the repository against itself)."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,25 @@ def test_a_comma_list_times_every_program_in_each_call(capsys):
 def test_a_bad_name_in_a_list_is_refused(programs):
     with pytest.raises(SystemExit, match="bad program"):
         ab_inprocess.Side(ROOT, "ionflow_a", programs, "conditional", "NOISELESS")
+
+
+def test_check_under_compile_text_compares_compiled_programs_not_shots(capsys, monkeypatch, tmp_path):
+    # a tree whose programs differ only in their register count samples the
+    # same shots, so only a comparison of compiled programs can refuse it
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    toolchain = tmp_path / "src" / "ionflow" / "toolchain.py"
+    text = toolchain.read_text()
+    assert "DEFAULT_REGISTERS = 64\n" in text
+    toolchain.write_text(text.replace("DEFAULT_REGISTERS = 64\n", "DEFAULT_REGISTERS = 63\n"))
+    argv = ["--a", str(ROOT), "--b", str(tmp_path), "--program", "msd-1-X", "--shots", "20", "--pairs", "2", "--check"]
+    assert ab_inprocess.main(argv) == 0  # run_shots: the shots agree
+    capsys.readouterr()
+
+    def no_shots(*_args):
+        raise AssertionError("compile_text --check sampled shots")
+
+    monkeypatch.setattr(ab_inprocess.Side, "shots", no_shots)
+    assert ab_inprocess.main(argv + ["--op", "compile_text"]) == 1
+    assert capsys.readouterr().err == "error: the two trees' compiled programs differ\n"
+    argv[3] = str(ROOT)
+    assert ab_inprocess.main(argv + ["--op", "compile_text"]) == 0

@@ -6,7 +6,16 @@ import pytest
 from ionflow import ir, textir
 from ionflow.ir import (
     QUANTUM_OPS,
+    BinOp,
     Branch,
+    Call,
+    Cmp,
+    Measure,
+    Output,
+    QGate,
+    ReadResult,
+    Reset,
+    Select,
     Cfg,
     CycleDetected,
     Instruction,
@@ -245,3 +254,48 @@ def test_map_instr_renames_exactly_the_uses_and_defs(cls):
     assert _vregs(renamed) == [Vreg(v.name + "'") for v in held]
     if cls in QUANTUM_OPS:
         assert set(ins.qubits) <= set(held)
+
+
+_A, _B, _D = Vreg("a"), Vreg("b"), Vreg("d")
+
+# (instruction, instr_uses, instr_defs, the operands map_instr shows f, in order)
+OPERAND_TABLE = [
+    (QGate("rx", (_A, 1), _B), (_A, _B), (), (_A, 1, _B)),
+    (QGate("cx", (0, _A), None), (_A,), (), (0, _A, None)),
+    (QGate("rz", (True,), 0.5), (), (), (True, 0.5)),
+    (QGate("ry", (2,), True), (), (), (2, True)),
+    (QGate("rx", (1,), -0.0), (), (), (1, -0.0)),
+    (Measure(_A, 0), (_A,), (), (_A,)),
+    (Measure(True, 1), (), (), (True,)),
+    (Reset(_A), (_A,), (), (_A,)),
+    (Reset(2), (), (), (2,)),
+    (ReadResult(_D, 0), (), (_D,), (_D,)),
+    (BinOp("add", _D, _A, 1.5), (_A,), (_D,), (_D, _A, 1.5)),
+    (BinOp("xor", _D, True, _B), (_B,), (_D,), (_D, True, _B)),
+    (Cmp("lt", _D, _B, _A), (_B, _A), (_D,), (_D, _B, _A)),
+    (Cmp("eq", _D, 3, False), (), (_D,), (_D, 3, False)),
+    (Select(_D, _A, 2, _B), (_A, _B), (_D,), (_D, _A, 2, _B)),
+    (Select(_D, True, _B, _A), (_B, _A), (_D,), (_D, True, _B, _A)),
+    (Select(_D, False, 1.0, 0), (), (_D,), (_D, False, 1.0, 0)),
+    (Output("result", 0), (), (), ()),
+    (Output("tuple_start"), (), (), ()),
+    (Call("f", (_B, True, 2, 1.0, _A)), (_B, _A), (), (_B, True, 2, 1.0, _A)),
+]
+
+
+@pytest.mark.parametrize("ins, uses, defs, seen", OPERAND_TABLE, ids=repr)
+def test_operand_helpers_pin_each_class(ins, uses, defs, seen):
+    # exact outputs and order: qubits before the angle, a before b, and a
+    # bool, int or float operand is a literal, never a use
+    assert instr_uses(ins) == uses and instr_defs(ins) == defs
+    shown = []
+
+    def rename(v):
+        shown.append(v)
+        return Vreg(v.name + "'") if type(v) is Vreg else v
+
+    renamed = map_instr(ins, rename)
+    assert [(type(v), repr(v)) for v in shown] == [(type(v), repr(v)) for v in seen]
+    want = {v: Vreg(v.name + "'") for v in (_A, _B, _D)}
+    assert repr(renamed) == repr(ins).replace("%a", "%a'").replace("%b", "%b'").replace("%d", "%d'")
+    assert type(renamed) is type(ins) and instr_uses(renamed) == tuple(want[v] for v in uses)

@@ -325,6 +325,7 @@ def test_lower_plans_each_distinct_query_once(monkeypatch):
 
     monkeypatch.setattr(qccd, "plan_transport", counted_transport)
     monkeypatch.setattr(qccd, "plan_restore", counted_restore)
+    qccd._clear_plans()  # an earlier compile in this process may have planned these queries already
     for module in (build_msd(MsdConfig(limit=8)), build_rus(RusConfig(limit=5, style="recursion"))):
         transport_keys.clear()
         restore_keys.clear()
@@ -333,6 +334,136 @@ def test_lower_plans_each_distinct_query_once(monkeypatch):
         assert max(Counter(transport_keys).values()) == 1, module.name
         assert max(Counter(restore_keys).values()) == 1, module.name
         assert len(transport_keys) < layers, module.name  # unrolled rounds repeat their queries
+        transport_keys.clear()
+        restore_keys.clear()
+        assert compile_module(module).program == res.program
+        assert transport_keys == [] and restore_keys == [], module.name  # a later compile plans nothing
+
+
+def _plan_cache_programs():
+    """MSD 0-3 and RUS loop and recursion 1-3, in both modes, on the default
+    trap, a 12-slot trap planned by routing, a 6-slot trap whose zones match
+    the default trap's in count only, and an 8-slot trap with the default
+    trap's zones, which meets the default trap's queries but plans them by
+    routing."""
+    from ionflow.experiments import MsdConfig, RusConfig, build_msd, build_rus
+
+    modules = [build_msd(MsdConfig(limit=n, basis="X")) for n in range(4)]
+    modules += [build_rus(RusConfig(limit=n, basis="Z", style=s)) for s in ("loop", "recursion") for n in (1, 2, 3)]
+    traps = (None, TrapLayout(12, ((0, 1), (6, 7))), TrapLayout(6, ((0, 1), (4, 5))), TrapLayout(8, ((0, 1), (2, 3))))
+    return [(m, trap, mode) for trap in traps for m in modules for mode in (CONDITIONAL, ALWAYS)]
+
+
+def _cold_json(module, trap, mode):
+    from ionflow.toolchain import compile_module
+
+    qccd._clear_plans()
+    return compile_module(module, trap=trap, mode=mode).program.to_json()
+
+
+def _plan_cache_size():
+    """The size the three plan caches hold, counted from their entries."""
+    return (
+        sum(1 + len(run) for _zones, run in qccd._SCHEDULES)
+        + sum(qccd._plan_size(steps) for steps, _after in qccd._TRANSPORTS.values())
+        + sum(qccd._plan_size(steps) for steps, _after in qccd._RESTORES.values())
+    )
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_warm_plan_caches_give_the_outputs_of_cold_ones(order):
+    from ionflow.toolchain import compile_module
+
+    programs = _plan_cache_programs()
+    cold = [_cold_json(*p) for p in programs]
+    if order == "reverse":
+        programs, cold = programs[::-1], cold[::-1]
+    qccd._clear_plans()
+    for (module, trap, mode), want in zip(programs, cold):
+        assert compile_module(module, trap=trap, mode=mode).program.to_json() == want, (module.name, trap, mode)
+    assert qccd._TRANSPORTS and qccd._planned == _plan_cache_size()
+
+
+def test_plan_keys_keep_apart_ops_that_print_apart():
+    # 1, 1.0 and True compare equal, as do -0.0 and 0.0, but a layer prints
+    # its angle and qubits as given: a warm schedule must not swap them
+    from ionflow.toolchain import compile_text
+
+    def source(angle, qubit):
+        return (
+            "module t\nattrs required_qubits=2 required_results=1\n"
+            "func @f(%q: qubit) {\nblock entry:\n  h %q\n  ret\n}\n"
+            f"func @main() {{\nblock entry:\n  rz({angle}) q0\n  call @f({qubit})\n  cx q0, q1\n"
+            "  mz q0 -> r0\n  output result r0\n  ret\n}\n"
+        )
+
+    texts = [source(a, q) for a in ("1", "1.0", "true", "0", "false", "0.0", "-0.0") for q in ("q1", "true")]
+    cold = []
+    for text in texts:
+        qccd._clear_plans()
+        cold.append(compile_text(text).program.to_json())
+    assert len(set(cold)) == len(texts)
+    for order in (texts, texts[::-1]):
+        for text in order:
+            assert compile_text(text).program.to_json() == cold[texts.index(text)], text
+
+
+def test_restores_from_one_placement_to_two_canonical_ones_are_kept_apart():
+    # both programs end their chain on the same placement of the same trap,
+    # but their canonical placements differ, and so do their restores
+    from ionflow.toolchain import compile_module
+
+    modules = [module_with_gates(pairs, 4) for pairs in ([(3, 2), (3, 1), (3, 0)], [(0, 3), (3, 1), (2, 0)])]
+    cold = [_cold_json(m, None, CONDITIONAL) for m in modules]
+    canonical = [compile_module(m).program.canonical for m in modules]
+    assert canonical[0] != canonical[1]
+    for k in (0, 1, 0):
+        assert compile_module(modules[k]).program.to_json() == cold[k]
+
+
+def test_the_plan_caches_stay_within_their_bound(monkeypatch):
+    from ionflow.toolchain import compile_module
+
+    programs = _plan_cache_programs()
+    cold = [_cold_json(*p) for p in programs]
+    monkeypatch.setattr(qccd, "MAX_PLANNED", 40)  # RUS plans fit it; some routed MSD plans are larger
+    qccd._clear_plans()
+    sizes = []
+    for (module, trap, mode), want in zip(programs, cold):
+        assert compile_module(module, trap=trap, mode=mode).program.to_json() == want, (module.name, trap, mode)
+        sizes.append(qccd._planned)
+        assert qccd._planned == _plan_cache_size() <= 40
+    assert max(sizes) > 30  # the bound was reached, so the caches were cleared along the way
+
+
+def test_a_search_that_raises_caches_nothing(monkeypatch):
+    from ionflow.experiments import MsdConfig, build_msd
+    from ionflow.toolchain import compile_module
+
+    module = build_msd(MsdConfig(limit=2, basis="X"))
+    want = _cold_json(module, None, CONDITIONAL)
+    queries, searched = [], []
+    plan, bfs = qccd.plan_transport, qccd._bfs_plan
+
+    def recorded(current, layer, trap):
+        queries.append((trap, current, tuple((op.qubits, op.zone) for op in layer.ops)))
+        return plan(current, layer, trap)
+
+    def failing_once(current, goal, trap):
+        searched.append(current)
+        if len(searched) == 1:
+            raise qccd.Unreachable("injected")
+        return bfs(current, goal, trap)
+
+    monkeypatch.setattr(qccd, "plan_transport", recorded)
+    monkeypatch.setattr(qccd, "_bfs_plan", failing_once)
+    qccd._clear_plans()
+    with pytest.raises(qccd.Unreachable, match="injected"):
+        compile_module(module)
+    failed = queries[-1]
+    assert failed not in qccd._TRANSPORTS and qccd._planned == _plan_cache_size()
+    assert compile_module(module).program.to_json() == want
+    assert searched[1] == searched[0] and failed in qccd._TRANSPORTS  # searched again, and cached once it returns
 
 
 def test_routing_fallback_lowers_to_the_same_program_twice():
