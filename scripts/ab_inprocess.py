@@ -13,12 +13,14 @@ runs every program of ``--program``, a comma list, in its order:
   what one build leaves cached for the next, as a sweep sees it.
 * ``--op compile_text``: ``toolchain.compile_text`` of each program's
   emitted text.
+* ``--op parse``: ``textir.parse`` of each program's emitted text.
 
 Every call gets the same inputs on both sides. The script prints each side's
 median time, the median over pairs of the ratio B/A (below 1: B is faster)
 and how many pairs B won. With ``--check`` it first refuses to time two
 trees whose outputs for the timed op differ: under ``run_shots`` their
-shots, under ``compile_text`` each program's JSON, block count and colors.
+shots, under ``compile_text`` each program's JSON, block count and colors,
+under ``parse`` each parsed program emitted again.
 Times come from ``time.perf_counter``.
 
 Run from the repository root, with the other tree checked out elsewhere:
@@ -66,7 +68,7 @@ class Side:
     def __init__(self, root: Path, name: str, program: str, mode: str, noise: str):
         load(root, name)
         mod = {m: importlib.import_module(f"{name}.{m}") for m in ("emulator", "experiments", "textir", "toolchain")}
-        self.emulator, self.toolchain = mod["emulator"], mod["toolchain"]
+        self.emulator, self.textir, self.toolchain = mod["emulator"], mod["textir"], mod["toolchain"]
         self.source = tuple(mod["textir"].emit(build(mod["experiments"], p)) for p in program.split(","))
         self.mode = mode
         if noise in ("NOISELESS", "H1E_LIKE"):
@@ -81,13 +83,21 @@ class Side:
         """What ``--check`` compares under ``compile_text``: each program's JSON, block count and colors."""
         return [(res.program.to_json(), res.block_count, res.colors_used) for res in self.compile()]
 
+    def parse(self) -> list:
+        return [self.textir.parse(text) for text in self.source]
+
+    def parsed(self) -> list[str]:
+        """What ``--check`` compares under ``parse``: each parsed program, emitted again."""
+        return [self.textir.emit(module) for module in self.parse()]
+
     def shots(self, n_shots: int, seed: int) -> list:
         return [shot for res in self.compile() for shot in self.emulator.run_shots(res.program, self.noise, n_shots, seed)]
 
     def time(self, op: str, n_shots: int, seed: int) -> float:
-        if op == "compile_text":
+        if op in ("compile_text", "parse"):
+            call = self.compile if op == "compile_text" else self.parse
             t0 = time.perf_counter()
-            self.compile()
+            call()
             return time.perf_counter() - t0
         programs = [res.program for res in self.compile()]
         t0 = time.perf_counter()
@@ -127,7 +137,7 @@ def main(argv=None) -> int:
     ap.add_argument("--a", type=Path, required=True, help="root of tree A, the reference")
     ap.add_argument("--b", type=Path, default=Path("."), help="root of tree B (default: the current directory)")
     ap.add_argument("--program", required=True, help="msd-8-X, rus-loop-6-X, rus-recursion-5-X, ..., or a comma list")
-    ap.add_argument("--op", choices=("run_shots", "compile_text"), default="run_shots")
+    ap.add_argument("--op", choices=("run_shots", "compile_text", "parse"), default="run_shots")
     ap.add_argument("--mode", choices=("conditional", "always"), default="conditional")
     ap.add_argument("--noise", default="NOISELESS", help="NOISELESS, H1E_LIKE or a noise-model JSON file")
     ap.add_argument("--shots", type=int, default=40)
@@ -142,6 +152,8 @@ def main(argv=None) -> int:
     if args.check:
         if args.op == "compile_text":
             what, got = "compiled programs", {s: side.compiled() for s, side in sides.items()}
+        elif args.op == "parse":
+            what, got = "parsed programs", {s: side.parsed() for s, side in sides.items()}
         else:
             what = "shots"
             got = {s: [tuple(vars(shot).values()) for shot in side.shots(args.shots, args.seed)] for s, side in sides.items()}

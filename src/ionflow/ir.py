@@ -567,6 +567,8 @@ def _check_qubit(q: QubitRef, module: Module, param_types: dict[Vreg, str], stri
             problems.append(("QUBIT_OPERAND", f"{q} is not a qubit-typed parameter"))
         elif strict:
             problems.append(("QUBIT_OPERAND", f"unresolved qubit operand {q}"))
+    elif type(q) is not int:
+        problems.append(("QUBIT_OPERAND", f"{q!r} is not a qubit index"))
     elif not (0 <= q < module.required_qubits):
         problems.append(("QUBIT_RANGE", f"qubit index {q} out of range [0, {module.required_qubits})"))
 
@@ -598,6 +600,8 @@ def _validate_instr(
                 problems.append(("ANGLE_MISSING", f"{instr.name} requires an angle operand"))
             elif strict and isinstance(instr.angle, Vreg):
                 problems.append(("ANGLE_NONCONST", f"{instr.name} angle must be a literal after folding"))
+            elif type(instr.angle) is bool:
+                problems.append(("ANGLE_TYPE", f"{instr.name} angle {instr.angle!r} is not a number"))
             elif not isinstance(instr.angle, Vreg) and not abs(instr.angle) <= sys.float_info.max:
                 # NaN, the infinities and ints too large for a float all fail this
                 problems.append(("ANGLE_NONFINITE", f"{instr.name} angle {instr.angle!r} is not finite"))

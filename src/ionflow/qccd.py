@@ -593,16 +593,16 @@ def _remember_plan(cache: dict, key, planned: tuple[list[TransportStep], Placeme
 
 
 def _op_key(ins: Instruction) -> tuple:
-    """A quantum op as a key equal only where the ops print alike: ``1``, ``1.0``
-    and ``True`` compare equal, as do ``-0.0`` and ``0.0``, so each number's
-    type, and a float's sign, ride with its value. Cheaper than ``repr``."""
+    """A quantum op as a key equal only where the ops print alike: angles ``1``
+    and ``1.0`` compare equal, as do ``-0.0`` and ``0.0``, so an angle's type,
+    and a float's sign, ride with its value (qubits are ints). Cheaper than ``repr``."""
     t = type(ins)
     if t is QGate:
         a = ins.angle
-        return (ins.name, ins.qubits, *map(type, ins.qubits), a, type(a), math.copysign(1.0, a) if type(a) is float else None)
+        return (ins.name, ins.qubits, a, type(a), math.copysign(1.0, a) if type(a) is float else None)
     if t is Measure:
-        return (t, ins.qubit, type(ins.qubit), ins.slot, type(ins.slot))
-    return (t, ins.qubit, type(ins.qubit))
+        return (t, ins.qubit, ins.slot, type(ins.slot))
+    return (t, ins.qubit)
 
 
 def lower(

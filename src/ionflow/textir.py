@@ -28,6 +28,11 @@ reserved target ``next`` jumps to the latch, and after the last trip control
 falls through to the block that follows the repeat. The back edge this
 introduces is removed later by the flattening pass, never by the parser.
 
+Lexing is one ``findall`` over the token classes: the parser sees only token
+texts and tells each one's class from its text. Only an error needs a
+position, and ``tokenize``, the one function that counts lines and columns,
+places it; it also reports a bad character ahead of any parse error.
+
 Emission is canonical (fixed indentation, shortest round-tripping float
 literals, no comments), so ``parse(emit(m)) == m`` for any valid module.
 """
@@ -85,26 +90,27 @@ class ParseError(IonflowError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-# Each match is optional blanks, then one token, comment or newline; any
-# other character but a blank is "bad", so only blanks at the end of the
-# source go unmatched.
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r]*
-    (?:
-        (?P<comment>;[^\n]*)
-      | (?P<newline>\n)
-      | (?P<float>[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d*\.\d+(?:[eE][+-]?\d+)?))
-      | (?P<int>[+-]?\d+)
-      | (?P<vreg>%[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<func>@[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<punct>->|[(){}\[\],:=])
-      | (?P<bad>[^ \t\r])
-    )
-    """,
-    re.VERBOSE,
+# The token classes, tried in this order; "bad" is any other character but a blank.
+_CLASSES = (
+    ("float", r"[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d*\.\d+(?:[eE][+-]?\d+)?)"),
+    ("int", r"[+-]?\d+"),
+    ("vreg", r"%[A-Za-z_][A-Za-z0-9_.]*"),
+    ("func", r"@[A-Za-z_][A-Za-z0-9_.]*"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_.]*"),
+    ("punct", r"->|[(){}\[\],:=]"),
+    ("bad", r"[^ \t\r]"),
 )
+# A token text's class is the first whose pattern matches all of it.
+_KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _CLASSES))
+# The lexer: each match skips blanks, newlines and comments, then captures one
+# token's text, or "" at the end of the source.
+_LEX_RE = re.compile(r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*(" + "|".join(p for _k, p in _CLASSES) + r"|\Z)")
+
+
+def _kind(text: str) -> str:
+    """The class of a token text from ``_LEX_RE``; "" is the end of the source."""
+    m = _KIND_RE.fullmatch(text)
+    return m.lastgroup if m else "eof"
 
 
 class Token(NamedTuple):
@@ -116,17 +122,19 @@ class Token(NamedTuple):
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", line, m.start(kind) - line_start + 1)
-        elif kind != "comment":
-            tokens.append(Token(kind, m.group(kind), line, m.start(kind) - line_start + 1))
-    tokens.append(Token("eof", "", line, len(src) - line_start + 1))
+    line, line_start, prev = 1, 0, 0  # line_start: offset of the current line's first character
+    for m in _LEX_RE.finditer(src):
+        text, start = m.group(1), m.start(1)
+        if newlines := src.count("\n", prev, start):
+            line += newlines
+            line_start = src.rindex("\n", prev, start) + 1
+        prev = start
+        kind = _kind(text)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, start - line_start + 1)
+        tokens.append(Token(kind, text, line, start - line_start + 1))
+        if kind == "eof":  # a source that ends in blanks or a comment matches "" twice
+            break
     return tokens
 
 
@@ -138,48 +146,59 @@ _QUBIT_RE = re.compile(r"^q(\d+)$")
 _RESULT_RE = re.compile(r"^r(\d+)$")
 
 
+class _Unplaced(Exception):
+    """A parse error as (message, token index, expected), placed once the parser has unwound."""
+
+
 class _Parser:
     def __init__(self, src: str):
-        self.tokens = tokenize(src)
+        self.texts: list[str] = _LEX_RE.findall(src)  # ends with "", the end of the source
+        if len(self.texts) > 1 and not self.texts[-2]:
+            self.texts.pop()  # a source that ends in blanks or a comment matches "" twice
+        self.kinds = {text: _kind(text) for text in set(self.texts)}
+        if "bad" in self.kinds.values():
+            tokenize(src)  # raises at the first bad character
         self.pos = 0
         self.repeat_counter = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.kinds[self.texts[self.pos]]
+
+    def next(self) -> str:
+        text = self.texts[self.pos]
+        self.pos += 1
+        return text
+
+    def error(self, message: str, at: int | None = None, expected: tuple[str, ...] = ()) -> _Unplaced:
+        return _Unplaced(message, self.pos if at is None else at, expected)
+
+    def expect(self, kind: str, text: str | None = None) -> str:
+        tok = self.texts[self.pos]
+        if self.kinds[tok] != kind or (text is not None and tok != text):
+            raise self.error(f"got {tok!r}", expected=(text if text is not None else kind,))
         self.pos += 1
         return tok
-
-    def error(self, message: str, tok: Token | None = None, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col, expected)
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise self.error(f"got {tok.text!r}", tok, expected=(want,))
-        return self.next()
 
     # -- module level -------------------------------------------------------
 
     def parse_module(self) -> Module:
         self.expect("ident", "module")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect("ident", "attrs")
         attrs: dict[str, int] = {}
         for _ in range(2):
-            key = self.expect("ident").text
+            key = self.expect("ident")
             self.expect("punct", "=")
-            attrs[key] = int(self.expect("int").text)
+            attrs[key] = int(self.expect("int"))
         if set(attrs) != {"required_qubits", "required_results"}:
             raise self.error(f"attrs must be required_qubits and required_results, got {sorted(attrs)}")
         if attrs["required_qubits"] < 0 or attrs["required_results"] < 0:
             raise self.error("attrs must be non-negative")
         functions: list[Function] = []
-        while self.peek().kind != "eof":
+        while self.kind() != "eof":
             functions.append(self.parse_function())
         if not functions:
             raise self.error("module has no functions")
@@ -197,17 +216,17 @@ class _Parser:
 
     def parse_function(self) -> Function:
         self.expect("ident", "func")
-        name = self.expect("func").text[1:]
+        name = self.expect("func")[1:]
         self.expect("punct", "(")
         params: list[tuple[Vreg, str]] = []
-        while self.peek().text != ")":
-            v = Vreg(self.expect("vreg").text[1:])
+        while self.peek() != ")":
+            v = Vreg(self.expect("vreg")[1:])
             self.expect("punct", ":")
-            ty = self.expect("ident").text
+            ty = self.expect("ident")
             if ty not in ("int", "bool", "float", "qubit"):
                 raise self.error(f"unknown parameter type '{ty}'")
             params.append((v, ty))
-            if self.peek().text == ",":
+            if self.peek() == ",":
                 self.next()
         self.expect("punct", ")")
         self.expect("punct", "{")
@@ -221,30 +240,30 @@ class _Parser:
         blocks: list[BasicBlock] = []
         while True:
             tok = self.peek()
-            if tok.kind == "ident" and tok.text == "block":
+            if tok == "block":
                 blocks.append(self.parse_block())
-            elif tok.kind == "ident" and tok.text == "repeat":
+            elif tok == "repeat":
                 blocks.extend(self.parse_repeat())
             else:
                 return blocks
 
     def parse_repeat(self) -> list[BasicBlock]:
         """Desugar `repeat n label { blocks }` into a counted back-edge loop."""
-        kw = self.expect("ident", "repeat")
-        trips = int(self.expect("int").text)
+        kw = self.pos
+        self.expect("ident", "repeat")
+        trips = int(self.expect("int"))
         if trips < 0:
-            raise ParseError("repeat count must be >= 0", kw.line, kw.col)
-        head_label = self.expect("ident").text
+            raise self.error("repeat count must be >= 0", kw)
+        head_label = self.expect("ident")
         self.expect("punct", "{")
         body = self.parse_block_list()
         self.expect("punct", "}")
         if not body:
             raise self.error("repeat body has no blocks")
         # the block after the repeat is the loop exit
-        after = self.peek()
-        if not (after.kind == "ident" and after.text == "block"):
-            raise self.error("repeat must be followed by a block", after, expected=("block",))
-        exit_target = self.tokens[self.pos + 1].text
+        if self.peek() != "block":
+            raise self.error("repeat must be followed by a block", expected=("block",))
+        exit_target = self.texts[self.pos + 1]
 
         uid = self.repeat_counter
         self.repeat_counter += 1
@@ -271,49 +290,49 @@ class _Parser:
 
     def parse_block(self) -> BasicBlock:
         self.expect("ident", "block")
-        label = self.expect("ident").text
+        label = self.expect("ident")
         self.expect("punct", ":")
         phis: list[Phi] = []
         body: list[Instruction] = []
         terminator: Terminator | None = None
         while terminator is None:
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise self.error(f"block '{label}' has no terminator", tok, expected=("jmp", "br", "ret"))
-            if tok.kind == "vreg":
+            at, kind = self.pos, self.kind()
+            if kind == "eof":
+                raise self.error(f"block '{label}' has no terminator", expected=("jmp", "br", "ret"))
+            if kind == "vreg":
                 dst, rhs = self.parse_assignment()
                 if isinstance(rhs, Phi):
                     if body:
-                        raise self.error("phi must appear before other instructions", tok)
+                        raise self.error("phi must appear before other instructions", at)
                     phis.append(rhs)
                 else:
                     body.append(rhs)
-            elif tok.kind == "ident":
+            elif kind == "ident":
                 item = self.parse_statement()
                 if isinstance(item, (Jump, Branch, Return)):
                     terminator = item
                 else:
                     body.append(item)
             else:
-                raise self.error(f"got {tok.text!r}", tok, expected=("instruction",))
+                raise self.error(f"got {self.peek()!r}", expected=("instruction",))
         return BasicBlock(label=label, phis=tuple(phis), body=tuple(body), terminator=terminator)
 
     # -- instructions --------------------------------------------------------
 
     def parse_assignment(self):
-        dst = Vreg(self.expect("vreg").text[1:])
+        dst = Vreg(self.expect("vreg")[1:])
         self.expect("punct", "=")
-        op = self.expect("ident").text
+        op = self.expect("ident")
         if op == "phi":
             incomings: list[tuple[Value, str]] = []
             while True:
                 self.expect("punct", "[")
                 v = self.parse_value()
                 self.expect("punct", ",")
-                frm = self.expect("ident").text
+                frm = self.expect("ident")
                 self.expect("punct", "]")
                 incomings.append((v, frm))
-                if self.peek().text == ",":
+                if self.peek() == ",":
                     self.next()
                 else:
                     break
@@ -327,7 +346,7 @@ class _Parser:
             b = self.parse_value()
             return dst, BinOp(op, dst, a, b)
         if op == "cmp":
-            cmp_op = self.expect("ident").text
+            cmp_op = self.expect("ident")
             if cmp_op not in CMPOPS:
                 raise self.error(f"unknown comparison '{cmp_op}'", expected=CMPOPS)
             a = self.parse_value()
@@ -337,18 +356,18 @@ class _Parser:
         raise self.error(f"unknown assignment op '{op}'", expected=("phi", "read_result", "cmp") + BINOPS)
 
     def parse_statement(self):
-        tok = self.next()
-        word = tok.text
+        at = self.pos
+        word = self.next()
         if word == "jmp":
-            return Jump(self.expect("ident").text)
+            return Jump(self.expect("ident"))
         if word == "br":
-            cond = Vreg(self.expect("vreg").text[1:])
+            cond = Vreg(self.expect("vreg")[1:])
             self.expect("punct", ",")
-            then_t = self.expect("ident").text
+            then_t = self.expect("ident")
             self.expect("punct", ",")
-            else_t = self.expect("ident").text
+            else_t = self.expect("ident")
             if then_t == else_t:
-                raise ParseError(f"DUPLICATE_TARGET: both branch arms go to '{then_t}'", tok.line, tok.col)
+                raise self.error(f"DUPLICATE_TARGET: both branch arms go to '{then_t}'", at)
             return Branch(cond, then_t, else_t)
         if word == "ret":
             return Return()
@@ -360,76 +379,65 @@ class _Parser:
         if word == "reset":
             return Reset(self.parse_qubit_ref())
         if word == "output":
-            kind = self.expect("ident").text
+            kind = self.expect("ident")
             if kind == "result":
                 return Output("result", self.parse_result_ref())
             return Output(kind)
         if word == "call":
-            callee = self.expect("func").text[1:]
+            callee = self.expect("func")[1:]
             self.expect("punct", "(")
             args: list[Value] = []
-            while self.peek().text != ")":
+            while self.peek() != ")":
                 args.append(self.parse_call_arg())
-                if self.peek().text == ",":
+                if self.peek() == ",":
                     self.next()
             self.expect("punct", ")")
             return Call(callee, tuple(args))
         if word in GATE_SET:
             angle: Value | None = None
-            if self.peek().text == "(":
+            if self.peek() == "(":
                 self.next()
                 angle = self.parse_value()
                 self.expect("punct", ")")
             qubits = [self.parse_qubit_ref()]
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 qubits.append(self.parse_qubit_ref())
             if word in ROTATION_GATES and angle is None:
-                raise ParseError(f"{word} requires an angle", tok.line, tok.col)
+                raise self.error(f"{word} requires an angle", at)
             return QGate(word, tuple(qubits), angle)
-        raise ParseError(f"unknown instruction '{word}'", tok.line, tok.col)
+        raise self.error(f"unknown instruction '{word}'", at)
 
     # -- operands -------------------------------------------------------------
 
     def parse_qubit_ref(self) -> QubitRef:
-        tok = self.peek()
-        if tok.kind == "ident":
-            m = _QUBIT_RE.match(tok.text)
-            if m:
-                self.next()
-                return int(m.group(1))
-        if tok.kind == "vreg":
-            v = Vreg(self.next().text[1:])
-            return v
-        raise self.error(f"got {tok.text!r}", tok, expected=("q<N>", "%vreg"))
+        if m := _QUBIT_RE.match(self.peek()):
+            self.next()
+            return int(m.group(1))
+        if self.kind() == "vreg":
+            return Vreg(self.next()[1:])
+        raise self.error(f"got {self.peek()!r}", expected=("q<N>", "%vreg"))
 
     def parse_result_ref(self) -> int:
         tok = self.expect("ident")
-        m = _RESULT_RE.match(tok.text)
-        if not m:
-            raise ParseError(f"expected result ref r<N>, got {tok.text!r}", tok.line, tok.col)
+        if not (m := _RESULT_RE.match(tok)):
+            raise self.error(f"expected result ref r<N>, got {tok!r}", self.pos - 1)
         return int(m.group(1))
 
     def parse_value(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "vreg":
-            return Vreg(self.next().text[1:])
-        if tok.kind == "int":
-            return int(self.next().text)
-        if tok.kind == "float":
-            return float(self.next().text)
-        if tok.kind == "ident" and tok.text in ("true", "false"):
-            return self.next().text == "true"
-        raise self.error(f"got {tok.text!r}", tok, expected=("literal", "%vreg"))
+        kind = self.kind()
+        if kind == "vreg":
+            return Vreg(self.next()[1:])
+        if kind == "int":
+            return int(self.next())
+        if kind == "float":
+            return float(self.next())
+        if self.peek() in ("true", "false"):
+            return self.next() == "true"
+        raise self.error(f"got {self.peek()!r}", expected=("literal", "%vreg"))
 
     def parse_call_arg(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "ident":
-            m = _QUBIT_RE.match(tok.text)
-            if m:
-                self.next()
-                return int(m.group(1))
-        return self.parse_value()
+        return self.parse_qubit_ref() if _QUBIT_RE.match(self.peek()) else self.parse_value()
 
 
 def _start_counters(blocks: list[BasicBlock]) -> tuple[BasicBlock, ...]:
@@ -450,6 +458,9 @@ def parse(src: str) -> Module:
     """Parse source text into a Module; raises ParseError on malformed input."""
     try:
         return _Parser(src).parse_module()
+    except _Unplaced as e:
+        tok = tokenize(src)[e.args[1]]
+        raise ParseError(e.args[0], tok.line, tok.col, e.args[2]) from None
     except RecursionError:
         raise ParseError("input nests too deeply", 0, 0)
     except ParseError:

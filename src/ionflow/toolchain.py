@@ -41,9 +41,12 @@ def run_passes(
     pass_names: tuple[str, ...] = DEFAULT_PASSES,
     flatten_config: FlattenConfig = FlattenConfig(),
 ) -> Module:
-    for name in pass_names:
+    """Run the named passes in order. A ``fold`` right before ``flatten`` is
+    skipped: ``flatten`` folds every function first, and folding is idempotent."""
+    for i, name in enumerate(pass_names):
         if name == "fold":
-            module = passes.fold_constants(module)
+            if pass_names[i + 1 : i + 2] != ("flatten",):
+                module = passes.fold_constants(module)
         elif name == "flatten":
             module = passes.flatten(module, flatten_config)
         elif name == "peephole":

@@ -12,7 +12,7 @@ ab_inprocess = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_inprocess)
 
 
-@pytest.mark.parametrize("op, noise", [("run_shots", "H1E_LIKE"), ("compile_text", "NOISELESS")])
+@pytest.mark.parametrize("op, noise", [("run_shots", "H1E_LIKE"), ("compile_text", "NOISELESS"), ("parse", "NOISELESS")])
 def test_the_repository_against_itself(capsys, op, noise):
     argv = ["--a", str(ROOT), "--b", str(ROOT), "--program", "msd-1-X", "--op", op, "--noise", noise,
             "--shots", "20", "--pairs", "4", "--check"]
@@ -80,3 +80,16 @@ def test_check_under_compile_text_compares_compiled_programs_not_shots(capsys, m
     assert capsys.readouterr().err == "error: the two trees' compiled programs differ\n"
     argv[3] = str(ROOT)
     assert ab_inprocess.main(argv + ["--op", "compile_text"]) == 0
+
+
+def test_check_under_parse_compares_parsed_programs(capsys, tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    textir = tmp_path / "src" / "ionflow" / "textir.py"
+    text = textir.read_text()
+    assert text.count("            name=name,\n") == 1
+    textir.write_text(text.replace("            name=name,\n", "            name=name + \"_b\",\n"))
+    argv = ["--a", str(ROOT), "--b", str(tmp_path), "--program", "rus-loop-1-Z", "--op", "parse", "--pairs", "2", "--check"]
+    assert ab_inprocess.main(argv) == 1
+    assert capsys.readouterr().err == "error: the two trees' parsed programs differ\n"
+    argv[3] = str(ROOT)
+    assert ab_inprocess.main(argv) == 0

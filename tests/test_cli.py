@@ -497,6 +497,9 @@ REJECTED = {
     "trap-too-wide": "trap slots=1000000 above the maximum 4096",
     # built its whole source text first, and ran out of memory under a 1.5 GB address-space limit
     "msd-limit-too-large": "limit must be <= 16383, got 10000000",
+    # compiled, the first to a layer on "qubits": [true], the second to rx(1)
+    "bool-qubit-argument": "QUBIT_OPERAND: True is not a qubit index [@main:e.c0#0]",
+    "bool-angle": "ANGLE_TYPE: rx angle True is not a number [@main:e#0]",
 }
 
 
@@ -515,6 +518,12 @@ def test_rejected_input_message(tmp_path, capsys, case):
     elif case == "integer-past-digit-limit":
         src.write_text(THREE_QUBITS.replace("h q0", f"%a = add 1, {'1' * 5000}"))
         argv = ["compile", str(src)]
+    elif case == "bool-qubit-argument":
+        src.write_text(THREE_QUBITS.replace("  ret\n}\n", "  call @f(true)\n  ret\n}\nfunc @f(%q: qubit) {\nblock e:\n  h %q\n  ret\n}\n"))
+        argv = ["compile", str(src)]
+    elif case == "bool-angle":
+        src.write_text(THREE_QUBITS.replace("h q0", "rx(true) q0"))
+        argv = ["compile", str(src)]
     elif case == "trap-too-small":
         cfg.write_text('{"slots": 2, "gate_zones": [[0, 1]]}')
         argv = ["compile", str(src), "--trap", str(cfg)]
@@ -532,6 +541,44 @@ def test_rejected_input_message(tmp_path, capsys, case):
         }[case]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {REJECTED[case]}"]
+
+
+HEAD = "module t\nattrs required_qubits=1 required_results=1\n"
+IN_MAIN = HEAD + "func @main() {\nblock e:\n%s  ret\n}\n"
+JMP_LP = HEAD + "func @main() {\nblock e:\n  jmp lp\n"
+# one minimal source per parse error, with the line and column it is reported at
+PARSE_ERRORS = {
+    "attrs-unknown-key": ("module t\nattrs required_qubits=1 required_result=1\n", 3, 1,
+                          "attrs must be required_qubits and required_results, got ['required_qubits', 'required_result']"),
+    "attrs-negative": ("module t\nattrs required_qubits=1 required_results=-1\n", 3, 1, "attrs must be non-negative"),
+    "no-functions": (HEAD, 3, 1, "module has no functions"),
+    "unknown-parameter-type": (HEAD + "func @main(%a: str) {\n", 3, 19, "unknown parameter type 'str'"),
+    "empty-function-body": (HEAD + "func @main() {\n}\n", 5, 1, "function has no blocks"),
+    "empty-repeat-body": (JMP_LP + "repeat 2 lp {\n}\nblock f:\n  ret\n}\n", 8, 1, "repeat body has no blocks"),
+    "negative-repeat-count": (JMP_LP + "repeat -2 lp {\n", 6, 1, "repeat count must be >= 0"),
+    "repeat-not-followed-by-a-block": (JMP_LP + "repeat 2 lp {\nblock b:\n  jmp next\n}\n}\n", 10, 1,
+                                       "repeat must be followed by a block (expected one of: block)"),
+    "missing-terminator": (HEAD + "func @main() {\nblock e:\n  h q0\n", 6, 1,
+                           "block 'e' has no terminator (expected one of: jmp, br, ret)"),
+    "phi-after-other-instructions": (IN_MAIN % "  h q0\n  %v = phi [1, e]\n", 6, 3, "phi must appear before other instructions"),
+    "unknown-instruction": (IN_MAIN % "  hadamard q0\n", 5, 3, "unknown instruction 'hadamard'"),
+    "unknown-comparison": (IN_MAIN % "  %c = cmp eqq 1, 2\n", 5, 16,  # at the token after the op
+                           "unknown comparison 'eqq' (expected one of: eq, ne, lt, le, gt, ge)"),
+    "unknown-assignment-op": (IN_MAIN % "  %c = pow 1, 2\n", 5, 12, "unknown assignment op 'pow' "
+                              "(expected one of: phi, read_result, cmp, add, sub, mul, and, or, xor)"),
+    "malformed-result-ref": (IN_MAIN % "  mz q0 -> s0\n", 5, 12, "expected result ref r<N>, got 's0'"),
+    "rotation-without-angle": (IN_MAIN % "  rz q0\n", 5, 3, "rz requires an angle"),
+    "nests-too-deeply": (JMP_LP + "".join(f"repeat 1 l{k} {{\n" for k in range(2000)), 0, 0, "input nests too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERRORS))
+def test_parse_error_message(tmp_path, capsys, case):
+    text, line, col, message = PARSE_ERRORS[case]
+    src = tmp_path / "p.qir.txt"
+    src.write_text(text)
+    assert main(["compile", str(src)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}:{col}: {message}"]
 
 
 # each raised FloatingPointError, MemoryError (or allocated ahead of a

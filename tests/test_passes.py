@@ -615,6 +615,20 @@ def test_flatten_matches_reference_on_corpus(family):
         assert textir.emit(flatten(m)) == textir.emit(reference_flatten(m)), m.name
 
 
+FOLD_CORPUS = {**FLATTEN_CORPUS, "random-or-joins": lambda: [random_program(seed, or_joins=True) for seed in range(300)]}
+
+
+@pytest.mark.parametrize("family", list(FOLD_CORPUS))
+def test_run_passes_needs_no_fold_before_flatten(family):
+    # run_passes skips a fold right before flatten, whose first step folds every function
+    for m in FOLD_CORPUS[family]():
+        for fn in m.functions:
+            once = passes._fold_function(fn)
+            assert passes._fold_function(once) == once, (m.name, fn.name)
+        assert toolchain.run_passes(m) == passes.peephole(flatten(fold_constants(m))), m.name
+        assert toolchain.run_passes(m, ("fold", "peephole")) == passes.peephole(fold_constants(m)), m.name
+
+
 # the specialization for %k = 0 prunes @f's only use of %p, which leaves %x
 # and %a without a use in the entry
 DEAD_ARGUMENT = """module t

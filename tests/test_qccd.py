@@ -385,11 +385,11 @@ def test_warm_plan_caches_give_the_outputs_of_cold_ones(order):
 
 
 def test_plan_keys_keep_apart_ops_that_print_apart():
-    # 1, 1.0 and True compare equal, as do -0.0 and 0.0, but a layer prints
-    # its angle and qubits as given: a warm schedule must not swap them
-    from ionflow.toolchain import compile_text
+    # 1 and 1.0 compare equal, as do -0.0 and 0.0, but a layer prints its
+    # angle as given: a warm schedule must not swap them
+    from ionflow.toolchain import CompileError, compile_text
 
-    def source(angle, qubit):
+    def source(angle, qubit="q1"):
         return (
             "module t\nattrs required_qubits=2 required_results=1\n"
             "func @f(%q: qubit) {\nblock entry:\n  h %q\n  ret\n}\n"
@@ -397,7 +397,10 @@ def test_plan_keys_keep_apart_ops_that_print_apart():
             "  mz q0 -> r0\n  output result r0\n  ret\n}\n"
         )
 
-    texts = [source(a, q) for a in ("1", "1.0", "true", "0", "false", "0.0", "-0.0") for q in ("q1", "true")]
+    for refused in (source("true"), source("1", qubit="true")):  # a bool is no angle and no qubit
+        with pytest.raises(CompileError):
+            compile_text(refused)
+    texts = [source(a) for a in ("1", "1.0", "0", "0.0", "-0.0")]
     cold = []
     for text in texts:
         qccd._clear_plans()
