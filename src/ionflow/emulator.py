@@ -17,9 +17,10 @@ in conditional mode a chain's transport runs under its entry guard, which
 each member block's guard implies. A later transport joins only under t,
 one under any other guard opens a segment, and a classical item that
 writes a register t reads closes the segment. Layer, transport, output,
-classical and segment bodies are cached across programs, the segments by
-their bodies' identities, as are gate matrices and suffix products by run,
-so building a program whose rounds an earlier one built is mostly lookups.
+classical and segment bodies are memoized across programs in ``BODIES``,
+the segments by their bodies' identities, so building a program whose
+rounds an earlier one built is mostly lookups; a segment's gate matrices
+and suffix products are built with it.
 
 The walk runs one entry at a time. At its head g and t become row masks.
 Every row where g holds must satisfy t: ``lower`` guarantees it, since it
@@ -54,10 +55,10 @@ position k and the product S of the run's layers after k. Before each
 collapse (its own layer's noise included), and at the segment's end, the
 events of the draw ops up to there apply in op order to the rows that drew
 them, as ``x @ S⁻¹``, the Pauli, ``x @ S``: the dense analogue of carrying
-a Pauli frame (Gidney, Stim, Quantum 5, 497, 2021). The suffix products are
-built once per distinct run and cached across programs. Wider registers
-apply each run gate by gate, and there a noise op ends the run and applies
-its events at once.
+a Pauli frame (Gidney, Stim, Quantum 5, 497, 2021). A segment's suffix
+products are built with it, from its run's matrix as that is built. Wider
+registers apply each run gate by gate, and there a noise op ends the run and
+applies its events at once.
 
 Noise is trajectory-based, drawn once per draw site for the rows that
 reach it: depolarizing after gates, dephasing per executed transport step
@@ -105,6 +106,7 @@ import numpy as np
 
 from . import gates as G
 from .ir import OUTPUT_TOKEN, BinOp, IonflowError, ReadResult, Select, config_from_json
+from .memo import Memo
 from .oracle import MAX_BRANCH_EVENTS, PRUNE_EPS, TooManyBranches, distribution
 from .predication import OrVal
 from .qccd import (
@@ -282,8 +284,8 @@ def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
 # block of the segment's uniforms, and each draw site owns a column.
 # ---------------------------------------------------------------------------
 
-# item bodies, then ops
-_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE, _COLLAPSE, _FLUSH = range(11)
+# item bodies, then ops, then the tag of a segment's key in BODIES
+_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE, _COLLAPSE, _FLUSH, _SEGMENT = range(12)
 _MARK_BODY = (_MARK,)
 _OP_MEASURE, _OP_RESET = range(2)
 _ALL = slice(None)  # every row of a batch
@@ -336,43 +338,30 @@ def _collapse_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _frozen(sel, bit, idx ^ (1 << q))
 
 
-@functools.lru_cache(maxsize=128)
-def _unitary(run: tuple, n: int):
-    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS one ``(matrix, qubits)`` per gate.
+def _unitary(run: list, n: int) -> tuple:
+    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix M and, per position k < len(run), the adjoint of
+    the matrix of its first k layers; above MATRIX_QUBITS one ``(matrix, qubits)`` per gate and no adjoints.
 
     A layer is a tuple of gates, each ``(name, angle with over-rotation,
-    qubits)``, so the result depends on the key alone. The cache spans
-    programs, whose rounds and limits repeat their layers: a sweep uses a
-    few dozen runs. The matrix is in row form: ``st @ m`` applies the gates
-    to every row. Fixed gates' matrices are read-only constants of ``gates``;
+    qubits)``. The matrix is in row form: ``st @ m`` applies the gates to
+    every row. Fixed gates' matrices are read-only constants of ``gates``;
     rotations' are built here, and frozen where the result keeps them.
-    """
-    gates = tuple((G.gate_unitary(name, angle), qubits) for layer in run for name, angle, qubits in layer)
-    if n > MATRIX_QUBITS:
-        _frozen(*(u for u, _ in gates if u.flags.writeable))
-        return gates
-    m = np.eye(1 << n, dtype=complex)
-    for u, qubits in gates:
-        apply_unitary(m, u, qubits, n)  # row i becomes U e_i, so (st @ m)[r] = U st[r]
-    return _frozen(m)[0]
 
-
-@functools.lru_cache(maxsize=128)
-def _suffixes(run: tuple, n: int) -> tuple[np.ndarray, ...]:
-    """Per position k < len(run) of a fused run, the read-only row-form matrix of its layers from k on.
-
-    A noise event after the run's first k layers is the run's matrix M
-    conjugated by this suffix S: ``y @ S⁻¹``, the Pauli, ``@ S`` on the
+    A noise event after the run's first k layers is M conjugated by the
+    suffix S of its layers from k on: ``y @ S⁻¹``, the Pauli, ``@ S`` on the
     row's state y after M. With P the first k layers' matrix, S = P⁻¹ M =
-    P† M, so the run's gates are applied once, to P. Cached across programs
-    like ``_unitary``.
+    P† M, and P is M as it is built, so the run's gates are applied once.
     """
-    m, prefix, out = _unitary(run, n), np.eye(1 << n, dtype=complex), []
+    if n > MATRIX_QUBITS:
+        gates = tuple((G.gate_unitary(name, angle), qubits) for layer in run for name, angle, qubits in layer)
+        _frozen(*(u for u, _ in gates if u.flags.writeable))
+        return gates, ()
+    m, adjoints = np.eye(1 << n, dtype=complex), []
     for layer in run:
-        out.append(prefix.conj().T @ m)
+        adjoints.append(m.conj().T)  # P†, P being the layers before this one
         for name, angle, qubits in layer:
-            apply_unitary(prefix, G.gate_unitary(name, angle), qubits, n)
-    return _frozen(*out)
+            apply_unitary(m, G.gate_unitary(name, angle), qubits, n)  # row i becomes U e_i, so (st @ m)[r] = U st[r]
+    return _frozen(m)[0], adjoints
 
 
 def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
@@ -470,10 +459,6 @@ class _Segment(NamedTuple):
     plan: tuple | None
 
 
-def _unitary_op(run: list, n: int) -> tuple:
-    return _MATRIX if n <= MATRIX_QUBITS else _GROUPS, _unitary(tuple(run), n)
-
-
 def _segment(parts: tuple, n: int) -> _Segment:
     """Build a segment from its items' bodies, in order.
 
@@ -481,7 +466,7 @@ def _segment(parts: tuple, n: int) -> _Segment:
     end, so those layers fuse into one op: one matrix, or above MATRIX_QUBITS
     their gates in order. Noise draws do not cut a run. Each noise op keeps
     its position k in its run and, up to MATRIX_QUBITS, the run's suffix
-    from k (``_suffixes``), through which the walk carries an event past the
+    from k (``_unitary``), through which the walk carries an event past the
     rest of the run; above it, a noise op ends the run and flushes its
     events at once. Classical items and outputs do not touch the state.
     """
@@ -494,11 +479,11 @@ def _segment(parts: tuple, n: int) -> _Segment:
 
     def cut():  # end the open run: its unitary, and its noise ops' suffixes
         if run:
-            ops.append(_unitary_op(run, n))
-            inside = [(d, k) for d, k in pending if k < len(run)]  # none above MATRIX_QUBITS: noise cuts there
-            if inside:
-                products = _suffixes(tuple(run), n)
-                suffixes.update((d, products[k]) for d, k in inside)
+            unitary, adjoints = _unitary(run, n)
+            ops.append((_MATRIX if n <= MATRIX_QUBITS else _GROUPS, unitary))
+            # S = P† M, one per place k inside the run, shared by its noise ops; none above MATRIX_QUBITS: noise cuts there
+            products = {k: _frozen(adjoints[k] @ unitary)[0] for _d, k in pending if k < len(run)}
+            suffixes.update((d, products[k]) for d, k in pending if k in products)
             run.clear()
         pending.clear()
 
@@ -572,30 +557,15 @@ class _Runtime:
     segments: list  # per guard segment: (guard, transport guard, index of its first item, _Segment, classical instructions)
 
 
-# Runtime bodies cached across programs (hash-consing: Filliâtre and Conchon,
-# "Type-Safe Modular Hash-Consing", ML Workshop 2006): layers, transports,
-# outputs and classical items by value, segments by their bodies' identities.
-# A later program with an equal body gets the same object back, so an equal
-# segment is found by identity too. A segment entry holds the bodies its key
-# names, so none of those ids can be reused while the entry is there. Both
-# caches are cleared together when they reach MAX_BODIES entries.
-_BODIES: dict = {}
-_SEGMENTS: dict = {}  # tuple of its bodies' ids: (its bodies, _Segment)
-
-
-def _clear_bodies() -> None:
-    _BODIES.clear()
-    _SEGMENTS.clear()
-
-
-def _cached(cache: dict, key, build, *args):
-    """``cache[key]``, made by ``build(*args)`` on a miss; a build that raises caches nothing."""
-    hit = cache.get(key)
-    if hit is None:
-        if len(_BODIES) + len(_SEGMENTS) >= MAX_BODIES:
-            _clear_bodies()
-        hit = cache[key] = build(*args)
-    return hit
+# Runtime bodies memoized across programs (hash-consing: Filliâtre and
+# Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): layers,
+# transports, outputs and classical items by value, segments by their bodies'
+# identities. A later program with an equal body gets the same object back,
+# so an equal segment is found by identity too. A segment entry holds the
+# bodies its key names, so none of those ids can be reused while the entry is
+# there. Keys are tagged by kind; the memo is cleared whole when it reaches
+# MAX_BODIES entries.
+BODIES = Memo(MAX_BODIES)
 
 
 def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
@@ -646,7 +616,7 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             if body is None:
                 ops = tuple((op.kind, op.name, op.qubits, op.angle, op.slot) for op in item.ops)
                 vk = (_LAYER, n, noise, ops, item.expected_slots, item.idle_qubits)
-                body = layers[lk] = _cached(_BODIES, vk, _compile_layer, item, n, noise)
+                body = layers[lk] = BODIES.get(vk, _compile_layer, item, n, noise)
             parts.append(body)
         elif kind is MarkItem:
             parts.append(_MARK_BODY)
@@ -654,12 +624,12 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             body = transports.get(item.steps)
             if body is None:
                 tk = (_TRANSPORT, n, noise, item.steps, prog.trap.slots)
-                body = transports[item.steps] = _cached(_BODIES, tk, _transport_body, item.steps, prog.trap.slots, n, noise)
+                body = transports[item.steps] = BODIES.get(tk, _transport_body, item.steps, prog.trap.slots, n, noise)
             parts.append(body)
         elif kind is ClassicalItem:
             if len(instrs) == len(classical):
                 body = (_CLASSICAL, len(instrs))
-                classical.append(_cached(_BODIES, body, lambda: body))
+                classical.append(BODIES.get(body, lambda: body))
             parts.append(classical[len(instrs)])
             instrs.append(item.instrs)
             for ins in item.instrs:  # plain loops, not a generator per item: this runs for every classical item
@@ -671,7 +641,7 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
             closed = not reads.isdisjoint(written)
         elif kind is OutputItem:
             body = (_OUTPUT, _CODE.get(item.kind), item.slot, n_outputs)
-            parts.append(_cached(_BODIES, body, lambda: body))
+            parts.append(BODIES.get(body, lambda: body))
             n_outputs += 1
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {item!r}")
@@ -681,7 +651,7 @@ def _compile_runtime(prog: ExecProgram, noise: NoiseModel) -> _Runtime:
     segments = []
     for seg_guard, tg, first, parts, instrs in opened:
         parts = tuple(parts)
-        seg = _cached(_SEGMENTS, tuple(map(id, parts)), lambda: (parts, _segment(parts, n)))[1]
+        seg = BODIES.get((_SEGMENT, tuple(map(id, parts))), lambda: (parts, _segment(parts, n)))[1]
         segments.append((seg_guard, seg_guard if tg is unset else tg, first, seg, tuple(instrs)))
     dtype = np.float64 if floats else np.int64
     return _Runtime(n, prog.n_results, top + 1, n_outputs, dtype, prog.canonical, noise, segments)

@@ -20,9 +20,10 @@ exactly what makes control-flow shape visible in executed-transport counts:
 a bigger, branchier guarded program funnels more blocks into chains whose
 entry guard is weak, so more transport runs per shot.
 
-Plans are memoized per process, by value and within a bound: each distinct
-run schedule, (placement, layer operands and zones) query and restore is
-planned once and reused wherever this program or a later one repeats it.
+Plans are memoized per process in ``PLANS``, by value and within a bound:
+each distinct run schedule, (placement, layer operands and zones) query and
+restore is planned once and reused wherever this program or a later one
+repeats it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .ir import QUANTUM_OPS, Instruction, IonflowError, Measure, Module, Output, QGate, Reset, config_from_json
+from .memo import Memo
 from .predication import GuardedFunction, OrVal, guard_vregs, sym_implies
 from .regalloc import BlockSpan, PReg
 
@@ -253,30 +255,30 @@ def _layer_goal(placement: Placement, layer: GateLayer) -> bool:
     return True
 
 
-def plan_transport(current: Placement, layer: GateLayer, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
+def plan_transport(current: Placement, layer: GateLayer, trap: TrapLayout) -> tuple[tuple[TransportStep, ...], Placement]:
     """Parallel-swap-layer plan bringing the layer's operands into their
     zones: a minimum one by exact BFS on traps of at most ``BFS_EXACT_LIMIT``
     slots (the step table grows as Fibonacci(slots + 1)), greedy odd-even
     routing on wider traps, however few ions they hold."""
     if _layer_goal(current, layer):
-        return [], current
+        return (), current
     if trap.slots <= BFS_EXACT_LIMIT:
         return _bfs_plan(current, lambda p: _layer_goal(p, layer), trap)
     target = _greedy_targets(current, layer, trap)
     return _route_to_targets(current, target, trap)
 
 
-def plan_restore(current: Placement, canonical: Placement, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
+def plan_restore(current: Placement, canonical: Placement, trap: TrapLayout) -> tuple[tuple[TransportStep, ...], Placement]:
     """Plan back to the canonical placement: exact BFS on traps of at most
     ``BFS_EXACT_LIMIT`` slots, odd-even routing on wider ones."""
     if current == canonical:
-        return [], current
+        return (), current
     if trap.slots <= BFS_EXACT_LIMIT:
         return _bfs_plan(current, lambda p: p == canonical, trap)
     return _route_to_targets(current, canonical, trap)
 
 
-def _bfs_plan(current: Placement, goal, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
+def _bfs_plan(current: Placement, goal, trap: TrapLayout) -> tuple[tuple[TransportStep, ...], Placement]:
     table = _slot_maps(trap.slots)
     seen = {current}
     frontier: list[tuple[Placement, tuple[TransportStep, ...]]] = [(current, ())]
@@ -289,7 +291,7 @@ def _bfs_plan(current: Placement, goal, trap: TrapLayout) -> tuple[list[Transpor
                     continue
                 path2 = path + (st,)
                 if goal(p2):
-                    return list(path2), p2
+                    return path2, p2
                 seen.add(p2)
                 nxt.append((p2, path2))
         frontier = nxt
@@ -325,7 +327,7 @@ def _greedy_targets(current: Placement, layer: GateLayer, trap: TrapLayout) -> P
     return tuple(target[q] for q in range(n))
 
 
-def _route_to_targets(current: Placement, target: Placement, trap: TrapLayout) -> tuple[list[TransportStep], Placement]:
+def _route_to_targets(current: Placement, target: Placement, trap: TrapLayout) -> tuple[tuple[TransportStep, ...], Placement]:
     """Odd-even transposition routing toward a full target placement.
 
     Each slot's content gets a destination key (empty slots absorb the unused
@@ -370,7 +372,7 @@ def _route_to_targets(current: Placement, target: Placement, trap: TrapLayout) -
                 pl = apply_step(pl, swaps)
     if pl != target:  # pragma: no cover - odd-even sort always terminates
         raise Unreachable("greedy routing did not reach the target placement")
-    return plan, pl
+    return tuple(plan), pl
 
 
 # ---------------------------------------------------------------------------
@@ -541,41 +543,19 @@ class ExecProgram:
         )
 
 
-# Plans are cached across lowerings by value, so a later compile that asks
+# Plans are memoized across lowerings by value, so a later compile that asks
 # an earlier query gets the earlier plan back instead of searching again.
-# Each key holds everything its plan depends on, and each plan is a tuple, so
-# no caller can change a shared one. A search that raises caches nothing.
+# Each key holds everything its plan depends on, and is tagged by its kind:
+# a run's schedule, a transport or a restore. Each plan is a tuple, so no
+# caller can change a shared one. A search that raises caches nothing.
 # The bound counts size, not entries: odd-even routing on a wide trap plans
 # tens of thousands of swaps for one program (MSD 2 on MAX_TRAP_SLOTS slots
 # caches 90,034 in 30 entries, about 12 MiB). An entry's size is one, plus
-# its run's ops or its plan's swaps, about 130 bytes each, so the caches
-# hold at most about 17 MiB; they are cleared together when the next entry
-# would take them past MAX_PLANNED. The paper's whole sweep caches 650.
+# its run's ops or its plan's swaps, about 130 bytes each, so the memo holds
+# at most about 17 MiB; it is cleared whole when the next entry would take
+# it past MAX_PLANNED. The paper's whole sweep caches 650.
 MAX_PLANNED = 1 << 17
-_SCHEDULES: dict = {}  # (gate zones, run's _op_keys): ((layer, its (qubits, zone) per op), ...)
-_TRANSPORTS: dict = {}  # (trap, placement, layer's (qubits, zone) per op): (steps, placement after)
-_RESTORES: dict = {}  # (trap, canonical, placement): (steps, canonical)
-_planned = 0  # the size the three caches hold
-
-
-def _clear_plans() -> None:
-    global _planned
-    _SCHEDULES.clear()
-    _TRANSPORTS.clear()
-    _RESTORES.clear()
-    _planned = 0
-
-
-def _remember(cache: dict, key, plan, size: int):
-    """Store ``plan`` of ``size`` under ``key``, first clearing every cache if
-    it would not fit; a plan larger than the bound is returned uncached."""
-    global _planned
-    if _planned + size > MAX_PLANNED:
-        _clear_plans()
-    if size <= MAX_PLANNED:
-        cache[key] = plan
-        _planned += size
-    return plan
+PLANS = Memo(MAX_PLANNED)
 
 
 def _scheduled(run: list[Instruction], trap: TrapLayout) -> tuple:
@@ -583,13 +563,8 @@ def _scheduled(run: list[Instruction], trap: TrapLayout) -> tuple:
     return tuple((layer, tuple((op.qubits, op.zone) for op in layer.ops)) for layer in schedule_layers(run, trap))
 
 
-def _plan_size(steps) -> int:
-    return 1 + sum(map(len, steps))
-
-
-def _remember_plan(cache: dict, key, planned: tuple[list[TransportStep], Placement]):
-    steps, after = planned
-    return _remember(cache, key, (tuple(steps), after), _plan_size(steps))
+def _swaps(planned: tuple[tuple[TransportStep, ...], Placement]) -> int:
+    return 1 + sum(map(len, planned[0]))
 
 
 def _op_key(ins: Instruction) -> tuple:
@@ -635,11 +610,11 @@ def lower(
         chain_guard = gf.blocks[ch.entry_guard_block].guard if ch else b.guard
         for ins in _body_segments(b.body):
             if isinstance(ins, list):
-                key = (trap.gate_zones, tuple(map(_op_key, ins)))
-                layers = _SCHEDULES.get(key) or _remember(_SCHEDULES, key, _scheduled(ins, trap), 1 + len(ins))
+                key = ("schedule", trap.gate_zones, tuple(map(_op_key, ins)))
+                layers = PLANS.get(key, _scheduled, ins, trap, size=lambda _layers: 1 + len(ins))
                 for layer, operands in layers:
-                    key = (trap, placement, operands)
-                    steps, placement = _TRANSPORTS.get(key) or _remember_plan(_TRANSPORTS, key, plan_transport(placement, layer, trap))
+                    key = ("transport", trap, placement, operands)
+                    steps, placement = PLANS.get(key, plan_transport, placement, layer, trap, size=_swaps)
                     if steps:
                         items.append(TransportItem(chain_guard, steps))
                     expected = tuple((q, placement[q]) for op in layer.ops for q in op.qubits)
@@ -650,8 +625,8 @@ def lower(
             else:
                 items.append(ClassicalItem(b.guard, (ins,)))
         if ch and i == ch.members[-1]:
-            key = (trap, canonical, placement)
-            steps, placement = _RESTORES.get(key) or _remember_plan(_RESTORES, key, plan_restore(placement, canonical, trap))
+            key = ("restore", trap, canonical, placement)
+            steps, placement = PLANS.get(key, plan_restore, placement, canonical, trap, size=_swaps)
             if steps:
                 items.append(TransportItem(chain_guard, steps))
             assert placement == canonical

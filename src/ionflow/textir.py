@@ -100,11 +100,12 @@ _CLASSES = (
     ("punct", r"->|[(){}\[\],:=]"),
     ("bad", r"[^ \t\r]"),
 )
-# A token text's class is the first whose pattern matches all of it.
-_KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _CLASSES))
+# A token text's class is the first whose pattern matches all of it. Both
+# patterns are ASCII: a \d of a str pattern would take any Unicode digit.
+_KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _CLASSES), re.ASCII)
 # The lexer: each match skips blanks, newlines and comments, then captures one
 # token's text, or "" at the end of the source.
-_LEX_RE = re.compile(r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*(" + "|".join(p for _k, p in _CLASSES) + r"|\Z)")
+_LEX_RE = re.compile(r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*(" + "|".join(p for _k, p in _CLASSES) + r"|\Z)", re.ASCII)
 
 
 def _kind(text: str) -> str:

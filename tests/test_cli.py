@@ -58,6 +58,61 @@ def test_compile_emits_guarded_text(tmp_path):
     assert "guarded @main" in text and "guard" in text
 
 
+PHI = """module t
+attrs required_qubits=1 required_results=2
+func @main() {
+block e:
+  h q0
+  mz q0 -> r0
+  %m = read_result r0
+  br %m, a, b
+block a:
+  jmp c
+block b:
+  jmp c
+block c:
+  %v = phi [3, a], [5, b]
+  %w = cmp gt %v, 4
+  br %w, d, f
+block d:
+  x q0
+  jmp f
+block f:
+  mz q0 -> r1
+  output result r0
+  output result r1
+  ret
+}
+"""
+
+# the phi becomes a select over its incoming edge guards, in its block's prelude
+PHI_GUARDED = """guarded @main
+block e: guard true
+  body h q0
+  body mz q0 -> r0
+  body R0 = read_result r0
+block a: guard R0
+block b: guard R1
+  pre  R1 = xor R0, true
+block c: guard true
+  pre  R1 = select R0, 3, 5
+  body R0 = cmp gt R1, 4
+block d: guard R0
+  body x q0
+block f: guard true
+  body mz q0 -> r1
+  body output result r0
+  body output result r1
+"""
+
+
+def test_compile_emits_guarded_select_for_a_phi(tmp_path, capsys):
+    src = tmp_path / "p.qir.txt"
+    src.write_text(PHI)
+    assert main(["compile", str(src), "--emit", "guarded"]) == 0
+    assert capsys.readouterr().out == PHI_GUARDED
+
+
 def test_compile_back_edge_fails_with_diagnostic(tmp_path, capsys):
     src = tmp_path / "bad.qir.txt"
     src.write_text(BACK_EDGE)
@@ -569,7 +624,29 @@ PARSE_ERRORS = {
     "malformed-result-ref": (IN_MAIN % "  mz q0 -> s0\n", 5, 12, "expected result ref r<N>, got 's0'"),
     "rotation-without-angle": (IN_MAIN % "  rz q0\n", 5, 3, "rz requires an angle"),
     "nests-too-deeply": (JMP_LP + "".join(f"repeat 1 l{k} {{\n" for k in range(2000)), 0, 0, "input nests too deeply"),
+    # a literal's digits are ASCII: these compiled as rz(3.5) and add 12, 1
+    "non-ascii-digits-in-a-float": (IN_MAIN % "  rz(\u0663.\u0665) q0\n", 5, 6, "unexpected character '\u0663'"),
+    "non-ascii-digits-in-an-int": (IN_MAIN % "  %a = add \u0661\u0662, 1\n", 5, 12, "unexpected character '\u0661'"),
 }
+
+
+# one minimal source per diagnostic code that validation reports on parsed text, with a qubit for each operand
+DIAGNOSTIC_MAIN = IN_MAIN.replace("required_qubits=1", "required_qubits=2")
+DIAGNOSTICS = {
+    "GATE_ARITY": ("  h q0, q1\n", "h takes 1 qubit(s) [@main:e#0]"),
+    "ANGLE_UNEXPECTED": ("  h(1) q0\n", "h takes no angle [@main:e#0]"),
+    "BAD_OUTPUT": ("  output bogus\n", "unknown output kind 'bogus' [@main:e#0]"),
+    "CALL_ARITY": ("  call @main(1)\n", "@main takes 0 args [@main:e#0]"),
+}
+
+
+@pytest.mark.parametrize("code", list(DIAGNOSTICS))
+def test_diagnostic_code_message(tmp_path, capsys, code):
+    body, message = DIAGNOSTICS[code]
+    src = tmp_path / "p.qir.txt"
+    src.write_text(DIAGNOSTIC_MAIN % body)
+    assert main(["compile", str(src)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {code}: {message}"]
 
 
 @pytest.mark.parametrize("case", list(PARSE_ERRORS))

@@ -14,7 +14,7 @@ import scipy.stats
 
 from conftest import max_distribution_error, random_program
 from ionflow import gates as G
-from ionflow import emulator, oracle, textir
+from ionflow import emulator, memo, oracle, textir
 from ionflow.emulator import (
     H1E_LIKE,
     MATRIX_QUBITS,
@@ -561,7 +561,7 @@ def test_whole_register_matrix_is_the_per_group_kernel(seed):
     for gates in run:
         for name, angle, qubits in gates:
             apply_unitary(gate_by_gate, G.gate_unitary(name, angle), qubits, n)
-    whole = states @ emulator._unitary(run, n)
+    whole = states @ emulator._unitary(run, n)[0]  # the matrix; [1] holds the adjoints of its prefixes
     assert np.abs(whole - gate_by_gate).max() < 1e-12
 
 
@@ -748,11 +748,11 @@ def test_a_layer_without_a_noise_event_runs_only_its_collapses(monkeypatch, chan
         return (*body, draws and (*draws[:-1], np.ones(draws[5])))  # a threshold of 1 for each of its columns
 
     monkeypatch.setattr(emulator, "_compile_layer", full_path)
-    emulator._clear_bodies()  # else the new programs would get the cached layers, not full_path's
+    memo.clear_all()  # else the new programs would get the cached layers, not full_path's
     try:
         assert [run_shots(dataclasses.replace(prog), noise, 300, 4) for prog in programs] == fast
     finally:
-        emulator._clear_bodies()  # and full_path's layers must not serve later tests
+        memo.clear_all()  # and full_path's layers must not serve later tests
 
 
 def test_measurement_flip_noise():
@@ -877,7 +877,7 @@ def _outputs(prog, noises, cold):
     out = []
     for noise in (*noises, None):
         if cold:
-            emulator._clear_bodies()
+            memo.clear_all()
         copy = dataclasses.replace(prog)
         out.append(_leaf_key(enumerate_exec_leaves(copy)) if noise is None else run_shots(copy, noise, 300, 7))
     return out
@@ -906,7 +906,7 @@ def test_warm_caches_give_the_outputs_of_cold_ones(cache_sequence, order):
     # bodies cached by value serve later programs: every program must run as if built from scratch
     progs, noises, cold = cache_sequence
     assert len(progs) == 48 and sum(p.n_qubits > MATRIX_QUBITS for p in progs) == 8
-    emulator._clear_bodies()
+    memo.clear_all()
     indices = range(len(progs)) if order == "forward" else reversed(range(len(progs)))
     for i in indices:
         assert _outputs(progs[i], noises, cold=False) == cold[i], i
@@ -918,31 +918,37 @@ def test_a_recompiled_program_shares_every_segment():
     assert all(a[3] is b[3] for a, b in zip(first.segments, second.segments, strict=True))
 
 
+def _segment_entries():
+    """The memoized segments, as (key, (its bodies, _Segment))."""
+    return [(key, entry) for key, entry in emulator.BODIES.entries.items() if key[0] == emulator._SEGMENT]
+
+
 def test_a_sweep_builds_fewer_than_half_the_segments_it_runs():
-    emulator._clear_bodies()
+    memo.clear_all()
     runs = sum(len(emulator._compile_runtime(compile_module(build_msd(MsdConfig(limit=k, basis="X"))).program,
                                              H1E_LIKE).segments) for k in range(9))
-    assert 2 * len(emulator._SEGMENTS) < runs
+    assert 2 * len(_segment_entries()) < runs
 
 
 def test_the_caches_stay_within_their_bound(monkeypatch):
-    # past the bound both caches start over; a segment entry holds the bodies its key names by identity.
-    # Each program but MSD 0 builds more than the bound's entries alone, so the caches clear mid-build too.
+    # past the bound the memo starts over, bodies and segments together; a segment entry holds the bodies its
+    # key names by identity. Each program but MSD 0 builds more than the bound's entries alone, so the memo
+    # clears mid-build too.
     progs = [compile_module(build_rus(RusConfig(limit=k, basis="Z", style=s))).program
              for s in ("loop", "recursion") for k in (1, 2, 3)]
     progs += [compile_module(build_msd(MsdConfig(limit=k, basis="Y"))).program for k in range(3)]
     cold = []
     for prog in progs:
-        emulator._clear_bodies()
+        memo.clear_all()
         cold.append(run_shots(dataclasses.replace(prog), H1E_LIKE, 300, 5))
-    bound, clears, clear = 24, [], emulator._clear_bodies
-    monkeypatch.setattr(emulator, "MAX_BODIES", bound)
-    monkeypatch.setattr(emulator, "_clear_bodies", lambda: clears.append(clear()))
+    bound, clears, clear = 24, [], emulator.BODIES.clear
+    monkeypatch.setattr(emulator.BODIES, "bound", bound)
+    monkeypatch.setattr(emulator.BODIES, "clear", lambda: clears.append(clear()))
     clear()
     for prog, want in [*zip(progs, cold), *zip(progs, cold)]:
         assert run_shots(dataclasses.replace(prog), H1E_LIKE, 300, 5) == want
-        assert len(emulator._BODIES) + len(emulator._SEGMENTS) <= bound
-        assert all(key == tuple(map(id, parts)) for key, (parts, _seg) in emulator._SEGMENTS.items())
+        assert len(emulator.BODIES.entries) <= bound
+        assert all(key[1] == tuple(map(id, parts)) for key, (parts, _seg) in _segment_entries())
     assert clears
     clear()
 
@@ -1216,18 +1222,16 @@ def test_norm_drift_detected(monkeypatch):
     bad = np.array([[1.1, 0], [0, 1.1]], dtype=complex)
     real = G.gate_unitary
     monkeypatch.setattr(G, "gate_unitary", lambda name, angle=None: bad if name == "h" else real(name, angle))
-    emulator._unitary.cache_clear()  # its cached runs call gate_unitary: no earlier h may stand in for the bad one,
-    emulator._clear_bodies()  # nor a cached segment that holds one
+    memo.clear_all()  # no cached segment may hold an earlier h's matrix in place of the bad one
     try:
         with pytest.raises(FloatingPointError):
             run_shots(res.program, NOISELESS, 1, 0)
     finally:
-        emulator._unitary.cache_clear()  # and the bad one must not serve later tests
-        emulator._clear_bodies()
+        memo.clear_all()  # and the bad one must not serve later tests
 
 
 def test_fixed_gate_matrices_are_read_only():
-    # gate_unitary hands these arrays to every caller, the emulator's cached gate runs included
+    # gate_unitary hands these arrays to every caller, the emulator's cached segments included
     for name in ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx"):
         u = G.gate_unitary(name)
         assert not u.flags.writeable, name

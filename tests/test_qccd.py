@@ -5,7 +5,7 @@ from collections import Counter, deque
 
 import pytest
 
-from ionflow import qccd, textir
+from ionflow import memo, qccd, textir
 from ionflow.emulator import _compile_transport
 from ionflow.ir import IonflowError, Measure, QGate, Reset
 from ionflow.qccd import (
@@ -162,7 +162,7 @@ def oracle_min_steps(start, goal_fn, slots):
 def test_already_in_zone_needs_no_steps():
     layer = GateLayer((PlacedOp("gate", "cx", (0, 1), None, None, (0, 1)),))
     steps, placement = plan_transport((0, 1, 2), layer, TrapLayout.default(3))
-    assert steps == [] and placement == (0, 1, 2)
+    assert steps == () and placement == (0, 1, 2)
 
 
 def test_single_swap_brings_pair_together():
@@ -270,7 +270,7 @@ def reference_bfs_plan(current, goal, slots):
                 if p2 in seen:
                     continue
                 if goal(p2):
-                    return list(path + (st,)), p2
+                    return path + (st,), p2
                 seen.add(p2)
                 nxt.append((p2, path + (st,)))
         frontier = nxt
@@ -325,7 +325,7 @@ def test_lower_plans_each_distinct_query_once(monkeypatch):
 
     monkeypatch.setattr(qccd, "plan_transport", counted_transport)
     monkeypatch.setattr(qccd, "plan_restore", counted_restore)
-    qccd._clear_plans()  # an earlier compile in this process may have planned these queries already
+    memo.clear_all()  # an earlier compile in this process may have planned these queries already
     for module in (build_msd(MsdConfig(limit=8)), build_rus(RusConfig(limit=5, style="recursion"))):
         transport_keys.clear()
         restore_keys.clear()
@@ -357,17 +357,21 @@ def _plan_cache_programs():
 def _cold_json(module, trap, mode):
     from ionflow.toolchain import compile_module
 
-    qccd._clear_plans()
+    memo.clear_all()
     return compile_module(module, trap=trap, mode=mode).program.to_json()
 
 
 def _plan_cache_size():
-    """The size the three plan caches hold, counted from their entries."""
-    return (
-        sum(1 + len(run) for _zones, run in qccd._SCHEDULES)
-        + sum(qccd._plan_size(steps) for steps, _after in qccd._TRANSPORTS.values())
-        + sum(qccd._plan_size(steps) for steps, _after in qccd._RESTORES.values())
+    """The size the plan memo holds, counted from its entries: one per entry, plus a schedule's ops or a plan's swaps."""
+    return sum(
+        1 + (len(key[2]) if key[0] == "schedule" else sum(map(len, plan[0])))
+        for key, plan in qccd.PLANS.entries.items()
     )
+
+
+def _transports():
+    """The memoized transport queries, as (trap, placement, layer's (qubits, zone) per op)."""
+    return {key[1:] for key in qccd.PLANS.entries if key[0] == "transport"}
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -378,10 +382,10 @@ def test_warm_plan_caches_give_the_outputs_of_cold_ones(order):
     cold = [_cold_json(*p) for p in programs]
     if order == "reverse":
         programs, cold = programs[::-1], cold[::-1]
-    qccd._clear_plans()
+    memo.clear_all()
     for (module, trap, mode), want in zip(programs, cold):
         assert compile_module(module, trap=trap, mode=mode).program.to_json() == want, (module.name, trap, mode)
-    assert qccd._TRANSPORTS and qccd._planned == _plan_cache_size()
+    assert _transports() and qccd.PLANS.held == _plan_cache_size()
 
 
 def test_plan_keys_keep_apart_ops_that_print_apart():
@@ -403,7 +407,7 @@ def test_plan_keys_keep_apart_ops_that_print_apart():
     texts = [source(a) for a in ("1", "1.0", "0", "0.0", "-0.0")]
     cold = []
     for text in texts:
-        qccd._clear_plans()
+        memo.clear_all()
         cold.append(compile_text(text).program.to_json())
     assert len(set(cold)) == len(texts)
     for order in (texts, texts[::-1]):
@@ -429,14 +433,14 @@ def test_the_plan_caches_stay_within_their_bound(monkeypatch):
 
     programs = _plan_cache_programs()
     cold = [_cold_json(*p) for p in programs]
-    monkeypatch.setattr(qccd, "MAX_PLANNED", 40)  # RUS plans fit it; some routed MSD plans are larger
-    qccd._clear_plans()
+    monkeypatch.setattr(qccd.PLANS, "bound", 40)  # RUS plans fit it; some routed MSD plans are larger
+    memo.clear_all()
     sizes = []
     for (module, trap, mode), want in zip(programs, cold):
         assert compile_module(module, trap=trap, mode=mode).program.to_json() == want, (module.name, trap, mode)
-        sizes.append(qccd._planned)
-        assert qccd._planned == _plan_cache_size() <= 40
-    assert max(sizes) > 30  # the bound was reached, so the caches were cleared along the way
+        sizes.append(qccd.PLANS.held)
+        assert qccd.PLANS.held == _plan_cache_size() <= 40
+    assert max(sizes) > 30  # the bound was reached, so the memo was cleared along the way
 
 
 def test_a_search_that_raises_caches_nothing(monkeypatch):
@@ -460,13 +464,13 @@ def test_a_search_that_raises_caches_nothing(monkeypatch):
 
     monkeypatch.setattr(qccd, "plan_transport", recorded)
     monkeypatch.setattr(qccd, "_bfs_plan", failing_once)
-    qccd._clear_plans()
+    memo.clear_all()
     with pytest.raises(qccd.Unreachable, match="injected"):
         compile_module(module)
     failed = queries[-1]
-    assert failed not in qccd._TRANSPORTS and qccd._planned == _plan_cache_size()
+    assert failed not in _transports() and qccd.PLANS.held == _plan_cache_size()
     assert compile_module(module).program.to_json() == want
-    assert searched[1] == searched[0] and failed in qccd._TRANSPORTS  # searched again, and cached once it returns
+    assert searched[1] == searched[0] and failed in _transports()  # searched again, and cached once it returns
 
 
 def test_routing_fallback_lowers_to_the_same_program_twice():
@@ -534,7 +538,7 @@ def reference_route(current, target, slots):
             if swaps:
                 plan.append(swaps)
                 moved = True
-    return plan
+    return tuple(plan)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -177,7 +177,7 @@ _REFERENCE_TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
   | (?P<punct>->|[(){}\[\],:=])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # a literal's digits are ASCII
 )
 
 
