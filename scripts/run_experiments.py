@@ -63,7 +63,7 @@ def sweep(args) -> int:
             f"avg_transport={report.avg_transport:8.2f} blocks={report.blocks:5d} colors={report.colors}"
         )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     for basis in ("X", "Y", "Z"):
         for limit in range(0, args.limits + 1):
             cfg = MsdConfig(limit=limit, basis=basis)
@@ -83,7 +83,7 @@ def sweep(args) -> int:
     csv_path = args.out / "summary.csv"
     csv_path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     (args.out / "summary.json").write_text(json.dumps(records, indent=2) + "\n")
-    print(f"\nwrote {csv_path} ({len(rows)} rows) in {time.time() - t0:.0f}s")
+    print(f"\nwrote {csv_path} ({len(rows)} rows) in {time.perf_counter() - t0:.1f}s")
     return 0
 
 

@@ -1,7 +1,7 @@
 """ionflow: compiler and shot emulator for hybrid quantum/classical programs
 targeting a simulated linear trapped-ion machine."""
 
-from .emulator import NOISELESS, NoiseModel, ShotResult, enumerate_outcomes, run_shots
+from .emulator import NOISELESS, NoiseModel, ShotBatch, ShotResult, enumerate_outcomes, run_shots
 from .experiments import ExperimentReport, MsdConfig, RusConfig, build_msd, build_rus, run_experiment, summarize
 from .qccd import ALWAYS, CONDITIONAL, ExecProgram, TrapLayout
 from .textir import ParseError, emit, parse
@@ -21,6 +21,7 @@ __all__ = [
     "NoiseModel",
     "ParseError",
     "RusConfig",
+    "ShotBatch",
     "ShotResult",
     "TrapLayout",
     "build_msd",

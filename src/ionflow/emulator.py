@@ -19,8 +19,9 @@ one under any other guard opens a segment, and a classical item that
 writes a register t reads closes the segment. Layer, transport, output,
 classical and segment bodies are memoized across programs in ``BODIES``,
 the segments by their bodies' identities, so building a program whose
-rounds an earlier one built is mostly lookups; a segment's gate matrices
-and suffix products are built with it.
+rounds an earlier one built is mostly lookups. So is each gate run, by its
+gates: every segment with an equal run shares its matrix and its suffix
+products, each built on its first need.
 
 The walk runs one entry at a time. At its head g and t become row masks.
 Every row where g holds must satisfy t: ``lower`` guarantees it, since it
@@ -36,14 +37,15 @@ Then, once:
 * its transport composed into one slot permutation, applied with its steps
   to the head's placement of the rows where t holds.
 
-With an RNG, one ``rng.random`` call then draws every uniform the segment
-needs, in item order: each layer's (active rows, width) block and each
-transport dephasing's (rows where t holds, width) block. PCG64 fills
-doubles one after another, so every uniform has the value and place that a
-draw per op would give it, and the RNG streams do not depend on this
-grouping. One threshold test over the block finds the noise events; a draw
-op with no event costs nothing. A dephasing event on an inactive row where
-t holds applies in place, since those rows run none of the segment's layers.
+When sampling, one ``random`` call per stream batch (see Determinism) then
+draws every uniform the segment needs for that batch's rows, in item order:
+each layer's (active rows, width) block and each transport dephasing's
+(rows where t holds, width) block. PCG64 fills doubles one after another,
+so every uniform has the value and place that a draw per op would give it,
+and the RNG streams do not depend on this grouping. One threshold test
+over the block finds the noise events; a draw op with no event costs
+nothing. A dephasing event on an inactive row where t holds applies in
+place, since those rows run none of the segment's layers.
 
 Its ops then run in order on the active rows' states, gathered once and
 scattered back at its end: unitaries, collapses, classical items and
@@ -55,8 +57,8 @@ position k and the product S of the run's layers after k. Before each
 collapse (its own layer's noise included), and at the segment's end, the
 events of the draw ops up to there apply in op order to the rows that drew
 them, as ``x @ S⁻¹``, the Pauli, ``x @ S``: the dense analogue of carrying
-a Pauli frame (Gidney, Stim, Quantum 5, 497, 2021). A segment's suffix
-products are built with it, from its run's matrix as that is built. Wider
+a Pauli frame (Gidney, Stim, Quantum 5, 497, 2021). A suffix comes from
+its run's matrix and the matrix of the run's layers before k. Wider
 registers apply each run gate by gate, and there a noise op ends the run and
 applies its events at once.
 
@@ -72,20 +74,35 @@ predicate is taken as true) and only gates, measurements and classical
 operations remain predicated.
 
 The rows are shots when sampling and paths when enumerating; they differ
-only at a measurement or reset. A shot draws the outcome from its batch's
-RNG. ``enumerate_outcomes`` passes no RNG: a path with two live outcomes
-forks into two rows, each weighted by its arm's probability. It returns the
-exact noiseless output distribution, within a branching budget.
+only at a measurement or reset. A shot draws the outcome from its stream
+batch's RNG. ``enumerate_outcomes`` passes no RNG: a path with two live
+outcomes forks into two rows, each weighted by its arm's probability. It
+returns the exact noiseless output distribution, within a branching budget.
 
 A program's runtime is built once per noise model, on its first use, and
 lives as long as the program: enumeration and sampling of one program share
 it, and its arrays are read-only. With several workers, ``run_shots``
 builds it before forking them, and each worker inherits it.
 
-Determinism: shots run in batches of the fixed size ``SHOT_BATCH``, and
-batch ``b`` draws from ``SeedSequence(master_seed, spawn_key=(b,))``, so
-results do not depend on the number of worker processes and are always
-merged in shot order. Each worker runs a contiguous range of batches. A run
+Determinism: shots run in stream batches of the fixed size ``SHOT_BATCH``,
+and batch ``b`` draws from ``SeedSequence(master_seed, spawn_key=(b,))``,
+so results do not depend on the number of worker processes and are always
+merged in shot order. Each worker runs a contiguous range of batches, and
+walks up to k consecutive ones as one row block, a super-batch, k keeping
+rows × 2ⁿ within ``SUPER_AMPLITUDES`` (MSD 4, RUS 16): the per-segment
+work is paid once per block instead of once per batch. Each batch of a
+block still draws from its own generator, with its own row counts, and
+``_draw`` interleaves the batches' blocks op by op into the layout one
+batch of all the rows would read; a batch with no row at a segment draws
+nothing, as it would walked alone. So a block gives each shot the
+uniforms, and the outcomes, that its batch walked alone gives it, and a
+run of at most ``SHOT_BATCH`` shots is one batch walked as before.
+
+A run returns a ``ShotBatch``: the walks' own columns (an int8 output-code
+matrix, -1 where an output's guard was false, the transport, gate and
+skipped-block counters, and the measurements per qubit), concatenated in
+shot order. ``ShotBatch.records`` counts the shots per distinct record
+without building a row per shot; iterating gives ``ShotResult`` rows. A run
 returns at most ``MAX_SHOTS`` shots and starts at most ``MAX_JOBS`` workers;
 a larger count is refused before anything is allocated or started.
 """
@@ -99,6 +116,7 @@ import multiprocessing
 import operator
 import sys
 import weakref
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -162,6 +180,8 @@ H1E_LIKE = NoiseModel(p1=1e-4, p2=3e-3, p_meas=3e-3, p_reset=3e-3, p_transport=2
 
 @dataclass(frozen=True)
 class ShotResult:
+    """One shot of a ``ShotBatch``, as a row."""
+
     outputs: tuple
     executed_transport_steps: int
     executed_gates: int
@@ -169,16 +189,70 @@ class ShotResult:
     measures_per_qubit: tuple[int, ...]
 
 
+def _record(codes: list) -> tuple:
+    """The output record a row of output codes stands for: -1 (a guard was false) drops out."""
+    return tuple(_DECODE[v] for v in codes if v >= 0)
+
+
+@dataclass(frozen=True, eq=False)
+class ShotBatch:
+    """A run's shots as columns, in shot order; iterating gives each shot as a ``ShotResult``."""
+
+    codes: np.ndarray  # (shots, outputs) int8 output code per output item, -1 where its guard was false
+    transport: np.ndarray  # (shots,) executed transport steps
+    gates: np.ndarray  # (shots,) executed gates
+    skipped: np.ndarray  # (shots,) block marks whose guard was false
+    measures: np.ndarray  # (shots, n) measurements per qubit
+
+    def __len__(self) -> int:
+        return len(self.transport)
+
+    def __iter__(self):
+        counters = (self.transport.tolist(), self.gates.tolist(), self.skipped.tolist())
+        return map(ShotResult, map(_record, self.codes.tolist()), *counters, map(tuple, self.measures.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ShotBatch and all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def records(self) -> Counter:
+        """Shots per distinct output record, each distinct row of codes decoded once.
+
+        A row's codes pack eight to an int64 word, so counting is one
+        ``np.unique`` over one word per shot (over rows of words past eight
+        outputs).
+        """
+        shots, width = self.codes.shape
+        words = max(1, -(-width // 8))
+        packed = np.full((shots, 8 * words), -1, np.int8)
+        packed[:, :width] = self.codes
+        keys, counts = np.unique(packed.view(np.int64), axis=0 if words > 1 else None, return_counts=True)
+        out: Counter = Counter()
+        for row, n in zip(keys.reshape(len(keys), -1).view(np.int8).tolist(), counts.tolist()):
+            out[_record(row)] += n  # rows that differ only where a guard was false are one record
+        return out
+
+    @staticmethod
+    def concat(parts: list["ShotBatch"]) -> "ShotBatch":
+        """``parts`` one after another."""
+        if len(parts) == 1:
+            return parts[0]
+        return ShotBatch(*(np.concatenate(columns) for columns in zip(*(vars(p).values() for p in parts))))
+
+
 SHOT_BATCH = 256  # shots per batch; fixed, because each batch has its own RNG stream
-SHOT_BYTES = 120  # memory one shot's ShotResult and list entry take at least (CPython 3.11)
-MAX_SHOTS = (64 << 30) // SHOT_BYTES  # shots per run: more would need a result list over 64 GiB
+ROW_BYTES = 32  # memory one shot's columns take at least: three int64 counters and one qubit's measurement count
+MAX_SHOTS = (64 << 30) // ROW_BYTES  # shots per run: more would need result columns over 64 GiB
 # Worker processes per run. Each is a fork of the caller, and a worker beyond the
 # host's cores only waits for one, so a larger count could only exhaust processes.
 MAX_JOBS = 256
 ENUM_AMPLITUDES = 1 << 14  # an enumeration batch splits beyond this many amplitudes
+# A sampling super-batch walks consecutive stream batches as one row block up to this many rows × 2ⁿ: MSD (5
+# qubits) 4 batches, RUS (3 qubits) 16. At 20,000 shots 2¹⁶ ran MSD 5-10% faster and RUS recursion 3-5% slower,
+# and the default sweep as fast; 2¹⁴ was slower on both, and 2¹⁷ ran RUS recursion 8 up to 1.5× slower
+SUPER_AMPLITUDES = 1 << 15
 MAX_BATCH_AMPLITUDES = 1 << 24  # cap on SHOT_BATCH × 2ⁿ (256 MiB of complex128, 16 qubits), result slots or registers
-# Runtime bodies and segments cached across programs. The 412 programs of scripts/output_digest.py, in both
-# transport modes and under two noise models, cache 3,196, which hold about 7 MiB with their matrices.
+# Runtime bodies, gate runs and segments cached across programs. The 412 programs of scripts/output_digest.py
+# --shots --exact, in both transport modes and under two noise models, cache 3,757, 561 of them gate runs.
 MAX_BODIES = 1 << 12
 MATRIX_QUBITS = 5  # up to this many qubits a layer's gates are one 2ⁿ×2ⁿ matrix; MSD, the widest table program, has 5
 
@@ -284,8 +358,9 @@ def batch_seed(master_seed: int, batch_index: int) -> np.random.SeedSequence:
 # block of the segment's uniforms, and each draw site owns a column.
 # ---------------------------------------------------------------------------
 
-# item bodies, then ops, then the tag of a segment's key in BODIES
-_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE, _COLLAPSE, _FLUSH, _SEGMENT = range(12)
+# item bodies, then ops, then the tags of a segment's and a gate run's keys in BODIES
+(_MARK, _TRANSPORT, _LAYER, _CLASSICAL, _OUTPUT, _MATRIX, _GROUPS, _DRAWS, _DEPHASE, _COLLAPSE, _FLUSH, _SEGMENT,
+ _RUN) = range(13)
 _MARK_BODY = (_MARK,)
 _OP_MEASURE, _OP_RESET = range(2)
 _ALL = slice(None)  # every row of a batch
@@ -338,30 +413,49 @@ def _collapse_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _frozen(sel, bit, idx ^ (1 << q))
 
 
-def _unitary(run: list, n: int) -> tuple:
-    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix M and, per position k < len(run), the adjoint of
-    the matrix of its first k layers; above MATRIX_QUBITS one ``(matrix, qubits)`` per gate and no adjoints.
+def _unitary(run: tuple, n: int):
+    """Consecutive layers' gates as one read-only 2ⁿ×2ⁿ matrix, or above MATRIX_QUBITS one ``(matrix, qubits)``
+    per gate.
 
     A layer is a tuple of gates, each ``(name, angle with over-rotation,
     qubits)``. The matrix is in row form: ``st @ m`` applies the gates to
     every row. Fixed gates' matrices are read-only constants of ``gates``;
     rotations' are built here, and frozen where the result keeps them.
-
-    A noise event after the run's first k layers is M conjugated by the
-    suffix S of its layers from k on: ``y @ S⁻¹``, the Pauli, ``@ S`` on the
-    row's state y after M. With P the first k layers' matrix, S = P⁻¹ M =
-    P† M, and P is M as it is built, so the run's gates are applied once.
     """
     if n > MATRIX_QUBITS:
         gates = tuple((G.gate_unitary(name, angle), qubits) for layer in run for name, angle, qubits in layer)
         _frozen(*(u for u, _ in gates if u.flags.writeable))
-        return gates, ()
-    m, adjoints = np.eye(1 << n, dtype=complex), []
-    for layer in run:
-        adjoints.append(m.conj().T)  # P†, P being the layers before this one
+        return gates
+    return _frozen(_product(run, n))[0]
+
+
+def _product(layers: tuple, n: int) -> np.ndarray:
+    m = np.eye(1 << n, dtype=complex)
+    for layer in layers:
         for name, angle, qubits in layer:
             apply_unitary(m, G.gate_unitary(name, angle), qubits, n)  # row i becomes U e_i, so (st @ m)[r] = U st[r]
-    return _frozen(m)[0], adjoints
+    return m
+
+
+class _Run:
+    """A gate run's ``_unitary`` M and, each built on its first need, its suffix products.
+
+    A noise event after the run's first k layers is M conjugated by the
+    suffix S of its layers from k on: ``y @ S⁻¹``, the Pauli, ``@ S`` on the
+    row's state y after M. With P the first k layers' matrix, S = P⁻¹ M =
+    P† M, and P is built as M is, up to its k-th layer.
+    """
+
+    def __init__(self, run: tuple, n: int) -> None:
+        self.run, self.n = run, n
+        self.unitary = _unitary(run, n)
+        self.suffixes: dict[int, np.ndarray] = {}
+
+    def suffix(self, k: int) -> np.ndarray:
+        s = self.suffixes.get(k)
+        if s is None:
+            s = self.suffixes[k] = _frozen(_product(self.run[:k], self.n).conj().T @ self.unitary)[0]
+        return s
 
 
 def _compile_layer(item: LayerItem, n: int, noise: NoiseModel) -> tuple:
@@ -457,6 +551,9 @@ class _Segment(NamedTuple):
     # None when no draw can fire a noise event, else the largest threshold and, read-only, (active-row
     # starts, transported-row starts, widths) per draw op, each op's first threshold and every column's
     plan: tuple | None
+    # None when the segment draws nothing, else (4, draw ops, 1), read-only: per draw op its starts as in
+    # ``starts``, then its uniforms per active row and per transported row (one of them 0), for ``_draw``
+    layout: np.ndarray | None
 
 
 def _segment(parts: tuple, n: int) -> _Segment:
@@ -466,7 +563,7 @@ def _segment(parts: tuple, n: int) -> _Segment:
     end, so those layers fuse into one op: one matrix, or above MATRIX_QUBITS
     their gates in order. Noise draws do not cut a run. Each noise op keeps
     its position k in its run and, up to MATRIX_QUBITS, the run's suffix
-    from k (``_unitary``), through which the walk carries an event past the
+    from k (``_Run.suffix``), through which the walk carries an event past the
     rest of the run; above it, a noise op ends the run and flushes its
     events at once. Classical items and outputs do not touch the state.
     """
@@ -479,11 +576,12 @@ def _segment(parts: tuple, n: int) -> _Segment:
 
     def cut():  # end the open run: its unitary, and its noise ops' suffixes
         if run:
-            unitary, adjoints = _unitary(run, n)
-            ops.append((_MATRIX if n <= MATRIX_QUBITS else _GROUPS, unitary))
-            # S = P† M, one per place k inside the run, shared by its noise ops; none above MATRIX_QUBITS: noise cuts there
-            products = {k: _frozen(adjoints[k] @ unitary)[0] for _d, k in pending if k < len(run)}
-            suffixes.update((d, products[k]) for d, k in pending if k in products)
+            layers = tuple(run)
+            gate_run = BODIES.get((_RUN, n, layers), _Run, layers, n)
+            ops.append((_MATRIX if n <= MATRIX_QUBITS else _GROUPS, gate_run.unitary))
+            # one S per place k inside the run, shared by its noise ops and by every segment that has this run;
+            # none above MATRIX_QUBITS, where noise cuts the run
+            suffixes.update((d, gate_run.suffix(k)) for d, k in pending if k < len(run))
             run.clear()
         pending.clear()
 
@@ -535,14 +633,17 @@ def _segment(parts: tuple, n: int) -> _Segment:
         zq, zs = _frozen(zone[0][0], zone_slots[0])
     elif zone:
         zq, zs = _frozen(np.concatenate([z[0] for z in zone]), np.concatenate(zone_slots))
-    plan = None
+    plan = layout = None
+    if draws:
+        widths = [(0, d[5]) if d[0] == _DEPHASE else (d[5], 0) for d in draws]
+        layout = _frozen(np.array([(*start, *w) for start, w in zip(starts, widths)]).T[:, :, None])[0]
     if fires:
         thr = np.concatenate([np.zeros(d[5]) if d[6] is None else d[6] for d in draws])
         at = np.array([(*start, d[5]) for start, d in zip(starts, draws)]).T
         plan = (float(thr.max()), *_frozen(at, np.cumsum(at[2]) - at[2], thr))
     return _Segment(marks, zq, zs, tuple(zone), perm, steps, gates, tuple(ops), len(ops) > plain, tuple(draws),
                     tuple(starts), tuple(map(suffixes.get, range(len(draws)))) if fires else (), row_width,
-                    moved_width, plan)
+                    moved_width, plan, layout)
 
 
 @dataclass
@@ -713,11 +814,8 @@ class _Batch:
             setattr(self, f.name, np.concatenate([a, a[parents]]))
         return np.arange(first, len(self.weight))
 
-    def outputs(self) -> list[tuple]:
-        return [tuple(_DECODE[v] for v in row if v >= 0) for row in self.out.tolist()]
 
-
-def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple[int, int] = (0, 0),
+def _walk(rt: _Runtime, b: _Batch, rngs: tuple | None, start: tuple[int, int] = (0, 0),
           max_rows: int = 0) -> tuple[int, int] | None:
     """Run every row of ``b`` from op ``start[1]`` of segment ``start[0]`` to the end of the program.
 
@@ -726,20 +824,22 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
     ``ZoneViolation``. Its inactive rows count its marks as skipped; its zone
     checks read the head's placement of its active rows, which get its gate
     count; every row where the transport guard holds gets its steps and its
-    composed slot permutation. With an RNG, one ``rng.random`` call then
-    draws every uniform of the segment, in its draw ops' order: a layer's
-    (active rows, width) and a dephasing's (rows where the transport guard
-    holds, width), each row-major, so every uniform keeps the value and
-    place a draw per op would give it. One threshold test over the block
-    finds the noise events (``_events``); a dephasing event on an inactive
-    row applies in ``b.state`` at once.
+    composed slot permutation. With RNGs, ``rngs[i]`` being the generator of
+    rows ``i * SHOT_BATCH`` on (a stream batch), one ``random`` call per
+    stream batch then draws every uniform of the segment, in its draw ops'
+    order: a layer's (active rows, width) and a dephasing's (rows where the
+    transport guard holds, width), each row-major, so every uniform keeps the
+    value and place a draw per op would give it; ``_draw`` interleaves the
+    batches' blocks op by op into the same layout. One threshold test over
+    the block finds the noise events (``_events``); a dephasing event on an
+    inactive row applies in ``b.state`` at once.
 
     Its ops then run in order on the active rows' states, gathered once and
     scattered back at its end. Before each collapse, and at the end, the
     events of the draw ops before it apply in draw order, each carried
     through its run's suffix (``_fire``); an op with no event costs nothing.
-    With an RNG every measurement and reset outcome comes from its layer's
-    uniforms. Without one (noiseless enumeration) a row with two live
+    With RNGs every measurement and reset outcome comes from its layer's
+    uniforms. Without them (noiseless enumeration) a row with two live
     outcomes forks; the copy is an active row of the same segment and has
     the head's work already.
     Returns None at the end, or the (segment, op) to resume from once the
@@ -784,12 +884,12 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
                 b.transport[T] += seg.steps
                 b.place[T] = seg.perm[place if T is R else b.place[T]]
         u = events = None
-        if rng is not None and seg.draws:
+        if rngs is not None and seg.draws:
             moved = c if T is R else len(b.weight) if T is _ALL else len(T)
             rows = (c, moved)
             total = c * seg.row_width + moved * seg.moved_width
             if total:
-                u = rng.random(total)
+                u = rngs[0].random(total) if len(rngs) == 1 else _draw(rngs, seg, R, T, len(b.weight))
                 if seg.plan:
                     events = _events(b, seg, u, rows, R, T, m if T is not R else None)
         ops = seg.ops if c else ()
@@ -835,6 +935,35 @@ def _walk(rt: _Runtime, b: _Batch, rng: np.random.Generator | None, start: tuple
             b.state[R] = st
         s, j = s + 1, 0
     return None
+
+
+def _per_batch(rows, n: int, k: int) -> np.ndarray:
+    """How many of ``rows``, in the walk's form (every one of n, their indices or None for none), each of k
+    stream batches holds."""
+    if rows is _ALL:
+        return np.minimum(n - SHOT_BATCH * np.arange(k), SHOT_BATCH)
+    if rows is None:
+        return np.zeros(k, np.int64)
+    return np.bincount(rows // SHOT_BATCH, minlength=k)
+
+
+def _draw(rngs: tuple, seg: _Segment, R, T, n: int) -> np.ndarray:
+    """A segment's uniforms for a block of stream batches, in the layout one batch of all its rows would draw.
+
+    Batch i draws its own block from ``rngs[i]``, for its active rows and its
+    rows where the transport guard holds, as it would walked alone; a batch
+    with neither draws nothing. Op d's uniforms are then each batch's op-d
+    block in batch order, which is the rows' order.
+    """
+    c = _per_batch(R, n, len(rngs))
+    moved = c if T is R else _per_batch(T, n, len(rngs))
+    totals = c * seg.row_width + moved * seg.moved_width
+    drawn = np.concatenate([rng.random(t) for rng, t in zip(rngs, totals.tolist()) if t])
+    row_start, moved_start, row_width, moved_width = seg.layout  # columns: (draw op, 1) each
+    size = (row_width * c + moved_width * moved).ravel()  # (draw op, batch), op-major
+    src = row_start * c + moved_start * moved + (np.cumsum(totals) - totals)
+    dst = np.cumsum(size) - size
+    return drawn[np.repeat(src.ravel() - dst, size) + np.arange(len(drawn))]
 
 
 def _events(b: _Batch, seg: _Segment, u: np.ndarray, rows: tuple[int, int], R, T, m) -> list:
@@ -961,22 +1090,31 @@ def _collapse(b: _Batch, R, st: np.ndarray, op: tuple, u: np.ndarray | None):
     return st, R
 
 
-def _run_batch(rt: _Runtime, master_seed: int, batch_index: int, rows: int) -> list[ShotResult]:
+def _super_batches(rt: _Runtime) -> int:
+    """Stream batches walked as one row block: as many as keep rows × 2ⁿ within ``SUPER_AMPLITUDES``, and the
+    register file and result slots within ``MAX_BATCH_AMPLITUDES``, at least one."""
+    widest = max(rt.n_regs, rt.n_results, 1)
+    return max(1, min(SUPER_AMPLITUDES >> max(rt.n_qubits, 1), MAX_BATCH_AMPLITUDES // widest) // SHOT_BATCH)
+
+
+def _run_block(rt: _Runtime, master_seed: int, first: int, rows: int) -> ShotBatch:
+    """``rows`` shots from stream batch ``first`` on, walked as one block, each batch on its own RNG stream."""
     b = _Batch.start(rt, rows)
-    _walk(rt, b, np.random.Generator(np.random.PCG64(batch_seed(master_seed, batch_index))))
-    counters = (b.transport.tolist(), b.gates.tolist(), b.skipped.tolist(), map(tuple, b.measures.tolist()))
-    return list(map(ShotResult, b.outputs(), *counters))
+    batches = range(first, first - (-rows // SHOT_BATCH))
+    _walk(rt, b, tuple(np.random.Generator(np.random.PCG64(batch_seed(master_seed, i))) for i in batches))
+    return ShotBatch(b.out, b.transport, b.gates, b.skipped, b.measures)
 
 
-def _run_batches(args) -> list[ShotResult]:
+def _run_batches(args) -> ShotBatch:
+    """The shots of a range of stream batches, in blocks of ``_super_batches`` batches."""
     rt, master_seed, n_shots, batches = args
-    out: list[ShotResult] = []
-    for i in batches:
-        out.extend(_run_batch(rt, master_seed, i, min(SHOT_BATCH, n_shots - i * SHOT_BATCH)))
-    return out
+    k = _super_batches(rt)
+    end = min(batches.stop * SHOT_BATCH, n_shots)
+    return ShotBatch.concat([_run_block(rt, master_seed, i, min(end, (i + k) * SHOT_BATCH) - i * SHOT_BATCH)
+                             for i in batches[::k]])
 
 
-def _run_inherited(task) -> list[ShotResult]:
+def _run_inherited(task) -> ShotBatch:
     """In a forked worker: the batches of a task, on the runtime ``_RUNTIMES`` held at the fork."""
     prog_id, noise, *rest = task
     return _run_batches((_RUNTIMES[prog_id][noise], *rest))
@@ -1006,8 +1144,8 @@ def run_shots(
     n_shots: int,
     master_seed: int,
     jobs: int = 1,
-) -> list[ShotResult]:
-    """n_shots independent shots; identical results for any jobs value.
+) -> ShotBatch:
+    """n_shots independent shots, as columns; identical results for any jobs value.
 
     With several workers the runtime is built here, and each forked worker
     finds it in its inherited copy of ``_RUNTIMES``; a task is only the
@@ -1024,7 +1162,7 @@ def run_shots(
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         done = pool.map(_run_inherited, [(id(prog), noise, master_seed, n_shots, part) for part in parts])
-    return [shot for part in done for shot in part]
+    return ShotBatch.concat(done)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1190,7 @@ def enumerate_exec_leaves(prog: ExecProgram) -> list[ExecLeaf]:
             half = len(b.weight) // 2
             todo += [(b.take(slice(half, None)), k), (b.take(slice(0, half)), k)]
             continue
-        leaves.extend(map(ExecLeaf, b.weight.tolist(), b.outputs(), b.state, b.transport.tolist()))
+        leaves.extend(map(ExecLeaf, b.weight.tolist(), map(_record, b.out.tolist()), b.state, b.transport.tolist()))
     return leaves
 
 

@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .emulator import MAX_BATCH_AMPLITUDES, NOISELESS, SHOT_BATCH, NoiseModel, ShotResult, run_shots
+from .emulator import MAX_BATCH_AMPLITUDES, NOISELESS, SHOT_BATCH, NoiseModel, ShotBatch, run_shots
 from .ir import IonflowError, Module
 from .qccd import CONDITIONAL, TrapLayout
 from .textir import parse
@@ -379,7 +379,7 @@ def decode_record(outputs: tuple, experiment: str, limit: int) -> tuple[bool, in
 
 
 def summarize(
-    shots: list[ShotResult],
+    shots: ShotBatch,
     experiment: str,
     basis: str,
     limit: int,
@@ -387,15 +387,17 @@ def summarize(
     blocks: int = 0,
     colors: int = 0,
 ) -> ExperimentReport:
-    """Aggregate per-shot records into the report row used by the CSV/JSON output.
+    """Aggregate a run's output records into the report row used by the CSV/JSON output.
 
-    Each distinct record is decoded once; the row is built from the shot
-    counts per (heralded, final bit).
+    The shots are counted per distinct record over the output codes
+    (``ShotBatch.records``), and each distinct record is decoded once; the
+    row is built from the shot counts per (heralded, final bit), as Python
+    numbers.
     """
-    if not shots:
+    if not len(shots):
         raise EmptyInput("no shots to summarize")
     counts: Counter = Counter()
-    for outputs, n in Counter(s.outputs for s in shots).items():
+    for outputs, n in shots.records().items():
         counts[decode_record(outputs, experiment, limit)] += n
     n0, n1 = counts[True, 0], counts[True, 1]  # heralded shots by final bit
     success_count = n0 + n1
@@ -419,7 +421,7 @@ def summarize(
         exp_y_uncond=per_basis_u["Y"],
         exp_z_uncond=per_basis_u["Z"],
         survival=survival,
-        avg_transport=sum(s.executed_transport_steps for s in shots) / len(shots),
+        avg_transport=int(shots.transport.sum()) / len(shots),
         blocks=blocks,
         colors=colors,
     )
@@ -457,7 +459,7 @@ def run_experiment(
     mode: str = CONDITIONAL,
     jobs: int = 1,
     registers: int = 64,
-) -> tuple[CompileResult, list[ShotResult], ExperimentReport]:
+) -> tuple[CompileResult, ShotBatch, ExperimentReport]:
     """Build, compile and sample one program of either family, and summarize it into a report row."""
     experiment, style = ("msd", "") if isinstance(cfg, MsdConfig) else ("rus", cfg.style)
     res = compile_experiment(cfg, trap, mode, registers)

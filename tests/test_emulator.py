@@ -561,7 +561,7 @@ def test_whole_register_matrix_is_the_per_group_kernel(seed):
     for gates in run:
         for name, angle, qubits in gates:
             apply_unitary(gate_by_gate, G.gate_unitary(name, angle), qubits, n)
-    whole = states @ emulator._unitary(run, n)[0]  # the matrix; [1] holds the adjoints of its prefixes
+    whole = states @ emulator._unitary(run, n)
     assert np.abs(whole - gate_by_gate).max() < 1e-12
 
 
@@ -991,7 +991,47 @@ def test_jobs_invariance_on_a_recursion_program():
 def test_full_batches_do_not_depend_on_the_shot_count():
     res = compile_module(build_rus(RusConfig(limit=2, style="recursion")))
     shots = run_shots(res.program, H1E_LIKE, 2 * SHOT_BATCH + 17, 8)
-    assert run_shots(res.program, H1E_LIKE, 2 * SHOT_BATCH, 8) == shots[: 2 * SHOT_BATCH]
+    assert list(run_shots(res.program, H1E_LIKE, 2 * SHOT_BATCH, 8)) == list(shots)[: 2 * SHOT_BATCH]
+
+
+SUPER_PROGRAMS = {
+    "msd-2-X": MsdConfig(limit=2, basis="X"),
+    "rus-loop-3-Z": RusConfig(limit=3, basis="Z", style="loop"),
+    "rus-recursion-3-X": RusConfig(limit=3, basis="X", style="recursion"),
+}
+
+
+@pytest.mark.parametrize("mode", [CONDITIONAL, ALWAYS])
+@pytest.mark.parametrize("name", list(SUPER_PROGRAMS))
+def test_super_batches_change_no_shot(monkeypatch, name, mode):
+    # stream batches walked as one block draw each batch's uniforms from its own stream: the same shots as one
+    # walk per batch, at any shot count and worker count
+    cfg = SUPER_PROGRAMS[name]
+    module = build_msd(cfg) if isinstance(cfg, MsdConfig) else build_rus(cfg)
+    prog = compile_module(module, mode=mode).program
+    for noise in (NOISELESS, H1E_LIKE):
+        assert emulator._super_batches(emulator._runtime(prog, noise)) > 1
+        for n in (1, SHOT_BATCH - 1, SHOT_BATCH, SHOT_BATCH + 1, 5 * SHOT_BATCH + 3):
+            default = [run_shots(prog, noise, n, 31, jobs=jobs) for jobs in (1, 2)]
+            with monkeypatch.context() as m:
+                m.setattr(emulator, "SUPER_AMPLITUDES", 0)  # one stream batch per walk
+                single = [run_shots(prog, noise, n, 31, jobs=jobs) for jobs in (1, 2)]
+            assert len(default[0]) == n
+            assert default == single == [single[0]] * 2, (noise, n)
+
+
+def test_records_count_decoded_records():
+    # rows that differ only where a guard was false are one record; past eight outputs a row packs into two words
+    codes = np.full((5, 11), -1, np.int8)
+    codes[:, 0] = codes[:, 10] = emulator._DECODE.index("[")
+    codes[0, 1] = codes[1, 2] = codes[2, 9] = 1
+    codes[3, 5] = 0
+    zero = np.zeros(5, np.int64)
+    shots = emulator.ShotBatch(codes, zero, zero, zero, np.zeros((5, 1), np.int64))
+    assert shots.records() == {("[", 1, "["): 3, ("[", 0, "["): 1, ("[", "["): 1}
+    narrow = emulator.ShotBatch(codes[:, 8:], zero, zero, zero, np.zeros((5, 1), np.int64))
+    assert narrow.records() == {(1, "["): 1, ("[",): 4}
+    assert Counter(s.outputs for s in shots) == shots.records()
 
 
 def test_noisy_shots_are_deterministic():

@@ -180,7 +180,7 @@ def test_cli_never_raises_on_flag_values(command, flags):
     # shots, so no value starts a process or samples a large count
     def few_shots(args):
         rt, seed, n_shots, batches = args
-        return emulator._run_batch(rt, seed, batches[0], min(4, n_shots - batches[0] * emulator.SHOT_BATCH))
+        return emulator._run_block(rt, seed, batches[0], min(4, n_shots - batches[0] * emulator.SHOT_BATCH))
 
     flags = {"--shots": 5, "--seed": 1, **flags}
     for flag in ("--overrotation",) if command == "run" else COMPILE_FLAGS:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import deque
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ionflow import oracle, textir
-from ionflow.emulator import H1E_LIKE, MAX_BATCH_AMPLITUDES, SHOT_BATCH, ShotResult, enumerate_outcomes
+from ionflow.emulator import _DECODE, H1E_LIKE, MAX_BATCH_AMPLITUDES, SHOT_BATCH, ShotBatch, enumerate_outcomes
 from ionflow.experiments import (
     ALPHA,
     CSV_HEADER,
@@ -204,9 +205,13 @@ def test_rus_success_branch_state_is_v3_exactly():
 
 # -- statistics -----------------------------------------------------------------
 
-def _shots(*records: tuple) -> list[ShotResult]:
+def _shots(*records: tuple) -> ShotBatch:
     """Hand-built shots with the given output records and no other activity."""
-    return [ShotResult(r, 0, 0, 0, ()) for r in records]
+    codes = np.full((len(records), max(map(len, records))), -1, np.int8)
+    for row, record in zip(codes, records):
+        row[: len(record)] = [_DECODE.index(v) for v in record]
+    zero = np.zeros(len(records), np.int64)
+    return ShotBatch(codes, zero, zero, zero, np.zeros((len(records), 1), np.int64))
 
 
 def _rus(m0: int, m1: int, final: int) -> tuple:
@@ -259,6 +264,8 @@ def test_summarize_matches_a_per_shot_count(cfg):
     assert getattr(rep, f"exp_{cfg.basis.lower()}_uncond") == (every.count(0) - every.count(1)) / len(every)
     assert rep.survival == (post.count(0) / len(post) if experiment == "rus" else None)
     assert rep.avg_transport == sum(s.executed_transport_steps for s in shots) / len(shots)
+    # Python numbers only: numpy 2 would print a numpy scalar into the CSV as np.float64(...)
+    assert {type(v) for v in dataclasses.asdict(rep).values()} <= {int, float, str, type(None)}
 
 
 def test_all_success_shots_make_post_equal_uncond():

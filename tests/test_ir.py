@@ -28,6 +28,7 @@ from ionflow.ir import (
     topo_sort,
     validate_profile,
 )
+from ionflow.toolchain import CompileError, compile_module
 
 
 def parse(body: str, qubits: int = 3, results: int = 3):
@@ -139,6 +140,24 @@ def test_cx_needs_distinct_qubits():
 def test_rotation_angle_required_by_grammar():
     with pytest.raises(textir.ParseError):
         parse("block a:\n  rz q0\n  ret")
+
+
+def _one_gate_module(gate: QGate) -> ir.Module:
+    """A hand-built module whose entry block holds only ``gate``: text cannot spell what the parser refuses."""
+    block = ir.BasicBlock("e", (), (gate,), ir.Return())
+    return ir.Module("t", (ir.Function("main", (), (block,)),), "main", 1, 0)
+
+
+@pytest.mark.parametrize("gate, code, message", [
+    (QGate("foo", (0,), None), "UNKNOWN_GATE", "unknown gate 'foo'"),
+    (QGate("rz", (0,), None), "ANGLE_MISSING", "rz requires an angle operand"),
+])
+def test_a_gate_the_parser_refuses_is_reported_on_a_built_module(gate, code, message):
+    m = _one_gate_module(gate)
+    for strict in (False, True):
+        assert validate_profile(m, strict=strict) == [ir.Diagnostic("error", code, message, "@main:e#0")]
+    with pytest.raises(CompileError, match=f"^error: {code}: {message} \\[@main:e#0\\]$"):
+        compile_module(m)
 
 
 def test_strict_rejects_calls_lenient_allows():

@@ -120,6 +120,24 @@ def test_call_argument_kinds_roundtrip():
     assert parse(emit(m)) == m
 
 
+def test_a_call_to_an_undefined_function_emits_plain_arguments():
+    # no callee signature to read qubit parameters from: each argument prints as its value
+    m = parse(wrap("block e:\n  call @g(0, 1.5)\n  ret", qubits=2, results=0))
+    assert "  call @g(0, 1.5)\n" in emit(m)
+    assert parse(emit(m)) == m
+
+
+def test_an_unknown_instruction_class_is_not_emitted():
+    class Bogus:
+        def __repr__(self):
+            return "Bogus()"
+
+    block = BasicBlock("e", (), (Bogus(),), Return())
+    m = Module("t", (Function("main", (), (block,)),), "main", 1, 0)
+    with pytest.raises(TypeError, match=r"^cannot emit Bogus\(\)$"):
+        emit(m)
+
+
 def test_repeat_desugars_to_counted_loop():
     src = (
         "module t\nattrs required_qubits=1 required_results=1\n"
