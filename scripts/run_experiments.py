@@ -25,7 +25,7 @@ from pathlib import Path
 
 from ionflow.cli import _load
 from ionflow.emulator import NOISELESS, NoiseModel, check_jobs
-from ionflow.experiments import CSV_HEADER, MsdConfig, RusConfig, run_experiment
+from ionflow.experiments import BASES, CSV_HEADER, STYLES, MsdConfig, RusConfig, run_experiment
 from ionflow.ir import IonflowError
 from ionflow.qccd import ALWAYS, CONDITIONAL
 
@@ -64,14 +64,14 @@ def sweep(args) -> int:
         )
 
     t0 = time.perf_counter()
-    for basis in ("X", "Y", "Z"):
+    for basis in BASES:
         for limit in range(0, args.limits + 1):
             cfg = MsdConfig(limit=limit, basis=basis)
             _res, _shots, report = run_experiment(cfg, args.shots, args.seed, noise=noise, jobs=args.jobs)
             record(report, f"msd basis={basis} N={limit}")
 
-    for style in ("loop", "recursion"):
-        for basis in ("X", "Y", "Z"):
+    for style in STYLES:
+        for basis in BASES:
             for limit in range(1, args.limits + 1):
                 for mode in (CONDITIONAL, ALWAYS):
                     cfg = RusConfig(limit=limit, basis=basis, style=style)

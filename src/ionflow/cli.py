@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import textir
 from .emulator import NOISELESS, NoiseModel, check_jobs, check_shots, run_shots
-from .experiments import CSV_HEADER, MsdConfig, RusConfig, compile_experiment, run_experiment
+from .experiments import BASES, CSV_HEADER, STYLES, MsdConfig, RusConfig, compile_experiment, run_experiment
 from .ir import IonflowError
 from .passes import FlattenConfig
 from .predication import format_guarded
@@ -35,8 +35,8 @@ def _add_target_opts(p: argparse.ArgumentParser) -> None:
 def _add_compile_opts(p: argparse.ArgumentParser) -> None:
     _add_target_opts(p)
     p.add_argument("--passes", default=",".join(DEFAULT_PASSES), help="comma list from: fold,flatten,peephole")
-    p.add_argument("--max-inline-depth", type=int, default=64)
-    p.add_argument("--max-unroll", type=int, default=1024)
+    p.add_argument("--max-inline-depth", type=int, default=FlattenConfig.max_inline_depth)
+    p.add_argument("--max-unroll", type=int, default=FlattenConfig.max_unroll)
 
 
 def _add_run_opts(p: argparse.ArgumentParser) -> None:
@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a built-in experiment")
     e.add_argument("kind", choices=["msd", "rus"])
     e.add_argument("--limit", type=int, required=True)
-    e.add_argument("--basis", choices=["X", "Y", "Z"], default="Z")
-    e.add_argument("--style", choices=["loop", "recursion"], default="loop")
+    e.add_argument("--basis", choices=BASES, default=MsdConfig.basis)
+    e.add_argument("--style", choices=STYLES, default=RusConfig.style)
     e.add_argument("--overrotation", type=float, default=0.0, help="added to the noise model's prep_overrotation")
     e.add_argument("--emit", choices=["report", "exec"], default="report")
     e.add_argument("--csv", type=Path, default=None)

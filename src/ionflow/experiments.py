@@ -34,7 +34,7 @@ from .emulator import MAX_BATCH_AMPLITUDES, NOISELESS, SHOT_BATCH, NoiseModel, S
 from .ir import IonflowError, Module
 from .qccd import CONDITIONAL, TrapLayout
 from .textir import parse
-from .toolchain import CompileResult, compile_module
+from .toolchain import DEFAULT_REGISTERS, CompileResult, compile_module
 
 PHI = math.acos(1.0 / math.sqrt(3.0))  # Ry angle preparing the magic-state latitude
 THETA = math.pi / 4.0  # Rz angle rotating onto the (1,1,1) axis
@@ -48,6 +48,7 @@ RUS_SUCCESS_PROBABILITY = 0.625
 IDEAL_MAGIC_EXPECTATION = 1.0 / math.sqrt(3.0)
 
 BASES = ("X", "Y", "Z")
+STYLES = ("loop", "recursion")  # of RUS retries
 
 # Five-qubit-code encoder for stabilizers XZZXI and its cyclic shifts, with
 # logical X = XXXXX and logical Z = ZZZZZ; data on qubit 0, seeds on 1..4.
@@ -114,8 +115,8 @@ class RusConfig:
             raise IonflowError("limit must be >= 1")
         if self.basis not in BASES:
             raise IonflowError(f"basis must be one of {BASES}")
-        if self.style not in ("loop", "recursion"):
-            raise IonflowError("style must be 'loop' or 'recursion'")
+        if self.style not in STYLES:
+            raise IonflowError(f"style must be one of {STYLES}")
 
 
 def _gate_lines(gates, indent="  ") -> list[str]:
@@ -443,7 +444,7 @@ def ideal_reference(kind: str, limit: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 def compile_experiment(
-    cfg: MsdConfig | RusConfig, trap: TrapLayout | None = None, mode: str = CONDITIONAL, registers: int = 64
+    cfg: MsdConfig | RusConfig, trap: TrapLayout | None = None, mode: str = CONDITIONAL, registers: int = DEFAULT_REGISTERS
 ) -> CompileResult:
     """Build and compile one program of either family."""
     module = build_msd(cfg) if isinstance(cfg, MsdConfig) else build_rus(cfg)
@@ -458,7 +459,7 @@ def run_experiment(
     trap: TrapLayout | None = None,
     mode: str = CONDITIONAL,
     jobs: int = 1,
-    registers: int = 64,
+    registers: int = DEFAULT_REGISTERS,
 ) -> tuple[CompileResult, ShotBatch, ExperimentReport]:
     """Build, compile and sample one program of either family, and summarize it into a report row."""
     experiment, style = ("msd", "") if isinstance(cfg, MsdConfig) else ("rus", cfg.style)

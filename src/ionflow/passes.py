@@ -516,8 +516,6 @@ class _Inliner:
         return [head, *wired, *expanded_conts]
 
     def _apply_phi_redirects(self, blocks: list[BasicBlock]) -> list[BasicBlock]:
-        if not self.redirects:
-            return blocks
         out = []
         for b in blocks:
             phis = []

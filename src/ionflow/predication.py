@@ -206,9 +206,6 @@ def if_convert(fn: Function) -> GuardedFunction:
     def materialize(gv: GuardVal, prelude: list[Instruction]) -> bool | Vreg:
         if not isinstance(gv, OrVal):
             return gv
-        if any(p is True for p in gv.parts):
-            # or with a true arm never happens on real CFGs; keep it exact anyway
-            return True
         acc: Value = gv.parts[0]
         for p in gv.parts[1:]:
             dst = mat.fresh("g")

@@ -585,7 +585,8 @@ def lower(
     module: Module,
     trap: TrapLayout,
     mode: str = CONDITIONAL,
-    n_regs: int = 64,
+    *,
+    n_regs: int,
 ) -> ExecProgram:
     """Emit the flat executable program with per-chain transport plans."""
     if mode not in (CONDITIONAL, ALWAYS):

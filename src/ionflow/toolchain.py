@@ -1,6 +1,6 @@
 """End-to-end compilation driver: source text to executable program.
 
-Pipeline: parse -> (fold, flatten, peephole as selected) -> strict profile
+Pipeline: parse -> (flatten, peephole, or the passes selected) -> strict profile
 validation -> if-conversion -> transport-chain analysis -> liveness /
 interference / coloring -> register rewrite -> QCCD lowering.
 """
@@ -21,7 +21,7 @@ class CompileError(IonflowError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-DEFAULT_PASSES = ("fold", "flatten", "peephole")
+DEFAULT_PASSES = ("flatten", "peephole")
 DEFAULT_REGISTERS = 64
 
 
@@ -41,12 +41,10 @@ def run_passes(
     pass_names: tuple[str, ...] = DEFAULT_PASSES,
     flatten_config: FlattenConfig = FlattenConfig(),
 ) -> Module:
-    """Run the named passes in order. A ``fold`` right before ``flatten`` is
-    skipped: ``flatten`` folds every function first, and folding is idempotent."""
-    for i, name in enumerate(pass_names):
+    """Run the named passes in order."""
+    for name in pass_names:
         if name == "fold":
-            if pass_names[i + 1 : i + 2] != ("flatten",):
-                module = passes.fold_constants(module)
+            module = passes.fold_constants(module)
         elif name == "flatten":
             module = passes.flatten(module, flatten_config)
         elif name == "peephole":

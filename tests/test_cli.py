@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from ionflow import emulator
+from ionflow import emulator, textir
 from ionflow.cli import main
-from ionflow.experiments import CSV_HEADER, RusConfig, run_experiment
+from ionflow.experiments import CSV_HEADER, RusConfig, build_rus, run_experiment
 from ionflow.ir import IonflowError
+from ionflow.toolchain import compile_module
 
 GOOD = """module t
 attrs required_qubits=2 required_results=2
@@ -111,6 +112,16 @@ def test_compile_emits_guarded_select_for_a_phi(tmp_path, capsys):
     src.write_text(PHI)
     assert main(["compile", str(src), "--emit", "guarded"]) == 0
     assert capsys.readouterr().out == PHI_GUARDED
+
+
+def test_compile_emits_text_that_parses_back_to_the_compiled_module(tmp_path):
+    text = textir.emit(build_rus(RusConfig(limit=2, basis="X", style="recursion")))
+    src, out = tmp_path / "p.qir.txt", tmp_path / "flat.qir.txt"
+    src.write_text(text)
+    assert main(["compile", str(src), "--emit", "text", "-o", str(out)]) == 0
+    flat = textir.parse(out.read_text())
+    assert flat == compile_module(textir.parse(text)).module
+    assert len(flat.functions) == 1
 
 
 def test_compile_back_edge_fails_with_diagnostic(tmp_path, capsys):
@@ -271,6 +282,26 @@ def test_report_rejects_malformed_rows(tmp_path, capsys, row, message):
     f.write_text(f"{CSV_HEADER}\n{row}\n")
     out = tmp_path / "merged.json"
     assert _cli_error(["report", str(f), "-o", str(tmp_path / "m.csv"), "--json", str(out)], capsys) .strip() == f"error: {f} line 2: {message}"
+    assert not out.exists()
+
+
+REPORT_ROW = "msd,,X,1,100,0.5,0.1,,,,1.0,5,3"
+
+
+def test_report_skips_an_empty_csv(tmp_path):
+    row, empty, merged = tmp_path / "r.csv", tmp_path / "empty.csv", tmp_path / "m.csv"
+    row.write_text(f"{CSV_HEADER}\n{REPORT_ROW}\n")
+    empty.write_text("\n  \n")
+    assert main(["report", str(empty), str(row), str(empty), "-o", str(merged)]) == 0
+    assert merged.read_text() == row.read_text()
+
+
+def test_report_rejects_a_bad_header(tmp_path, capsys):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"{CSV_HEADER.replace('shots', 'runs')}\n{REPORT_ROW}\n")
+    out = tmp_path / "m.csv"
+    assert main(["report", str(f), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {f} is not a report CSV (bad header)"]
     assert not out.exists()
 
 
@@ -630,22 +661,51 @@ PARSE_ERRORS = {
 }
 
 
-# one minimal source per diagnostic code that validation reports on parsed text, with a qubit for each operand
-DIAGNOSTIC_MAIN = IN_MAIN.replace("required_qubits=1", "required_qubits=2")
+# one minimal source per diagnostic that validation reports on parsed text, with the
+# message and location of its one error line; a case names its code before any '-'
+DIAGNOSTIC_HEAD = HEAD.replace("required_qubits=1", "required_qubits=2")
+
+
+def _in_main(body: str) -> str:
+    return DIAGNOSTIC_HEAD + "func @main() {\nblock e:\n" + body + "  ret\n}\n"
+
+
+def _join(before_br: str, phi: str) -> str:
+    """``phi`` in block b, which joins e's branch on a measurement and its arm a."""
+    return _in_main("  mz q0 -> r0\n  %m = read_result r0\n" + before_br + "  br %m, a, b\nblock a:\n  jmp b\nblock b:\n" + phi)
+
+
+def _call_f(args: str, params: str) -> str:
+    """A call of ``@f(params)``, which applies h to %a."""
+    return _in_main(f"  call @f({args})\n") + f"func @f({params}) {{\nblock e:\n  h %a\n  ret\n}}\n"
+
+
 DIAGNOSTICS = {
-    "GATE_ARITY": ("  h q0, q1\n", "h takes 1 qubit(s) [@main:e#0]"),
-    "ANGLE_UNEXPECTED": ("  h(1) q0\n", "h takes no angle [@main:e#0]"),
-    "BAD_OUTPUT": ("  output bogus\n", "unknown output kind 'bogus' [@main:e#0]"),
-    "CALL_ARITY": ("  call @main(1)\n", "@main takes 0 args [@main:e#0]"),
+    "GATE_ARITY": (_in_main("  h q0, q1\n"), "h takes 1 qubit(s) [@main:e#0]"),
+    "ANGLE_UNEXPECTED": (_in_main("  h(1) q0\n"), "h takes no angle [@main:e#0]"),
+    "BAD_OUTPUT": (_in_main("  output bogus\n"), "unknown output kind 'bogus' [@main:e#0]"),
+    "CALL_ARITY": (_in_main("  call @main(1)\n"), "@main takes 0 args [@main:e#0]"),
+    "DUP_LABEL": (_in_main("  jmp b\nblock b:\n  ret\nblock b:\n"), "duplicate block labels ['b'] [@main]"),
+    "NON_SSA-parameter": (_call_f("q0, q1", "%a: qubit, %a: qubit"), "parameter %a redefined [@f]"),
+    "NON_SSA-phi": (_join("  %x = add 1, 2\n", "  %x = phi [1, e], [0, a]\n"),
+                    "%x defined more than once [@main:b]"),
+    "PHI_PREDS": (_join("", "  %p = phi [1, e]\n"), "phi %p incomings ['e'] != predecessors ['a', 'e'] [@main:b]"),
+    "USE_BEFORE_DEF-local": (_in_main("  %b = add %a, 1\n  %a = add 1, 2\n"), "%a used before local definition [@main:e#0]"),
+    "USE_BEFORE_DEF-branch": (_in_main("  br %c, a, b\nblock a:\n  ret\nblock b:\n"), "%c used but never defined [@main:e(br)]"),
+    "ENTRY_PARAMS": (DIAGNOSTIC_HEAD + "func @main(%a: int) {\nblock e:\n  ret\n}\n", "entry function must take no parameters [@main]"),
+    "QUBIT_OPERAND": (_call_f("1", "%a: int"), "%a is not a qubit-typed parameter [@f:e#0]"),
+    "ANGLE_NONCONST": (_in_main("  mz q0 -> r0\n  %a = read_result r0\n  rz(%a) q0\n"),
+                       "rz angle must be a literal after folding [@main:e#2]"),
 }
 
 
-@pytest.mark.parametrize("code", list(DIAGNOSTICS))
-def test_diagnostic_code_message(tmp_path, capsys, code):
-    body, message = DIAGNOSTICS[code]
+@pytest.mark.parametrize("case", list(DIAGNOSTICS))
+def test_diagnostic_code_message(tmp_path, capsys, case):
+    text, message = DIAGNOSTICS[case]
     src = tmp_path / "p.qir.txt"
-    src.write_text(DIAGNOSTIC_MAIN % body)
+    src.write_text(text)
     assert main(["compile", str(src)]) == 1
+    code = case.split("-")[0]
     assert capsys.readouterr().err.splitlines() == [f"error: {code}: {message}"]
 
 

@@ -354,6 +354,40 @@ def test_shared_transport_after_a_closing_classical_item_opens_a_segment():
     assert {s.skipped_blocks for s in shots} == {1, 2}  # a.rest is skipped in every shot, a in about half
 
 
+def test_a_segment_of_transport_alone_dephases_its_active_rows():
+    # block a holds one step on two empty slots and no state op, under r0's
+    # register; at p_transport = 1 the step dephases q0 between the h layers,
+    # so exactly the rows that ran a measure 1
+    res = compile_src("block e:\n  h q0\n  mz q0 -> r0\n  %m = read_result r0\n  reset q0\n  h q0\n  br %m, a, b\n"
+                      "block a:\n  jmp b\nblock b:\n  h q0\n  mz q0 -> r1\n  output result r0\n  output result r1\n  ret",
+                      qubits=1)
+    mark = next(k for k, it in enumerate(res.program.items) if isinstance(it, MarkItem) and it.label == "a")
+    g = res.program.items[mark].guard
+    prog = _insert_after(res.program, mark, TransportItem(g, (((2, 3),),)))
+    dephasing = NoiseModel(p_transport=1.0)
+    first, end, seg = _segment_of(emulator._compile_runtime(prog, dephasing), prog, mark + 1)
+    assert (first, end) == (mark, mark + 2) and isinstance(g, PReg)
+    assert not seg.state and (seg.steps, _dephasings(seg)) == (1, 1)
+    shots = run_shots(prog, dephasing, 300, 1)
+    assert {(s.outputs, s.executed_transport_steps) for s in shots} == {((0, 0), 0), ((1, 1), 1)}
+    assert {s.outputs for s in run_shots(prog, NOISELESS, 300, 1)} == {(0, 0), (1, 0)}
+
+
+def test_bit_ops_truncate_in_a_float_register_file():
+    # the float literal makes the register file float64; xor and and then
+    # read %f = r0 + 0.5 as the integer r0
+    m = textir.parse("module t\nattrs required_qubits=3 required_results=3\nfunc @main() {\nblock e:\n"
+                     "  h q0\n  h q1\n  mz q0 -> r0\n  mz q1 -> r1\n  %a = read_result r0\n  %b = read_result r1\n"
+                     "  %f = add %a, 0.5\n  %x = xor %f, 1\n  %y = and %f, %b\n  %o = or %x, %y\n  br %o, t, u\n"
+                     "block t:\n  x q2\n  jmp u\nblock u:\n  mz q2 -> r2\n"
+                     "  output result r0\n  output result r1\n  output result r2\n  ret\n}\n")
+    want = oracle.enumerate_module(m)
+    assert max_distribution_error(want, {(0, 0, 1): 0.25, (0, 1, 1): 0.25, (1, 0, 0): 0.25, (1, 1, 1): 0.25}) < 1e-12
+    prog = compile_module(m).program
+    assert emulator._compile_runtime(prog, NOISELESS).reg_dtype is np.float64
+    assert {s.outputs for s in run_shots(prog, NOISELESS, 400, 3)} == set(want)
+
+
 # -- covered transport: transport under a guard that holds on every active row of the segment --
 
 COVER = PReg(9)  # a register that no program compiled here names

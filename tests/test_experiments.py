@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -298,6 +299,21 @@ def test_msd_decode_success_flag():
     _res, shots, report = run_experiment(MsdConfig(limit=2, basis="Z"), 400, seed=3)
     by_hand = sum(1 for s in shots if all(b == 0 for b in s.outputs[1:5])) / len(shots)
     assert report.success_fraction == by_hand
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MsdConfig(basis="W"), "basis must be one of ('X', 'Y', 'Z')"),
+        (lambda: RusConfig(basis="W"), "basis must be one of ('X', 'Y', 'Z')"),
+        (lambda: RusConfig(limit=0), "limit must be >= 1"),
+        (lambda: RusConfig(style="spiral"), "style must be one of ('loop', 'recursion')"),
+    ],
+    ids=["msd-basis", "rus-basis", "rus-limit", "rus-style"],
+)
+def test_a_config_refuses_a_bad_basis_limit_or_style(make, message):
+    with pytest.raises(IonflowError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_msd_limit_is_bounded_by_the_emulator_result_slots():

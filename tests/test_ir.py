@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import typing
 
 import pytest
@@ -142,10 +143,13 @@ def test_rotation_angle_required_by_grammar():
         parse("block a:\n  rz q0\n  ret")
 
 
-def _one_gate_module(gate: QGate) -> ir.Module:
-    """A hand-built module whose entry block holds only ``gate``: text cannot spell what the parser refuses."""
-    block = ir.BasicBlock("e", (), (gate,), ir.Return())
-    return ir.Module("t", (ir.Function("main", (), (block,)),), "main", 1, 0)
+# hand-built modules: text cannot spell what the parser refuses
+def _module(*functions: ir.Function) -> ir.Module:
+    return ir.Module("t", functions, "main", 1, 0)
+
+
+def _main(*body: Instruction) -> ir.Function:
+    return ir.Function("main", (), (ir.BasicBlock("e", (), body, ir.Return()),))
 
 
 @pytest.mark.parametrize("gate, code, message", [
@@ -153,11 +157,41 @@ def _one_gate_module(gate: QGate) -> ir.Module:
     (QGate("rz", (0,), None), "ANGLE_MISSING", "rz requires an angle operand"),
 ])
 def test_a_gate_the_parser_refuses_is_reported_on_a_built_module(gate, code, message):
-    m = _one_gate_module(gate)
+    m = _module(_main(gate))
     for strict in (False, True):
         assert validate_profile(m, strict=strict) == [ir.Diagnostic("error", code, message, "@main:e#0")]
     with pytest.raises(CompileError, match=f"^error: {code}: {message} \\[@main:e#0\\]$"):
         compile_module(m)
+
+
+# more such modules, each with the message and location of the one diagnostic validation gives it;
+# a case names its code before any '-'
+BUILT_MODULES = {
+    "NO_ENTRY": (_module(ir.Function("f", (), _main().blocks)), "entry function @main not defined", ""),
+    "EMPTY_FUNC": (_module(ir.Function("main", (), ())), "function has no blocks", "@main"),
+    "BAD_OP-binop": (_module(_main(BinOp("nand", Vreg("x"), 1, 2))), "unknown binop 'nand'", "@main:e#0"),
+    "BAD_OP-cmp": (_module(_main(Cmp("approx", Vreg("x"), 1, 2))), "unknown comparison 'approx'", "@main:e#0"),
+    "BAD_OUTPUT-no-slot": (_module(_main(Output("result"))), "output result needs a slot", "@main:e#0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILT_MODULES))
+def test_a_module_the_parser_refuses_is_reported(case):
+    m, message, loc = BUILT_MODULES[case]
+    diagnostic = ir.Diagnostic("error", case.split("-")[0], message, loc)
+    for strict in (False, True):
+        assert validate_profile(m, strict=strict) == [diagnostic]
+    with pytest.raises(CompileError, match=f"^{re.escape(str(diagnostic))}$"):
+        compile_module(m)
+
+
+def test_a_qubit_parameter_is_unresolved_only_in_strict_mode():
+    # flatten substitutes every qubit argument, so compiling text reaches this only with
+    # a qubit parameter on the entry, which ENTRY_PARAMS reports as well
+    h_q = ir.Function("f", ((Vreg("q"), "qubit"),), (ir.BasicBlock("e", (), (QGate("h", (Vreg("q"),), None),), ir.Return()),))
+    m = _module(_main(), h_q)
+    assert validate_profile(m, strict=False) == []
+    assert validate_profile(m, strict=True) == [ir.Diagnostic("error", "QUBIT_OPERAND", "unresolved qubit operand %q", "@f:e#0")]
 
 
 def test_strict_rejects_calls_lenient_allows():
